@@ -27,8 +27,7 @@ from .spectrum import (
     dimension_bound_check,
 )
 from .quadrature import (
-    BallQuadrature,
-    LevelSetQuadrature,
+    ProductRule,
     ball_quadrature,
     level_set_quadrature,
     raw_level_area,

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, evaluate
+from .holopoly import HoloPoly, evaluate_parts
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
@@ -82,13 +82,6 @@ class HoloForm:
 
     def coeff_norm(self) -> float:
         return max((poly.coeff_norm() for poly in self.coeffs.values()), default=0.0)
-
-    def norm_sq_at(self, nodes: np.ndarray) -> np.ndarray:
-        """Pointwise |omega|^2; each dz factor contributes |dz|^2 = 2."""
-        total = np.zeros(nodes.shape[:-1])
-        for poly in self.coeffs.values():
-            total = total + np.abs(evaluate(poly, nodes)) ** 2
-        return 2.0**self.p * total
 
     @staticmethod
     def monomial(m: int, alpha, index, coef: complex = 1.0) -> "HoloForm":
@@ -417,12 +410,15 @@ def form_integral_identity_check(
     lam = Lambda if Lambda is not None else ricci_bound(model)
     mu = omega.mu
     rule = weighted_space_quadrature(model, resolution)
-    norms = omega.norm_sq_at(rule.nodes)
-    f_vals = model.f_min + 0.25 * np.sum(np.abs(rule.nodes) ** 2, axis=-1)
-    value = float(
-        np.sum(rule.weights * norms * (f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam))
-    )
-    scale = float(np.sum(rule.weights * norms)) * (model.n / 2.0 + mu + 2.0 * omega.p * lam)
+    degrees = sorted({k for poly in omega.coeffs.values() for k in poly.homogeneous_parts()}) or [0]
+    parts = np.array(
+        [evaluate_parts(poly, rule.nodes, degrees) for poly in omega.coeffs.values()], dtype=complex
+    ).reshape(-1, len(degrees), rule.nodes.shape[0])
+    # |omega|^2 = 2^p sum_I |u_I|^2: each dz factor contributes |dz|^2 = 2
+    norms = 2.0**omega.p * rule.sphere_integrals(parts, degrees, parts, degrees)
+    f_vals = model.f_min + 0.25 * rule.radii**2
+    value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam)
+    scale = rule.integrate(norms) * (model.n / 2.0 + mu + 2.0 * omega.p * lam)
     if value > tol * max(1.0, scale):
         raise NumericError(f"kernel-form integral is positive: {value:.3e}")
     return value

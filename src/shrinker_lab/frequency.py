@@ -16,22 +16,30 @@ integrals J_i entering the dimension-counting ledger.
 
 Every integral has two routes: a closed form built from exact sphere or ball
 moments of monomials (cross moments vanish by the torus action), and a
-quadrature route over the rules from the quadrature module.  Closed forms
-are the default; the quadrature route is exercised separately by tests.
+quadrature route over the product rules of the quadrature module.  The
+quadrature route evaluates the homogeneous parts of u, of grad u and of
+E = sum_j z_j du/dz_j once on the unit directions of a rule and contracts
+their Gram matrices with the radial nodes.  Every factor that is not a
+polynomial in z (|grad b|^2, Laplacian(b), 1/|z|^2, e^{-f}) depends on the
+radius alone, so this is the rule's own sum reordered, and the cross Gram
+entries the closed route drops by symmetry are summed.  Closed forms are the
+default; the quadrature route is selected with method="quadrature".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
 
 from .errors import DomainError
-from .holopoly import HoloPoly, evaluate, gradient, lie_derivative_nabla_f
+from .holopoly import HoloPoly, evaluate_parts, gradient, lie_derivative_nabla_f
 from .models import ModelShrinker
 from .quadrature import (
+    ProductRule,
     ball_moment,
     ball_quadrature,
     level_set_quadrature,
@@ -99,23 +107,58 @@ class ResolvedConfig:
     mu: float
 
 
-# -- pointwise evaluation kernels ---------------------------------------------
+# -- direction sums of the fields of u ------------------------------------------
 
 
-def _fields(u: HoloPoly, nodes: np.ndarray) -> dict[str, np.ndarray]:
-    """|u|^2, |grad u|^2 and the radial pairing E = sum z_j du/dz_j on nodes."""
-    uval = evaluate(u, nodes)
-    grads = gradient(u)
-    gvals = [evaluate(g, nodes) for g in grads]
-    grad_sq = 2.0 * sum(np.abs(g) ** 2 for g in gvals)
-    e_val = sum(nodes[..., j] * gvals[j] for j in range(u.m))
-    return {
-        "u": uval,
-        "u_sq": np.abs(uval) ** 2,
-        "grad_sq": grad_sq,
-        "E": e_val,
-        "R_sq": np.sum(np.abs(nodes) ** 2, axis=-1),
-    }
+class _SphereFields:
+    """Direction sums of the fields of u on a product rule, as polynomials in the radius.
+
+    Each field attribute is a coefficient array c with
+    sum_k w_k F(s theta_k) = sum_d c_d s^d, for F one of |u|^2, |grad u|^2,
+    |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j.  The homogeneous
+    parts u has are evaluated on the rule's directions once, and only for the
+    fields read.  Rules of one kind and resolution share their directions, so
+    one instance serves every radius.
+    """
+
+    def __init__(self, u: HoloPoly, rule: ProductRule):
+        self.u = u
+        self.rule = rule
+        self.degrees = sorted(u.homogeneous_parts()) or [0]
+        # du/dz_j lowers each degree by one; z_j du/dz_j restores it in E
+        self.grad_degrees = [k - 1 for k in self.degrees if k > 0] or [0]
+        self.e_degrees = [k + 1 for k in self.grad_degrees]
+
+    @cached_property
+    def _u_parts(self) -> np.ndarray:
+        return evaluate_parts(self.u, self.rule.nodes, self.degrees)
+
+    @cached_property
+    def _grad_parts(self) -> np.ndarray:
+        nodes = self.rule.nodes
+        return np.stack([evaluate_parts(g, nodes, self.grad_degrees) for g in gradient(self.u)])
+
+    @cached_property
+    def _e_parts(self) -> np.ndarray:
+        return np.einsum("xj,jdx->dx", self.rule.nodes, self._grad_parts)
+
+    @cached_property
+    def u_sq(self) -> np.ndarray:
+        return self.rule.sphere_integrals(self._u_parts, self.degrees, self._u_parts, self.degrees)
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        # |grad u|^2 = 2 sum_j |du/dz_j|^2
+        grad, deg = self._grad_parts, self.grad_degrees
+        return 2.0 * self.rule.sphere_integrals(grad, deg, grad, deg)
+
+    @cached_property
+    def e_sq(self) -> np.ndarray:
+        return self.rule.sphere_integrals(self._e_parts, self.e_degrees, self._e_parts, self.e_degrees)
+
+    @cached_property
+    def u_e(self) -> np.ndarray:
+        return self.rule.sphere_integrals(self._e_parts, self.e_degrees, self._u_parts, self.degrees)
 
 
 def _diagonal_moments(model: ModelShrinker, u: HoloPoly, rho: float, kind: str) -> float:
@@ -159,9 +202,30 @@ def I_of_r(
     grad_b = rho / r
     if _use_closed(method):
         return r ** (1 - model.n) * grad_b * _diagonal_moments(model, u, rho, "sphere")
-    rule = level_set_quadrature(model, r, resolution)
-    f = _fields(u, rule.nodes)
-    return r ** (1 - model.n) * grad_b * float(np.sum(rule.weights * f["u_sq"]))
+    level = level_set_quadrature(model, r, resolution)
+    return _height(model, r, level, _SphereFields(u, level))
+
+
+def _height(model: ModelShrinker, r: float, level: ProductRule, fields: _SphereFields) -> float:
+    grad_b = model.flat_radius(r) / r
+    return r ** (1 - model.n) * grad_b * level.integrate(fields.u_sq)
+
+
+def _bulk_energy(model: ModelShrinker, r: float, ball: ProductRule, fields: _SphereFields) -> float:
+    return r ** (2 - model.n) * ball.integrate(fields.grad_sq)
+
+
+def _dirichlet_bulk(
+    model: ModelShrinker, u: HoloPoly, r: float, resolution: int, method: str
+) -> float:
+    """D(r) in its bulk form r^{2-n} int_{b<r} |grad u|^2."""
+    model.require_regular(r)
+    if _use_closed(method):
+        rho = model.flat_radius(r)
+        moments = sum(_diagonal_moments(model, g, rho, "ball") for g in gradient(u))
+        return r ** (2 - model.n) * 2.0 * moments
+    ball = ball_quadrature(model, r, resolution)
+    return _bulk_energy(model, r, ball, _SphereFields(u, ball))
 
 
 @dataclass(frozen=True)
@@ -178,21 +242,15 @@ def D_of_r(
     method: str = "auto",
 ) -> DirichletRecord:
     """Dirichlet energy D(r) in both its bulk and boundary forms."""
-    model.require_regular(r)
+    bulk = _dirichlet_bulk(model, u, r, resolution, method)
     rho = model.flat_radius(r)
     scale = r ** (2 - model.n)
     if _use_closed(method):
-        grads = gradient(u)
-        bulk = scale * 2.0 * sum(_diagonal_moments(model, g, rho, "ball") for g in grads)
         boundary = scale / rho * _weighted_sphere_sum(model, u, rho, lambda a: float(sum(a)))
         return DirichletRecord(bulk=bulk, boundary=boundary)
-    ball = ball_quadrature(model, r, resolution)
-    fb = _fields(u, ball.nodes)
-    bulk = scale * float(np.sum(ball.weights * fb["grad_sq"]))
     level = level_set_quadrature(model, r, resolution)
-    fl = _fields(u, level.nodes)
     # <grad |u|^2, nu> = 2 Re(conj(u) E) / rho, and D carries a further 1/2
-    boundary = scale / rho * float(np.sum(level.weights * np.real(np.conj(fl["u"]) * fl["E"])))
+    boundary = scale / rho * level.integrate(_SphereFields(u, level).u_e)
     return DirichletRecord(bulk=bulk, boundary=boundary)
 
 
@@ -206,7 +264,7 @@ def frequency_U(
     i_val = I_of_r(model, u, r, resolution, method)
     if i_val <= 0.0:
         raise DomainError("I(r) vanished: the function is identically zero")
-    return D_of_r(model, u, r, resolution, method).bulk / i_val
+    return _dirichlet_bulk(model, u, r, resolution, method) / i_val
 
 
 def _eta_integrand(config: FrequencyConfig, mu: float):
@@ -279,12 +337,19 @@ def frequency_profile(
     if np.any(np.diff(rr) <= 0):
         raise DomainError("profile radii must be strictly increasing")
     resolved = config.for_model(model, d)
-    i_vals = np.array([I_of_r(model, u, r, config.resolution, config.method) for r in rr])
+    res = config.resolution
+    if _use_closed(config.method):
+        i_vals = np.array([I_of_r(model, u, r, res, config.method) for r in rr])
+        d_vals = np.array([_dirichlet_bulk(model, u, r, res, config.method) for r in rr])
+    else:
+        # rules of one kind share their directions: one Gram matrix serves every radius
+        levels = [level_set_quadrature(model, r, res) for r in rr]
+        balls = [ball_quadrature(model, r, res) for r in rr]
+        on_level, on_ball = _SphereFields(u, levels[0]), _SphereFields(u, balls[0])
+        i_vals = np.array([_height(model, r, level, on_level) for r, level in zip(rr, levels)])
+        d_vals = np.array([_bulk_energy(model, r, ball, on_ball) for r, ball in zip(rr, balls)])
     if np.any(i_vals <= 0):
         raise DomainError("I(r) must be positive on the grid (u is not identically zero)")
-    d_vals = np.array(
-        [D_of_r(model, u, r, config.resolution, config.method).bulk for r in rr]
-    )
     u_vals = d_vals / i_vals
     sig = config.sigma_eff
     eta_vals = np.empty_like(rr)
@@ -329,10 +394,10 @@ def i_prime_rhs(
         flux = (2.0 / rho) * _weighted_sphere_sum(model, u, rho, lambda a: float(sum(a)))
         curv = s * (r / rho) * _diagonal_moments(model, u, rho, "sphere")
     else:
-        rule = level_set_quadrature(model, r, resolution)
-        f = _fields(u, rule.nodes)
-        flux = float(np.sum(rule.weights * 2.0 * np.real(np.conj(f["u"]) * f["E"]) / rho))
-        curv = s * (r / rho) * float(np.sum(rule.weights * f["u_sq"]))
+        level = level_set_quadrature(model, r, resolution)
+        fields = _SphereFields(u, level)
+        flux = 2.0 / rho * level.integrate(fields.u_e)
+        curv = s * (r / rho) * level.integrate(fields.u_sq)
     return r ** (1 - n) * flux + r ** (-n) * (4.0 * n / r**2 - 2.0) * curv
 
 
@@ -363,11 +428,11 @@ def level_defect(model: ModelShrinker, u: HoloPoly, r: float, j: int, resolution
     """level_defect(r) = int_{b=r} S^j (|grad u|^2 - 2 |du/dnu|^2) / |grad b|."""
     model.require_regular(r)
     rho = model.flat_radius(r)
-    rule = level_set_quadrature(model, r, resolution)
-    f = _fields(u, rule.nodes)
-    normal_sq = np.abs(f["E"]) ** 2 / rho**2
-    integrand = f["grad_sq"] - 2.0 * normal_sq
-    return model.s_const**j * (r / rho) * float(np.sum(rule.weights * integrand))
+    level = level_set_quadrature(model, r, resolution)
+    fields = _SphereFields(u, level)
+    # |du/dnu|^2 = |E|^2 / rho^2 on the level set
+    integral = level.integrate(fields.grad_sq) - 2.0 * level.integrate(fields.e_sq) / rho**2
+    return model.s_const**j * (r / rho) * integral
 
 
 @dataclass(frozen=True)
@@ -387,24 +452,28 @@ def check_defect_recursion(
     int_{b<r} S^j (|grad u|^2 Laplacian(b) - 2 Re Hess_b(grad u, grad conj(u))),
     which follows from the first variation of the energy along S^j grad b.
     """
-    ks = [level_defect(model, u, r, j, resolution) for j in range(jmax + 2)]
+    # S is constant on every catalog model, so K_j = S^j K_0
+    k0 = level_defect(model, u, r, 0, resolution)
+    ks = [model.s_const**j * k0 for j in range(jmax + 2)]
     ball = ball_quadrature(model, r, resolution)
-    f = _fields(u, ball.nodes)
-    dirichlet = float(np.sum(ball.weights * f["grad_sq"]))
+    fields = _SphereFields(u, ball)
+    dirichlet = ball.integrate(fields.grad_sq)
     c_measured = abs(ks[0]) / dirichlet if dirichlet > 0 else 0.0
     c = model.f_min
     n_flat = 2 * model.flat_m
-    r_sq = f["R_sq"]
-    b_val = np.sqrt(4.0 * c + r_sq)
+    # b and its derivatives depend on the radius alone, so direction sums of
+    # |grad u|^2 and |E|^2 per radial node carry the whole integrand
+    s = ball.radii
+    grad_sq = np.polynomial.polynomial.polyval(s, fields.grad_sq)
+    normal_sq = np.polynomial.polynomial.polyval(s, fields.e_sq) / s**2
+    b_val = np.sqrt(4.0 * c + s**2)
     lap_b = 4.0 * c / b_val**3 + (n_flat - 1) / b_val
-    normal_sq = np.abs(f["E"]) ** 2 / np.where(r_sq > 0, r_sq, 1.0)
-    hess = (4.0 * c / b_val**3) * normal_sq + (f["grad_sq"] - normal_sq) / b_val
+    hess = (4.0 * c / b_val**3) * normal_sq + (grad_sq - normal_sq) / b_val
+    bulk = float(np.sum(ball.radial_weights * (grad_sq * lap_b - 2.0 * hess)))
     residuals = []
     for j in range(jmax + 1):
         lhs = ks[j] - (4.0 / r**2) * ks[j + 1]
-        rhs = model.s_const**j * float(
-            np.sum(ball.weights * (f["grad_sq"] * lap_b - 2.0 * hess))
-        )
+        rhs = model.s_const**j * bulk
         residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
     return DefectReport(
         K=ks[: jmax + 1],
@@ -588,13 +657,14 @@ def shell_energy_ledger(
     if c_constant is None:
         c_constant = check_defect_recursion(model, u, radii[3], 1, config.resolution).c_measured
 
-    def shell(r_hi: float) -> float:
-        rule = shell_quadrature(model, r0, r_hi, config.resolution)
-        f = _fields(u, rule.nodes)
-        grad_b_sq = f["R_sq"] / (4.0 * model.f_min + f["R_sq"])
-        return float(np.sum(rule.weights * f["u_sq"] * grad_b_sq))
+    shells = [shell_quadrature(model, r0, radii[i], config.resolution) for i in (1, 2, 3)]
+    fields = _SphereFields(u, shells[0])  # the three shells share their directions
 
-    j1, j2, j3 = (shell(radii[i]) for i in (1, 2, 3))
+    def shell(rule: ProductRule) -> float:
+        s_sq = rule.radii**2
+        return rule.integrate(fields.u_sq, s_sq / (4.0 * model.f_min + s_sq))
+
+    j1, j2, j3 = (shell(rule) for rule in shells)
     exponent = model.n + 2.0 * (d_eff + config.epsilon * math.sqrt(resolved.mu))
     log_term = exponent * math.log(lam)
     big = math.exp(log_term) if log_term < 700 else math.inf

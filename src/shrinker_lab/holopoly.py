@@ -158,6 +158,13 @@ class HoloPoly:
         """sum_j z_j d/dz_j; z^alpha maps to |alpha| z^alpha."""
         return HoloPoly(self.m, {a: c * sum(a) for a, c in self.terms.items()})
 
+    def homogeneous_parts(self) -> dict[int, "HoloPoly"]:
+        """Split u = sum_k u_k into nonzero parts homogeneous of degree k."""
+        parts: dict[int, dict[tuple[int, ...], complex]] = {}
+        for alpha, c in self.terms.items():
+            parts.setdefault(sum(alpha), {})[alpha] = c
+        return {k: HoloPoly(self.m, terms) for k, terms in parts.items()}
+
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, z) -> complex | np.ndarray:
@@ -199,6 +206,19 @@ def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
     if acc.ndim == 0:
         return complex(acc)
     return acc
+
+
+def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
+    """Homogeneous parts of u at points z of shape (K, m).
+
+    Row i holds the part of degree ``degrees[i]``, zero where u has none.
+    """
+    parts = u.homogeneous_parts()
+    out = np.zeros((len(degrees), z.shape[0]), dtype=complex)
+    for i, k in enumerate(degrees):
+        if k in parts:
+            out[i] = evaluate(parts[k], z)
+    return out
 
 
 def gradient(u: HoloPoly) -> list[HoloPoly]:

@@ -1,20 +1,36 @@
 """Quadrature rules and closed-form moments on model shrinkers.
 
 Level sets {b = r} of a model are round spheres of the flat factor (times the
-compact factor, which is folded into the weights), so the rules below are
-tensor products of uniform angular grids with Gauss-Legendre nodes:
+compact factor, which is folded into the weights), and sublevel sets, shells
+and the whole space are unions of such spheres.  Every rule below is
+therefore a product of a radial rule and a rule on the unit sphere of C^m:
+its nodes are s_i * theta_k with weight W_i * w_k, where
 
-* uniform grids in the torus angles are exact for trigonometric polynomials
-  of frequency below the grid size, which covers every integrand in the
-  verification suite;
-* Gauss-Legendre handles the remaining flat radial-type variables, where the
-  integrands are polynomial or smooth rational.
+* the radii s_i are Gauss-Legendre nodes in the flat radius (a single radius
+  for a level set), and W_i carries the Jacobian s^{2m-1}, the compact area
+  and, for the weighted space, e^{-f};
+* the directions theta_k are uniform grids in the torus angles, exact for
+  trigonometric polynomials of frequency below the grid size, times
+  Gauss-Legendre nodes on the simplex below.
 
 Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
 {u_j >= 0, sum u_j = 1} times the torus, which is flat in u, so polynomial
 moments integrate exactly.  The same parametrization yields the closed-form
 moments used by the closed-form evaluation paths.
+
+Rules are kept in this factored form and the s_i * theta_k grid is never
+built.  A polynomial splits into homogeneous parts u = sum_k u_k with
+u_k(s theta) = s^k u_k(theta), so the rule applied to a(z) conj(b(z)) is
+sum_i W_i sum_{k,l} s_i^{k+l} G_kl with the direction Gram matrix
+G_kl = sum_theta w_theta a_k(theta) conj(b_l(theta)).  This is the same sum
+over the same nodes, taken in another order: the off-diagonal G_kl are
+summed, not assumed to vanish by the torus action as the closed-form route
+assumes, so the quadrature route stays independent of it.
+
+Gauss-Legendre tables are generated in long double, so the volume identity,
+whose two sides cancel to machine zero on the flat model, is summed in
+extended precision end to end.
 """
 
 from __future__ import annotations
@@ -25,11 +41,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import ModelShrinker
 
 __all__ = [
-    "LevelSetQuadrature",
-    "BallQuadrature",
+    "ProductRule",
     "level_set_quadrature",
     "ball_quadrature",
     "shell_quadrature",
@@ -42,6 +58,9 @@ __all__ = [
     "raw_level_area",
     "verify_volume_identity",
 ]
+
+_LD = np.longdouble
+_PI_LD = np.arccos(_LD(-1))
 
 
 # -- closed-form moments -----------------------------------------------------
@@ -80,42 +99,68 @@ def ball_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
     return sphere_moment(m, alpha, radius) * radius / (2 * k + 2 * m)
 
 
-# -- direction grids on the flat unit sphere ---------------------------------
+# -- Gauss-Legendre tables and direction grids --------------------------------
+
+
+@lru_cache(maxsize=None)
+def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] in long double.
+
+    Newton's method on the three-term recurrence, started from the asymptotic
+    guesses cos(pi (k - 1/4) / (n + 1/2)), converges to long-double accuracy,
+    so weight sums carry errors near 1e-19 instead of the 1e-16 of a float64
+    table (cf. Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+    """
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
+    k = np.arange(n, 0, -1, dtype=_LD)
+    x = np.cos(_PI_LD * (k - _LD(0.25)) / (n + _LD(0.5)))
+    for _ in range(100):
+        p, dp = legendre(x)
+        step = p / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 4 * np.finfo(_LD).eps:
+            break
+    _, dp = legendre(x)
+    return x, 2 / ((1 - x * x) * dp * dp)
 
 
 def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    """n-point Gauss-Legendre rule on [a, b], in long double."""
+    x, w = _gl_reference(n)
+    half = (_LD(b) - _LD(a)) / 2
+    return half * x + (_LD(a) + _LD(b)) / 2, half * w
 
 
 @lru_cache(maxsize=64)
-def _unit_sphere_rule(m: int, n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (K, m) and weights (K,) on the unit sphere of C^m."""
-    phis = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    w_phi = 2.0 * math.pi / n_phi
+def _unit_sphere_rule(m: int, n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+    """Nodes (K, m) and weights (K,) on the unit sphere of C^m, and the weight sum in long double."""
+    phis = 2 * _PI_LD * np.arange(n_phi) / n_phi
+    w_phi = 2 * _PI_LD / n_phi
     if m == 1:
-        nodes = np.exp(1j * phis).reshape(-1, 1)
+        nodes = np.exp(1j * phis.astype(float)).reshape(-1, 1)
         weights = np.full(n_phi, w_phi)
-        return nodes, weights
-    if m == 2:
+    elif m == 2:
         u, wu = _gl(n_u, 0.0, 1.0)
-        uu, p1, p2 = np.meshgrid(u, phis, phis, indexing="ij")
-        ww = np.broadcast_to(wu[:, None, None], uu.shape)
+        uu, p1, p2 = np.meshgrid(u.astype(float), phis.astype(float), phis.astype(float), indexing="ij")
         z1 = np.sqrt(uu) * np.exp(1j * p1)
         z2 = np.sqrt(1.0 - uu) * np.exp(1j * p2)
         nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
-        weights = (0.5 * ww * w_phi**2).ravel()
-        return nodes, weights
-    if m == 3:
+        weights = np.broadcast_to((wu * w_phi**2 / 2)[:, None, None], uu.shape).ravel()
+    elif m == 3:
         # Simplex {u1 + u2 + u3 = 1} via u1 = x1, u2 = (1-x1) x2.
         x1, w1 = _gl(n_u, 0.0, 1.0)
         x2, w2 = _gl(n_u, 0.0, 1.0)
-        xx1, xx2, p1, p2, p3 = np.meshgrid(x1, x2, phis, phis, phis, indexing="ij")
-        jac = 1.0 - xx1
+        phi = phis.astype(float)
+        xx1, xx2, p1, p2, p3 = np.meshgrid(x1.astype(float), x2.astype(float), phi, phi, phi, indexing="ij")
         u1 = xx1
         u2 = (1.0 - xx1) * xx2
         u3 = np.clip(1.0 - u1 - u2, 0.0, None)
-        ww = np.broadcast_to((w1[:, None] * w2[None, :])[:, :, None, None, None], xx1.shape)
         nodes = np.stack(
             [
                 (np.sqrt(u1) * np.exp(1j * p1)).ravel(),
@@ -124,9 +169,13 @@ def _unit_sphere_rule(m: int, n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndar
             ],
             axis=-1,
         )
-        weights = (0.25 * ww * jac * w_phi**3).ravel()
-        return nodes, weights
-    raise NotImplementedError(f"no sphere rule for flat complex dimension {m}")
+        simplex = w1[:, None] * w2[None, :] * (1 - x1)[:, None] * w_phi**3 / 4
+        weights = np.broadcast_to(simplex[:, :, None, None, None], xx1.shape).ravel()
+    else:
+        raise ConfigError(
+            f"no quadrature rule for flat complex dimension {m}: sphere rules exist for 1 <= m <= 3"
+        )
+    return nodes, weights.astype(float), weights.sum()
 
 
 def _level_counts(m: int, resolution: int) -> tuple[int, int]:
@@ -146,43 +195,79 @@ def _ball_counts(m: int, resolution: int) -> tuple[int, int, int]:
     return n_rad, max(4, resolution // 32), max(12, resolution // 16)
 
 
-@dataclass(frozen=True)
-class LevelSetQuadrature:
-    """Surface rule for {b = r}: complex flat nodes with surface weights."""
-
-    r: float
-    nodes: np.ndarray
-    weights: np.ndarray
-    resolution: int
+# -- product rules -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BallQuadrature:
-    """Volume rule for {b < r} (or a shell) with flat volume weights."""
+class ProductRule:
+    """Radial rule times unit-sphere rule: node s_i theta_k carries weight W_i w_k.
+
+    ``radii``/``radial_weights`` hold s_i and W_i; ``nodes``/``weights`` hold
+    the unit directions theta_k (shape (K, m)) and their weights, which
+    depend only on the flat dimension, the rule kind and the resolution, so
+    direction sums formed on one rule serve every rule of its kind.
+    ``mass`` is (sum W_i)(sum w_k), summed in long double.
+    """
 
     r: float
+    radii: np.ndarray
+    radial_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+    mass: np.longdouble
     resolution: int
+
+    def sphere_integrals(self, a: np.ndarray, a_degrees, b: np.ndarray, b_degrees) -> np.ndarray:
+        """Coefficients c with Re sum_k w_k a(s theta_k) conj(b(s theta_k)) = sum_d c_d s^d.
+
+        ``a`` holds homogeneous parts on the directions, shape (..., rows, K),
+        row i being the part of degree ``a_degrees[i]``, and likewise ``b``;
+        leading axes are summed over, as for the components of a gradient.
+        Every entry of the Gram matrix G_ij = sum_k w_k a_i(theta_k) conj(b_j(theta_k))
+        enters, off-diagonal ones too.
+        """
+        gram = np.matmul(a * self.weights, np.swapaxes(b, -1, -2).conj()).real
+        gram = gram.reshape(-1, *gram.shape[-2:]).sum(axis=0)
+        coeffs = np.zeros(max(a_degrees) + max(b_degrees) + 1)
+        np.add.at(coeffs, np.add.outer(a_degrees, b_degrees), gram)
+        return coeffs
+
+    def integrate(self, coeffs: np.ndarray, radial=1.0) -> float:
+        """sum_i W_i radial(s_i) sum_d c_d s_i^d for direction sums c from sphere_integrals."""
+        sums = np.polynomial.polynomial.polyval(self.radii, coeffs)
+        return float(np.sum(self.radial_weights * radial * sums))
+
+
+def _product_rule(
+    r: float, radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int, resolution: int
+) -> ProductRule:
+    nodes, weights, direction_mass = _unit_sphere_rule(m, n_u, n_phi)
+    return ProductRule(
+        r=r,
+        radii=radii.astype(float),
+        radial_weights=radial_weights.astype(float),
+        nodes=nodes,
+        weights=weights,
+        mass=radial_weights.sum() * direction_mass,
+        resolution=resolution,
+    )
 
 
 @lru_cache(maxsize=128)
-def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> LevelSetQuadrature:
-    """Quadrature on the level set {b = r}; weights sum to its surface area."""
+def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
+    """Quadrature on the level set {b = r}: the single radius rho = flat_radius(r)."""
     model.require_regular(r)
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
-    rho = model.flat_radius(r)
-    n_u, n_phi = _level_counts(model.flat_m, resolution)
-    dirs, w = _unit_sphere_rule(model.flat_m, n_u, n_phi)
-    nodes = rho * dirs
-    weights = model.compact_area * rho ** (2 * model.flat_m - 1) * w
-    return LevelSetQuadrature(r=r, nodes=nodes, weights=weights, resolution=resolution)
+    m = model.flat_m
+    rho = np.array([model.flat_radius(r)], dtype=_LD)
+    radial = _LD(model.compact_area) * rho ** (2 * m - 1)
+    return _product_rule(r, rho, radial, m, *_level_counts(m, resolution), resolution)
 
 
 @lru_cache(maxsize=48)
-def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> BallQuadrature:
-    """Quadrature on the sublevel set {b < r}; weights sum to its volume."""
+def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
+    """Quadrature on the sublevel set {b < r}; its mass is the volume."""
     model.require_regular(r)
     rho = model.flat_radius(r)
     return _radial_shell(model, 0.0, rho, r, resolution)
@@ -191,7 +276,7 @@ def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> BallQuad
 @lru_cache(maxsize=48)
 def shell_quadrature(
     model: ModelShrinker, r_lo: float, r_hi: float, resolution: int
-) -> BallQuadrature:
+) -> ProductRule:
     """Quadrature on {r_lo < b < r_hi}."""
     model.require_regular(r_lo)
     model.require_regular(r_hi)
@@ -202,41 +287,29 @@ def shell_quadrature(
 
 def _radial_shell(
     model: ModelShrinker, s_lo: float, s_hi: float, r: float, resolution: int
-) -> BallQuadrature:
+) -> ProductRule:
     m = model.flat_m
     n_rad, n_u, n_phi = _ball_counts(m, resolution)
-    dirs, w_dir = _unit_sphere_rule(m, n_u, n_phi)
     s, w_s = _gl(n_rad, s_lo, s_hi)
-    nodes = s[:, None, None] * dirs[None, :, :]
-    weights = (w_s * s ** (2 * m - 1))[:, None] * w_dir[None, :] * model.compact_area
-    return BallQuadrature(
-        r=r,
-        nodes=nodes.reshape(-1, m),
-        weights=weights.ravel(),
-        resolution=resolution,
-    )
+    radial = w_s * s ** (2 * m - 1) * _LD(model.compact_area)
+    return _product_rule(r, s, radial, m, n_u, n_phi, resolution)
 
 
 @lru_cache(maxsize=8)
 def weighted_space_quadrature(
     model: ModelShrinker, resolution: int = 256, radial_cut: float = 42.0
-) -> BallQuadrature:
+) -> ProductRule:
     """Quadrature for integrals against the weighted measure e^{-f} dv over M.
 
-    The weights already include e^{-f}; the radial cut loses a tail of order
-    e^{-radial_cut^2/4}, far below every tolerance in use.
+    The radial weights already include e^{-f}; the radial cut loses a tail of
+    order e^{-radial_cut^2/4}, far below every tolerance in use.
     """
     m = model.flat_m
     n_rad = max(64, resolution)
     _, n_u, n_phi = _ball_counts(m, resolution)
-    dirs, w_dir = _unit_sphere_rule(m, n_u, n_phi)
     s, w_s = _gl(n_rad, 0.0, radial_cut)
-    radial = w_s * s ** (2 * m - 1) * np.exp(-0.25 * s**2 - model.f_min)
-    nodes = s[:, None, None] * dirs[None, :, :]
-    weights = radial[:, None] * w_dir[None, :] * model.compact_area
-    return BallQuadrature(
-        r=math.inf, nodes=nodes.reshape(-1, m), weights=weights.ravel(), resolution=resolution
-    )
+    radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * _LD(model.compact_area)
+    return _product_rule(math.inf, s, radial, m, n_u, n_phi, resolution)
 
 
 # -- volumes, areas and the divergence identity -------------------------------
@@ -267,18 +340,21 @@ def verify_volume_identity(model: ModelShrinker, r: float, resolution: int = 128
 
     Both sides are evaluated with quadrature; the relative residual
     |LHS - RHS| / (1 + |LHS|) is returned.  The two sides cancel to machine
-    zero on the flat model, so the aggregation runs in extended precision to
-    keep the cancellation noise below the reporting tolerance.
+    zero on the flat model, at a scale of up to r^{2m}, so the volume and the
+    level mass are (radial sum) x (direction sum) of long-double weights and
+    the identity is formed in long double too.  This relies on an 80-bit (or
+    wider) long double.
     """
     level = level_set_quadrature(model, r, resolution)
     ball = ball_quadrature(model, r, resolution)
-    vol = np.sum(ball.weights, dtype=np.longdouble)
-    level_mass = np.sum(level.weights, dtype=np.longdouble)
-    rho = model.flat_radius(r)
+    vol = ball.mass
+    level_mass = level.mass
+    r_ld = _LD(r)
+    rho = _LD(model.flat_radius(r))
     # coarea: V'(r) = int_{b=r} 1/|grad b|, with |grad b| = rho/r on the level set
-    area_coarea = level_mass * (r / rho)
-    lhs = model.n * vol - r * area_coarea
+    area_coarea = level_mass * (r_ld / rho)
+    lhs = model.n * vol - r_ld * area_coarea
     s = model.s_const
     # |grad f| = rho/2 on the level set
-    rhs = 2.0 * s * vol - 2.0 * s * level_mass * (2.0 / rho)
-    return float(abs(lhs - rhs) / (1.0 + abs(lhs)))
+    rhs = 2 * s * vol - 2 * s * level_mass * (2 / rho)
+    return float(abs(lhs - rhs) / (1 + abs(lhs)))

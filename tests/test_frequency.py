@@ -28,6 +28,8 @@ from shrinker_lab.frequency import (
     rho_mu,
 )
 
+import brute_force
+
 G1 = gaussian(1)
 G2 = gaussian(2)
 CYL = cylinder()
@@ -275,17 +277,13 @@ def _d_prime_rhs(model, u, r, resolution=256):
     # boundary expression for D'(r) on constant-curvature models: twice the
     # normal energy plus the scalar-curvature corrections (the mixed Ricci
     # term vanishes because the level normal is tangent to the flat factor)
-    from shrinker_lab.frequency import _fields
-    from shrinker_lab.quadrature import level_set_quadrature
-
-    rule = level_set_quadrature(model, r, resolution)
-    f = _fields(u, rule.nodes)
+    f, weights = brute_force.on_level(model, u, r, resolution)
     rho = model.flat_radius(r)
     inv_grad_b = r / rho
     normal_sq = np.abs(f["E"]) ** 2 / rho**2
-    a_int = inv_grad_b * float(np.sum(rule.weights * normal_sq))
-    b_int = inv_grad_b * float(np.sum(rule.weights * f["grad_sq"]))
-    c_int = float(np.sum(rule.weights * 2.0 * np.real(np.conj(f["u"]) * f["E"]) / rho))
+    a_int = inv_grad_b * float(np.sum(weights * normal_sq))
+    b_int = inv_grad_b * float(np.sum(weights * f["grad_sq"]))
+    c_int = float(np.sum(weights * 2.0 * np.real(np.conj(f["u"]) * f["E"]) / rho))
     s = model.s_const
     n = model.n
     return (

@@ -11,6 +11,7 @@ from shrinker_lab.holopoly import (
     decompose_by_eigenvalue,
     dim_O_d,
     evaluate,
+    evaluate_parts,
     growth_eigenvalue_consistency,
     lie_derivative_nabla_f,
 )
@@ -32,6 +33,20 @@ def test_evaluate_batch_shape():
     vals = evaluate(u, pts)
     assert vals.shape == (3,)
     assert np.allclose(vals, [1.0 + 2.0, 2.0, -2.0])
+
+
+def test_homogeneous_parts_scale_and_sum_back():
+    u = HoloPoly(2, {(0, 0): 1.0, (1, 0): 2.0j, (0, 1): -1.0, (2, 1): 0.5, (0, 3): 3.0})
+    parts = u.homogeneous_parts()
+    assert sorted(parts) == [0, 1, 3]
+    assert (sum(parts.values(), HoloPoly.zero(2)) - u).coeff_norm() == 0.0
+    pts = np.array([[0.3 + 0.1j, -0.7j], [1.0, 0.5 + 0.5j]])
+    rows = evaluate_parts(u, pts, [0, 1, 2, 3])
+    assert np.all(rows[2] == 0.0)
+    assert np.allclose(rows.sum(axis=0), evaluate(u, pts), rtol=1e-14)
+    # u_k(s z) = s^k u_k(z)
+    scaled = evaluate_parts(u, 2.5 * pts, [0, 1, 2, 3])
+    assert np.allclose(scaled, 2.5 ** np.arange(4)[:, None] * rows, rtol=1e-14)
 
 
 def test_dimension_mismatch():

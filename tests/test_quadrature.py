@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from shrinker_lab.errors import RegularityError
+from shrinker_lab.errors import ConfigError, RegularityError
 from shrinker_lab.holopoly import HoloPoly, evaluate
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.quadrature import (
@@ -24,23 +24,30 @@ from shrinker_lab.quadrature import (
     weighted_space_quadrature,
 )
 
+from brute_force import expand
+
+
+def _total(rule):
+    """Total weight of a product rule: radial sum times direction sum."""
+    return rule.radial_weights.sum() * rule.weights.sum()
+
 
 def test_level_set_total_weights():
     # circle of radius 2 in C^1: length 4 pi
     q = level_set_quadrature(gaussian(1), 2.0, 64)
-    assert math.isclose(q.weights.sum(), 4.0 * math.pi, rel_tol=1e-13)
+    assert math.isclose(_total(q), 4.0 * math.pi, rel_tol=1e-13)
     # unit 3-sphere: area 2 pi^2
     q = level_set_quadrature(gaussian(2), 1.0, 64)
-    assert math.isclose(q.weights.sum(), 2.0 * math.pi**2, rel_tol=1e-13)
+    assert math.isclose(_total(q), 2.0 * math.pi**2, rel_tol=1e-13)
     # 5-sphere: area pi^3 r^5
     q = level_set_quadrature(gaussian(3), 2.0, 64)
-    assert math.isclose(q.weights.sum(), math.pi**3 * 2.0**5, rel_tol=1e-12)
+    assert math.isclose(_total(q), math.pi**3 * 2.0**5, rel_tol=1e-12)
 
 
 def test_level_nodes_sit_on_level():
     for model, r in ((gaussian(2), 3.0), (cylinder(), 5.0)):
-        q = level_set_quadrature(model, r, 32)
-        b_vals = 2.0 * np.sqrt(model.f_min + 0.25 * np.sum(np.abs(q.nodes) ** 2, axis=-1))
+        nodes, _ = expand(level_set_quadrature(model, r, 32))
+        b_vals = 2.0 * np.sqrt(model.f_min + 0.25 * np.sum(np.abs(nodes) ** 2, axis=-1))
         assert np.max(np.abs(b_vals - r)) < 1e-12 * r
 
 
@@ -49,7 +56,7 @@ def test_cylinder_level_coarea():
     model = cylinder()
     q = level_set_quadrature(model, 4.0, 64)
     rho = model.flat_radius(4.0)
-    val = q.weights.sum() * (4.0 / rho)
+    val = _total(q) * (4.0 / rho)
     assert math.isclose(val, 64.0 * math.pi**2, rel_tol=1e-13)
 
 
@@ -61,7 +68,7 @@ def test_ball_volume_and_closed_forms():
     assert math.isclose(v, 8.0 * math.pi**2 * 12.0, rel_tol=1e-13)
     assert math.isclose(a, 16.0 * math.pi**2 * 4.0, rel_tol=1e-13)
     ball = ball_quadrature(cylinder(), 4.0, 64)
-    assert math.isclose(ball.weights.sum(), v, rel_tol=1e-12)
+    assert math.isclose(_total(ball), v, rel_tol=1e-12)
 
 
 def test_cylinder_area_decay():
@@ -82,27 +89,27 @@ def test_raw_area_differs_from_coarea_area():
 
 def test_sphere_moment_against_quadrature():
     model = gaussian(2)
-    q = level_set_quadrature(model, 2.5, 64)
+    nodes, weights = expand(level_set_quadrature(model, 2.5, 64))
     for alpha in [(0, 0), (1, 0), (2, 1), (3, 2)]:
         u = HoloPoly.monomial(2, alpha)
-        num = float(np.sum(q.weights * np.abs(evaluate(u, q.nodes)) ** 2))
+        num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
         assert math.isclose(num, sphere_moment(2, alpha, 2.5), rel_tol=1e-12)
 
 
 def test_ball_moment_against_quadrature():
     model = gaussian(2)
-    q = ball_quadrature(model, 2.5, 64)
+    nodes, weights = expand(ball_quadrature(model, 2.5, 64))
     for alpha in [(0, 0), (2, 0), (1, 3)]:
         u = HoloPoly.monomial(2, alpha)
-        num = float(np.sum(q.weights * np.abs(evaluate(u, q.nodes)) ** 2))
+        num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
         assert math.isclose(num, ball_moment(2, alpha, 2.5), rel_tol=1e-12)
 
 
 def test_cross_moments_vanish():
-    q = level_set_quadrature(gaussian(2), 2.0, 64)
-    z1 = q.nodes[:, 0]
-    z2 = q.nodes[:, 1]
-    val = np.sum(q.weights * z1 * np.conj(z2))
+    nodes, weights = expand(level_set_quadrature(gaussian(2), 2.0, 64))
+    z1 = nodes[:, 0]
+    z2 = nodes[:, 1]
+    val = np.sum(weights * z1 * np.conj(z2))
     assert abs(val) < 1e-10
 
 
@@ -111,16 +118,16 @@ def test_shell_quadrature_matches_volume_difference():
     shell = shell_quadrature(model, 4.0, 7.0, 64)
     v4, _ = volume_area(model, 4.0)
     v7, _ = volume_area(model, 7.0)
-    assert math.isclose(shell.weights.sum(), v7 - v4, rel_tol=1e-12)
+    assert math.isclose(_total(shell), v7 - v4, rel_tol=1e-12)
 
 
 def test_weighted_space_total_mass():
     # int e^{-f} dv = (4 pi)^m on the flat model
     for m in (1, 2):
         q = weighted_space_quadrature(gaussian(m), 128)
-        assert math.isclose(q.weights.sum(), (4.0 * math.pi) ** m, rel_tol=1e-10)
+        assert math.isclose(_total(q), (4.0 * math.pi) ** m, rel_tol=1e-10)
     q = weighted_space_quadrature(cylinder(), 128)
-    assert math.isclose(q.weights.sum(), 8.0 * math.pi * 4.0 * math.pi * math.exp(-1.0), rel_tol=1e-10)
+    assert math.isclose(_total(q), 8.0 * math.pi * 4.0 * math.pi * math.exp(-1.0), rel_tol=1e-10)
 
 
 def test_volume_identity_gaussian_exact():
@@ -161,8 +168,15 @@ def test_irregular_radius_rejected():
 
 
 def test_sphere_moment_m3_against_quadrature():
-    q = level_set_quadrature(gaussian(3), 2.0, 64)
+    nodes, weights = expand(level_set_quadrature(gaussian(3), 2.0, 64))
     for alpha in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)]:
         u = HoloPoly.monomial(3, alpha)
-        num = float(np.sum(q.weights * np.abs(evaluate(u, q.nodes)) ** 2))
+        num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
         assert math.isclose(num, sphere_moment(3, alpha, 2.0), rel_tol=1e-11)
+
+
+def test_unsupported_flat_dimension_is_a_config_error():
+    with pytest.raises(ConfigError, match="dimension 4"):
+        level_set_quadrature(gaussian(4), 3.0, 32)
+    with pytest.raises(ConfigError, match="dimension 4"):
+        ball_quadrature(gaussian(4), 3.0, 32)
