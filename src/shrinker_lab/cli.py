@@ -24,6 +24,7 @@ from .errors import ConfigError, ShrinkerLabError
 from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
+_MU_MAX = 708
 _VAR_ALIASES = {"z": 0, "w": 0, "x": 0}
 _TOKEN = re.compile(r"(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<var>[a-zA-Z]\d*)(?:\^(?P<pow>\d+))?|(?P<mul>\*)")
 
@@ -101,11 +102,17 @@ def _resolve_model(args, config: dict, default_kind: str = "gaussian") -> ModelS
         return ModelShrinker.from_dict(spec_dict)
     kind = getattr(args, "model", None) or default_kind
     if kind == "gaussian":
-        m = getattr(args, "m", None) or config.get("m", 2)
-        return gaussian(int(m))
+        return gaussian(_resolve_m(args, config))
     if kind == "cylinder":
         return cylinder()
     raise ConfigError(f"unknown model kind {kind!r} (use gaussian or cylinder)")
+
+
+def _resolve_m(args, config: dict) -> int:
+    m = args.m if getattr(args, "m", None) is not None else config.get("m", 2)
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise ConfigError(f"--m (config /m) must be an integer >= 1, got {m!r}")
+    return m
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -261,6 +268,9 @@ def _cmd_forms(args) -> int:
         return 0
     p = args.p if args.p is not None else config.get("p", 1)
     mu = args.mu if args.mu is not None else config.get("mu", 2)
+    # keeps e^(1 + mu) in the reduction ledger below the largest double
+    if isinstance(mu, bool) or not isinstance(mu, (int, float)) or not math.isfinite(mu) or mu > _MU_MAX:
+        raise ConfigError(f"--mu (config /mu) must be a finite number <= {_MU_MAX}, got {mu!r}")
     norm = args.ricci_norm or config.get("ricci_norm", "operator")
     rec_a = forms.form_count_check(model, int(p), float(mu), norm=norm)
     payload = {
@@ -281,7 +291,7 @@ def _cmd_forms(args) -> int:
 def _cmd_verify_all(args) -> int:
     config = _load_config(args.config)
     choice = args.model or config.get("model_choice", "both")
-    m = int(args.m or config.get("m", 2))
+    m = _resolve_m(args, config)
     if choice == "both":
         models = [gaussian(m), cylinder()]
     elif choice == "gaussian":

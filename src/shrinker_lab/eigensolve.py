@@ -1,74 +1,32 @@
-"""Symmetric eigenvalue and tridiagonal kernels implemented in-repo.
+"""Symmetric tridiagonal kernels implemented in-repo.
 
 The discretized drift operators are symmetric tridiagonal, so their low
-eigenvalues come from Sturm-sequence bisection; the cyclic Jacobi sweep is
-kept for dense symmetric matrices and as an independent cross-check of the
-bisection path.
+eigenvalues come from Sturm-sequence bisection.  Implicit heat stepping
+solves one constant tridiagonal matrix many times: `thomas_factor` does the
+elimination once and `thomas_substitute` runs the forward and back
+substitution per step.  Both kernels loop over Python floats; each does the
+same floating-point operations in the same order as the textbook loop.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .errors import NumericError
 
 
-def jacobi_eigenvalues(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
-    """All eigenvalues of a dense symmetric matrix by cyclic Jacobi rotations.
+def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
+    """Number of eigenvalues of the tridiagonal matrix strictly below x.
 
-    Sweeps rotate away every off-diagonal entry above a shrinking threshold
-    until the off-diagonal Frobenius mass falls below tol times the matrix
-    scale.  Quadratic convergence makes a few sweeps enough at these sizes.
+    e2[i] is the squared off-diagonal entry coupling rows i-1 and i (e2[0] = 0).
     """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise NumericError(f"matrix must be square, got shape {a.shape}")
-    if n == 0:
-        return np.array([])
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(a).max())):
-        raise NumericError("matrix is not symmetric")
-    scale = max(np.abs(a).max(), 1.0)
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, (a**2).sum() - (np.diag(a) ** 2).sum()))
-        if off <= tol * scale:
-            return np.sort(np.diag(a))
-        threshold = off / (n * n)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-    raise NumericError(
-        f"Jacobi sweep did not converge in {max_sweeps} sweeps "
-        f"(n={n}, residual off-diagonal mass {off:.3e})"
-    )
-
-
-def _sturm_count(diag: np.ndarray, off: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
     count = 0
     q = 1.0
     tiny = 1e-300
-    for i in range(diag.size):
+    for d, e in zip(diag, e2):
         if q == 0.0:
             q = tiny
-        e2 = off[i - 1] ** 2 if i > 0 else 0.0
-        q = diag[i] - x - e2 / q
+        q = d - x - e / q
         if q < 0.0:
             count += 1
     return count
@@ -100,12 +58,14 @@ def tridiagonal_eigenvalues(
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     span = max(hi - lo, 1.0)
+    diag_list = diag.tolist()
+    e2 = [0.0] + (off * off).tolist()
     out = np.empty(k)
     for j in range(k):
         a, b = lo, hi
         for _ in range(max_bisections):
             mid = 0.5 * (a + b)
-            if _sturm_count(diag, off, mid) >= j + 1:
+            if _sturm_count(diag_list, e2, mid) >= j + 1:
                 b = mid
             else:
                 a = mid
@@ -119,26 +79,43 @@ def tridiagonal_eigenvalues(
     return out
 
 
-def thomas_solve(diag: np.ndarray, off: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the symmetric tridiagonal system (diag, off) x = rhs."""
-    n = diag.size
-    c = np.empty(max(n - 1, 1))
-    d = np.empty(n)
+def thomas_factor(
+    diag: np.ndarray, off: np.ndarray
+) -> tuple[list[float], list[float], list[float]]:
+    """Eliminate the symmetric tridiagonal matrix (diag, off) once.
+
+    Returns (pivots, multipliers, off) as Python floats: pivot i is the
+    eliminated diagonal entry of row i and multiplier i is off[i] / pivot i.
+    Pass the result to `thomas_substitute` for each right-hand side.
+    """
+    diag = np.asarray(diag, dtype=float).tolist()
+    off = np.asarray(off, dtype=float).tolist()
+    n = len(diag)
     denom = diag[0]
     if denom == 0.0:
         raise NumericError("zero pivot in tridiagonal solve")
-    if n > 1:
-        c[0] = off[0] / denom
-    d[0] = rhs[0] / denom
+    pivots = [denom]
+    mults = [off[0] / denom] if n > 1 else []
     for i in range(1, n):
-        denom = diag[i] - off[i - 1] * c[i - 1]
+        denom = diag[i] - off[i - 1] * mults[i - 1]
         if denom == 0.0:
             raise NumericError(f"zero pivot in tridiagonal solve at row {i}")
+        pivots.append(denom)
         if i < n - 1:
-            c[i] = off[i] / denom
-        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
-    x = np.empty(n)
-    x[-1] = d[-1]
-    for i in range(n - 2, -1, -1):
-        x[i] = d[i] - c[i] * x[i + 1]
+            mults.append(off[i] / denom)
+    return pivots, mults, off
+
+
+def thomas_substitute(
+    factor: tuple[list[float], list[float], list[float]], rhs: list[float]
+) -> list[float]:
+    """Solve the factored tridiagonal system for one right-hand side."""
+    pivots, mults, off = factor
+    d = rhs[0] / pivots[0]
+    x = [d]
+    for r, e, p in zip(rhs[1:], off, pivots[1:]):
+        d = (r - e * d) / p
+        x.append(d)
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= mults[i] * x[i + 1]
     return x

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, TruncationWarning
 from .oracle1d import Potential1D, discretize, gaussian_potential
-from .eigensolve import thomas_solve
+from .eigensolve import thomas_factor, thomas_substitute
 
 TAIL_ENERGY_THRESHOLD = 1e-8
 
@@ -190,14 +190,16 @@ def timestep_oracle(
     stiff_diag = op.diag * op.weight  # undo the mass normalization: A = M^{1/2} B M^{1/2}
     stiff_off = op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
 
+    mass = op.weight.tolist()
+
     def run(steps: int) -> np.ndarray:
         ds = (s1 - s0) / steps
-        diag = op.weight + ds * stiff_diag
-        off = ds * stiff_off
-        u = vals0.copy()
+        # the matrix M + ds K is the same at every step: eliminate it once
+        factor = thomas_factor(op.weight + ds * stiff_diag, ds * stiff_off)
+        u = vals0.tolist()
         for _ in range(steps):
-            u = thomas_solve(diag, off, op.weight * u)
-        return u
+            u = thomas_substitute(factor, [w * v for w, v in zip(mass, u)])
+        return np.array(u)
 
     u = run(N_steps)
     if extrapolate:

@@ -9,8 +9,9 @@ The weighted Hodge Laplacian acts on holomorphic forms through the flow
 derivative alone (the plain Hodge Laplacian annihilates them), computed here
 via the two contraction pieces i_X d + d i_X with X the soliton field; on
 monomial forms it is diagonal with eigenvalue (|alpha| + p)/2, which the
-tests assert rather than assume.  Kernel dimensions of the contraction map
-are exact integer ranks.
+tests assert rather than assume.  The contraction map keeps the torus weight
+w = alpha + 1_I of z^alpha dz^I, so its kernel dimension is summed over one
+small block per weight w, each an exact integer rank.
 """
 
 from __future__ import annotations
@@ -179,53 +180,51 @@ def dim_O_forms(model: ModelShrinker, p: int, mu: float) -> int:
     return math.comb(model.flat_m, p) * math.comb(model.flat_m + k, model.flat_m)
 
 
-def _monomial_form_basis(m: int, p: int, mu: int):
-    indices = list(combinations(range(m), p))
-    alphas: list[tuple[int, ...]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            alphas.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], mu, m)  # enumerates every alpha with |alpha| <= mu
-    return [(alpha, index) for alpha in alphas for index in indices]
+def _weights(m: int, total: int):
+    """Every w in N^m with |w| <= total."""
+    if m == 0:
+        yield ()
+        return
+    for a in range(total + 1):
+        for rest in _weights(m - 1, total - a):
+            yield (a,) + rest
 
 
 def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
-    """Exact dimension of the contraction kernel on growth-mu (p,0)-forms."""
+    """Exact dimension of the contraction kernel on growth-mu (p,0)-forms.
+
+    The contraction maps z^alpha dz^I to sum_pos (-1)^pos z^(alpha + e_j) dz^(I - j)
+    (j = I[pos]), which keeps the weight w = alpha + 1_I.  Its matrix is
+    therefore block-diagonal in w: the block of w has one column for each
+    p-subset I of supp(w) and one row for each (p-1)-subset.  The kernel
+    dimension is the sum of the blocks' nullities, each an exact integer rank.
+    """
     if p < 1:
         raise DomainError("kernel is defined for p >= 1")
     m = model.flat_m
     if p > m or mu < 0:
         return 0
-    basis = _monomial_form_basis(m, p, mu)
-    if not basis:
-        return 0
-    target_positions: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-    columns: list[dict[int, int]] = []
-    for alpha, index in basis:
-        col: dict[int, int] = {}
-        for pos, j in enumerate(index):
-            beta = list(alpha)
-            beta[j] += 1
-            key = (tuple(beta), index[:pos] + index[pos + 1 :])
-            row = target_positions.setdefault(key, len(target_positions))
-            col[row] = col.get(row, 0) + (1 if pos % 2 == 0 else -1)
-        columns.append(col)
-    n_rows = len(target_positions)
-    n_cols = len(columns)
+    # size of the whole matrix: a row is a target (beta, J) with |J| = p-1,
+    # 1 <= |beta| <= mu+1 and beta not supported in J alone
+    n_cols = math.comb(m, p) * math.comb(m + mu, m)
+    n_rows = math.comb(m, p - 1) * (math.comb(m + mu + 1, m) - math.comb(mu + p, p - 1))
     if n_rows * n_cols > KERNEL_BASIS_GUARD * 10:
         raise NumericError(f"kernel matrix too large: {n_rows} x {n_cols}")
     if n_cols > KERNEL_BASIS_GUARD:
         raise NumericError(f"kernel basis too large: {n_cols} unknowns")
-    dense = [[0] * n_cols for _ in range(n_rows)]
-    for c, col in enumerate(columns):
-        for r, val in col.items():
-            dense[r][c] = val
-    return n_cols - integer_rank(dense)
+    nullity = 0
+    for w in _weights(m, mu + p):
+        support = [j for j in range(m) if w[j]]
+        if len(support) < p:
+            continue
+        columns = list(combinations(support, p))
+        rows = {J: r for r, J in enumerate(combinations(support, p - 1))}
+        block = [[0] * len(columns) for _ in rows]
+        for c, index in enumerate(columns):
+            for pos in range(p):
+                block[rows[index[:pos] + index[pos + 1 :]]][c] = 1 if pos % 2 == 0 else -1
+        nullity += len(columns) - integer_rank(block)
+    return nullity
 
 
 # -- spectra of the weighted Hodge Laplacian ---------------------------------------

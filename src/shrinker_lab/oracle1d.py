@@ -47,16 +47,6 @@ class DiscretizedOperator:
     weight: np.ndarray
     shift: float = 0.0
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense symmetric matrix (for cross-checks; the solver uses the bands)."""
-        n = self.diag.size
-        a = np.zeros((n, n))
-        a[np.arange(n), np.arange(n)] = self.diag
-        a[np.arange(n - 1), np.arange(1, n)] = self.off
-        a[np.arange(1, n), np.arange(n - 1)] = self.off
-        return a
-
 
 def discretize(
     potential: Potential1D,

@@ -1,0 +1,158 @@
+"""Element-by-element reference loops for the discrete oracles.
+
+The package runs its tridiagonal kernels on Python floats, factors the
+backward-Euler matrix once per run and ranks the contraction kernel block by
+block.  The loops below index numpy arrays one element at a time, redo the
+elimination at every step and rank one dense matrix.  They do the same
+floating-point operations in the same order, so the tests require equal
+results, not close ones.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import numpy as np
+
+from shrinker_lab.forms import KERNEL_BASIS_GUARD
+from shrinker_lab.oracle1d import discretize, gaussian_potential
+from shrinker_lab.ratlinalg import integer_rank
+
+
+def dense(diag, off):
+    """The symmetric tridiagonal matrix (diag, off) as a dense array."""
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def sturm_count(diag, off, x):
+    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
+    count = 0
+    q = 1.0
+    for i in range(diag.size):
+        if q == 0.0:
+            q = 1e-300
+        e2 = off[i - 1] ** 2 if i > 0 else 0.0
+        q = diag[i] - x - e2 / q
+        if q < 0.0:
+            count += 1
+    return count
+
+
+def tridiagonal_eigenvalues(diag, off, k, tol=1e-12, max_bisections=200):
+    """The k smallest eigenvalues by bisection on `sturm_count`."""
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float(np.min(diag - radius))
+    hi = float(np.max(diag + radius))
+    span = max(hi - lo, 1.0)
+    out = np.empty(k)
+    for j in range(k):
+        a, b = lo, hi
+        for _ in range(max_bisections):
+            mid = 0.5 * (a + b)
+            if sturm_count(diag, off, mid) >= j + 1:
+                b = mid
+            else:
+                a = mid
+            if b - a <= tol * span:
+                break
+        out[j] = 0.5 * (a + b)
+    return out
+
+
+def oracle_spectrum_1d(X=12.0, N=800, k_eigs=5, shift=0.0):
+    op = discretize(gaussian_potential(), X, N, shift=shift)
+    return tridiagonal_eigenvalues(op.diag, op.off, k_eigs)
+
+
+def thomas_solve(diag, off, rhs):
+    """Solve the symmetric tridiagonal system (diag, off) x = rhs."""
+    n = diag.size
+    c = np.empty(max(n - 1, 1))
+    d = np.empty(n)
+    denom = diag[0]
+    if n > 1:
+        c[0] = off[0] / denom
+    d[0] = rhs[0] / denom
+    for i in range(1, n):
+        denom = diag[i] - off[i - 1] * c[i - 1]
+        if i < n - 1:
+            c[i] = off[i] / denom
+        d[i] = (rhs[i] - off[i - 1] * d[i - 1]) / denom
+    x = np.empty(n)
+    x[-1] = d[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = d[i] - c[i] * x[i + 1]
+    return x
+
+
+def timestep_oracle(u0, s0, s1, N_grid=800, N_steps=200, X=12.0, extrapolate=False):
+    """Backward Euler with a full tridiagonal solve at every step."""
+    op = discretize(gaussian_potential(), X, N_grid)
+    x = op.grid
+    vals0 = np.asarray(u0(x[1:-1]), dtype=float)
+    stiff_diag = op.diag * op.weight
+    stiff_off = op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
+
+    def run(steps):
+        ds = (s1 - s0) / steps
+        diag = op.weight + ds * stiff_diag
+        off = ds * stiff_off
+        u = vals0.copy()
+        for _ in range(steps):
+            u = thomas_solve(diag, off, op.weight * u)
+        return u
+
+    u = run(N_steps)
+    if extrapolate:
+        u = 2.0 * u - run(max(N_steps // 2, 1))
+    full = np.zeros_like(x)
+    full[1:-1] = u
+    return x, full
+
+
+def _monomial_form_basis(m, p, mu):
+    indices = list(combinations(range(m), p))
+    alphas = []
+
+    def rec(prefix, remaining, slots):
+        if slots == 0:
+            alphas.append(tuple(prefix))
+            return
+        for a in range(remaining + 1):
+            rec(prefix + [a], remaining - a, slots - 1)
+
+    rec([], mu, m)
+    return [(alpha, index) for alpha in alphas for index in indices]
+
+
+def kernel_matrix(m, p, mu):
+    """The whole contraction matrix on growth-mu (p,0)-forms, as column dicts."""
+    targets = {}
+    columns = []
+    for alpha, index in _monomial_form_basis(m, p, mu):
+        col = {}
+        for pos, j in enumerate(index):
+            beta = list(alpha)
+            beta[j] += 1
+            row = targets.setdefault((tuple(beta), index[:pos] + index[pos + 1 :]), len(targets))
+            col[row] = col.get(row, 0) + (1 if pos % 2 == 0 else -1)
+        columns.append(col)
+    return len(targets), columns
+
+
+def kernel_dimension(m, p, mu):
+    """Nullity of the whole contraction matrix, ranked as one dense matrix.
+
+    Returns None where the package's size guard refuses the matrix.
+    """
+    n_rows, columns = kernel_matrix(m, p, mu)
+    n_cols = len(columns)
+    if n_rows * n_cols > KERNEL_BASIS_GUARD * 10 or n_cols > KERNEL_BASIS_GUARD:
+        return None
+    rows = [[0] * n_cols for _ in range(n_rows)]
+    for c, col in enumerate(columns):
+        for r, val in col.items():
+            rows[r][c] = val
+    return n_cols - integer_rank(rows)

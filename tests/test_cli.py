@@ -158,6 +158,29 @@ def test_bad_poly_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mu", ["nan", "inf", "710"])
+def test_forms_rejects_bad_mu_flag(mu, capsys):
+    code = main(["forms", "--model", "gaussian", "--m", "1", "--p", "1", "--mu", mu])
+    assert code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mu", [float("nan"), float("inf"), 710])
+def test_forms_rejects_bad_mu_config(mu, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 1, "mu": mu}))
+    code = main(["forms", "--model", "gaussian", "--m", "1", "--config", str(cfg)])
+    assert code == 2
+    assert "--mu" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify-all", "spectrum"])
+def test_m_zero_exits_2(command, capsys):
+    code = main([command, "--model", "gaussian", "--m", "0"])
+    assert code == 2
+    assert "--m" in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "gaussian", "m": 2}, "d": 2.0}))

@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import loop_reference as ref
 import numpy as np
 import pytest
 
@@ -126,6 +127,16 @@ def test_timestep_oracle_preserves_constants():
     inner = np.abs(x) <= 6.0
     assert np.abs(num[inner] - 1.0).max() < 1e-10
     assert weighted_l2_distance(num, np.ones_like(x), x=x) < 1e-7
+
+
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (1600, 400)])
+def test_timestep_oracle_bit_equal_to_per_step_solve(n_grid, n_steps):
+    coeffs = np.random.default_rng(7).normal(size=5)
+    u0 = lambda xs: np.polynomial.polynomial.polyval(xs, coeffs)
+    got = timestep_oracle(u0, 0.0, 1.0, N_grid=n_grid, N_steps=n_steps, extrapolate=True)
+    want = ref.timestep_oracle(u0, 0.0, 1.0, N_grid=n_grid, N_steps=n_steps, extrapolate=True)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
 
 
 def test_timestep_oracle_validation():

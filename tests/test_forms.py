@@ -5,10 +5,11 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
+import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab.errors import DomainError
+from shrinker_lab.errors import DomainError, NumericError
 from shrinker_lab.holopoly import HoloPoly, dim_O_d
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.ratlinalg import integer_rank
@@ -128,6 +129,38 @@ def test_kernel_dimension_m3_cross_check():
     dim = kernel_dimension(G3, 2, mu)
     assert dim >= 1  # contains contractions of growth-(mu-1) top forms
     assert isinstance(dim, int)
+
+
+def test_kernel_blocks_match_dense_rank():
+    # None marks inputs the size guard refuses; the package must refuse them too
+    for m in range(1, 5):
+        for p in range(1, m + 1):
+            for mu in range(7):
+                want = ref.kernel_dimension(m, p, mu)
+                if want is None:
+                    with pytest.raises(NumericError):
+                        kernel_dimension(gaussian(m), p, mu)
+                else:
+                    assert kernel_dimension(gaussian(m), p, mu) == want, (m, p, mu)
+
+
+def _koszul_count(m, p, mu):
+    # the Koszul complex of z_1..z_m is exact in positive degree
+    return sum(
+        (-1) ** (j - 1) * math.comb(m, p + j) * math.comb(k - j + m - 1, m - 1)
+        for k in range(mu + 1)
+        for j in range(1, min(m - p, k) + 1)
+    )
+
+
+def test_kernel_dimension_koszul_count():
+    assert kernel_dimension(G3, 2, 8) == _koszul_count(3, 2, 8) == 120
+    assert kernel_dimension(gaussian(4), 2, 4) == _koszul_count(4, 2, 4) == 125
+
+
+def test_kernel_guard_refuses_before_enumerating():
+    with pytest.raises(NumericError, match="too large"):
+        kernel_dimension(G2, 1, 10**6)
 
 
 def test_integer_rank_basics():

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab.eigensolve import jacobi_eigenvalues, thomas_solve, tridiagonal_eigenvalues
+from shrinker_lab.eigensolve import thomas_factor, thomas_substitute, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
 from shrinker_lab.oracle1d import Potential1D, discretize, gaussian_potential, oracle_spectrum_1d
 
@@ -28,28 +29,19 @@ def test_oracle_convergence_at_least_quadratic():
 
 def test_operator_matrix_symmetric_psd():
     op = discretize(gaussian_potential(), 10.0, 80)
-    a = op.matrix
+    a = ref.dense(op.diag, op.off)
     assert np.abs(a - a.T).max() < 1e-12 * np.abs(a).max()
     ev = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
     assert ev.min() > -1e-8
+    assert np.linalg.eigvalsh(a).min() > -1e-8
 
 
 def test_jacobi_against_bisection():
+    # the dense symmetric eigensolver cross-checks the bisection path
     op = discretize(gaussian_potential(), 10.0, 60)
-    dense = jacobi_eigenvalues(op.matrix)
+    dense = np.linalg.eigvalsh(ref.dense(op.diag, op.off))
     tri = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
     assert np.abs(np.sort(dense) - np.sort(tri)).max() < 1e-9
-
-
-def test_jacobi_known_matrix():
-    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-    got = jacobi_eigenvalues(a.copy())
-    assert np.allclose(np.sort(got), np.sort(np.linalg.eigvalsh(a)), atol=1e-10)
-
-
-def test_jacobi_rejects_asymmetric():
-    with pytest.raises(NumericError):
-        jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_thomas_solve():
@@ -58,9 +50,28 @@ def test_thomas_solve():
     diag = 4.0 + rng.uniform(size=n)
     off = rng.uniform(size=n - 1)
     x_true = rng.normal(size=n)
-    a = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    x = thomas_solve(diag, off, a @ x_true)
-    assert np.abs(x - x_true).max() < 1e-10
+    a = ref.dense(diag, off)
+    factor = thomas_factor(diag, off)
+    for _ in range(3):
+        x = np.array(thomas_substitute(factor, (a @ x_true).tolist()))
+        assert np.abs(x - x_true).max() < 1e-10
+        x_true = rng.normal(size=n)
+
+
+def test_thomas_order_one_and_zero_pivot():
+    assert thomas_substitute(thomas_factor(np.array([2.0]), np.array([])), [3.0]) == [1.5]
+    with pytest.raises(NumericError):
+        thomas_factor(np.array([0.0, 1.0]), np.array([1.0]))
+    with pytest.raises(NumericError):
+        thomas_factor(np.array([1.0, 1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("n", [800, 1600])
+def test_oracle_bit_equal_to_element_loop(n):
+    for shift in (0.0, 0.5):
+        got = oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
+        want = ref.oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
+        assert np.array_equal(got, want)
 
 
 def test_shifted_operator():
