@@ -110,9 +110,23 @@ def _resolve_model(args, config: dict, default_kind: str = "gaussian") -> ModelS
 
 def _resolve_m(args, config: dict) -> int:
     m = args.m if getattr(args, "m", None) is not None else config.get("m", 2)
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ConfigError(f"--m (config /m) must be an integer >= 1, got {m!r}")
-    return m
+    return _count("--m (config /m)", m)
+
+
+def _count(flag: str, value) -> int:
+    """An integer option that must be at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{flag} must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _finite(flag: str, value, positive: bool = False) -> float:
+    """A real option that must be finite, and above 0 when `positive`."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{flag} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ConfigError(f"{flag} must be positive, got {value!r}")
+    return float(value)
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -168,16 +182,19 @@ def _cmd_frequency(args) -> int:
     grid_cfg = config.get("grid", {})
     rmin = args.rmin if args.rmin is not None else grid_cfg.get("rmin")
     rmax = args.rmax if args.rmax is not None else grid_cfg.get("rmax")
-    n = args.n if args.n is not None else grid_cfg.get("n", 64)
+    n = _count("--n (config /grid/n)", args.n if args.n is not None else grid_cfg.get("n", 64))
     if rmin is None or rmax is None:
         raise ConfigError("frequency needs a radius grid (--rmin/--rmax or config /grid)")
+    rmin = _finite("--rmin (config /grid/rmin)", rmin)
+    rmax = _finite("--rmax (config /grid/rmax)", rmax)
+    resolution = args.resolution if args.resolution is not None else config.get("resolution", 128)
     freq_cfg = frequency.FrequencyConfig(
-        resolution=args.resolution or config.get("resolution", 128),
+        resolution=_count("--resolution (config /resolution)", resolution),
         sigma=args.sigma if args.sigma is not None else config.get("sigma", 0.5),
         epsilon=args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01),
     )
     d = args.d if args.d is not None else max(u.degree, 0)
-    radii = np.linspace(float(rmin), float(rmax), int(n))
+    radii = np.linspace(rmin, rmax, n)
     profile = frequency.frequency_profile(model, u, float(d), radii, freq_cfg)
     fmt = args.format or config.get("format", "csv")
     if fmt == "csv":
@@ -215,28 +232,30 @@ def _cmd_heatflow(args) -> int:
     coeffs = np.zeros(deg + 1)
     for alpha, c in u.terms.items():
         coeffs[alpha[0]] = c.real
-    s1 = args.s if args.s is not None else config.get("s", 1.0)
-    n_grid = args.n_grid or config.get("n_grid", 800)
-    n_steps = args.n_steps or config.get("n_steps", 200)
+    s1 = _finite("--s (config /s)", args.s if args.s is not None else config.get("s", 1.0), True)
+    n_grid = args.n_grid if args.n_grid is not None else config.get("n_grid", 800)
+    n_grid = _count("--n-grid (config /n_grid)", n_grid)
+    n_steps = args.n_steps if args.n_steps is not None else config.get("n_steps", 200)
+    n_steps = _count("--n-steps (config /n_steps)", n_steps)
     sol = fheat.project_to_eigenbasis(coeffs)
     x, numeric = fheat.timestep_oracle(
         lambda xs: np.polynomial.polynomial.polyval(xs, coeffs),
         0.0,
-        float(s1),
-        N_grid=int(n_grid),
-        N_steps=int(n_steps),
+        s1,
+        N_grid=n_grid,
+        N_steps=n_steps,
         extrapolate=args.extrapolate,
     )
-    series = fheat.evolve_series(sol, float(s1), x)
+    series = fheat.evolve_series(sol, s1, x)
     err = fheat.weighted_l2_distance(numeric, series, x=x)
     payload = {
         "initial": str(initial),
-        "s": float(s1),
+        "s": s1,
         "coefficients": {str(lam): a for lam, a in sorted(sol.coefficients.items())},
         "tail_energy": sol.tail_energy,
         "l2_error_series_vs_oracle": err,
-        "n_grid": int(n_grid),
-        "n_steps": int(n_steps),
+        "n_grid": n_grid,
+        "n_steps": n_steps,
         "extrapolate": bool(args.extrapolate),
     }
     _emit(_json_dump(payload), args.out)
@@ -267,23 +286,25 @@ def _cmd_forms(args) -> int:
         _emit(_json_dump(payload), args.out)
         return 0
     p = args.p if args.p is not None else config.get("p", 1)
-    mu = args.mu if args.mu is not None else config.get("mu", 2)
+    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= model.m:
+        raise ConfigError(f"--p (config /p) must be an integer in 0..{model.m}, got {p!r}")
+    mu = _finite("--mu (config /mu)", args.mu if args.mu is not None else config.get("mu", 2))
     # keeps e^(1 + mu) in the reduction ledger below the largest double
-    if isinstance(mu, bool) or not isinstance(mu, (int, float)) or not math.isfinite(mu) or mu > _MU_MAX:
+    if mu > _MU_MAX:
         raise ConfigError(f"--mu (config /mu) must be a finite number <= {_MU_MAX}, got {mu!r}")
     norm = args.ricci_norm or config.get("ricci_norm", "operator")
-    rec_a = forms.form_count_check(model, int(p), float(mu), norm=norm)
+    rec_a = forms.form_count_check(model, p, mu, norm=norm)
     payload = {
         "model": model.to_dict(),
-        "p": int(p),
-        "mu": float(mu),
+        "p": p,
+        "mu": mu,
         "ricci_norm": norm,
         "count_bound": rec_a.to_dict(),
-        "dim_forms": forms.dim_O_forms(model, int(p), float(mu)),
+        "dim_forms": forms.dim_O_forms(model, p, mu),
     }
     if p >= 1:
-        payload["kernel_dim"] = forms.kernel_dimension(model, int(p), int(mu))
-        payload["reduction_ledger"] = forms.form_reduction_ledger(model, int(p), int(mu)).to_dict()
+        payload["kernel_dim"] = forms.kernel_dimension(model, p, int(mu))
+        payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, int(mu)).to_dict()
     _emit(_json_dump(payload), args.out)
     return 0 if rec_a.passed else 1
 

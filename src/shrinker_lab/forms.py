@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, evaluate_parts
+from .holopoly import HoloPoly, evaluate_parts, monomials
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
@@ -180,16 +180,6 @@ def dim_O_forms(model: ModelShrinker, p: int, mu: float) -> int:
     return math.comb(model.flat_m, p) * math.comb(model.flat_m + k, model.flat_m)
 
 
-def _weights(m: int, total: int):
-    """Every w in N^m with |w| <= total."""
-    if m == 0:
-        yield ()
-        return
-    for a in range(total + 1):
-        for rest in _weights(m - 1, total - a):
-            yield (a,) + rest
-
-
 def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
     """Exact dimension of the contraction kernel on growth-mu (p,0)-forms.
 
@@ -213,7 +203,7 @@ def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
     if n_cols > KERNEL_BASIS_GUARD:
         raise NumericError(f"kernel basis too large: {n_cols} unknowns")
     nullity = 0
-    for w in _weights(m, mu + p):
+    for w in monomials(m, mu + p):
         support = [j for j in range(m) if w[j]]
         if len(support) < p:
             continue

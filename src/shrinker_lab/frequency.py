@@ -33,7 +33,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DomainError
 from .holopoly import HoloPoly, evaluate_parts, gradient, lie_derivative_nabla_f
@@ -267,25 +266,25 @@ def frequency_U(
     return _dirichlet_bulk(model, u, r, resolution, method) / i_val
 
 
-def _eta_integrand(config: FrequencyConfig, mu: float):
-    sig = config.sigma_eff
-    c1, c2 = config.C1, config.C2
-
-    def integrand(s: float) -> float:
-        if s <= 0.0:
-            return 0.0
-        damp = -c1 / (sig * s**sig)
-        if damp < -700.0:
-            return 0.0
-        return c2 * math.sqrt(mu) * s ** (-1.0 - sig) * math.exp(damp)
-
-    return integrand
-
-
 def eta_integral(r: float, config: FrequencyConfig, mu: float, lo: float = 0.0) -> float:
-    """Damping integral int C2 sqrt(mu) s^{-1-sigma} exp(-C1/(sigma s^sigma)) ds."""
-    val, _ = quad(_eta_integrand(config, mu), lo, r, limit=200)
-    return val
+    """Damping integral int C2 sqrt(mu) s^{-1-sigma} exp(-C1/(sigma s^sigma)) ds over [lo, r].
+
+    The integrand vanishes for s <= 0 and is the derivative of
+    (C2 sqrt(mu)/C1) e^{-C1/(sigma s^sigma)}, so the integral is a difference
+    of that antiderivative at the exponents a (at r) and b (at lo).  It is
+    formed as e^a (-expm1(b - a)), with b - a = (C1/sigma) lo^-sigma
+    ((lo/r)^sigma - 1) taken through expm1/log1p, so that it keeps its digits
+    for tiny C1 and for short intervals.
+    """
+    if r < lo:
+        return -eta_integral(lo, config, mu, lo=r)
+    sig = config.sigma_eff
+    scale = config.C2 * math.sqrt(mu) / config.C1
+    a = -config.C1 / (sig * r**sig) if r > 0.0 else -math.inf
+    if lo <= 0.0:
+        return scale * math.exp(a)
+    b_minus_a = config.C1 / (sig * lo**sig) * math.expm1(-sig * math.log1p((r - lo) / lo))
+    return scale * math.exp(a) * -math.expm1(b_minus_a)
 
 
 @dataclass

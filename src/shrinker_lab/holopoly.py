@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -321,6 +321,21 @@ def decompose_by_eigenvalue(
         parts[0.0] = remainder
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)
+
+
+def monomials(m: int, max_deg: int, min_deg: int = 0) -> Iterator[tuple[int, ...]]:
+    """Every exponent alpha in N^m with min_deg <= |alpha| <= max_deg.
+
+    The order is lexicographic with the first exponent varying slowest;
+    seeded random polynomials draw their coefficients in this order.
+    """
+    if m == 0:
+        if min_deg <= 0:
+            yield ()
+        return
+    for a in range(max_deg + 1):
+        for rest in monomials(m - 1, max_deg - a, min_deg - a):
+            yield (a,) + rest
 
 
 def dim_O_d(model, d: float) -> int:

@@ -1,25 +1,29 @@
 """Named verification checks and the report harness behind verify-all.
 
-Each check verifies one displayed identity, bound or oracle agreement at a
-pinned tolerance and returns a margin (how far inside the tolerance the worst
-case landed).  The harness runs any subset, optionally in parallel
-(SHRINKER_LAB_THREADS caps the worker count), and always reports in name
-order so output is deterministic for a fixed configuration.
+Every check is one row of the CHECKS table: a name, the statement it verifies,
+a pinned tolerance and a measure returning the worst residual over its cases.
+The harness reports margin = tol - residual (how far inside the tolerance the
+worst case landed) and a check passes when the margin is nonnegative.  Yes/no
+checks have tol 0 and residual 0 or 1.  Per-model rows run once on every model
+under the name "<row name>.<model tag>".  Checks run one after another and the
+report is sorted by name, so its output is deterministic for a configuration.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
+from itertools import combinations
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
 from . import fheat, forms, frequency, holopoly, oracle1d, quadrature, spectrum
+from .holopoly import HoloPoly, monomials
 from .models import ModelShrinker, cylinder, gaussian, geometry_at
-from .holopoly import HoloPoly
 
 __version__ = "0.1.0"
 
@@ -34,14 +38,7 @@ class CheckResult:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statement": self.statement,
-            "status": self.status,
-            "margin": self.margin,
-            "runtime_ms": self.runtime_ms,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -54,7 +51,7 @@ class VerificationReport:
         names = [c.name for c in self.checks]
         if len(names) != len(set(names)):
             raise ValueError("check names must be unique")
-        self.checks.sort(key=lambda c: c.name)
+        self.checks.sort(key=attrgetter("name"))
 
     @property
     def passed(self) -> bool:
@@ -69,386 +66,241 @@ class VerificationReport:
         }
 
 
-def _result(name: str, statement: str, margin: float, tol_note: str = "") -> CheckResult:
-    status = "pass" if margin >= 0 else "fail"
-    return CheckResult(name=name, statement=statement, status=status, margin=margin, detail=tol_note)
+class Skip(Exception):
+    """Raised by a measure that has no reference value on the given model."""
 
 
-def _model_tag(model: ModelShrinker) -> str:
-    if model.kind == "gaussian":
-        return f"gaussian_m{model.flat_m}"
-    return model.kind
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    `measure` takes the model (per-model rows) or nothing (global rows) and
+    returns the worst residual, or (residual, detail) where the detail is
+    computed.  Otherwise the detail is `note` with `{tol}` filled in.
+    `curved_tol`, when set, replaces `tol` on models with scalar curvature.
+    """
+
+    name: str
+    tol: float
+    measure: Callable
+    statement: str
+    note: str = ""
+    per_model: bool = True
+    curved_tol: float | None = None
 
 
-def _monomials(m: int, max_deg: int) -> list[tuple[int, ...]]:
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], max_deg, m)
-    return [a for a in out if sum(a) >= 1]
+def _worst(residuals) -> float:
+    """The largest residual, or NaN when any residual is NaN (so the check fails)."""
+    return float(np.max(list(residuals)))
 
 
-def _flat_poly(model: ModelShrinker, alpha) -> HoloPoly:
-    return HoloPoly.monomial(model.flat_m, alpha)
+def _z1_power(model: ModelShrinker, k: int) -> HoloPoly:
+    return HoloPoly.monomial(model.flat_m, (k,) + (0,) * (model.flat_m - 1))
 
 
-# -- model-specific checks -----------------------------------------------------
+# -- per-model measures ----------------------------------------------------------
 
 
-def check_spectrum_catalog(model: ModelShrinker) -> CheckResult:
+def _catalog(model: ModelShrinker) -> float:
     cat = spectrum.analytic_spectrum(model, 3.0)
-    worst = math.inf
     if model.kind == "gaussian":
-        two_m = 2 * model.flat_m
-        for line in cat.lines:
-            k = int(2 * line.eigenvalue)
-            expected = math.comb(two_m + k - 1, two_m - 1)
-            worst = min(worst, 0.0 if line.multiplicity == expected else -1.0)
-    else:
-        # product structure: counts up to the horizon match the factor convolution
-        flat = spectrum.analytic_spectrum(gaussian(model.flat_m), 3.0)
-        total = 0
-        for line in flat.lines:
-            for ell in range(0, 3):
-                ev = float(line.eigenvalue) + ell * (ell + 1) / 2
-                if ev <= 3.0 + 1e-9:
-                    total += line.multiplicity * (2 * ell + 1)
-        got = spectrum.count_eigenvalues(cat, 0.0, 3.0)
-        worst = 0.0 if got == total else -abs(got - total)
-    return _result(
-        f"spectrum.catalog.{_model_tag(model)}",
-        "drift-Laplacian catalog multiplicities follow the factor convolution law",
-        worst,
-    )
+        n = 2 * model.flat_m
+        expected = [math.comb(n + int(2 * line.eigenvalue) - 1, n - 1) for line in cat.lines]
+        return float([line.multiplicity for line in cat.lines] != expected)
+    # product structure: counts up to the horizon match the factor convolution
+    flat = spectrum.analytic_spectrum(gaussian(model.flat_m), 3.0)
+    total = 0
+    for line in flat.lines:
+        for ell in range(0, 3):
+            if float(line.eigenvalue) + ell * (ell + 1) / 2 <= 3.0 + 1e-9:
+                total += line.multiplicity * (2 * ell + 1)
+    return abs(spectrum.count_eigenvalues(cat, 0.0, 3.0) - total)
 
 
-def check_lambda1(model: ModelShrinker) -> CheckResult:
-    cat = spectrum.analytic_spectrum(model, 2.0)
-    lam1 = float(cat.first_nonzero().eigenvalue)
-    return _result(
-        f"spectrum.lambda1.{_model_tag(model)}",
-        "the first nonzero drift eigenvalue is at least 1/2",
-        lam1 - 0.5,
-    )
+def _first_eigenvalue(model: ModelShrinker) -> float:
+    return 0.5 - float(spectrum.analytic_spectrum(model, 2.0).first_nonzero().eigenvalue)
 
 
-def check_dimension_bound(model: ModelShrinker) -> CheckResult:
-    worst = math.inf
-    for d in range(1, 7):
-        rec = spectrum.dimension_bound_check(model, float(d))
-        worst = min(worst, rec.bound - rec.dim_Od)
-    return _result(
-        f"dimension.count_bound.{_model_tag(model)}",
-        "dim O_d <= 1 + floor(count[1/2, d/2]/2) for d = 1..6",
-        float(worst),
-    )
+def _dimension_bound(model: ModelShrinker) -> float:
+    recs = [spectrum.dimension_bound_check(model, float(d)) for d in range(1, 7)]
+    return max(rec.dim_Od - rec.bound for rec in recs)
 
 
-def check_equality_d1(model: ModelShrinker) -> CheckResult:
+def _equality_d1(model: ModelShrinker) -> tuple[float, str]:
     rec = spectrum.dimension_bound_check(model, 1.0)
     if model.kind == "gaussian":
         ok = rec.bound == rec.dim_Od == model.m + 1
     else:
         ok = rec.dim_Od <= rec.bound
-    return _result(
-        f"dimension.equality_d1.{_model_tag(model)}",
-        "linear growth saturates the bound with dim O_1 = m+1 exactly on the flat model",
-        0.0 if ok else -1.0,
-        tol_note=f"bound={rec.bound} dim={rec.dim_Od}",
-    )
+    return float(not ok), f"bound={rec.bound} dim={rec.dim_Od}"
 
 
-def _random_poly(model: ModelShrinker, rng, max_deg: int = 6) -> HoloPoly:
+def _random_poly(model: ModelShrinker, rng) -> HoloPoly:
+    zero = (0,) * model.flat_m
     terms = {}
-    for alpha in _monomials(model.flat_m, max_deg) + [(0,) * model.flat_m]:
+    for alpha in [*monomials(model.flat_m, 6, 1), zero]:
         if rng.uniform() < 0.6:
             terms[alpha] = complex(rng.normal(), rng.normal())
-    if not terms:
-        terms[(0,) * model.flat_m] = 1.0
-    return HoloPoly(model.flat_m, terms)
+    return HoloPoly(model.flat_m, terms or {zero: 1.0})
 
 
-def check_decomposition(model: ModelShrinker, n_samples: int = 100) -> CheckResult:
+def _decomposition(model: ModelShrinker) -> float:
     rng = np.random.default_rng(20240811)
-    worst = math.inf
-    for _ in range(n_samples):
+    errors = []
+    for _ in range(100):
         u = _random_poly(model, rng)
-        dec = holopoly.decompose_by_eigenvalue(model, u, 6.0)
-        recon = dec.reconstruct(model.flat_m)
-        err = (recon - u).coeff_norm()
-        scale = max(u.coeff_norm(), 1.0)
-        worst = min(worst, 1e-10 - err / scale)
-    return _result(
-        f"decomposition.roundtrip.{_model_tag(model)}",
-        "eigenvalue splitting reconstructs random degree-6 polynomials to 1e-10",
-        float(worst),
-    )
+        recon = holopoly.decompose_by_eigenvalue(model, u, 6.0).reconstruct(model.flat_m)
+        errors.append((recon - u).coeff_norm() / max(u.coeff_norm(), 1.0))
+    return _worst(errors)
 
 
-def check_decomposition_growth(model: ModelShrinker, n_samples: int = 25) -> CheckResult:
+def _decomposition_growth(model: ModelShrinker) -> float:
     rng = np.random.default_rng(77)
     ok = True
-    for _ in range(n_samples):
-        u = _random_poly(model, rng)
-        dec = holopoly.decompose_by_eigenvalue(model, u, 6.0)
+    for _ in range(25):
+        dec = holopoly.decompose_by_eigenvalue(model, _random_poly(model, rng), 6.0)
         if not holopoly.growth_eigenvalue_consistency(dec):
             ok = False
         for lam, part in dec.parts.items():
             op = holopoly.lie_derivative_nabla_f(model, part)
             if (op - part.scale(lam)).coeff_norm() > 1e-10 * max(1.0, part.coeff_norm()):
                 ok = False
-    return _result(
-        f"decomposition.growth.{_model_tag(model)}",
-        "every eigenpart is a flow eigenfunction with degree equal to twice its eigenvalue",
-        0.0 if ok else -1.0,
-    )
+    return float(not ok)
 
 
-def check_frequency_sharp(model: ModelShrinker, method: str, resolution: int = 256) -> CheckResult:
-    tol = 1e-8 if method == "closed" else 1e-4
+def _frequency_sharp(model: ModelShrinker, method: str) -> float:
     radii = [1.0, 2.5, 8.0, 20.0, 40.0]
     if model.sup_S > 0:
         # the exact curved-model reference value below assumes one flat variable
         if model.flat_m != 1:
-            return CheckResult(
-                name=f"frequency.sharp_{method}.{_model_tag(model)}",
-                statement="the frequency of a flat monomial equals its degree",
-                status="skip",
-                detail="no closed reference value for curved models with several flat variables",
-            )
+            raise Skip("no closed reference value for curved models with several flat variables")
         radii = [4.5, 8.0, 20.0, 40.0]
-    worst = math.inf
-    for alpha in _monomials(model.flat_m, 5):
-        u = _flat_poly(model, alpha)
+    errors = []
+    for alpha in monomials(model.flat_m, 5, 1):
+        u = HoloPoly.monomial(model.flat_m, alpha)
         d = sum(alpha)
         for r in radii:
-            u_val = frequency.frequency_U(model, u, r, resolution, method)
             target = d if model.sup_S == 0 else d * r * r / (r * r - 4.0 * model.sup_S)
-            worst = min(worst, tol - abs(u_val - target))
-    return _result(
-        f"frequency.sharp_{method}.{_model_tag(model)}",
-        "the frequency of a flat monomial equals its degree (cylinder: degree r^2/rho^2)",
-        float(worst),
-        tol_note=f"tol={tol}",
-    )
+            errors.append(abs(frequency.frequency_U(model, u, r, 256, method) - target))
+    return _worst(errors)
 
 
-def check_i_prime(model: ModelShrinker) -> CheckResult:
-    radii = [4.5, 6.0, 10.0, 20.0]
-    worst = math.inf
-    for k in (1, 2, 3):
-        u = _flat_poly(model, (k,) + (0,) * (model.flat_m - 1))
-        for r in radii:
-            res = frequency.check_derivative_I(model, u, r)
-            worst = min(worst, 1e-5 - res)
-    return _result(
-        f"frequency.i_prime.{_model_tag(model)}",
-        "the derivative of the height function matches flux plus curvature correction",
-        float(worst),
-        tol_note="central difference h = 1e-3 r, tol 1e-5",
-    )
+def _i_prime(model: ModelShrinker) -> float:
+    cases = [(k, r) for k in (1, 2, 3) for r in (4.5, 6.0, 10.0, 20.0)]
+    return _worst(frequency.check_derivative_I(model, _z1_power(model, k), r) for k, r in cases)
 
 
-def check_dirichlet_gap(model: ModelShrinker, resolution: int = 256) -> CheckResult:
-    polys = [
-        HoloPoly(model.flat_m, {(1,) + (0,) * (model.flat_m - 1): 1.0}),
-        HoloPoly(
-            model.flat_m,
-            {
-                (2,) + (0,) * (model.flat_m - 1): 1.0,
-                (0,) * model.flat_m: 0.5,
-                (1,) + (0,) * (model.flat_m - 1): -0.75,
-            },
-        ),
-    ]
-    worst = math.inf
-    for u in polys:
+def _dirichlet_gap(model: ModelShrinker) -> float:
+    m = model.flat_m
+    e1, e2 = (1,) + (0,) * (m - 1), (2,) + (0,) * (m - 1)
+    gaps = []
+    for u in (HoloPoly(m, {e1: 1.0}), HoloPoly(m, {e2: 1.0, (0,) * m: 0.5, e1: -0.75})):
         for r in (4.5, 10.0):
-            rec = frequency.D_of_r(model, u, r, resolution, "quadrature")
-            gap = abs(rec.bulk - rec.boundary) / max(abs(rec.bulk), 1e-300)
-            worst = min(worst, 1e-6 - gap)
-    return _result(
-        f"frequency.dirichlet_gap.{_model_tag(model)}",
-        "bulk and boundary Dirichlet energies agree (divergence theorem)",
-        float(worst),
-        tol_note=f"resolution={resolution}, relative tol 1e-6",
-    )
+            rec = frequency.D_of_r(model, u, r, 256, "quadrature")
+            gaps.append(abs(rec.bulk - rec.boundary) / max(abs(rec.bulk), 1e-300))
+    return _worst(gaps)
 
 
-def check_volume_identity(model: ModelShrinker) -> CheckResult:
+def _volume_identity(model: ModelShrinker) -> float:
     radii = (3.0, 6.0, 10.0, 20.0) if model.sup_S == 0 else (4.0, 6.0, 10.0, 20.0)
-    tol = 1e-10 if model.sup_S == 0 else 1e-6
-    worst = min(tol - quadrature.verify_volume_identity(model, r, 128) for r in radii)
-    return _result(
-        f"geometry.volume_identity.{_model_tag(model)}",
-        "n V(r) - r V'(r) equals the scalar-curvature boundary correction",
-        float(worst),
-        tol_note=f"tol={tol}",
-    )
+    return _worst(quadrature.verify_volume_identity(model, r, 128) for r in radii)
 
 
-def check_normalization(model: ModelShrinker) -> CheckResult:
+def _normalization(model: ModelShrinker) -> float:
     rng = np.random.default_rng(5)
-    worst = math.inf
+    errors = []
     for _ in range(50):
         z = rng.normal(size=model.flat_m) + 1j * rng.normal(size=model.flat_m)
         rec = geometry_at(model, 2.0 * z)
-        worst = min(worst, 1e-12 - abs(rec.S + rec.grad_f_sq - rec.f))
+        errors.append(abs(rec.S + rec.grad_f_sq - rec.f))
         if rec.b * rec.b > 4.0 * model.sup_S:
-            worst = min(worst, 1e-12 - abs(rec.grad_b_sq + 4.0 * rec.S / rec.b**2 - 1.0))
-    return _result(
-        f"geometry.normalization.{_model_tag(model)}",
-        "S + |grad f|^2 = f and |grad b|^2 = 1 - 4S/b^2 pointwise",
-        float(worst),
-    )
+            errors.append(abs(rec.grad_b_sq + 4.0 * rec.S / rec.b**2 - 1.0))
+    return _worst(errors)
 
 
-def check_rho_mu(model: ModelShrinker) -> CheckResult:
-    worst = math.inf
-    for alpha in _monomials(model.flat_m, 4):
+def _rho_mu(model: ModelShrinker) -> float:
+    # each case's excess over its own bound: rho <= mu, and |rho - d^2/4| <= 1e-8 if flat
+    excess = []
+    for alpha in monomials(model.flat_m, 4, 1):
         d = sum(alpha)
-        u = _flat_poly(model, alpha)
+        u = HoloPoly.monomial(model.flat_m, alpha)
         for r in (4.5, 8.0, 16.0):
             rec = frequency.rho_mu(model, u, float(d), r)
-            worst = min(worst, rec.mu - rec.rho)
+            excess.append(rec.rho - rec.mu)
             if model.kind == "gaussian":
-                worst = min(worst, 1e-8 - abs(rec.rho - d * d / 4.0))
-    return _result(
-        f"frequency.rho_mu.{_model_tag(model)}",
-        "derivative-pair energy ratio stays below e^{2p+6} d^2 (flat case: equals d^2/4)",
-        float(worst),
-    )
+                excess.append(abs(rec.rho - d * d / 4.0) - 1e-8)
+    return _worst(excess)
 
 
-def check_monotone(model: ModelShrinker) -> CheckResult:
+def _monotone(model: ModelShrinker) -> float:
     lo = frequency.default_R0(model) + 0.1
     pre = np.linspace(lo, 44.0, 140)
     hold = np.linspace(lo + 0.17, 43.1, 59)
     ok = True
     for k in (1, 2, 3):
-        u = _flat_poly(model, (k,) + (0,) * (model.flat_m - 1))
+        u = _z1_power(model, k)
         cfg = frequency.calibrate_constants(model, u, float(k), pre)
-        prof = frequency.frequency_profile(model, u, float(k), hold, cfg)
-        if not frequency.check_monotone(prof):
+        if not frequency.check_monotone(frequency.frequency_profile(model, u, float(k), hold, cfg)):
             ok = False
-    return _result(
-        f"frequency.monotone.{_model_tag(model)}",
-        "damped frequency plus its compensator is nondecreasing on a holdout grid",
-        0.0 if ok else -1.0,
-        tol_note="constants calibrated on a disjoint grid",
-    )
+    return float(not ok)
 
 
-def check_doubling(model: ModelShrinker) -> CheckResult:
+def _doubling(model: ModelShrinker) -> float:
     grid = np.array([8.0, 12.0, 16.0, 24.0, 32.0, 48.0])
-    worst = math.inf
+    deficits = []
     for d in (1, 2, 3):
-        u = _flat_poly(model, (d,) + (0,) * (model.flat_m - 1))
-        prof = frequency.frequency_profile(model, u, float(d), grid)
+        prof = frequency.frequency_profile(model, _z1_power(model, d), float(d), grid)
         for rec in frequency.doubling_and_three_circle(prof, [8.0, 12.0]):
-            worst = min(worst, rec.doubling_margin, rec.three_circle_margin)
-    return _result(
-        f"frequency.doubling.{_model_tag(model)}",
-        "doubling and three-circle growth bounds hold with positive margin",
-        float(worst),
-    )
+            deficits += [-rec.doubling_margin, -rec.three_circle_margin]
+    return _worst(deficits)
 
 
-def check_j_ledger(model: ModelShrinker) -> CheckResult:
+def _j_ledger(model: ModelShrinker) -> float:
     ok = True
     for d in (1, 2):
-        u = _flat_poly(model, (d,) + (0,) * (model.flat_m - 1))
-        ledger = frequency.shell_energy_ledger(model, u, float(d), 6.0)
+        ledger = frequency.shell_energy_ledger(model, _z1_power(model, d), float(d), 6.0)
         ok = ok and ledger.passed and ledger.J1 < ledger.J2 < ledger.J3
-    return _result(
-        f"frequency.j_ledger.{_model_tag(model)}",
-        "nested shell energies satisfy the three-shell comparison bound",
-        0.0 if ok else -1.0,
-    )
+    return float(not ok)
 
 
-def check_k_lemma(model: ModelShrinker) -> CheckResult:
-    u = HoloPoly(
-        model.flat_m,
-        {(1,) + (0,) * (model.flat_m - 1): 1.0, (0,) * (model.flat_m - 1) + (2,): 0.5},
-    )
-    worst = math.inf
-    for r in (6.0, 10.0):
-        rep = frequency.check_defect_recursion(model, u, r, 2, 256)
-        worst = min(worst, min(1e-5 - res for res in rep.recursion_residuals))
-    return _result(
-        f"frequency.k_lemma.{_model_tag(model)}",
-        "curvature-weighted level defects satisfy the first-variation recursion",
-        float(worst),
-    )
+def _k_lemma(model: ModelShrinker) -> float:
+    m = model.flat_m
+    u = HoloPoly(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * (m - 1) + (2,): 0.5})
+    recs = [frequency.check_defect_recursion(model, u, r, 2, 256) for r in (6.0, 10.0)]
+    return _worst(res for rec in recs for res in rec.recursion_residuals)
 
 
-# -- global checks ---------------------------------------------------------------
+# -- global measures --------------------------------------------------------------
 
 
-def check_oracle_1d() -> CheckResult:
+def _oracle_1d() -> float:
     ev = oracle1d.oracle_spectrum_1d(X=12.0, N=800, k_eigs=5)
-    target = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    err = float(np.abs(ev - target).max())
-    return _result(
-        "spectrum.oracle_1d",
-        "discretized flat-line drift spectrum reproduces {0, 1/2, 1, 3/2, 2}",
-        1e-6 - err,
-        tol_note="X=12, N=800, tol 1e-6",
-    )
+    return float(np.abs(ev - np.array([0.0, 0.5, 1.0, 1.5, 2.0])).max())
 
 
-def check_heat_oracle() -> CheckResult:
-    x, num = fheat.timestep_oracle(
-        lambda xs: xs**2, 0.0, 1.0, N_grid=800, N_steps=200, extrapolate=True
-    )
-    series = fheat.evolve_series(
-        fheat.project_to_eigenbasis(np.array([0.0, 0.0, 1.0])), 1.0, x
-    )
-    err = fheat.weighted_l2_distance(num, series, x=x)
-    return _result(
-        "fheat.series_vs_oracle",
-        "implicit time stepping matches the eigen-series at s=1 in weighted L2",
-        1e-3 - err,
-        tol_note="N=800, 200 steps, tol 1e-3",
-    )
+def _heat_oracle() -> float:
+    x, num = fheat.timestep_oracle(np.square, 0.0, 1.0, N_grid=800, N_steps=200, extrapolate=True)
+    series = fheat.evolve_series(fheat.project_to_eigenbasis(np.array([0.0, 0.0, 1.0])), 1.0, x)
+    return fheat.weighted_l2_distance(num, series, x=x)
 
 
-def check_heat_transform() -> CheckResult:
-    worst = math.inf
+def _heat_transform() -> float:
+    residuals = []
     for d in range(5):
         hp = fheat.HeatPolynomial.of_degree(d)
-        worst = min(worst, -fheat.ancient_transform_check(hp))
-        rt = fheat.eternal_to_caloric(fheat.transform_to_eternal(hp))
-        if rt.terms != hp.terms:
-            worst = min(worst, -1.0)
-    return _result(
-        "fheat.transform",
-        "caloric polynomials map to eternal drift-heat solutions with zero residual",
-        float(worst),
-    )
+        residuals.append(fheat.ancient_transform_check(hp))
+        if fheat.eternal_to_caloric(fheat.transform_to_eternal(hp)).terms != hp.terms:
+            residuals.append(1.0)
+    return _worst(residuals)
 
 
-def check_heat_energy_decay() -> CheckResult:
+def _heat_energy_decay() -> float:
     sol = fheat.project_to_eigenbasis(np.array([1.0, -2.0, 1.0, 0.5]))
     norms = [sol.norm_sq(s) for s in np.linspace(0.0, 3.0, 13)]
-    worst = min(a - b for a, b in zip(norms, norms[1:]))
-    return _result(
-        "fheat.energy_decay",
-        "weighted energy of a series solution is nonincreasing in drift time",
-        float(worst),
-    )
+    return _worst(later - earlier for earlier, later in zip(norms, norms[1:]))
 
 
-def check_forms_eigen_law() -> CheckResult:
-    from itertools import combinations
-
+def _forms_eigen_law() -> float:
     ok = True
     for m in (1, 2, 3):
         model = gaussian(m)
@@ -456,29 +308,23 @@ def check_forms_eigen_law() -> CheckResult:
             for idx in combinations(range(m), p):
                 for deg in range(0, 7):
                     alpha = [0] * m
-                    alpha[min(deg % m, m - 1) if m > 1 else 0] = deg
+                    alpha[deg % m] = deg
                     om = forms.HoloForm.monomial(m, alpha, idx)
                     got = forms.f_hodge_laplacian(model, om)
                     if (got - om.scale((deg + p) / 2.0)).coeff_norm() > 1e-14:
                         ok = False
-    return _result(
-        "forms.eigen_law",
-        "the weighted Hodge Laplacian is diagonal on monomial forms with (|alpha|+p)/2",
-        0.0 if ok else -1.0,
-    )
+    return float(not ok)
 
 
-def check_forms_nilpotent() -> CheckResult:
+def _forms_nilpotent() -> float:
     rng = np.random.default_rng(9)
     model = gaussian(3)
     ok = True
     for _ in range(10):
         coeffs = {}
-        from itertools import combinations
-
         for idx in combinations(range(3), 2):
             terms = {}
-            for alpha in _monomials(3, 3):
+            for alpha in monomials(3, 3, 1):
                 if rng.uniform() < 0.3:
                     terms[alpha] = complex(rng.normal(), rng.normal())
             if terms:
@@ -489,182 +335,163 @@ def check_forms_nilpotent() -> CheckResult:
         twice = forms.interior_product(model, forms.interior_product(model, om))
         if not twice.is_zero(1e-12 * max(om.coeff_norm(), 1.0)):
             ok = False
-    return _result(
-        "forms.interior_nilpotent",
-        "the contraction with the soliton field squares to zero",
-        0.0 if ok else -1.0,
-    )
+    return float(not ok)
 
 
-def check_one_form_bound() -> CheckResult:
-    ev = forms.one_form_spectrum_oracle(k_eigs=6)
-    return _result(
-        "forms.one_form_bound",
-        "no 1-form eigenvalue lies below 1/2 (spectral Liouville statement)",
-        float(ev.min() - (0.5 - 1e-6)),
-    )
+def _one_form_bound() -> float:
+    # the bound 1/2 is taken with a slack of 1e-6 for the discretization
+    return (0.5 - 1e-6) - float(forms.one_form_spectrum_oracle(k_eigs=6).min())
 
 
-def check_form_count() -> CheckResult:
-    ok = True
-    for m in (1, 2):
-        model = gaussian(m)
-        for p in range(0, min(2, m) + 1):
-            for mu in range(0, 5):
-                if not forms.form_count_check(model, p, mu).passed:
-                    ok = False
-    for p in (0, 1, 2):
-        for mu in range(0, 5):
-            if not forms.form_count_check(cylinder(), p, mu).passed:
-                ok = False
-    return _result(
-        "forms.count_bound",
-        "form dimensions are bounded by eigenvalue counts up to mu/2 + p Lambda",
-        0.0 if ok else -1.0,
-    )
+def _form_count() -> float:
+    cases = [(gaussian(m), p) for m in (1, 2) for p in range(0, min(2, m) + 1)]
+    cases += [(cylinder(), p) for p in (0, 1, 2)]
+    ok = all(forms.form_count_check(model, p, mu).passed for model, p in cases for mu in range(5))
+    return float(not ok)
 
 
-def check_forms_sharpness() -> CheckResult:
+def _forms_sharpness() -> float:
     rec = forms.form_count_check(gaussian(1), 1, 0)
     cat = forms.form_spectrum(gaussian(1), 1, rec.horizon)
     top = max(float(line.eigenvalue) for line in cat.lines)
-    ok = rec.passed and abs(top - rec.horizon) < 1e-12 and rec.dim == rec.count
-    return _result(
-        "forms.sharpness",
-        "the constant 1-form attains the counting horizon mu/2 + p Lambda exactly",
-        0.0 if ok else -1.0,
-    )
+    return float(not (rec.passed and abs(top - rec.horizon) < 1e-12 and rec.dim == rec.count))
 
 
-def check_kernel_syzygy() -> CheckResult:
+def _kernel_syzygy() -> float:
     model = gaussian(2)
-    ok = True
-    for mu in range(1, 6):
-        if forms.kernel_dimension(model, 1, mu) != holopoly.dim_O_d(model, mu - 1):
-            ok = False
-    if forms.kernel_dimension(gaussian(1), 1, 4) != 0:
-        ok = False
-    return _result(
-        "forms.kernel_syzygy",
-        "contraction kernels on two flat variables are spanned by syzygies",
-        0.0 if ok else -1.0,
-    )
+    dims = [forms.kernel_dimension(model, 1, mu) for mu in range(1, 6)]
+    ok = dims == [holopoly.dim_O_d(model, mu - 1) for mu in range(1, 6)]
+    return float(not (ok and forms.kernel_dimension(gaussian(1), 1, 4) == 0))
 
 
-def check_kernel_integral() -> CheckResult:
-    model = gaussian(2)
-    syz = forms.HoloForm(
-        1,
-        2,
-        {(0,): HoloPoly.monomial(2, (0, 1)), (1,): HoloPoly.monomial(2, (1, 0), -1.0)},
-    )
-    val = forms.form_integral_identity_check(model, syz)
+def _kernel_integral() -> tuple[float, str]:
+    syzygy = {(0,): HoloPoly.monomial(2, (0, 1)), (1,): HoloPoly.monomial(2, (1, 0), -1.0)}
+    val = forms.form_integral_identity_check(gaussian(2), forms.HoloForm(1, 2, syzygy))
     expected = -256.0 * math.pi**2
-    return _result(
-        "forms.kernel_integral",
-        "the weighted growth integral of a kernel form is nonpositive",
-        1e-6 - abs(val - expected) / abs(expected),
-        tol_note=f"value={val:.6g}",
-    )
+    return abs(val - expected) / abs(expected), f"value={val:.6g}"
 
 
-def check_form_reduction() -> CheckResult:
-    ok = True
-    for m in (1, 2):
-        model = gaussian(m)
-        for p in range(1, m + 1):
-            for mu in range(0, 4):
-                if not forms.form_reduction_ledger(model, p, mu).passed:
-                    ok = False
-    for mu in range(0, 4):
-        if not forms.form_reduction_ledger(cylinder(), 1, mu).passed:
-            ok = False
-    return _result(
-        "forms.reduction_ledger",
-        "form counting reduces to function counting plus contraction kernels",
-        0.0 if ok else -1.0,
-    )
+def _form_reduction() -> float:
+    cases = [(gaussian(m), p) for m in (1, 2) for p in range(1, m + 1)] + [(cylinder(), 1)]
+    ledgers = (forms.form_reduction_ledger(model, p, mu) for model, p in cases for mu in range(4))
+    return float(not all(rec.passed for rec in ledgers))
 
 
-# -- harness -----------------------------------------------------------------------
+# -- the table and the harness ------------------------------------------------------
 
+_SHARP = "the frequency of a flat monomial equals its degree (cylinder: degree r^2/rho^2)"
 
-MODEL_CHECKS = [
-    check_spectrum_catalog,
-    check_lambda1,
-    check_dimension_bound,
-    check_equality_d1,
-    check_decomposition,
-    check_decomposition_growth,
-    lambda m: check_frequency_sharp(m, "closed"),
-    lambda m: check_frequency_sharp(m, "quadrature"),
-    check_i_prime,
-    check_dirichlet_gap,
-    check_volume_identity,
-    check_normalization,
-    check_rho_mu,
-    check_monotone,
-    check_doubling,
-    check_j_ledger,
-    check_k_lemma,
+# name, tolerance, measure, statement: per-model rows first, then the global rows
+CHECKS = [
+    Check("spectrum.catalog", 0.0, _catalog,
+          "drift-Laplacian catalog multiplicities follow the factor convolution law"),
+    Check("spectrum.lambda1", 0.0, _first_eigenvalue,
+          "the first nonzero drift eigenvalue is at least 1/2"),
+    Check("dimension.count_bound", 0.0, _dimension_bound,
+          "dim O_d <= 1 + floor(count[1/2, d/2]/2) for d = 1..6"),
+    Check("dimension.equality_d1", 0.0, _equality_d1,
+          "linear growth saturates the bound with dim O_1 = m+1 exactly on the flat model"),
+    Check("decomposition.roundtrip", 1e-10, _decomposition,
+          "eigenvalue splitting reconstructs random degree-6 polynomials to 1e-10"),
+    Check("decomposition.growth", 0.0, _decomposition_growth,
+          "every eigenpart is a flow eigenfunction with degree equal to twice its eigenvalue"),
+    Check("frequency.sharp_closed", 1e-8, partial(_frequency_sharp, method="closed"), _SHARP,
+          note="tol={tol}"),
+    Check("frequency.sharp_quadrature", 1e-4, partial(_frequency_sharp, method="quadrature"),
+          _SHARP, note="tol={tol}"),
+    Check("frequency.i_prime", 1e-5, _i_prime,
+          "the derivative of the height function matches flux plus curvature correction",
+          note="central difference h = 1e-3 r, tol 1e-5"),
+    Check("frequency.dirichlet_gap", 1e-6, _dirichlet_gap,
+          "bulk and boundary Dirichlet energies agree (divergence theorem)",
+          note="resolution=256, relative tol 1e-6"),
+    Check("geometry.volume_identity", 1e-10, _volume_identity,
+          "n V(r) - r V'(r) equals the scalar-curvature boundary correction",
+          note="tol={tol}", curved_tol=1e-6),
+    Check("geometry.normalization", 1e-12, _normalization,
+          "S + |grad f|^2 = f and |grad b|^2 = 1 - 4S/b^2 pointwise"),
+    Check("frequency.rho_mu", 0.0, _rho_mu,
+          "derivative-pair energy ratio stays below e^{2p+6} d^2 (flat case: equals d^2/4)"),
+    Check("frequency.monotone", 0.0, _monotone,
+          "damped frequency plus its compensator is nondecreasing on a holdout grid",
+          note="constants calibrated on a disjoint grid"),
+    Check("frequency.doubling", 0.0, _doubling,
+          "doubling and three-circle growth bounds hold with positive margin"),
+    Check("frequency.j_ledger", 0.0, _j_ledger,
+          "nested shell energies satisfy the three-shell comparison bound"),
+    Check("frequency.k_lemma", 1e-5, _k_lemma,
+          "curvature-weighted level defects satisfy the first-variation recursion"),
+    Check("spectrum.oracle_1d", 1e-6, _oracle_1d,
+          "discretized flat-line drift spectrum reproduces {0, 1/2, 1, 3/2, 2}",
+          note="X=12, N=800, tol 1e-6", per_model=False),
+    Check("fheat.series_vs_oracle", 1e-3, _heat_oracle,
+          "implicit time stepping matches the eigen-series at s=1 in weighted L2",
+          note="N=800, 200 steps, tol 1e-3", per_model=False),
+    Check("fheat.transform", 0.0, _heat_transform,
+          "caloric polynomials map to eternal drift-heat solutions with zero residual",
+          per_model=False),
+    Check("fheat.energy_decay", 0.0, _heat_energy_decay,
+          "weighted energy of a series solution is nonincreasing in drift time", per_model=False),
+    Check("forms.eigen_law", 0.0, _forms_eigen_law,
+          "the weighted Hodge Laplacian is diagonal on monomial forms with (|alpha|+p)/2",
+          per_model=False),
+    Check("forms.interior_nilpotent", 0.0, _forms_nilpotent,
+          "the contraction with the soliton field squares to zero", per_model=False),
+    Check("forms.one_form_bound", 0.0, _one_form_bound,
+          "no 1-form eigenvalue lies below 1/2 (spectral Liouville statement)", per_model=False),
+    Check("forms.count_bound", 0.0, _form_count,
+          "form dimensions are bounded by eigenvalue counts up to mu/2 + p Lambda",
+          per_model=False),
+    Check("forms.sharpness", 0.0, _forms_sharpness,
+          "the constant 1-form attains the counting horizon mu/2 + p Lambda exactly",
+          per_model=False),
+    Check("forms.kernel_syzygy", 0.0, _kernel_syzygy,
+          "contraction kernels on two flat variables are spanned by syzygies", per_model=False),
+    Check("forms.kernel_integral", 1e-6, _kernel_integral,
+          "the weighted growth integral of a kernel form is nonpositive", per_model=False),
+    Check("forms.reduction_ledger", 0.0, _form_reduction,
+          "form counting reduces to function counting plus contraction kernels",
+          per_model=False),
 ]
 
-GLOBAL_CHECKS = [
-    check_oracle_1d,
-    check_heat_oracle,
-    check_heat_transform,
-    check_heat_energy_decay,
-    check_forms_eigen_law,
-    check_forms_nilpotent,
-    check_one_form_bound,
-    check_form_count,
-    check_forms_sharpness,
-    check_kernel_syzygy,
-    check_kernel_integral,
-    check_form_reduction,
-]
+
+def _model_tag(model: ModelShrinker) -> str:
+    return f"gaussian_m{model.flat_m}" if model.kind == "gaussian" else model.kind
 
 
-def _max_workers() -> int:
-    env = os.environ.get("SHRINKER_LAB_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
+def _run_check(check: Check, model: ModelShrinker | None = None) -> CheckResult:
+    """Run one row (on `model` for per-model rows) and time it.
 
-
-def _timed(fn) -> CheckResult:
+    A measure that raises is reported as a failed check under the row's name.
+    """
+    name, tol = check.name, check.tol
+    if model is not None:
+        name = f"{name}.{_model_tag(model)}"
+        if model.sup_S > 0 and check.curved_tol is not None:
+            tol = check.curved_tol
+    result = CheckResult(name=name, statement=check.statement, status="fail")
     t0 = time.perf_counter()
     try:
-        result = fn()
+        out = check.measure() if model is None else check.measure(model)
+    except Skip as why:
+        result.status, result.detail = "skip", str(why)
     except Exception as exc:  # a crashed check is a failed check with diagnostics
-        result = CheckResult(
-            name=getattr(fn, "check_name", repr(fn)),
-            statement="check raised an exception",
-            status="fail",
-            margin=None,
-            detail=f"{type(exc).__name__}: {exc}",
-        )
+        result.detail = f"{type(exc).__name__}: {exc}"
+    else:
+        if not isinstance(out, tuple):
+            out = (out, check.note.format(tol=tol))
+        residual, result.detail = out
+        result.margin = float(tol - residual)
+        result.status = "pass" if result.margin >= 0 else "fail"
     result.runtime_ms = int(1000 * (time.perf_counter() - t0))
     return result
 
 
-def verify_all(models: list[ModelShrinker] | None = None, config_echo: dict | None = None) -> VerificationReport:
-    """Run the complete named check suite over the given models."""
+def verify_all(models: list[ModelShrinker] | None = None,
+               config_echo: dict | None = None) -> VerificationReport:
+    """Run every check of the table: per-model rows on each model, then the global rows."""
     if models is None:
         models = [gaussian(2), cylinder()]
-    jobs = []
-    for model in models:
-        for fn in MODEL_CHECKS:
-            jobs.append((lambda f=fn, m=model: f(m)))
-    for fn in GLOBAL_CHECKS:
-        jobs.append(fn)
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_timed, jobs))
-    else:
-        results = [_timed(fn) for fn in jobs]
+    results = [_run_check(c, model) for model in models for c in CHECKS if c.per_model]
+    results += [_run_check(c) for c in CHECKS if not c.per_model]
     return VerificationReport(checks=results, config_echo=config_echo or {})

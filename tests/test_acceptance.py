@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from shrinker_lab import fheat, forms, frequency, holopoly, oracle1d, quadrature, spectrum
-from shrinker_lab.holopoly import HoloPoly
+from shrinker_lab.holopoly import HoloPoly, monomials
 from shrinker_lab.models import cylinder, gaussian
 
 
@@ -24,20 +24,6 @@ def _line(num: int, label: str, ok: bool, detail: str = "") -> None:
     suffix = f" ({detail})" if detail else ""
     print(f"ACCEPTANCE {num:02d} {label}: {status}{suffix}")
     assert ok, f"criterion {num} failed: {label} {suffix}"
-
-
-def _monomials(m: int, max_deg: int):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for a in range(remaining + 1):
-            rec(prefix + [a], remaining - a, slots - 1)
-
-    rec([], max_deg, m)
-    return [a for a in out if 1 <= sum(a)]
 
 
 def test_acceptance_01_spectrum():
@@ -85,7 +71,7 @@ def test_acceptance_03_decomposition():
     model = gaussian(2)
     for _ in range(100):
         terms = {}
-        for alpha in _monomials(2, 6) + [(0, 0)]:
+        for alpha in [*monomials(2, 6, 1), (0, 0)]:
             if rng.uniform() < 0.6:
                 terms[alpha] = complex(rng.normal(), rng.normal())
         u = HoloPoly(2, terms or {(0, 0): 1.0})
@@ -108,7 +94,7 @@ def test_acceptance_04_frequency_sharpness():
     worst_closed, worst_quad = 0.0, 0.0
     for m in (1, 2):
         model = gaussian(m)
-        for alpha in _monomials(m, 5):
+        for alpha in monomials(m, 5, 1):
             u = HoloPoly.monomial(m, alpha)
             d = sum(alpha)
             for r in (1.0, 2.5, 10.0, 40.0):
@@ -171,7 +157,7 @@ def test_acceptance_08_derivative_ratio_bound():
     ok = True
     worst_exact = 0.0
     for model in (gaussian(1), gaussian(2), cylinder()):
-        for alpha in _monomials(model.flat_m, 4):
+        for alpha in monomials(model.flat_m, 4, 1):
             u = HoloPoly.monomial(model.flat_m, alpha)
             d = float(sum(alpha))
             for r in (4.5, 8.0, 16.0):

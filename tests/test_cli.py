@@ -181,6 +181,47 @@ def test_m_zero_exits_2(command, capsys):
     assert "--m" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p", ["3", "-1"])
+def test_forms_rejects_bad_p_flag(p, capsys):
+    code = main(["forms", "--model", "gaussian", "--m", "2", "--p", p, "--mu", "2"])
+    assert code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p", [3, -1, 1.0, "1"])
+def test_forms_rejects_bad_p_config(p, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": p, "mu": 2}))
+    code = main(["forms", "--model", "gaussian", "--m", "2", "--config", str(cfg)])
+    assert code == 2
+    assert "--p" in capsys.readouterr().err
+
+
+_FREQ = ["frequency", "--model", "cylinder", "--poly", "w", "--rmin", "4.5", "--rmax", "10"]
+_HEAT = ["heatflow", "--initial", "x^2"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (_FREQ + ["--n", "0"], "--n"),
+        (_FREQ + ["--resolution", "0"], "--resolution"),
+        (_FREQ + ["--rmin", "nan"], "--rmin"),
+        (_FREQ + ["--rmax", "inf"], "--rmax"),
+        (_HEAT + ["--s", "-1"], "--s"),
+        (_HEAT + ["--s", "0"], "--s"),
+        (_HEAT + ["--s", "nan"], "--s"),
+        (_HEAT + ["--n-grid", "0"], "--n-grid"),
+        (_HEAT + ["--n-steps", "0"], "--n-steps"),
+    ],
+    ids=["n", "resolution", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps"],
+)
+def test_bad_numeric_flag_exits_2(argv, flag, capsys):
+    code = main(argv)
+    assert code == 2
+    assert f"{flag} (" in capsys.readouterr().err
+
+
 def test_config_file_round_trip(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"model": {"kind": "gaussian", "m": 2}, "d": 2.0}))
@@ -241,16 +282,3 @@ def test_frequency_json_reports_both_bounds(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["u_max"] <= data["u_bound_sqrt"] <= data["u_bound_weak"]
-
-
-def test_thread_cap_env(monkeypatch):
-    from shrinker_lab.report import _max_workers
-
-    monkeypatch.setenv("SHRINKER_LAB_THREADS", "1")
-    assert _max_workers() == 1
-    monkeypatch.setenv("SHRINKER_LAB_THREADS", "7")
-    assert _max_workers() == 7
-    monkeypatch.setenv("SHRINKER_LAB_THREADS", "junk")
-    assert _max_workers() == 1
-    monkeypatch.delenv("SHRINKER_LAB_THREADS")
-    assert _max_workers() >= 1

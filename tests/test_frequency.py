@@ -190,10 +190,8 @@ def test_monotone_calibration_holdout_cylinder():
         assert check_monotone(prof)
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 def test_monotone_needs_calibrated_constants():
     # with constants far too small the damped combination must fail downhill
-    # (the compensator integral is near-divergent there, which scipy flags)
     u = HoloPoly.monomial(1, (2,))
     lo = default_R0(CYL) + 0.1
     hold = np.linspace(lo, 43.0, 59)
@@ -267,10 +265,14 @@ def test_I_cylinder_quadrature_matches_closed():
 def test_eta_segments_compose():
     from shrinker_lab.frequency import eta_integral, FrequencyConfig
 
-    cfg = FrequencyConfig(C1=2.0, C2=1.5)
-    total = eta_integral(10.0, cfg, 100.0)
-    split = eta_integral(6.0, cfg, 100.0) + eta_integral(10.0, cfg, 100.0, lo=6.0)
-    assert math.isclose(total, split, rel_tol=1e-10)
+    for c1, c2 in ((2.0, 1.5), (1e-9, 1e-9)):
+        cfg = FrequencyConfig(C1=c1, C2=c2)
+        total = eta_integral(10.0, cfg, 100.0)
+        split = eta_integral(6.0, cfg, 100.0) + eta_integral(10.0, cfg, 100.0, lo=6.0)
+        assert math.isclose(total, split, rel_tol=1e-10)
+        # the antiderivative (C2 sqrt(mu)/C1) exp(-C1/(sigma s^sigma)) vanishes at s = 0
+        exact = c2 * math.sqrt(100.0) / c1 * math.exp(-c1 / (0.5 * 10.0**0.5))
+        assert math.isclose(total, exact, rel_tol=1e-10)
 
 
 def _d_prime_rhs(model, u, r, resolution=256):

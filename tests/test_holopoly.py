@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from shrinker_lab.holopoly import (
     evaluate_parts,
     growth_eigenvalue_consistency,
     lie_derivative_nabla_f,
+    monomials,
 )
 from shrinker_lab.models import cylinder, gaussian
 
@@ -71,25 +74,21 @@ def test_lie_derivative_monomials():
 
 def test_lie_derivative_diagonal_up_to_degree_8():
     # the flow derivative is diagonal on every monomial with |alpha| <= 8
-    def all_monomials(m, max_deg):
-        out = []
-
-        def rec(prefix, remaining, slots):
-            if slots == 0:
-                out.append(tuple(prefix))
-                return
-            for a in range(remaining + 1):
-                rec(prefix + [a], remaining - a, slots - 1)
-
-        rec([], max_deg, m)
-        return out
-
     for m in (1, 2, 3):
         model = gaussian(m)
-        for alpha in all_monomials(m, 8):
+        for alpha in monomials(m, 8):
             u = HoloPoly.monomial(m, alpha, 1.0 - 0.5j)
             lu = lie_derivative_nabla_f(model, u)
             assert (lu - u.scale(sum(alpha) / 2.0)).coeff_norm() == 0.0
+
+
+def test_monomials_order_and_degree_window():
+    # seeded random polynomials draw one coefficient per exponent in this order
+    assert list(monomials(2, 2)) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(monomials(2, 2, 1)) == [(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert list(monomials(3, 4, 4)) == [a for a in monomials(3, 4) if sum(a) == 4]
+    assert len(list(monomials(3, 5))) == math.comb(3 + 5, 3)
+    assert list(monomials(0, 3)) == [()]
 
 
 def test_lie_derivative_linearity_example():
