@@ -113,19 +113,21 @@ def _resolve_m(args, config: dict) -> int:
     return _count("--m (config /m)", m)
 
 
-def _count(flag: str, value) -> int:
-    """An integer option that must be at least 1."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{flag} must be an integer >= 1, got {value!r}")
+def _count(flag: str, value, minimum: int = 1) -> int:
+    """An integer option that must be at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{flag} must be an integer >= {minimum}, got {value!r}")
     return value
 
 
-def _finite(flag: str, value, positive: bool = False) -> float:
-    """A real option that must be finite, and above 0 when `positive`."""
+def _finite(flag: str, value, positive: bool = False, nonnegative: bool = False) -> float:
+    """A real option that must be finite, > 0 when `positive` and >= 0 when `nonnegative`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{flag} must be a finite number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(f"{flag} must be positive, got {value!r}")
+    if nonnegative and value < 0:
+        raise ConfigError(f"{flag} must be >= 0, got {value!r}")
     return float(value)
 
 
@@ -150,7 +152,8 @@ def _cmd_spectrum(args) -> int:
     config = _load_config(args.config)
     model = _resolve_model(args, config)
     lam_max = args.lambda_max if args.lambda_max is not None else config.get("lambda_max", 3.0)
-    catalog = spectrum.analytic_spectrum(model, float(lam_max))
+    lam_max = _finite("--lambda-max (config /lambda_max)", lam_max, nonnegative=True)
+    catalog = spectrum.analytic_spectrum(model, lam_max)
     _emit(_json_dump(catalog.to_dict()), args.out)
     return 0
 
@@ -159,8 +162,9 @@ def _cmd_dimension(args) -> int:
     config = _load_config(args.config)
     model = _resolve_model(args, config)
     d = args.d if args.d is not None else config.get("d", 1.0)
-    rec = spectrum.dimension_bound_check(model, float(d))
-    payload = {"model": model.to_dict(), "d": float(d), **rec.to_dict()}
+    d = _finite("--d (config /d)", d, nonnegative=True)
+    rec = spectrum.dimension_bound_check(model, d)
+    payload = {"model": model.to_dict(), "d": d, **rec.to_dict()}
     _emit(_json_dump(payload), args.out)
     return 0 if rec.passed else 1
 
@@ -187,15 +191,23 @@ def _cmd_frequency(args) -> int:
         raise ConfigError("frequency needs a radius grid (--rmin/--rmax or config /grid)")
     rmin = _finite("--rmin (config /grid/rmin)", rmin)
     rmax = _finite("--rmax (config /grid/rmax)", rmax)
+    if rmin >= rmax:
+        raise ConfigError(
+            f"--rmin (config /grid/rmin) must be below --rmax (config /grid/rmax), "
+            f"got {rmin!r} >= {rmax!r}"
+        )
     resolution = args.resolution if args.resolution is not None else config.get("resolution", 128)
+    sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
+    epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)
     freq_cfg = frequency.FrequencyConfig(
         resolution=_count("--resolution (config /resolution)", resolution),
-        sigma=args.sigma if args.sigma is not None else config.get("sigma", 0.5),
-        epsilon=args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01),
+        sigma=_finite("--sigma (config /sigma)", sigma, positive=True),
+        epsilon=_finite("--epsilon (config /epsilon)", epsilon, positive=True),
     )
     d = args.d if args.d is not None else max(u.degree, 0)
+    d = _finite("--d (growth order)", d, nonnegative=True)
     radii = np.linspace(rmin, rmax, n)
-    profile = frequency.frequency_profile(model, u, float(d), radii, freq_cfg)
+    profile = frequency.frequency_profile(model, u, d, radii, freq_cfg)
     fmt = args.format or config.get("format", "csv")
     if fmt == "csv":
         buf = io.StringIO()
@@ -210,13 +222,13 @@ def _cmd_frequency(args) -> int:
         payload = {
             "model": model.to_dict(),
             "poly": u.to_json_dict(),
-            "d": float(d),
+            "d": d,
             "mu": profile.mu,
             "rows": profile.to_rows(),
             "monotone": frequency.check_monotone(profile),
             "u_max": float(np.max(profile.U)),
-            "u_bound_sqrt": float(d) + freq_cfg.epsilon * math.sqrt(profile.mu),
-            "u_bound_weak": float(d) + freq_cfg.epsilon * profile.mu,
+            "u_bound_sqrt": d + freq_cfg.epsilon * math.sqrt(profile.mu),
+            "u_bound_weak": d + freq_cfg.epsilon * profile.mu,
         }
         _emit(_json_dump(payload), args.out)
     return 0
@@ -232,9 +244,10 @@ def _cmd_heatflow(args) -> int:
     coeffs = np.zeros(deg + 1)
     for alpha, c in u.terms.items():
         coeffs[alpha[0]] = c.real
-    s1 = _finite("--s (config /s)", args.s if args.s is not None else config.get("s", 1.0), True)
+    s1 = args.s if args.s is not None else config.get("s", 1.0)
+    s1 = _finite("--s (config /s)", s1, positive=True)
     n_grid = args.n_grid if args.n_grid is not None else config.get("n_grid", 800)
-    n_grid = _count("--n-grid (config /n_grid)", n_grid)
+    n_grid = _count("--n-grid (config /n_grid)", n_grid, minimum=16)
     n_steps = args.n_steps if args.n_steps is not None else config.get("n_steps", 200)
     n_steps = _count("--n-steps (config /n_steps)", n_steps)
     sol = fheat.project_to_eigenbasis(coeffs)

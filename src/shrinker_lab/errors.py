@@ -19,14 +19,6 @@ class CompletenessError(ShrinkerLabError, ValueError):
     """A spectral catalog was asked about eigenvalues beyond its horizon."""
 
 
-class IterationError(ShrinkerLabError, RuntimeError):
-    """An iterative scheme failed to converge within its iteration cap."""
-
-    def __init__(self, message: str, contraction_ratio: float | None = None):
-        super().__init__(message)
-        self.contraction_ratio = contraction_ratio
-
-
 class NumericError(ShrinkerLabError, RuntimeError):
     """A numerical kernel (eigensolver, linear solve) failed; carries diagnostics."""
 

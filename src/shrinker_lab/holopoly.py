@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DomainError, IterationError
+from .errors import DomainError
 
 # Coefficients smaller than this times the largest coefficient are dropped.
 PRUNE_REL = 1e-14
@@ -260,14 +260,16 @@ def decompose_by_eigenvalue(
     u: HoloPoly,
     d: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> EigenDecomposition:
-    """Split u into eigenfunctions of the drift Lie derivative by power iteration.
+    """Split u into eigenfunctions of the drift Lie derivative.
 
-    Repeatedly applies u_{k+1} = L u_k / lam_s with lam_s the largest catalog
-    eigenvalue <= d/2; the iterates converge geometrically (ratio lam_{s-1}/lam_s)
-    to the top eigenpart, which is subtracted before recursing on the next
-    eigenvalue.  The final remainder is the constant (eigenvalue 0) part.
+    The drift derivative is half the Euler operator, so z^alpha is an
+    eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at lam is
+    its homogeneous part of degree 2 lam.  The catalog eigenvalues <= d/2 are
+    visited in descending order; at each one the terms of degree 2 lam above
+    tol times the coefficient scale form the part, which is subtracted from
+    the remainder.  A level that is not a half-integer has no such terms.
+    The final remainder is the constant (eigenvalue 0) part.
     """
     if u.degree > d:
         raise DomainError(f"degree {u.degree} exceeds growth bound d={d}")
@@ -284,35 +286,18 @@ def decompose_by_eigenvalue(
     parts: dict[float, HoloPoly] = {}
     remainder = u
     scale = max(u.coeff_norm(), 1.0)
-    for idx, lam in enumerate(levels):
+    for lam in levels:
         if remainder.is_zero(tol * scale):
             break
         if lam == 0.0:
             break
-        # The flow derivative is diagonal on the fixed monomial support, so
-        # each power-iteration step is one elementwise multiply; the stop
-        # margin sits two orders below the pruning threshold because the
-        # iterate still carries foreign components of size about
-        # delta / (1 - ratio) when the successive difference is delta.
-        alphas = list(remainder.terms)
-        current = np.array([remainder.terms[a] for a in alphas], dtype=complex)
-        step = np.array([sum(a) / (2.0 * lam) for a in alphas])
-        converged = False
-        for _ in range(max_iter):
-            nxt = current * step
-            delta = float(np.abs(nxt - current).max())
-            current = nxt
-            if delta < 0.01 * tol * max(1.0, float(np.abs(current).max(initial=0.0))):
-                converged = True
-                break
-        if not converged:
-            ratio = levels[idx + 1] / lam if idx + 1 < len(levels) else 0.0
-            raise IterationError(
-                f"eigenpart at {lam} did not converge within {max_iter} iterations",
-                contraction_ratio=ratio,
-            )
         part = HoloPoly(
-            u.m, {a: c for a, c in zip(alphas, current) if abs(c) > tol * scale}
+            u.m,
+            {
+                a: c
+                for a, c in remainder.terms.items()
+                if sum(a) == 2.0 * lam and abs(c) > tol * scale
+            },
         )
         if not part.is_zero():
             parts[lam] = part

@@ -175,13 +175,16 @@ def _frequency_sharp(model: ModelShrinker, method: str) -> float:
         if model.flat_m != 1:
             raise Skip("no closed reference value for curved models with several flat variables")
         radii = [4.5, 8.0, 20.0, 40.0]
+    config = frequency.FrequencyConfig(resolution=256, method=method)
     errors = []
     for alpha in monomials(model.flat_m, 5, 1):
         u = HoloPoly.monomial(model.flat_m, alpha)
         d = sum(alpha)
-        for r in radii:
+        # one profile per monomial evaluates its fields once for all radii
+        profile = frequency.frequency_profile(model, u, d, radii, config)
+        for r, u_r in zip(radii, profile.U):
             target = d if model.sup_S == 0 else d * r * r / (r * r - 4.0 * model.sup_S)
-            errors.append(abs(frequency.frequency_U(model, u, r, 256, method) - target))
+            errors.append(abs(u_r - target))
     return _worst(errors)
 
 

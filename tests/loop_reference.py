@@ -1,4 +1,4 @@
-"""Element-by-element reference loops for the discrete oracles.
+"""Element-by-element reference loops for the discrete oracles and eigenparts.
 
 The package runs its tridiagonal kernels on Python floats, factors the
 backward-Euler matrix once per run and ranks the contraction kernel block by
@@ -6,6 +6,12 @@ block.  The loops below index numpy arrays one element at a time, redo the
 elimination at every step and rank one dense matrix.  They do the same
 floating-point operations in the same order, so the tests require equal
 results, not close ones.
+
+The package reads each eigenpart of a polynomial off as a homogeneous part;
+`decompose_by_eigenvalue` below finds it by power iteration on the drift
+derivative.  Every catalog eigenvalue is a half-integer, so a kept term's
+step is exactly 1.0 and every other term decays below the pruning threshold
+before the stop test passes: the parts agree term for term.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from itertools import combinations
 import numpy as np
 
 from shrinker_lab.forms import KERNEL_BASIS_GUARD
+from shrinker_lab.holopoly import EigenDecomposition, HoloPoly
 from shrinker_lab.oracle1d import discretize, gaussian_potential
 from shrinker_lab.ratlinalg import integer_rank
+from shrinker_lab.spectrum import analytic_spectrum
 
 
 def dense(diag, off):
@@ -156,3 +164,44 @@ def kernel_dimension(m, p, mu):
         for r, val in col.items():
             rows[r][c] = val
     return n_cols - integer_rank(rows)
+
+
+def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
+    """Eigenparts by power iteration, one level at a time.
+
+    At the largest catalog eigenvalue lam <= d/2 left, u_{k+1} = L u_k / lam
+    converges geometrically (ratio lam_{s-1}/lam_s) to the top eigenpart,
+    which is subtracted before the next level.  Raises RuntimeError when a
+    level does not converge within `max_iter` steps.
+    """
+    catalog = analytic_spectrum(model, d / 2.0)
+    levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
+    parts = {}
+    remainder = u
+    scale = max(u.coeff_norm(), 1.0)
+    for lam in levels:
+        if remainder.is_zero(tol * scale):
+            break
+        if lam == 0.0:
+            break
+        # the stop margin sits two orders below the pruning threshold: the
+        # iterate still carries foreign components of about delta / (1 - ratio)
+        alphas = list(remainder.terms)
+        current = np.array([remainder.terms[a] for a in alphas], dtype=complex)
+        step = np.array([sum(a) / (2.0 * lam) for a in alphas])
+        for _ in range(max_iter):
+            nxt = current * step
+            delta = float(np.abs(nxt - current).max())
+            current = nxt
+            if delta < 0.01 * tol * max(1.0, float(np.abs(current).max(initial=0.0))):
+                break
+        else:
+            raise RuntimeError(f"eigenpart at {lam} did not converge within {max_iter} iterations")
+        part = HoloPoly(u.m, {a: c for a, c in zip(alphas, current) if abs(c) > tol * scale})
+        if not part.is_zero():
+            parts[lam] = part
+            remainder = remainder - part
+    if not remainder.is_zero(tol * scale):
+        parts[0.0] = remainder
+    residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
+    return EigenDecomposition(parts=parts, residual_norm=residual)

@@ -213,11 +213,47 @@ _HEAT = ["heatflow", "--initial", "x^2"]
         (_HEAT + ["--s", "nan"], "--s"),
         (_HEAT + ["--n-grid", "0"], "--n-grid"),
         (_HEAT + ["--n-steps", "0"], "--n-steps"),
+        (["dimension", "--model", "cylinder", "--d", "nan"], "--d"),
+        (["dimension", "--model", "cylinder", "--d", "-1"], "--d"),
+        (["spectrum", "--model", "cylinder", "--lambda-max", "nan"], "--lambda-max"),
+        (["spectrum", "--model", "cylinder", "--lambda-max", "-1"], "--lambda-max"),
+        (_FREQ + ["--rmin", "10", "--rmax", "5"], "--rmin"),
+        (_FREQ + ["--rmin", "10"], "--rmin"),
+        (_FREQ + ["--sigma", "-1"], "--sigma"),
+        (_FREQ + ["--epsilon", "0"], "--epsilon"),
+        (_FREQ + ["--d", "nan"], "--d"),
+        (_HEAT + ["--n-grid", "5"], "--n-grid"),
+        (_HEAT + ["--n-grid", "15"], "--n-grid"),
     ],
-    ids=["n", "resolution", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps"],
+    ids=[
+        "n", "resolution", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps",
+        "d-nan", "d-negative", "lambda-max-nan", "lambda-max-negative", "rmin-above-rmax",
+        "rmin-equals-rmax", "sigma-negative", "epsilon-zero", "frequency-d-nan", "n-grid-5",
+        "n-grid-15",
+    ],
 )
 def test_bad_numeric_flag_exits_2(argv, flag, capsys):
     code = main(argv)
+    assert code == 2
+    assert f"{flag} (" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, entries, flag",
+    [
+        (["dimension", "--model", "cylinder"], {"d": -1}, "--d"),
+        (["spectrum", "--model", "cylinder"], {"lambda_max": "3"}, "--lambda-max"),
+        (_FREQ[:5], {"grid": {"rmin": 10, "rmax": 5}}, "--rmin"),
+        (_FREQ, {"sigma": 0}, "--sigma"),
+        (_FREQ, {"epsilon": -0.1}, "--epsilon"),
+        (_HEAT, {"n_grid": 8}, "--n-grid"),
+    ],
+    ids=["d", "lambda-max", "rmin-above-rmax", "sigma", "epsilon", "n-grid"],
+)
+def test_bad_numeric_config_exits_2(command, entries, flag, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(entries))
+    code = main(command + ["--config", str(cfg)])
     assert code == 2
     assert f"{flag} (" in capsys.readouterr().err
 

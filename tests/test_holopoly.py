@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 
+import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab.errors import DomainError, IterationError
+from shrinker_lab.errors import DomainError
 from shrinker_lab.holopoly import (
     HoloPoly,
     decompose_by_eigenvalue,
@@ -18,7 +19,8 @@ from shrinker_lab.holopoly import (
     lie_derivative_nabla_f,
     monomials,
 )
-from shrinker_lab.models import cylinder, gaussian
+from shrinker_lab.models import cylinder, gaussian, product
+from shrinker_lab.report import _random_poly
 
 
 def test_evaluate_examples():
@@ -173,12 +175,54 @@ def test_decompose_degree_guard():
         decompose_by_eigenvalue(gaussian(1), HoloPoly.monomial(1, (4,)), 3.0)
 
 
-def test_decompose_iteration_cap():
-    model = gaussian(1)
-    u = HoloPoly(1, {(5,): 1.0, (6,): 1.0})
-    with pytest.raises(IterationError) as err:
-        decompose_by_eigenvalue(model, u, 6.0, tol=1e-12, max_iter=3)
-    assert err.value.contraction_ratio == pytest.approx(5.0 / 6.0)
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_decompose_high_degree_top_two(d):
+    u = HoloPoly(1, {(d,): 1.0, (d - 1,): 1.0})
+    dec = decompose_by_eigenvalue(gaussian(1), u, float(d))
+    # power iteration contracts the degree-(d-1) part by (d-1)/d per step: too slowly
+    with pytest.raises(RuntimeError):
+        ref.decompose_by_eigenvalue(gaussian(1), u, float(d))
+    assert list(dec.parts) == [d / 2, (d - 1) / 2]
+    assert dec.parts[d / 2].terms == {(d,): 1.0}
+    assert dec.parts[(d - 1) / 2].terms == {(d - 1,): 1.0}
+    assert dec.residual_norm == 0.0
+
+
+def test_decompose_degree_10_is_homogeneous_split():
+    rng = np.random.default_rng(2024)
+    u = HoloPoly(
+        2, {a: complex(rng.normal(), rng.normal()) for a in monomials(2, 10) if rng.uniform() < 0.6}
+    )
+    dec = decompose_by_eigenvalue(gaussian(2), u, 10.0)
+    homogeneous = u.homogeneous_parts()
+    assert sorted(dec.parts) == sorted(k / 2 for k in homogeneous)
+    for lam, part in dec.parts.items():
+        assert part.terms == homogeneous[int(2 * lam)].terms
+    assert dec.residual_norm == 0.0
+
+
+_REFERENCE_MODELS = {
+    "gaussian_m1": gaussian(1),
+    "gaussian_m2": gaussian(2),
+    "gaussian_m3": gaussian(3),
+    "cylinder": cylinder(),
+    "product": product([cylinder(), gaussian(1)]),
+}
+
+
+@pytest.mark.parametrize("model", _REFERENCE_MODELS.values(), ids=_REFERENCE_MODELS.keys())
+@pytest.mark.parametrize("seed, count", [(20240811, 100), (77, 25), (1, 10), (2, 10), (3, 10)])
+def test_decompose_matches_power_iteration(model, seed, count):
+    # the report's two seeds draw as many polynomials as its decomposition checks do
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        u = _random_poly(model, rng)
+        dec = decompose_by_eigenvalue(model, u, 6.0)
+        want = ref.decompose_by_eigenvalue(model, u, 6.0)
+        assert list(dec.parts) == list(want.parts)
+        for lam, part in want.parts.items():
+            assert list(dec.parts[lam].terms.items()) == list(part.terms.items())
+        assert dec.residual_norm == want.residual_norm
 
 
 def test_dim_O_d_values():
