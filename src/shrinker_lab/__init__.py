@@ -49,7 +49,6 @@ from .frequency import (
     doubling_and_three_circle,
     frequency_profile,
     frequency_U,
-    monotone_quantity,
     rho_mu,
 )
 from .fheat import (
@@ -63,7 +62,6 @@ from .fheat import (
     transform_to_eternal,
 )
 from .forms import (
-    FormSpectrumCatalog,
     HoloForm,
     dim_O_forms,
     f_hodge_laplacian,

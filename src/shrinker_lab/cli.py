@@ -196,6 +196,11 @@ def _cmd_frequency(args) -> int:
             f"--rmin (config /grid/rmin) must be below --rmax (config /grid/rmax), "
             f"got {rmin!r} >= {rmax!r}"
         )
+    if not model.is_regular(rmin):
+        raise ConfigError(
+            f"--rmin (config /grid/rmin) must be a regular level, r^2 > 4 sup S = "
+            f"{4.0 * model.sup_S:g}, got {rmin!r}"
+        )
     resolution = args.resolution if args.resolution is not None else config.get("resolution", 128)
     sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
     epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)

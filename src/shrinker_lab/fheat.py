@@ -242,9 +242,6 @@ class HeatPolynomial:
             )
         return HeatPolynomial(terms)
 
-    def parabolic_degree(self) -> int:
-        return max((j + 2 * k for (j, k), c in self.terms.items() if c != 0.0), default=-1)
-
     def caloric_residual(self) -> float:
         """Max coefficient of d_t u - d_x^2 u; zero iff u solves the heat equation."""
         res: dict[tuple[int, int], float] = {}

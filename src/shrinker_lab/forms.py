@@ -9,9 +9,11 @@ The weighted Hodge Laplacian acts on holomorphic forms through the flow
 derivative alone (the plain Hodge Laplacian annihilates them), computed here
 via the two contraction pieces i_X d + d i_X with X the soliton field; on
 monomial forms it is diagonal with eigenvalue (|alpha| + p)/2, which the
-tests assert rather than assume.  The contraction map keeps the torus weight
-w = alpha + 1_I of z^alpha dz^I, so its kernel dimension is summed over one
-small block per weight w, each an exact integer rank.
+tests assert rather than assume.  Form spectra are built from the scalar
+lines of the spectrum module and returned as its SpectrumCatalog.  The
+contraction map keeps the torus weight w = alpha + 1_I of z^alpha dz^I, and
+the block of w depends on the size of supp(w) alone, so its kernel dimension
+is summed over one small block per support size, each an exact integer rank.
 """
 
 from __future__ import annotations
@@ -24,15 +26,24 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, evaluate_parts, monomials
+from .holopoly import HoloPoly, evaluate_parts
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
 from .ratlinalg import integer_rank
-from .spectrum import SpectralLine, _convolve, _flat_lines, _sphere_lines
+from .spectrum import (
+    SpectralLine,
+    SpectrumCatalog,
+    _convolve,
+    _flat_lines,
+    _sphere_lines,
+    count_eigenvalues,
+)
 
-_EPS = 1e-9
-KERNEL_BASIS_GUARD = 100_000
+# Bound on blocks x subset length x entries of the largest block, the work of
+# one kernel dimension.  The slowest accepted (m, p), (11, 4), takes about
+# 0.8 s on a 2-core VM; (12, 6), refused, takes 26 s for its top block alone.
+KERNEL_WORK_LIMIT = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -163,21 +174,15 @@ def f_hodge_laplacian(model: ModelShrinker, omega: HoloForm) -> HoloForm:
 
 
 def dim_O_forms(model: ModelShrinker, p: int, mu: float) -> int:
-    """Dimension of holomorphic (p,0)-forms of growth at most mu."""
-    if mu < 0:
+    """Dimension of holomorphic (p,0)-forms of growth at most mu.
+
+    Only the flat factor carries such forms: C(flat_m, p) coefficient slots,
+    each a polynomial of degree at most floor(mu) in flat_m variables.
+    """
+    m = model.flat_m
+    if mu < 0 or not 0 <= p <= m:
         return 0
-    k = math.floor(mu)
-    if model.kind == "gaussian":
-        m = model.flat_m
-        if p > m:
-            return 0
-        return math.comb(m, p) * math.comb(m + k, m)
-    if model.kind == "cylinder":
-        # only the flat coordinate contributes holomorphic forms
-        return (k + 1) if p in (0, 1) else 0
-    if p > model.flat_m:
-        return 0
-    return math.comb(model.flat_m, p) * math.comb(model.flat_m + k, model.flat_m)
+    return math.comb(m, p) * math.comb(m + math.floor(mu), m)
 
 
 def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
@@ -186,128 +191,75 @@ def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
     The contraction maps z^alpha dz^I to sum_pos (-1)^pos z^(alpha + e_j) dz^(I - j)
     (j = I[pos]), which keeps the weight w = alpha + 1_I.  Its matrix is
     therefore block-diagonal in w: the block of w has one column for each
-    p-subset I of supp(w) and one row for each (p-1)-subset.  The kernel
-    dimension is the sum of the blocks' nullities, each an exact integer rank.
+    p-subset I of supp(w) and one row for each (p-1)-subset, so it depends on
+    the support size s alone.  C(m, s) supports of size s carry C(mu + p, s)
+    weights of degree at most mu + p each, so the kernel dimension is the sum
+    over s of that count times the nullity of one block, an exact integer rank.
     """
     if p < 1:
         raise DomainError("kernel is defined for p >= 1")
     m = model.flat_m
     if p > m or mu < 0:
         return 0
-    # size of the whole matrix: a row is a target (beta, J) with |J| = p-1,
-    # 1 <= |beta| <= mu+1 and beta not supported in J alone
-    n_cols = math.comb(m, p) * math.comb(m + mu, m)
-    n_rows = math.comb(m, p - 1) * (math.comb(m + mu + 1, m) - math.comb(mu + p, p - 1))
-    if n_rows * n_cols > KERNEL_BASIS_GUARD * 10:
-        raise NumericError(f"kernel matrix too large: {n_rows} x {n_cols}")
-    if n_cols > KERNEL_BASIS_GUARD:
-        raise NumericError(f"kernel basis too large: {n_cols} unknowns")
+    top = min(m, mu + p)
+    # checked before any block is built: each of the top - p + 1 blocks is at
+    # most the top one, whose entries are indexed by subsets of length p
+    n_rows, n_cols = math.comb(top, p - 1), math.comb(top, p)
+    if (top - p + 1) * p * n_rows * n_cols > KERNEL_WORK_LIMIT:
+        raise NumericError(
+            f"kernel blocks too large: {top - p + 1} blocks of up to {n_rows} x {n_cols}"
+        )
     nullity = 0
-    for w in monomials(m, mu + p):
-        support = [j for j in range(m) if w[j]]
-        if len(support) < p:
-            continue
-        columns = list(combinations(support, p))
-        rows = {J: r for r, J in enumerate(combinations(support, p - 1))}
+    for s in range(p, top + 1):
+        columns = list(combinations(range(s), p))
+        rows = {J: r for r, J in enumerate(combinations(range(s), p - 1))}
         block = [[0] * len(columns) for _ in rows]
         for c, index in enumerate(columns):
             for pos in range(p):
                 block[rows[index[:pos] + index[pos + 1 :]]][c] = 1 if pos % 2 == 0 else -1
-        nullity += len(columns) - integer_rank(block)
+        weights = math.comb(m, s) * math.comb(mu + p, s)
+        nullity += weights * (len(columns) - integer_rank(block))
     return nullity
 
 
 # -- spectra of the weighted Hodge Laplacian ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FormSpectrumCatalog:
-    """Eigenvalue lines of the weighted Hodge Laplacian on (p,0)-forms.
+def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCatalog:
+    """Complete (p,0)-form spectrum of the model up to lambda_max.
 
-    Multiplicities count complex dimensions of eigenspaces.
+    Multiplicities count complex dimensions of eigenspaces.  On a flat factor
+    the weighted Hodge Laplacian acts on u dz^I as the scalar drift Laplacian
+    shifted by p/2, so the flat (p,0) lines are the scalar lines convolved
+    with the one line (p/2, C(m, p)).  On the cylinder a (p,0)-form is a
+    sphere (a,0)-form times a flat (p-a,0)-form, a in {0, 1}; the sphere's
+    (1,0) eigenforms share the nonconstant spherical harmonics' lines.
     """
-
-    model: ModelShrinker
-    p: int
-    lines: tuple[SpectralLine, ...]
-    lambda_max: float
-
-    def count(self, lo: float, hi: float) -> int:
-        if hi > self.lambda_max + _EPS:
-            raise DomainError(f"catalog horizon {self.lambda_max} below requested {hi}")
-        return sum(
-            line.multiplicity
-            for line in self.lines
-            if lo - _EPS <= float(line.eigenvalue) <= hi + _EPS
-        )
-
-    def min_eigenvalue(self) -> float:
-        return float(self.lines[0].eigenvalue) if self.lines else math.inf
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model.to_dict(),
-            "p": self.p,
-            "lambda_max": self.lambda_max,
-            "lines": [line.to_dict() for line in self.lines],
-        }
-
-
-def _flat_form_lines(two_m: int, p: int, lambda_max: float):
-    """Componentwise spectrum of the weighted Hodge Laplacian on flat (p,0)-forms."""
-    m = two_m // 2
-    if p > m:
-        return []
-    out = []
-    k = 0
-    while (k + p) / 2 <= lambda_max + _EPS:
-        mult = math.comb(m, p) * math.comb(two_m + k - 1, two_m - 1)
-        out.append(
-            (Fraction(k + p, 2), mult, f"degree {k} coefficients on dz^({p} of {m})")
-        )
-        k += 1
-    return out
-
-
-def _sphere_one_form_lines(lambda_max: float):
-    out = []
-    ell = 1
-    while ell * (ell + 1) / 2 <= lambda_max + _EPS:
-        out.append(
-            (Fraction(ell * (ell + 1), 2), 2 * ell + 1, f"sphere (1,0) eigenform l={ell}")
-        )
-        ell += 1
-    return out
-
-
-def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> FormSpectrumCatalog:
-    """Complete (p,0)-form spectrum of the model up to lambda_max."""
     if p < 0 or p > model.m:
         raise DomainError(f"form degree p={p} outside 0..{model.m}")
-    if model.kind == "gaussian":
-        lines = _flat_form_lines(2 * model.flat_m, p, lambda_max)
-    elif model.kind == "cylinder":
-        flat_scalar = _flat_lines(2, lambda_max)
-        sphere_scalar = _sphere_lines(lambda_max)
-        flat_one = _flat_form_lines(2, 1, lambda_max)
-        sphere_one = _sphere_one_form_lines(lambda_max)
-        if p == 0:
-            lines = _convolve(sphere_scalar, flat_scalar, lambda_max)
-        elif p == 1:
-            block_a = _convolve(sphere_one, flat_scalar, lambda_max)
-            block_b = _convolve(sphere_scalar, flat_one, lambda_max)
-            merged: dict[Fraction, tuple[int, list[str]]] = {}
-            for ev, mult, label in block_a + block_b:
-                got = merged.get(ev, (0, []))
-                merged[ev] = (got[0] + mult, got[1] + [label])
-            lines = [(ev, mult, "; ".join(labels)) for ev, (mult, labels) in sorted(merged.items())]
-        else:
-            lines = _convolve(sphere_one, flat_one, lambda_max)
-    else:
+    if model.kind not in ("gaussian", "cylinder"):
         raise DomainError("form spectra are available for gaussian and cylinder models")
-    return FormSpectrumCatalog(
+
+    def flat(q: int):
+        m = model.flat_m
+        if not 0 <= q <= m:
+            return []
+        frame = [(Fraction(q, 2), math.comb(m, q), f"dz^({q} of {m})")]
+        return _convolve(frame, _flat_lines(2 * m, lambda_max), lambda_max)
+
+    if model.kind == "gaussian":
+        lines = flat(p)
+    else:
+        scalar = _sphere_lines(lambda_max)
+        one = [
+            (ev, mult, f"sphere (1,0) eigenform l={ell}")
+            for ell, (ev, mult, _) in enumerate(scalar[1:], start=1)
+        ]
+        blocks = _convolve(one, flat(p - 1), lambda_max) + _convolve(scalar, flat(p), lambda_max)
+        # convolving with the unit line merges the blocks' equal eigenvalues
+        lines = _convolve(blocks, [(Fraction(0), 1, "")], lambda_max)
+    return SpectrumCatalog(
         model=model,
-        p=p,
         lines=tuple(SpectralLine(ev, mult, label) for ev, mult, label in lines),
         lambda_max=float(lambda_max),
     )
@@ -357,8 +309,7 @@ def form_count_check(
     """
     lam = ricci_bound(model, norm)
     horizon = mu / 2.0 + p * lam
-    catalog = form_spectrum(model, p, horizon)
-    count = catalog.count(0.0, horizon)
+    count = count_eigenvalues(form_spectrum(model, p, horizon), 0.0, horizon)
     dim = dim_O_forms(model, p, mu)
     return FormCountResult(
         dim=dim,

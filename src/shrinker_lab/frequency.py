@@ -22,8 +22,9 @@ E = sum_j z_j du/dz_j once on the unit directions of a rule and contracts
 their Gram matrices with the radial nodes.  Every factor that is not a
 polynomial in z (|grad b|^2, Laplacian(b), 1/|z|^2, e^{-f}) depends on the
 radius alone, so this is the rule's own sum reordered, and the cross Gram
-entries the closed route drops by symmetry are summed.  Closed forms are the
-default; the quadrature route is selected with method="quadrature".
+entries the closed route drops by symmetry are summed.  Every function that
+takes a `method` (and FrequencyConfig) accepts "closed", the default, or
+"quadrature", and raises DomainError for any other value.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class FrequencyConfig:
     C2: float = 1.0
     R0: float | None = None
     p_vol: int | None = None
-    method: str = "auto"
+    method: str = "closed"
 
     def __post_init__(self):
         if not 0.0 < self.delta < 0.5:
@@ -83,8 +84,7 @@ class FrequencyConfig:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        if self.method not in ("auto", "closed", "quadrature"):
-            raise DomainError(f"unknown evaluation method {self.method!r}")
+        _use_closed(self.method)  # raises DomainError for an unknown method
 
     @property
     def sigma_eff(self) -> float:
@@ -181,8 +181,9 @@ def _weighted_sphere_sum(model: ModelShrinker, u: HoloPoly, rho: float, weight_f
 
 
 def _use_closed(method: str) -> bool:
-    # every catalog model admits the closed moment route; "auto" prefers it
-    return method != "quadrature"
+    if method not in ("closed", "quadrature"):
+        raise DomainError(f"unknown evaluation method {method!r}")
+    return method == "closed"
 
 
 # -- I, D, U -------------------------------------------------------------------
@@ -193,7 +194,7 @@ def I_of_r(
     u: HoloPoly,
     r: float,
     resolution: int = 128,
-    method: str = "auto",
+    method: str = "closed",
 ) -> float:
     """Height function I(r) = r^{1-n} int_{b=r} |u|^2 |grad b|."""
     model.require_regular(r)
@@ -238,7 +239,7 @@ def D_of_r(
     u: HoloPoly,
     r: float,
     resolution: int = 128,
-    method: str = "auto",
+    method: str = "closed",
 ) -> DirichletRecord:
     """Dirichlet energy D(r) in both its bulk and boundary forms."""
     bulk = _dirichlet_bulk(model, u, r, resolution, method)
@@ -258,7 +259,7 @@ def frequency_U(
     u: HoloPoly,
     r: float,
     resolution: int = 128,
-    method: str = "auto",
+    method: str = "closed",
 ) -> float:
     i_val = I_of_r(model, u, r, resolution, method)
     if i_val <= 0.0:
@@ -382,7 +383,7 @@ def i_prime_rhs(
     u: HoloPoly,
     r: float,
     resolution: int = 128,
-    method: str = "auto",
+    method: str = "closed",
 ) -> float:
     """Exact expression for I'(r): boundary flux plus the curvature correction."""
     model.require_regular(r)
@@ -406,7 +407,7 @@ def check_derivative_I(
     r: float,
     h: float | None = None,
     resolution: int = 128,
-    method: str = "auto",
+    method: str = "closed",
 ) -> float:
     """Relative residual of the central difference of I against its derivative formula."""
     if h is None:
@@ -519,10 +520,6 @@ def rho_mu(
 
 
 # -- monotonicity, calibration, doubling -------------------------------------------
-
-
-def monotone_quantity(profile: FrequencyProfile) -> np.ndarray:
-    return profile.monotone_q
 
 
 def check_monotone(profile: FrequencyProfile, slack: float = MONOTONE_SLACK) -> bool:

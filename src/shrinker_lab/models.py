@@ -111,10 +111,6 @@ class ModelShrinker:
         zs = self.check_point(z)
         return self.f_min + 0.25 * float(np.sum(np.abs(zs) ** 2))
 
-    def min_radius(self) -> float:
-        """Infimum of b over the model."""
-        return 2.0 * math.sqrt(self.f_min)
-
     def is_regular(self, r: float) -> bool:
         return r > 0 and r * r > 4.0 * self.sup_S + REGULARITY_MARGIN
 
@@ -129,10 +125,6 @@ class ModelShrinker:
         """Radius of the flat sphere carrying the level set {b = r}."""
         self.require_regular(r)
         return math.sqrt(r * r - 4.0 * self.f_min)
-
-    def grad_b_sq_at(self, r: float) -> float:
-        """|grad b|^2 on the level set {b = r}."""
-        return 1.0 - 4.0 * self.s_const / (r * r)
 
     # -- serialization ---------------------------------------------------------
 

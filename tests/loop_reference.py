@@ -1,30 +1,40 @@
 """Element-by-element reference loops for the discrete oracles and eigenparts.
 
 The package runs its tridiagonal kernels on Python floats, factors the
-backward-Euler matrix once per run and ranks the contraction kernel block by
-block.  The loops below index numpy arrays one element at a time, redo the
-elimination at every step and rank one dense matrix.  They do the same
-floating-point operations in the same order, so the tests require equal
-results, not close ones.
+backward-Euler matrix once per run and ranks the contraction kernel one
+block per support size.  The loops below index numpy arrays one element at a
+time, redo the elimination at every step and rank one dense matrix.  They do
+the same floating-point operations in the same order, so the tests require
+equal results, not close ones.
 
 The package reads each eigenpart of a polynomial off as a homogeneous part;
 `decompose_by_eigenvalue` below finds it by power iteration on the drift
 derivative.  Every catalog eigenvalue is a half-integer, so a kept term's
 step is exactly 1.0 and every other term decays below the pruning threshold
 before the stop test passes: the parts agree term for term.
+
+The package builds form spectra by convolving the scalar lines of the
+spectrum module; `form_spectrum` below keeps the separate (p,0) line
+generators and the merge loop they replaced.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from shrinker_lab.forms import KERNEL_BASIS_GUARD
 from shrinker_lab.holopoly import EigenDecomposition, HoloPoly
 from shrinker_lab.oracle1d import discretize, gaussian_potential
 from shrinker_lab.ratlinalg import integer_rank
-from shrinker_lab.spectrum import analytic_spectrum
+from shrinker_lab.spectrum import _convolve, _flat_lines, _sphere_lines, analytic_spectrum
+
+# Size limits of the dense reference: inputs beyond them return None.
+DENSE_ENTRIES = 1_000_000
+DENSE_UNKNOWNS = 100_000
+_EPS = 1e-9
 
 
 def dense(diag, off):
@@ -153,11 +163,11 @@ def kernel_matrix(m, p, mu):
 def kernel_dimension(m, p, mu):
     """Nullity of the whole contraction matrix, ranked as one dense matrix.
 
-    Returns None where the package's size guard refuses the matrix.
+    Returns None where the matrix exceeds the reference's own size limits.
     """
     n_rows, columns = kernel_matrix(m, p, mu)
     n_cols = len(columns)
-    if n_rows * n_cols > KERNEL_BASIS_GUARD * 10 or n_cols > KERNEL_BASIS_GUARD:
+    if n_rows * n_cols > DENSE_ENTRIES or n_cols > DENSE_UNKNOWNS:
         return None
     rows = [[0] * n_cols for _ in range(n_rows)]
     for c, col in enumerate(columns):
@@ -205,3 +215,50 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
         parts[0.0] = remainder
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)
+
+
+def _flat_form_lines(two_m, p, lambda_max):
+    m = two_m // 2
+    if p > m:
+        return []
+    out = []
+    k = 0
+    while (k + p) / 2 <= lambda_max + _EPS:
+        mult = math.comb(m, p) * math.comb(two_m + k - 1, two_m - 1)
+        out.append((Fraction(k + p, 2), mult, f"degree {k} coefficients on dz^({p} of {m})"))
+        k += 1
+    return out
+
+
+def _sphere_one_form_lines(lambda_max):
+    out = []
+    ell = 1
+    while ell * (ell + 1) / 2 <= lambda_max + _EPS:
+        out.append((Fraction(ell * (ell + 1), 2), 2 * ell + 1, f"sphere (1,0) eigenform l={ell}"))
+        ell += 1
+    return out
+
+
+def form_spectrum(model, p, lambda_max):
+    """(p,0)-form lines (eigenvalue, multiplicity, label) from their own generators.
+
+    Flat lines come from the closed multiplicity C(m, p) C(2m + k - 1, 2m - 1)
+    at (k + p)/2; the cylinder's p = 1 lines merge its two blocks in a loop.
+    """
+    if model.kind == "gaussian":
+        return _flat_form_lines(2 * model.flat_m, p, lambda_max)
+    flat_scalar = _flat_lines(2, lambda_max)
+    sphere_scalar = _sphere_lines(lambda_max)
+    flat_one = _flat_form_lines(2, 1, lambda_max)
+    sphere_one = _sphere_one_form_lines(lambda_max)
+    if p == 0:
+        return _convolve(sphere_scalar, flat_scalar, lambda_max)
+    if p == 2:
+        return _convolve(sphere_one, flat_one, lambda_max)
+    merged = {}
+    for ev, mult, label in _convolve(sphere_one, flat_scalar, lambda_max) + _convolve(
+        sphere_scalar, flat_one, lambda_max
+    ):
+        got = merged.get(ev, (0, []))
+        merged[ev] = (got[0] + mult, got[1] + [label])
+    return [(ev, mult, "; ".join(labels)) for ev, (mult, labels) in sorted(merged.items())]

@@ -147,6 +147,15 @@ def test_forms_command(capsys):
     assert data["reduction_ledger"]["dim_forms"] == 12
 
 
+def test_forms_command_beyond_the_whole_matrix(capsys):
+    # the whole contraction matrix here is 1288 x 1260; its blocks are at most 4 x 6
+    code = main(["forms", "--model", "gaussian", "--m", "4", "--p", "2", "--mu", "6"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["kernel_dim"] == 434
+    assert data["reduction_ledger"]["kernel_dims"] == [434, 826]
+
+
 def test_missing_config_exits_2(capsys):
     code = main(["spectrum", "--config", "/nonexistent/config.json"])
     assert code == 2
@@ -224,12 +233,13 @@ _HEAT = ["heatflow", "--initial", "x^2"]
         (_FREQ + ["--d", "nan"], "--d"),
         (_HEAT + ["--n-grid", "5"], "--n-grid"),
         (_HEAT + ["--n-grid", "15"], "--n-grid"),
+        (_FREQ + ["--rmin", "1"], "--rmin"),
     ],
     ids=[
         "n", "resolution", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps",
         "d-nan", "d-negative", "lambda-max-nan", "lambda-max-negative", "rmin-above-rmax",
         "rmin-equals-rmax", "sigma-negative", "epsilon-zero", "frequency-d-nan", "n-grid-5",
-        "n-grid-15",
+        "n-grid-15", "rmin-irregular",
     ],
 )
 def test_bad_numeric_flag_exits_2(argv, flag, capsys):
@@ -247,8 +257,9 @@ def test_bad_numeric_flag_exits_2(argv, flag, capsys):
         (_FREQ, {"sigma": 0}, "--sigma"),
         (_FREQ, {"epsilon": -0.1}, "--epsilon"),
         (_HEAT, {"n_grid": 8}, "--n-grid"),
+        (_FREQ[:5], {"grid": {"rmin": 1, "rmax": 10}}, "--rmin"),
     ],
-    ids=["d", "lambda-max", "rmin-above-rmax", "sigma", "epsilon", "n-grid"],
+    ids=["d", "lambda-max", "rmin-above-rmax", "sigma", "epsilon", "n-grid", "rmin-irregular"],
 )
 def test_bad_numeric_config_exits_2(command, entries, flag, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ import loop_reference as ref
 import numpy as np
 import pytest
 
+from shrinker_lab import forms
 from shrinker_lab.errors import DomainError, NumericError
 from shrinker_lab.holopoly import HoloPoly, dim_O_d
 from shrinker_lab.models import cylinder, gaussian
@@ -132,16 +133,14 @@ def test_kernel_dimension_m3_cross_check():
 
 
 def test_kernel_blocks_match_dense_rank():
-    # None marks inputs the size guard refuses; the package must refuse them too
+    # None marks inputs beyond the dense reference's size limits; the Koszul count covers all
     for m in range(1, 5):
         for p in range(1, m + 1):
             for mu in range(7):
+                got = kernel_dimension(gaussian(m), p, mu)
+                assert got == _koszul_count(m, p, mu), (m, p, mu)
                 want = ref.kernel_dimension(m, p, mu)
-                if want is None:
-                    with pytest.raises(NumericError):
-                        kernel_dimension(gaussian(m), p, mu)
-                else:
-                    assert kernel_dimension(gaussian(m), p, mu) == want, (m, p, mu)
+                assert want is None or got == want, (m, p, mu)
 
 
 def _koszul_count(m, p, mu):
@@ -156,11 +155,24 @@ def _koszul_count(m, p, mu):
 def test_kernel_dimension_koszul_count():
     assert kernel_dimension(G3, 2, 8) == _koszul_count(3, 2, 8) == 120
     assert kernel_dimension(gaussian(4), 2, 4) == _koszul_count(4, 2, 4) == 125
+    assert kernel_dimension(G3, 1, 60) == _koszul_count(3, 1, 60) == 77470
+    # whole contraction matrices of more than a million entries, ranked by blocks
+    assert kernel_dimension(gaussian(4), 2, 6) == _koszul_count(4, 2, 6)
+    assert kernel_dimension(G2, 1, 10**6) == _koszul_count(2, 1, 10**6)
 
 
-def test_kernel_guard_refuses_before_enumerating():
-    with pytest.raises(NumericError, match="too large"):
-        kernel_dimension(G2, 1, 10**6)
+def test_kernel_guard_refuses_before_enumerating(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block was built")
+
+    monkeypatch.setattr(forms, "combinations", no_blocks)
+    monkeypatch.setattr(forms, "integer_rank", no_blocks)
+    # one top block of 1287 x 1716 at (m, p) = (13, 6)
+    with pytest.raises(NumericError, match="1287 x 1716"):
+        kernel_dimension(gaussian(13), 6, 7)
+    # single-row blocks, but a million of them
+    with pytest.raises(NumericError, match="1000000 blocks"):
+        kernel_dimension(gaussian(10**6), 1, 10**6)
 
 
 def test_integer_rank_basics():
@@ -185,7 +197,18 @@ def test_form_spectrum_gaussian():
 def test_form_spectrum_cylinder_min():
     for p in (1, 2):
         cat = form_spectrum(cylinder(), p, 3.0)
-        assert cat.min_eigenvalue() >= 0.5 - 1e-12
+        assert cat.lines[0].eigenvalue >= 0.5 - 1e-12
+
+
+@pytest.mark.parametrize("model", [G1, G2, G3, cylinder()], ids=["g1", "g2", "g3", "cylinder"])
+def test_form_spectrum_matches_line_generators(model):
+    # every p and lambda_max = 0, 0.25, ..., 6: the same eigenvalues and multiplicities
+    for p in range(model.m + 1):
+        for k in range(25):
+            lam = k / 4
+            got = [(l.eigenvalue, l.multiplicity) for l in form_spectrum(model, p, lam).lines]
+            want = [(ev, mult) for ev, mult, _ in ref.form_spectrum(model, p, lam)]
+            assert got == want, (p, lam)
 
 
 def test_form_count_gaussian_examples():

@@ -24,6 +24,7 @@ from shrinker_lab.frequency import (
     doubling_and_three_circle,
     frequency_U,
     frequency_profile,
+    i_prime_rhs,
     mu_constant,
     rho_mu,
 )
@@ -240,6 +241,12 @@ def test_config_validation():
         FrequencyConfig(sigma=-1.0)
     with pytest.raises(DomainError):
         FrequencyConfig(method="magic")
+    # every public function that takes a method rejects a typo instead of running a route
+    for call in (I_of_r, D_of_r, frequency_U, i_prime_rhs, check_derivative_I):
+        with pytest.raises(DomainError, match="unknown evaluation method"):
+            call(G1, Z, 3.0, method="quadratur")
+    with pytest.raises(DomainError):
+        FrequencyConfig(method="auto")
 
 
 def test_profile_rows_roundtrip():
