@@ -73,7 +73,7 @@ from .forms import (
     form_count_check,
     form_reduction_ledger,
 )
-from .oracle1d import DiscretizedOperator, Potential1D, gaussian_potential, oracle_spectrum_1d
+from .oracle1d import DiscretizedOperator, oracle_spectrum_1d
 from .report import CheckResult, VerificationReport, verify_all
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import fheat, forms, frequency, report, spectrum
-from .errors import ConfigError, ShrinkerLabError
+from .errors import ConfigError, NumericError, ShrinkerLabError
 from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
@@ -79,6 +79,17 @@ def parse_poly_string(text: str, m: int | None = None) -> HoloPoly:
     return HoloPoly(n_vars, terms)
 
 
+def _read_poly(flag: str, src, m: int) -> HoloPoly:
+    """A polynomial from a flag or config entry: a literal string or a JSON object."""
+    try:
+        if isinstance(src, dict):
+            return HoloPoly.from_json_dict(src)
+        return parse_poly_string(str(src), m)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers malformed JSON, ConfigError and DomainError
+        raise ConfigError(f"{flag} is not a valid polynomial ({type(exc).__name__}: {exc})") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -94,13 +105,13 @@ def _load_config(path: str | None) -> dict:
     return data
 
 
-def _resolve_model(args, config: dict, default_kind: str = "gaussian") -> ModelShrinker:
+def _resolve_model(args, config: dict) -> ModelShrinker:
     if "model" in config and getattr(args, "model", None) is None:
         spec_dict = config["model"]
         if not isinstance(spec_dict, dict):
             raise ConfigError("config entry /model must be an object")
         return ModelShrinker.from_dict(spec_dict)
-    kind = getattr(args, "model", None) or default_kind
+    kind = getattr(args, "model", None) or "gaussian"
     if kind == "gaussian":
         return gaussian(_resolve_m(args, config))
     if kind == "cylinder":
@@ -175,10 +186,7 @@ def _cmd_frequency(args) -> int:
     poly_src = args.poly or config.get("poly")
     if poly_src is None:
         raise ConfigError("frequency needs a polynomial (--poly or config /poly)")
-    if isinstance(poly_src, dict):
-        u = HoloPoly.from_json_dict(poly_src)
-    else:
-        u = parse_poly_string(str(poly_src), model.flat_m)
+    u = _read_poly("--poly (config /poly)", poly_src, model.flat_m)
     if u.m != model.flat_m:
         raise ConfigError(
             f"polynomial has {u.m} variables, model carries {model.flat_m} (/poly)"
@@ -244,11 +252,15 @@ def _cmd_heatflow(args) -> int:
     initial = args.initial or config.get("initial")
     if initial is None:
         raise ConfigError("heatflow needs initial data (--initial or config /initial)")
-    u = parse_poly_string(str(initial), 1)
-    deg = max(u.degree, 0)
-    coeffs = np.zeros(deg + 1)
-    for alpha, c in u.terms.items():
-        coeffs[alpha[0]] = c.real
+    flag = "--initial (config /initial)"
+    u = _read_poly(flag, initial, 1)
+    if u.m != 1:
+        raise ConfigError(f"{flag} must be a polynomial in one variable, got {u.m} variables")
+    if any(c.imag != 0.0 for c in u.terms.values()):
+        raise ConfigError(f"{flag} must have real coefficients")
+    coeffs = np.zeros(max(u.degree, 0) + 1)
+    for (k,), c in u.terms.items():
+        coeffs[k] = c.real
     s1 = args.s if args.s is not None else config.get("s", 1.0)
     s1 = _finite("--s (config /s)", s1, positive=True)
     n_grid = args.n_grid if args.n_grid is not None else config.get("n_grid", 800)
@@ -267,10 +279,9 @@ def _cmd_heatflow(args) -> int:
     series = fheat.evolve_series(sol, s1, x)
     err = fheat.weighted_l2_distance(numeric, series, x=x)
     payload = {
-        "initial": str(initial),
+        "initial": initial,
         "s": s1,
         "coefficients": {str(lam): a for lam, a in sorted(sol.coefficients.items())},
-        "tail_energy": sol.tail_energy,
         "l2_error_series_vs_oracle": err,
         "n_grid": n_grid,
         "n_steps": n_steps,
@@ -303,6 +314,10 @@ def _cmd_forms(args) -> int:
             payload["kernel_integral"] = forms.form_integral_identity_check(model, omega)
         _emit(_json_dump(payload), args.out)
         return 0
+    if model.kind not in ("gaussian", "cylinder"):
+        raise ConfigError(
+            f"form counting needs a gaussian or cylinder model (config /model), got kind {model.kind!r}"
+        )
     p = args.p if args.p is not None else config.get("p", 1)
     if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= model.m:
         raise ConfigError(f"--p (config /p) must be an integer in 0..{model.m}, got {p!r}")
@@ -311,18 +326,16 @@ def _cmd_forms(args) -> int:
     if mu > _MU_MAX:
         raise ConfigError(f"--mu (config /mu) must be a finite number <= {_MU_MAX}, got {mu!r}")
     norm = args.ricci_norm or config.get("ricci_norm", "operator")
-    rec_a = forms.form_count_check(model, p, mu, norm=norm)
-    payload = {
-        "model": model.to_dict(),
-        "p": p,
-        "mu": mu,
-        "ricci_norm": norm,
-        "count_bound": rec_a.to_dict(),
-        "dim_forms": forms.dim_O_forms(model, p, mu),
-    }
+    payload = {"model": model.to_dict(), "p": p, "mu": mu, "ricci_norm": norm}
     if p >= 1:
-        payload["kernel_dim"] = forms.kernel_dimension(model, p, int(mu))
-        payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, int(mu)).to_dict()
+        try:
+            payload["kernel_dim"] = forms.kernel_dimension(model, p, int(mu))
+            payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, int(mu)).to_dict()
+        except NumericError as exc:  # the kernel size guard, raised before any block is built
+            raise ConfigError(f"--m, --p and --mu (config /m, /p, /mu) are too large: {exc}") from exc
+    rec_a = forms.form_count_check(model, p, mu, norm=norm)
+    payload["count_bound"] = rec_a.to_dict()
+    payload["dim_forms"] = forms.dim_O_forms(model, p, mu)
     _emit(_json_dump(payload), args.out)
     return 0 if rec_a.passed else 1
 

@@ -14,6 +14,10 @@ import numpy as np
 
 from .errors import NumericError
 
+# bisection stops when the bracket is below this times the Gershgorin span
+BISECTION_TOL = 1e-12
+MAX_BISECTIONS = 200
+
 
 def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
     """Number of eigenvalues of the tridiagonal matrix strictly below x.
@@ -32,13 +36,7 @@ def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
     return count
 
 
-def tridiagonal_eigenvalues(
-    diag: np.ndarray,
-    off: np.ndarray,
-    k: int,
-    tol: float = 1e-12,
-    max_bisections: int = 200,
-) -> np.ndarray:
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
     """The k smallest eigenvalues of a symmetric tridiagonal matrix.
 
     Bisection on Sturm-sequence counts; robust for clustered spectra and
@@ -63,13 +61,13 @@ def tridiagonal_eigenvalues(
     out = np.empty(k)
     for j in range(k):
         a, b = lo, hi
-        for _ in range(max_bisections):
+        for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (a + b)
             if _sturm_count(diag_list, e2, mid) >= j + 1:
                 b = mid
             else:
                 a = mid
-            if b - a <= tol * span:
+            if b - a <= BISECTION_TOL * span:
                 break
         else:
             raise NumericError(

@@ -26,6 +26,3 @@ class NumericError(ShrinkerLabError, RuntimeError):
 class ConfigError(ShrinkerLabError, ValueError):
     """Malformed configuration input; message locates the offending entry."""
 
-
-class TruncationWarning(UserWarning):
-    """A spectral projection dropped more tail energy than the reporting threshold."""

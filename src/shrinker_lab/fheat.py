@@ -2,10 +2,11 @@
 
 The weight e^{-x^2/4} has a monic polynomial eigenbasis p_k (p_0 = 1,
 p_1 = x, p_{k+1} = x p_k - 2k p_{k-1}) with  p_k'' - (x/2) p_k' = -(k/2) p_k
-and squared norm 2^{k+1} k! sqrt(pi).  Series solutions evolve each
+and squared norm 2^{k+1} k! sqrt(pi).  Initial data are polynomials, so their
+expansion in this basis is finite and exact.  Series solutions evolve each
 coefficient by e^{-k s / 2}; the backward-Euler oracle advances the
-discretized operator instead and is compared against the series in the
-weighted L^2 norm.
+discretized operator of the oracle1d module instead and is compared against
+the series in the weighted L^2 norm.
 
 Heat polynomials (polynomial solutions of the plain heat equation) transform
 to eternal drift-heat solutions through the soliton flow x -> x e^{-s/2},
@@ -16,17 +17,18 @@ coefficients, so residuals vanish identically for dyadic inputs.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, TruncationWarning
-from .oracle1d import Potential1D, discretize, gaussian_potential
+from .errors import DomainError
+from .oracle1d import discretize, flat_weight
 from .eigensolve import thomas_factor, thomas_substitute
 
-TAIL_ENERGY_THRESHOLD = 1e-8
+# drift times and positions at which ancient_transform_check evaluates its residual
+TRANSFORM_S_SAMPLES = (-1.0, 0.0, 0.5, 2.0)
+TRANSFORM_X_SAMPLES = np.linspace(-6.0, 6.0, 121)
 
 
 # -- the monic eigenbasis ------------------------------------------------------
@@ -72,9 +74,6 @@ class HeatSolution:
     """Finite eigen-expansion sum_k a_k e^{-k s/2} p_k(x) in the monic basis."""
 
     coefficients: dict[float, float]
-    s_domain: tuple[float, float] = (-math.inf, math.inf)
-    tail_energy: float = 0.0
-    potential: Potential1D = field(default_factory=gaussian_potential)
 
     def norm_sq(self, s: float = 0.0) -> float:
         return sum(
@@ -83,70 +82,27 @@ class HeatSolution:
         )
 
 
-def project_to_eigenbasis(
-    u0: np.ndarray | Callable[[np.ndarray], np.ndarray],
-    lambda_max: float = math.inf,
-    potential: Potential1D | None = None,
-    X: float = 14.0,
-    n_quad: int = 800,
-) -> HeatSolution:
-    """Expand initial data in the analytic eigenbasis, truncated at lambda_max.
+def project_to_eigenbasis(u0: np.ndarray) -> HeatSolution:
+    """Expand polynomial initial data (ascending coefficients) in the eigenbasis.
 
-    Polynomial input (ascending coefficients) is reduced exactly top-down
-    against the monic basis; sampled input is projected with Gauss-Legendre
-    quadrature inner products against the weight.  Tail energy beyond the
-    truncation is reported and warned about above the reporting threshold.
+    The reduction runs top-down against the monic basis and is exact: the
+    leading coefficient of the remainder is the weight of its top basis
+    polynomial.
     """
-    if potential is None:
-        potential = gaussian_potential()
-    if potential.label != "gaussian":
-        raise DomainError("the analytic eigenbasis is available for the flat-line weight only")
     coeffs: dict[float, float] = {}
-    tail = 0.0
-    if callable(u0):
-        x, w = np.polynomial.legendre.leggauss(n_quad)
-        x = X * x
-        w = X * w * potential.weight(x)
-        vals = np.asarray(u0(x), dtype=float)
-        total = float(np.sum(w * vals * vals))
-        k = 0
-        captured = 0.0
-        # basis cap: beyond k ~ 80 the squared norms overflow doubles and the
-        # quadrature grid stops resolving the polynomials anyway
-        while k / 2 <= lambda_max and k <= 80:
-            pk = np.polynomial.polynomial.polyval(x, hermite_monic(k))
-            a = float(np.sum(w * vals * pk)) / hermite_norm_sq(k)
-            if abs(a) > 1e-13 * max(1.0, abs(vals).max()):
-                coeffs[k / 2] = a
-            captured += a * a * hermite_norm_sq(k)
-            k += 1
-        tail = max(total - captured, 0.0)
-    else:
-        rem = np.array(u0, dtype=float)
-        for k in range(rem.size - 1, -1, -1):
-            if abs(rem[k]) < 1e-300:
-                continue
-            a = rem[k]  # monic basis: leading coefficient is the expansion weight
-            if k / 2 <= lambda_max:
-                coeffs[k / 2] = coeffs.get(k / 2, 0.0) + a
-            else:
-                tail += a * a * hermite_norm_sq(k)
-            pk = hermite_monic(k)
-            rem[: pk.size] -= a * pk
-    if tail > TAIL_ENERGY_THRESHOLD:
-        warnings.warn(
-            f"projection dropped tail energy {tail:.3e} beyond lambda_max={lambda_max}",
-            TruncationWarning,
-        )
-    coeffs = {lam: a for lam, a in coeffs.items() if a != 0.0}
-    return HeatSolution(coefficients=coeffs, tail_energy=tail, potential=potential)
+    rem = np.array(u0, dtype=float)
+    for k in range(rem.size - 1, -1, -1):
+        a = rem[k]
+        if abs(a) < 1e-300:
+            continue
+        coeffs[k / 2] = a
+        pk = hermite_monic(k)
+        rem[: pk.size] -= a * pk
+    return HeatSolution(coefficients=coeffs)
 
 
 def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
     """Evaluate the series solution at drift-time s and positions x."""
-    lo, hi = sol.s_domain
-    if not lo <= s <= hi:
-        raise DomainError(f"s={s} outside the solution domain {sol.s_domain}")
     xs = np.asarray(x, dtype=float)
     acc = np.zeros_like(xs, dtype=float)
     for lam, a in sol.coefficients.items():
@@ -161,17 +117,17 @@ def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
 
 
 def timestep_oracle(
-    u0: np.ndarray | Callable[[np.ndarray], np.ndarray],
+    u0: Callable[[np.ndarray], np.ndarray],
     s0: float,
     s1: float,
     N_grid: int = 800,
     N_steps: int = 200,
-    potential: Potential1D | None = None,
     X: float = 12.0,
     extrapolate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward-Euler evolution of the discretized drift heat equation.
 
+    The initial data u0 is a function, evaluated on the interior grid.
     Returns the full grid and the solution samples at s1 (Dirichlet zeros at
     the truncation boundary).  extrapolate=True combines runs at N_steps and
     N_steps/2 to cancel the leading first-order time error while every
@@ -179,13 +135,9 @@ def timestep_oracle(
     """
     if s1 <= s0:
         raise DomainError(f"need s1 > s0, got [{s0}, {s1}]")
-    if potential is None:
-        potential = gaussian_potential()
-    op = discretize(potential, X, N_grid)
+    op = discretize(X, N_grid)
     x = op.grid
-    vals0 = np.asarray(u0(x[1:-1]) if callable(u0) else u0, dtype=float)
-    if vals0.shape != x[1:-1].shape:
-        raise DomainError("initial samples must match the interior grid")
+    vals0 = np.asarray(u0(x[1:-1]), dtype=float)
 
     stiff_diag = op.diag * op.weight  # undo the mass normalization: A = M^{1/2} B M^{1/2}
     stiff_off = op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
@@ -209,16 +161,10 @@ def timestep_oracle(
     return x, full
 
 
-def weighted_l2_distance(
-    a: np.ndarray, b: np.ndarray, potential: Potential1D | None = None, x: np.ndarray | None = None
-) -> float:
-    """Discrete L^2(e^{-f}) distance between two grid functions."""
-    if potential is None:
-        potential = gaussian_potential()
-    if x is None:
-        raise DomainError("grid required")
+def weighted_l2_distance(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> float:
+    """Discrete L^2(e^{-x^2/4}) distance between two functions on the uniform grid x."""
     h = x[1] - x[0]
-    w = h * potential.weight(x)
+    w = h * flat_weight(x)
     diff = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
     return float(math.sqrt(np.sum(w * diff * diff)))
 
@@ -253,9 +199,6 @@ class HeatPolynomial:
                 key = (j - 2, k)
                 res[key] = res.get(key, 0.0) - c * j * (j - 1)
         return max((abs(v) for v in res.values()), default=0.0)
-
-    def __call__(self, x: float, t: float) -> float:
-        return sum(c * x**j * t**k for (j, k), c in self.terms.items())
 
 
 def transform_to_eternal(u: HeatPolynomial) -> dict[float, np.ndarray]:
@@ -295,28 +238,23 @@ def eternal_to_caloric(parts: dict[float, np.ndarray]) -> HeatPolynomial:
     return HeatPolynomial(terms)
 
 
-def ancient_transform_check(
-    u: HeatPolynomial,
-    s_samples=(-1.0, 0.0, 0.5, 2.0),
-    x_samples: np.ndarray | None = None,
-) -> float:
+def ancient_transform_check(u: HeatPolynomial) -> float:
     """Max residual of the drift heat equation for the transformed solution.
 
     The input must solve the plain heat equation (checked on coefficients).
     Each decay component must then be a drift eigenfunction; the residual of
-    that identity is evaluated at the given drift times and positions and is
+    that identity is evaluated at the sample drift times and positions and is
     exactly zero for dyadic caloric inputs.
     """
     if u.caloric_residual() > 1e-12:
         raise DomainError("input polynomial does not solve the heat equation")
-    if x_samples is None:
-        x_samples = np.linspace(-6.0, 6.0, 121)
     parts = transform_to_eternal(u)
     residual_polys = {lam: drift_apply_1d(arr) + lam * arr for lam, arr in parts.items()}
     worst = 0.0
-    for s in s_samples:
-        total = np.zeros_like(x_samples)
+    xs = TRANSFORM_X_SAMPLES
+    for s in TRANSFORM_S_SAMPLES:
+        total = np.zeros_like(xs)
         for lam, rp in residual_polys.items():
-            total = total + math.exp(-lam * s) * np.polynomial.polynomial.polyval(x_samples, rp)
+            total = total + math.exp(-lam * s) * np.polynomial.polynomial.polyval(xs, rp)
         worst = max(worst, float(np.abs(total).max()))
     return worst

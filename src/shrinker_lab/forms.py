@@ -335,13 +335,12 @@ def form_integral_identity_check(
     omega: HoloForm,
     Lambda: float | None = None,
     resolution: int = 256,
-    tol: float = 1e-8,
 ) -> float:
     """Weighted-volume integral that must be nonpositive for contraction-kernel forms.
 
     Evaluates int |omega|^2 (f - n/2 - mu - 2 p Lambda) e^{-f} dv by
     quadrature, raises if the precondition i_X omega = 0 fails, and raises if
-    the value is positive beyond tol relative to the weighted norm.
+    the value is positive beyond 1e-8 relative to the weighted norm.
     """
     _check_model_form(model, omega)
     contracted = interior_product(model, omega)
@@ -359,7 +358,7 @@ def form_integral_identity_check(
     f_vals = model.f_min + 0.25 * rule.radii**2
     value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam)
     scale = rule.integrate(norms) * (model.n / 2.0 + mu + 2.0 * omega.p * lam)
-    if value > tol * max(1.0, scale):
+    if value > 1e-8 * max(1.0, scale):
         raise NumericError(f"kernel-form integral is positive: {value:.3e}")
     return value
 

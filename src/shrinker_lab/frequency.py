@@ -69,17 +69,12 @@ def mu_constant(d: float, p: float) -> float:
 class FrequencyConfig:
     resolution: int = 128
     sigma: float = 0.5
-    delta: float = 0.25
     epsilon: float = 0.01
     C1: float = 1.0
     C2: float = 1.0
-    R0: float | None = None
-    p_vol: int | None = None
     method: str = "closed"
 
     def __post_init__(self):
-        if not 0.0 < self.delta < 0.5:
-            raise DomainError(f"delta must lie in (0, 1/2), got {self.delta}")
         if self.sigma <= 0:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.epsilon <= 0:
@@ -91,19 +86,6 @@ class FrequencyConfig:
         # The monotone combination is used on the sigma <= 1/2 branch, where
         # both decay exponents collapse to sigma.
         return min(self.sigma, 0.5)
-
-    def for_model(self, model: ModelShrinker, d: float) -> "ResolvedConfig":
-        p = self.p_vol if self.p_vol is not None else model.n
-        r0 = self.R0 if self.R0 is not None else default_R0(model)
-        return ResolvedConfig(base=self, p=p, R0=r0, mu=mu_constant(d, p))
-
-
-@dataclass(frozen=True)
-class ResolvedConfig:
-    base: FrequencyConfig
-    p: int
-    R0: float
-    mu: float
 
 
 # -- direction sums of the fields of u ------------------------------------------
@@ -290,10 +272,12 @@ def eta_integral(r: float, config: FrequencyConfig, mu: float, lo: float = 0.0) 
 
 @dataclass
 class FrequencyProfile:
-    """Sampled frequency data of one holomorphic function on a radius grid."""
+    """Sampled frequency data of one holomorphic function on a radius grid.
 
-    model: ModelShrinker
-    u: HoloPoly
+    Built by frequency_profile, which checks that the radii increase and that
+    I is positive on them.
+    """
+
     d: float
     radii: np.ndarray
     I: np.ndarray
@@ -303,12 +287,6 @@ class FrequencyProfile:
     monotone_q: np.ndarray
     config: FrequencyConfig
     mu: float
-
-    def __post_init__(self):
-        if np.any(np.diff(self.radii) <= 0):
-            raise DomainError("profile radii must be strictly increasing")
-        if np.any(self.I <= 0):
-            raise DomainError("I(r) must be positive on the grid (u is not identically zero)")
 
     def to_rows(self) -> list[dict]:
         return [
@@ -336,7 +314,7 @@ def frequency_profile(
     rr = np.asarray(radii, dtype=float)
     if np.any(np.diff(rr) <= 0):
         raise DomainError("profile radii must be strictly increasing")
-    resolved = config.for_model(model, d)
+    mu = mu_constant(d, model.n)
     res = config.resolution
     if _use_closed(config.method):
         i_vals = np.array([I_of_r(model, u, r, res, config.method) for r in rr])
@@ -355,14 +333,12 @@ def frequency_profile(
     eta_vals = np.empty_like(rr)
     prev_r, acc = 0.0, 0.0
     for i, r in enumerate(rr):
-        acc += eta_integral(r, config, resolved.mu, lo=prev_r)
+        acc += eta_integral(r, config, mu, lo=prev_r)
         eta_vals[i] = acc
         prev_r = r
     damping = np.exp(-config.C1 / (sig * rr**sig))
     q = u_vals * damping + eta_vals
     return FrequencyProfile(
-        model=model,
-        u=u,
         d=d,
         radii=rr,
         I=i_vals,
@@ -371,7 +347,7 @@ def frequency_profile(
         eta=eta_vals,
         monotone_q=q,
         config=config,
-        mu=resolved.mu,
+        mu=mu,
     )
 
 
@@ -493,30 +469,23 @@ class RhoMuRecord:
     passed: bool
 
 
-def rho_mu(
-    model: ModelShrinker,
-    u: HoloPoly,
-    d: float,
-    r: float,
-    config: FrequencyConfig | None = None,
-) -> RhoMuRecord:
+def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, r: float) -> RhoMuRecord:
     """Ratio of level energies of the derivative pair (u, <grad u, grad f>).
 
     The derivative function is computed symbolically; the ratio is bounded by
-    mu = e^{2p+6} d^2 with the volume-growth power p, after clamping d below
-    by 1 as the bound requires.
+    mu = e^{2p+6} d^2 with the volume-growth power p = n, after clamping d
+    below by 1 as the bound requires.
     """
     if u.is_zero():
         raise DomainError("rho is undefined for the zero function")
-    config = config or FrequencyConfig()
-    resolved = config.for_model(model, d)
+    mu = mu_constant(d, model.n)
     model.require_regular(r)
     rho_flat = model.flat_radius(r)
     u1 = lie_derivative_nabla_f(model, u)
     num = _diagonal_moments(model, u1, rho_flat, "sphere")
     den = _diagonal_moments(model, u, rho_flat, "sphere")
     ratio = num / den
-    return RhoMuRecord(rho=ratio, mu=resolved.mu, passed=ratio <= resolved.mu)
+    return RhoMuRecord(rho=ratio, mu=mu, passed=ratio <= mu)
 
 
 # -- monotonicity, calibration, doubling -------------------------------------------
@@ -525,31 +494,22 @@ def rho_mu(
 def check_monotone(profile: FrequencyProfile, slack: float = MONOTONE_SLACK) -> bool:
     """True when the combined quantity never drops by more than the slack."""
     q = profile.monotone_q
-    if np.any(np.diff(profile.radii) <= 0):
-        raise DomainError("profile radii are not increasing")
     drops = np.diff(q) + slack * (1.0 + np.abs(q[:-1]))
     return bool(np.all(drops >= 0.0))
 
 
-def calibrate_constants(
-    model: ModelShrinker,
-    u: HoloPoly,
-    d: float,
-    pre_grid,
-    config: FrequencyConfig | None = None,
-    safety: float = 1.5,
-    floor: float = 0.5,
-) -> FrequencyConfig:
+def calibrate_constants(model: ModelShrinker, u: HoloPoly, d: float, pre_grid) -> FrequencyConfig:
     """Fit C1, C2 on a calibration grid so the U' lower bound holds with margin.
 
     The decay inequality U' >= -C1 r^{-1-sigma} U - C2 sqrt(mu) r^{-1-sigma}
     involves constants the theory leaves implicit; we measure the worst
     downward slope of U on the calibration grid, split the requirement evenly
-    between the two terms, and inflate by the safety factor.  Verification is
-    then done on a disjoint holdout grid.
+    between the two terms, and inflate by the safety factor 1.5, with 0.5 as
+    the floor of each constant.  Verification is then done on a disjoint
+    holdout grid.
     """
-    config = config or FrequencyConfig()
-    resolved = config.for_model(model, d)
+    config = FrequencyConfig()
+    mu = mu_constant(d, model.n)
     sig = config.sigma_eff
     need_c1, need_c2 = 0.0, 0.0
     for r in np.asarray(pre_grid, dtype=float):
@@ -562,8 +522,8 @@ def calibrate_constants(
         if need == 0.0:
             continue
         need_c1 = max(need_c1, need * r ** (1.0 + sig) / (2.0 * u_mid))
-        need_c2 = max(need_c2, need * r ** (1.0 + sig) / (2.0 * math.sqrt(resolved.mu)))
-    return replace(config, C1=max(floor, safety * need_c1), C2=max(floor, safety * need_c2))
+        need_c2 = max(need_c2, need * r ** (1.0 + sig) / (2.0 * math.sqrt(mu)))
+    return replace(config, C1=max(0.5, 1.5 * need_c1), C2=max(0.5, 1.5 * need_c2))
 
 
 @dataclass(frozen=True)
@@ -643,8 +603,8 @@ def shell_energy_ledger(
     with C the constant measured by the defect recursion (zero on these models).
     """
     config = config or FrequencyConfig()
-    resolved = config.for_model(model, d)
-    r0 = R0 if R0 is not None else resolved.R0
+    mu = mu_constant(d, model.n)
+    r0 = R0 if R0 is not None else default_R0(model)
     d_eff = max(d, 1.0)
     lam = 1.0 + 2.0 / d_eff
     radii = [r0 * lam**i for i in range(4)]
@@ -661,7 +621,7 @@ def shell_energy_ledger(
         return rule.integrate(fields.u_sq, s_sq / (4.0 * model.f_min + s_sq))
 
     j1, j2, j3 = (shell(rule) for rule in shells)
-    exponent = model.n + 2.0 * (d_eff + config.epsilon * math.sqrt(resolved.mu))
+    exponent = model.n + 2.0 * (d_eff + config.epsilon * math.sqrt(mu))
     log_term = exponent * math.log(lam)
     big = math.exp(log_term) if log_term < 700 else math.inf
     factor = 1.0 + big + lam ** (c_constant - model.n)

@@ -63,12 +63,6 @@ class HoloPoly:
         return HoloPoly(m, {tuple(alpha): coef})
 
     @staticmethod
-    def variable(m: int, j: int) -> "HoloPoly":
-        alpha = [0] * m
-        alpha[j] = 1
-        return HoloPoly(m, {tuple(alpha): 1.0})
-
-    @staticmethod
     def from_json_dict(data: Mapping) -> "HoloPoly":
         """Parse the JSON literal {"m": 2, "terms": [{"alpha": [2,0], "re": 1.0, "im": 0.0}]}."""
         terms: dict[tuple[int, ...], complex] = {}
@@ -122,16 +116,6 @@ class HoloPoly:
     def __sub__(self, other: "HoloPoly") -> "HoloPoly":
         return self + other.scale(-1.0)
 
-    def __mul__(self, other: "HoloPoly") -> "HoloPoly":
-        if self.m != other.m:
-            raise DomainError(f"variable counts differ: {self.m} vs {other.m}")
-        prod: dict[tuple[int, ...], complex] = {}
-        for a, ca in self.terms.items():
-            for b, cb in other.terms.items():
-                key = tuple(x + y for x, y in zip(a, b))
-                prod[key] = prod.get(key, 0.0) + ca * cb
-        return HoloPoly(self.m, prod)
-
     def scale(self, factor: complex) -> "HoloPoly":
         return HoloPoly(self.m, {a: factor * c for a, c in self.terms.items()})
 
@@ -164,11 +148,6 @@ class HoloPoly:
         for alpha, c in self.terms.items():
             parts.setdefault(sum(alpha), {})[alpha] = c
         return {k: HoloPoly(self.m, terms) for k, terms in parts.items()}
-
-    # -- evaluation --------------------------------------------------------
-
-    def __call__(self, z) -> complex | np.ndarray:
-        return evaluate(self, z)
 
 
 def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
@@ -255,26 +234,23 @@ class EigenDecomposition:
         return total
 
 
-def decompose_by_eigenvalue(
-    model,
-    u: HoloPoly,
-    d: float,
-    tol: float = 1e-12,
-) -> EigenDecomposition:
+# Terms of the remainder at or below this times the coefficient scale are dropped.
+DECOMPOSE_TOL = 1e-12
+
+
+def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
     """Split u into eigenfunctions of the drift Lie derivative.
 
     The drift derivative is half the Euler operator, so z^alpha is an
     eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at lam is
     its homogeneous part of degree 2 lam.  The catalog eigenvalues <= d/2 are
     visited in descending order; at each one the terms of degree 2 lam above
-    tol times the coefficient scale form the part, which is subtracted from
+    DECOMPOSE_TOL times the coefficient scale form the part, which is subtracted from
     the remainder.  A level that is not a half-integer has no such terms.
     The final remainder is the constant (eigenvalue 0) part.
     """
     if u.degree > d:
         raise DomainError(f"degree {u.degree} exceeds growth bound d={d}")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     from .spectrum import analytic_spectrum  # local import to avoid a cycle
 
     if u.m != model.flat_m:
@@ -286,8 +262,9 @@ def decompose_by_eigenvalue(
     parts: dict[float, HoloPoly] = {}
     remainder = u
     scale = max(u.coeff_norm(), 1.0)
+    tol = DECOMPOSE_TOL * scale
     for lam in levels:
-        if remainder.is_zero(tol * scale):
+        if remainder.is_zero(tol):
             break
         if lam == 0.0:
             break
@@ -296,13 +273,13 @@ def decompose_by_eigenvalue(
             {
                 a: c
                 for a, c in remainder.terms.items()
-                if sum(a) == 2.0 * lam and abs(c) > tol * scale
+                if sum(a) == 2.0 * lam and abs(c) > tol
             },
         )
         if not part.is_zero():
             parts[lam] = part
             remainder = remainder - part
-    if not remainder.is_zero(tol * scale):
+    if not remainder.is_zero(tol):
         parts[0.0] = remainder
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)

@@ -209,13 +209,11 @@ class ProductRule:
     ``mass`` is (sum W_i)(sum w_k), summed in long double.
     """
 
-    r: float
     radii: np.ndarray
     radial_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     mass: np.longdouble
-    resolution: int
 
     def sphere_integrals(self, a: np.ndarray, a_degrees, b: np.ndarray, b_degrees) -> np.ndarray:
         """Coefficients c with Re sum_k w_k a(s theta_k) conj(b(s theta_k)) = sum_d c_d s^d.
@@ -238,18 +236,14 @@ class ProductRule:
         return float(np.sum(self.radial_weights * radial * sums))
 
 
-def _product_rule(
-    r: float, radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int, resolution: int
-) -> ProductRule:
+def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int) -> ProductRule:
     nodes, weights, direction_mass = _unit_sphere_rule(m, n_u, n_phi)
     return ProductRule(
-        r=r,
         radii=radii.astype(float),
         radial_weights=radial_weights.astype(float),
         nodes=nodes,
         weights=weights,
         mass=radial_weights.sum() * direction_mass,
-        resolution=resolution,
     )
 
 
@@ -262,7 +256,7 @@ def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> Pro
     m = model.flat_m
     rho = np.array([model.flat_radius(r)], dtype=_LD)
     radial = _LD(model.compact_area) * rho ** (2 * m - 1)
-    return _product_rule(r, rho, radial, m, *_level_counts(m, resolution), resolution)
+    return _product_rule(rho, radial, m, *_level_counts(m, resolution))
 
 
 @lru_cache(maxsize=48)
@@ -270,7 +264,7 @@ def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductR
     """Quadrature on the sublevel set {b < r}; its mass is the volume."""
     model.require_regular(r)
     rho = model.flat_radius(r)
-    return _radial_shell(model, 0.0, rho, r, resolution)
+    return _radial_shell(model, 0.0, rho, resolution)
 
 
 @lru_cache(maxsize=48)
@@ -282,34 +276,34 @@ def shell_quadrature(
     model.require_regular(r_hi)
     if r_hi <= r_lo:
         raise ValueError(f"empty shell: {r_lo} >= {r_hi}")
-    return _radial_shell(model, model.flat_radius(r_lo), model.flat_radius(r_hi), r_hi, resolution)
+    return _radial_shell(model, model.flat_radius(r_lo), model.flat_radius(r_hi), resolution)
 
 
-def _radial_shell(
-    model: ModelShrinker, s_lo: float, s_hi: float, r: float, resolution: int
-) -> ProductRule:
+def _radial_shell(model: ModelShrinker, s_lo: float, s_hi: float, resolution: int) -> ProductRule:
     m = model.flat_m
     n_rad, n_u, n_phi = _ball_counts(m, resolution)
     s, w_s = _gl(n_rad, s_lo, s_hi)
     radial = w_s * s ** (2 * m - 1) * _LD(model.compact_area)
-    return _product_rule(r, s, radial, m, n_u, n_phi, resolution)
+    return _product_rule(s, radial, m, n_u, n_phi)
+
+
+# flat radius beyond which the weighted measure is dropped: the lost tail is
+# of order e^{-42^2/4}, far below every tolerance in use
+WEIGHTED_RADIUS_MAX = 42.0
 
 
 @lru_cache(maxsize=8)
-def weighted_space_quadrature(
-    model: ModelShrinker, resolution: int = 256, radial_cut: float = 42.0
-) -> ProductRule:
+def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> ProductRule:
     """Quadrature for integrals against the weighted measure e^{-f} dv over M.
 
-    The radial weights already include e^{-f}; the radial cut loses a tail of
-    order e^{-radial_cut^2/4}, far below every tolerance in use.
+    The radial weights already include e^{-f} and stop at WEIGHTED_RADIUS_MAX.
     """
     m = model.flat_m
     n_rad = max(64, resolution)
     _, n_u, n_phi = _ball_counts(m, resolution)
-    s, w_s = _gl(n_rad, 0.0, radial_cut)
+    s, w_s = _gl(n_rad, 0.0, WEIGHTED_RADIUS_MAX)
     radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * _LD(model.compact_area)
-    return _product_rule(math.inf, s, radial, m, n_u, n_phi, resolution)
+    return _product_rule(s, radial, m, n_u, n_phi)
 
 
 # -- volumes, areas and the divergence identity -------------------------------

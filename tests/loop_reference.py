@@ -3,9 +3,10 @@
 The package runs its tridiagonal kernels on Python floats, factors the
 backward-Euler matrix once per run and ranks the contraction kernel one
 block per support size.  The loops below index numpy arrays one element at a
-time, redo the elimination at every step and rank one dense matrix.  They do
-the same floating-point operations in the same order, so the tests require
-equal results, not close ones.
+time and redo the elimination at every step.  They do the same
+floating-point operations in the same order, so the tests require equal
+results, not close ones.  The contraction kernel is ranked here as one whole
+sparse matrix, by exact elimination over the rationals.
 
 The package reads each eigenpart of a polynomial off as a homogeneous part;
 `decompose_by_eigenvalue` below finds it by power iteration on the drift
@@ -27,13 +28,9 @@ from itertools import combinations
 import numpy as np
 
 from shrinker_lab.holopoly import EigenDecomposition, HoloPoly
-from shrinker_lab.oracle1d import discretize, gaussian_potential
-from shrinker_lab.ratlinalg import integer_rank
+from shrinker_lab.oracle1d import discretize
 from shrinker_lab.spectrum import _convolve, _flat_lines, _sphere_lines, analytic_spectrum
 
-# Size limits of the dense reference: inputs beyond them return None.
-DENSE_ENTRIES = 1_000_000
-DENSE_UNKNOWNS = 100_000
 _EPS = 1e-9
 
 
@@ -80,7 +77,7 @@ def tridiagonal_eigenvalues(diag, off, k, tol=1e-12, max_bisections=200):
 
 
 def oracle_spectrum_1d(X=12.0, N=800, k_eigs=5, shift=0.0):
-    op = discretize(gaussian_potential(), X, N, shift=shift)
+    op = discretize(X, N, shift=shift)
     return tridiagonal_eigenvalues(op.diag, op.off, k_eigs)
 
 
@@ -107,7 +104,7 @@ def thomas_solve(diag, off, rhs):
 
 def timestep_oracle(u0, s0, s1, N_grid=800, N_steps=200, X=12.0, extrapolate=False):
     """Backward Euler with a full tridiagonal solve at every step."""
-    op = discretize(gaussian_potential(), X, N_grid)
+    op = discretize(X, N_grid)
     x = op.grid
     vals0 = np.asarray(u0(x[1:-1]), dtype=float)
     stiff_diag = op.diag * op.weight
@@ -157,23 +154,36 @@ def kernel_matrix(m, p, mu):
             row = targets.setdefault((tuple(beta), index[:pos] + index[pos + 1 :]), len(targets))
             col[row] = col.get(row, 0) + (1 if pos % 2 == 0 else -1)
         columns.append(col)
-    return len(targets), columns
+    return columns
 
 
 def kernel_dimension(m, p, mu):
-    """Nullity of the whole contraction matrix, ranked as one dense matrix.
+    """Nullity of the whole contraction matrix, by exact sparse column elimination.
 
-    Returns None where the matrix exceeds the reference's own size limits.
+    Each column is reduced against the pivot column that owns its lowest
+    (largest-index) nonzero row until that row has no owner, and then owns
+    it, or the column vanishes.  The vanished columns count the nullity.
     """
-    n_rows, columns = kernel_matrix(m, p, mu)
-    n_cols = len(columns)
-    if n_rows * n_cols > DENSE_ENTRIES or n_cols > DENSE_UNKNOWNS:
-        return None
-    rows = [[0] * n_cols for _ in range(n_rows)]
-    for c, col in enumerate(columns):
-        for r, val in col.items():
-            rows[r][c] = val
-    return n_cols - integer_rank(rows)
+    pivots = {}
+    nullity = 0
+    for entries in kernel_matrix(m, p, mu):
+        col = {r: Fraction(v) for r, v in entries.items() if v}
+        while col:
+            low = max(col)
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = col
+                break
+            factor = col[low] / pivot[low]
+            for r, v in pivot.items():
+                val = col.get(r, 0) - factor * v
+                if val:
+                    col[r] = val
+                else:
+                    del col[r]
+        else:
+            nullity += 1
+    return nullity
 
 
 def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):

@@ -329,3 +329,53 @@ def test_frequency_json_reports_both_bounds(capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["u_max"] <= data["u_bound_sqrt"] <= data["u_bound_weak"]
+
+
+_PRODUCT = {"kind": "product", "factors": [{"kind": "cylinder"}, {"kind": "gaussian", "m": 1}]}
+_FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rmax", "6", "--n", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, entries, names",
+    [
+        (["forms", "--model", "gaussian", "--m", "13", "--p", "6", "--mu", "7"], None,
+         ["--m", "--p", "--mu", "/m", "/p", "/mu"]),
+        # the requested p = 15 kernel is one 15 x 1 block; the ledger's (p, mu) = (12, 3) is not
+        (["forms", "--model", "gaussian", "--m", "30", "--p", "15", "--mu", "0"], None,
+         ["--m", "--p", "--mu", "/m", "/p", "/mu"]),
+        (["forms"], {"model": _PRODUCT, "p": 1, "mu": 2}, ["/model"]),
+        (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"alpha": [2], "re": 1.0}'], None, ["--poly", "/poly"]),
+        (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"re": 1.0}]}'], None, ["--poly"]),
+        (_FREQ_G1, {"poly": {"m": 1, "terms": [{"re": 1.0}]}}, ["/poly"]),
+        (["heatflow", "--initial", '{"m": 1, "terms": [{"alpha": [1], "re": 1.0}'], None,
+         ["--initial", "/initial"]),
+        (["heatflow", "--initial", '{"m": 2, "terms": [{"alpha": [1, 3], "re": 1.0}]}'], None,
+         ["--initial", "/initial"]),
+        (["heatflow", "--initial", '{"m": 1, "terms": [{"alpha": [1], "re": 1.0, "im": 2.0}]}'], None,
+         ["--initial", "/initial"]),
+        (["heatflow"], {"initial": {"m": 1, "terms": [{"re": 1.0}]}}, ["/initial"]),
+    ],
+    ids=[
+        "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
+        "poly-term-without-alpha", "poly-config-without-alpha", "initial-truncated-json",
+        "initial-two-variables", "initial-imaginary", "initial-config-without-alpha",
+    ],
+)
+def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
+    if entries is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert all(name in err for name in names), err
+
+
+def test_heatflow_initial_from_config_object(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"initial": {"m": 1, "terms": [{"alpha": [2], "re": 1.0}]}}))
+    code = main(["heatflow", "--config", str(cfg), "--n-grid", "400", "--n-steps", "100", "--extrapolate"])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["coefficients"] == {"0.0": 2.0, "1.0": 1.0}

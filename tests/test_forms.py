@@ -133,14 +133,13 @@ def test_kernel_dimension_m3_cross_check():
 
 
 def test_kernel_blocks_match_dense_rank():
-    # None marks inputs beyond the dense reference's size limits; the Koszul count covers all
+    # the reference ranks the whole contraction matrix, never the support-size blocks
     for m in range(1, 5):
         for p in range(1, m + 1):
             for mu in range(7):
                 got = kernel_dimension(gaussian(m), p, mu)
                 assert got == _koszul_count(m, p, mu), (m, p, mu)
-                want = ref.kernel_dimension(m, p, mu)
-                assert want is None or got == want, (m, p, mu)
+                assert got == ref.kernel_dimension(m, p, mu), (m, p, mu)
 
 
 def _koszul_count(m, p, mu):

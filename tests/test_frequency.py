@@ -236,8 +236,6 @@ def test_j_ledger_regularity():
 
 def test_config_validation():
     with pytest.raises(DomainError):
-        FrequencyConfig(delta=0.5)
-    with pytest.raises(DomainError):
         FrequencyConfig(sigma=-1.0)
     with pytest.raises(DomainError):
         FrequencyConfig(method="magic")

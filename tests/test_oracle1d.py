@@ -8,7 +8,7 @@ import pytest
 
 from shrinker_lab.eigensolve import thomas_factor, thomas_substitute, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
-from shrinker_lab.oracle1d import Potential1D, discretize, gaussian_potential, oracle_spectrum_1d
+from shrinker_lab.oracle1d import discretize, oracle_spectrum_1d
 
 
 def test_oracle_matches_half_integers():
@@ -28,7 +28,7 @@ def test_oracle_convergence_at_least_quadratic():
 
 
 def test_operator_matrix_symmetric_psd():
-    op = discretize(gaussian_potential(), 10.0, 80)
+    op = discretize(10.0, 80)
     a = ref.dense(op.diag, op.off)
     assert np.abs(a - a.T).max() < 1e-12 * np.abs(a).max()
     ev = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
@@ -38,7 +38,7 @@ def test_operator_matrix_symmetric_psd():
 
 def test_jacobi_against_bisection():
     # the dense symmetric eigensolver cross-checks the bisection path
-    op = discretize(gaussian_potential(), 10.0, 60)
+    op = discretize(10.0, 60)
     dense = np.linalg.eigvalsh(ref.dense(op.diag, op.off))
     tri = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
     assert np.abs(np.sort(dense) - np.sort(tri)).max() < 1e-9
@@ -79,18 +79,10 @@ def test_shifted_operator():
     assert np.allclose(ev, [0.5, 1.0, 1.5], atol=1e-5)
 
 
-def test_custom_potential_quartic():
-    # steeper confinement raises the spectral gap above the flat-line value
-    pot = Potential1D(f=lambda x: x**4 / 4.0, label="quartic")
-    ev = oracle_spectrum_1d(pot, X=6.0, N=600, k_eigs=2)
-    assert ev[0] > -1e-6  # bisection tolerance scales with the Gershgorin span
-    assert ev[1] > 0.5
-
-
 def test_validation_errors():
     with pytest.raises(NumericError):
         oracle_spectrum_1d(X=12.0, N=800, k_eigs=400)
     with pytest.raises(NumericError):
-        discretize(gaussian_potential(), -1.0, 100)
+        discretize(-1.0, 100)
     with pytest.raises(NumericError):
-        discretize(gaussian_potential(), 10.0, 8)
+        discretize(10.0, 8)
