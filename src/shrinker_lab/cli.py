@@ -90,6 +90,15 @@ def _read_poly(flag: str, src, m: int) -> HoloPoly:
         raise ConfigError(f"{flag} is not a valid polynomial ({type(exc).__name__}: {exc})") from exc
 
 
+def _read_form(flag: str, src) -> forms.HoloForm:
+    """A form from a flag or config entry: a JSON string or a JSON object."""
+    try:
+        return forms.HoloForm.from_json_dict(json.loads(src) if isinstance(src, str) else src)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # ValueError covers malformed JSON, ConfigError and DomainError
+        raise ConfigError(f"{flag} is not a valid form ({type(exc).__name__}: {exc})") from exc
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -296,8 +305,7 @@ def _cmd_forms(args) -> int:
     model = _resolve_model(args, config)
     form_src = args.form or config.get("form")
     if form_src is not None:
-        data = json.loads(form_src) if isinstance(form_src, str) else form_src
-        omega = forms.HoloForm.from_json_dict(data)
+        omega = _read_form("--form (config /form)", form_src)
         contracted = forms.interior_product(model, omega) if omega.p >= 1 else None
         in_kernel = contracted is not None and contracted.is_zero(
             1e-12 * max(omega.coeff_norm(), 1.0)

@@ -333,6 +333,7 @@ def test_frequency_json_reports_both_bounds(capsys):
 
 _PRODUCT = {"kind": "product", "factors": [{"kind": "cylinder"}, {"kind": "gaussian", "m": 1}]}
 _FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rmax", "6", "--n", "2"]
+_FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
 
 
 @pytest.mark.parametrize(
@@ -354,11 +355,16 @@ _FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rm
         (["heatflow", "--initial", '{"m": 1, "terms": [{"alpha": [1], "re": 1.0, "im": 2.0}]}'], None,
          ["--initial", "/initial"]),
         (["heatflow"], {"initial": {"m": 1, "terms": [{"re": 1.0}]}}, ["/initial"]),
+        (_FORMS_G2 + ["--form", '{"p":1'], None, ["--form", "/form"]),
+        (_FORMS_G2 + ["--form", '{"p":1}'], None, ["--form", "/form"]),
+        (_FORMS_G2, {"form": '{"p":1'}, ["--form", "/form"]),
+        (_FORMS_G2, {"form": {"p": 1}}, ["--form", "/form"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
         "poly-term-without-alpha", "poly-config-without-alpha", "initial-truncated-json",
         "initial-two-variables", "initial-imaginary", "initial-config-without-alpha",
+        "form-truncated-json", "form-without-m", "form-config-truncated-json", "form-config-without-m",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

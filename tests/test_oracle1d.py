@@ -58,6 +58,36 @@ def test_thomas_solve():
         x_true = rng.normal(size=n)
 
 
+def test_thomas_scan_matches_dense_solve_on_heat_matrix():
+    # the backward-Euler matrix M + ds K; its weights span about 16 orders of magnitude
+    op = discretize(12.0, 1600)
+    ds = 1.0 / 400
+    diag = op.weight + ds * op.diag * op.weight
+    off = ds * op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
+    factor = thomas_factor(diag, off)
+    xs = op.grid[1:-1]
+    a = ref.dense(diag, off)
+    quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
+    for u in (np.ones_like(xs), xs**2, quartic):
+        rhs = op.weight * u
+        got = thomas_substitute(factor, rhs)
+        want = np.linalg.solve(a, rhs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_thomas_scan_small_orders(n):
+    # orders 1, 2 and 3 run the scans with 0, 1 and 2 levels
+    diag = np.array([4.0, 5.0, 3.0])[:n]
+    off = np.array([1.0, -2.0])[: n - 1]
+    rhs = np.array([1.0, -2.0, 0.5])[:n]
+    factor = thomas_factor(diag, off)
+    assert len(factor[1]) == n - 1
+    got = thomas_substitute(factor, rhs)
+    want = np.linalg.solve(ref.dense(diag, off), rhs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def test_thomas_order_one_and_zero_pivot():
     assert thomas_substitute(thomas_factor(np.array([2.0]), np.array([])), [3.0]) == [1.5]
     with pytest.raises(NumericError):
