@@ -172,8 +172,12 @@ def _cmd_spectrum(args) -> int:
     config = _load_config(args.config)
     model = _resolve_model(args, config)
     lam_max = args.lambda_max if args.lambda_max is not None else config.get("lambda_max", 3.0)
-    lam_max = _finite("--lambda-max (config /lambda_max)", lam_max, nonnegative=True)
-    catalog = spectrum.analytic_spectrum(model, lam_max)
+    flag = "--lambda-max (config /lambda_max)"
+    lam_max = _finite(flag, lam_max, nonnegative=True)
+    try:
+        catalog = spectrum.analytic_spectrum(model, lam_max)
+    except NumericError as exc:  # the catalog size guard, raised before any line is built
+        raise ConfigError(f"{flag} is too large: {exc}") from exc
     _emit(_json_dump(catalog.to_dict()), args.out)
     return 0
 
@@ -182,8 +186,12 @@ def _cmd_dimension(args) -> int:
     config = _load_config(args.config)
     model = _resolve_model(args, config)
     d = args.d if args.d is not None else config.get("d", 1.0)
-    d = _finite("--d (config /d)", d, nonnegative=True)
-    rec = spectrum.dimension_bound_check(model, d)
+    flag = "--d (config /d)"
+    d = _finite(flag, d, nonnegative=True)
+    try:
+        rec = spectrum.dimension_bound_check(model, d)
+    except NumericError as exc:  # the catalog size guard, raised before any line is built
+        raise ConfigError(f"{flag} is too large: {exc}") from exc
     payload = {"model": model.to_dict(), "d": d, **rec.to_dict()}
     _emit(_json_dump(payload), args.out)
     return 0 if rec.passed else 1
@@ -305,7 +313,12 @@ def _cmd_forms(args) -> int:
     model = _resolve_model(args, config)
     form_src = args.form or config.get("form")
     if form_src is not None:
-        omega = _read_form("--form (config /form)", form_src)
+        flag = "--form (config /form)"
+        omega = _read_form(flag, form_src)
+        if omega.m != model.flat_m:
+            raise ConfigError(
+                f"{flag} uses {omega.m} variables, model carries {model.flat_m} flat variables"
+            )
         contracted = forms.interior_product(model, omega) if omega.p >= 1 else None
         in_kernel = contracted is not None and contracted.is_zero(
             1e-12 * max(omega.coeff_norm(), 1.0)

@@ -5,12 +5,20 @@ coefficients.  They model holomorphic functions of polynomial growth on the
 flat factor of a model shrinker: the growth order of a polynomial equals its
 total degree, and the Lie derivative along the soliton vector field acts
 diagonally on monomials with eigenvalue ``|alpha| / 2``.
+
+The public constructor ``HoloPoly(m, terms)`` validates every multi-index
+(length m, no negative exponent) and coerces keys to integer tuples and
+coefficients to complex.  Results of HoloPoly's own arithmetic have valid
+keys by construction, so they are only pruned: zero coefficients and those
+below PRUNE_REL times the largest one are dropped, by the same rule.  The
+gradient of a polynomial is built once and kept on the instance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -19,6 +27,14 @@ from .errors import DomainError
 
 # Coefficients smaller than this times the largest coefficient are dropped.
 PRUNE_REL = 1e-14
+
+
+def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
+    """Drop the coefficients below PRUNE_REL times the largest modulus."""
+    if not terms:
+        return {}
+    floor = PRUNE_REL * max(abs(c) for c in terms.values())
+    return {a: c for a, c in terms.items() if abs(c) >= floor}
 
 
 def _normalize_terms(m: int, terms: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
@@ -32,10 +48,7 @@ def _normalize_terms(m: int, terms: Mapping[tuple[int, ...], complex]) -> dict[t
         c = complex(coef)
         if c != 0:
             cleaned[alpha] = cleaned.get(alpha, 0.0) + c
-    if not cleaned:
-        return {}
-    top = max(abs(c) for c in cleaned.values())
-    return {a: c for a, c in cleaned.items() if abs(c) >= PRUNE_REL * top}
+    return _prune(cleaned)
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,18 @@ class HoloPoly:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _normalize_terms(self.m, self.terms))
+
+    @classmethod
+    def _derived(cls, m: int, terms: dict[tuple[int, ...], complex]) -> "HoloPoly":
+        """A result of HoloPoly arithmetic, whose keys are valid integer tuples already.
+
+        Adding 0.0 turns a -0.0 imaginary part into +0.0, as the public
+        constructor's accumulation does, so both routes store equal bits.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "m", m)
+        object.__setattr__(poly, "terms", _prune({a: 0.0 + c for a, c in terms.items() if c != 0}))
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -111,13 +136,18 @@ class HoloPoly:
         merged = dict(self.terms)
         for alpha, c in other.terms.items():
             merged[alpha] = merged.get(alpha, 0.0) + c
-        return HoloPoly(self.m, merged)
+        return HoloPoly._derived(self.m, merged)
 
     def __sub__(self, other: "HoloPoly") -> "HoloPoly":
-        return self + other.scale(-1.0)
+        if self.m != other.m:
+            raise DomainError(f"variable counts differ: {self.m} vs {other.m}")
+        merged = dict(self.terms)
+        for alpha, c in other.terms.items():
+            merged[alpha] = merged.get(alpha, 0.0) + -1.0 * c
+        return HoloPoly._derived(self.m, merged)
 
     def scale(self, factor: complex) -> "HoloPoly":
-        return HoloPoly(self.m, {a: factor * c for a, c in self.terms.items()})
+        return HoloPoly._derived(self.m, {a: factor * c for a, c in self.terms.items()})
 
     def partial(self, j: int) -> "HoloPoly":
         """Derivative with respect to the j-th complex variable (0-based)."""
@@ -128,7 +158,7 @@ class HoloPoly:
             beta = list(alpha)
             beta[j] -= 1
             out[tuple(beta)] = c * alpha[j]
-        return HoloPoly(self.m, out)
+        return HoloPoly._derived(self.m, out)
 
     def mul_variable(self, j: int) -> "HoloPoly":
         out: dict[tuple[int, ...], complex] = {}
@@ -136,18 +166,22 @@ class HoloPoly:
             beta = list(alpha)
             beta[j] += 1
             out[tuple(beta)] = c
-        return HoloPoly(self.m, out)
+        return HoloPoly._derived(self.m, out)
 
     def euler(self) -> "HoloPoly":
         """sum_j z_j d/dz_j; z^alpha maps to |alpha| z^alpha."""
-        return HoloPoly(self.m, {a: c * sum(a) for a, c in self.terms.items()})
+        return HoloPoly._derived(self.m, {a: c * sum(a) for a, c in self.terms.items()})
 
     def homogeneous_parts(self) -> dict[int, "HoloPoly"]:
         """Split u = sum_k u_k into nonzero parts homogeneous of degree k."""
         parts: dict[int, dict[tuple[int, ...], complex]] = {}
         for alpha, c in self.terms.items():
             parts.setdefault(sum(alpha), {})[alpha] = c
-        return {k: HoloPoly(self.m, terms) for k, terms in parts.items()}
+        return {k: HoloPoly._derived(self.m, terms) for k, terms in parts.items()}
+
+    @cached_property
+    def _gradient(self) -> tuple["HoloPoly", ...]:
+        return tuple(self.partial(j) for j in range(self.m))
 
 
 def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
@@ -200,9 +234,9 @@ def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
     return out
 
 
-def gradient(u: HoloPoly) -> list[HoloPoly]:
-    """All complex partial derivatives of u."""
-    return [u.partial(j) for j in range(u.m)]
+def gradient(u: HoloPoly) -> tuple[HoloPoly, ...]:
+    """All complex partial derivatives of u, built on the first call and kept on u."""
+    return u._gradient
 
 
 def lie_derivative_nabla_f(model, u: HoloPoly) -> HoloPoly:
@@ -243,11 +277,12 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
 
     The drift derivative is half the Euler operator, so z^alpha is an
     eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at lam is
-    its homogeneous part of degree 2 lam.  The catalog eigenvalues <= d/2 are
-    visited in descending order; at each one the terms of degree 2 lam above
-    DECOMPOSE_TOL times the coefficient scale form the part, which is subtracted from
-    the remainder.  A level that is not a half-integer has no such terms.
-    The final remainder is the constant (eigenvalue 0) part.
+    its homogeneous part of degree 2 lam.  The terms above DECOMPOSE_TOL times
+    the coefficient scale are grouped by degree in one pass.  The catalog
+    eigenvalues <= d/2 are then visited in descending order, and the group of
+    degree 2 lam, pruned, is the part at lam; a level that is not a
+    half-integer has no group.  The terms no part takes form the constant
+    (eigenvalue 0) part, unless all of them are at or below the tolerance.
     """
     if u.degree > d:
         raise DomainError(f"degree {u.degree} exceeds growth bound d={d}")
@@ -259,28 +294,21 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
         )
     catalog = analytic_spectrum(model, d / 2.0)
     levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
+    tol = DECOMPOSE_TOL * max(u.coeff_norm(), 1.0)
+    by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
+    for alpha, c in u.terms.items():
+        if abs(c) > tol:
+            by_degree.setdefault(sum(alpha), {})[alpha] = c
     parts: dict[float, HoloPoly] = {}
-    remainder = u
-    scale = max(u.coeff_norm(), 1.0)
-    tol = DECOMPOSE_TOL * scale
+    taken: set[tuple[int, ...]] = set()
     for lam in levels:
-        if remainder.is_zero(tol):
-            break
-        if lam == 0.0:
-            break
-        part = HoloPoly(
-            u.m,
-            {
-                a: c
-                for a, c in remainder.terms.items()
-                if sum(a) == 2.0 * lam and abs(c) > tol
-            },
-        )
-        if not part.is_zero():
-            parts[lam] = part
-            remainder = remainder - part
-    if not remainder.is_zero(tol):
-        parts[0.0] = remainder
+        group = by_degree.get(2.0 * lam) if lam > 0.0 else None
+        if group:
+            parts[lam] = HoloPoly._derived(u.m, group)
+            taken.update(parts[lam].terms)
+    remainder = {a: c for a, c in u.terms.items() if a not in taken}
+    if any(abs(c) > tol for c in remainder.values()):
+        parts[0.0] = HoloPoly._derived(u.m, remainder)
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)
 

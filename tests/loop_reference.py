@@ -16,6 +16,11 @@ The package reads each eigenpart of a polynomial off as a homogeneous part;
 derivative.  Every catalog eigenvalue is a half-integer, so a kept term's
 step is exactly 1.0 and every other term decays below the pruning threshold
 before the stop test passes: the parts agree term for term.
+`decompose_by_catalog_walk` is the earlier package route: it takes the parts
+level by level off a remainder that it rebuilds after each one.  It and the
+`checked_*` arithmetic build every intermediate polynomial through the public
+constructor, which validates the keys again, as the package's arithmetic
+did before its results skipped that step; the tests require equal terms.
 
 The package builds form spectra by convolving the scalar lines of the
 spectrum module; `form_spectrum` below keeps the separate (p,0) line
@@ -227,6 +232,66 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
     if not remainder.is_zero(tol * scale):
         parts[0.0] = remainder
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
+    return EigenDecomposition(parts=parts, residual_norm=residual)
+
+
+def checked_sum(a, b):
+    """a + b, with the result built by the public, validating constructor."""
+    merged = dict(a.terms)
+    for alpha, c in b.terms.items():
+        merged[alpha] = merged.get(alpha, 0.0) + c
+    return HoloPoly(a.m, merged)
+
+
+def checked_scale(u, factor):
+    return HoloPoly(u.m, {a: factor * c for a, c in u.terms.items()})
+
+
+def checked_difference(a, b):
+    return checked_sum(a, checked_scale(b, -1.0))
+
+
+def checked_partial(u, j):
+    out = {}
+    for alpha, c in u.terms.items():
+        if alpha[j] == 0:
+            continue
+        beta = list(alpha)
+        beta[j] -= 1
+        out[tuple(beta)] = c * alpha[j]
+    return HoloPoly(u.m, out)
+
+
+def decompose_by_catalog_walk(model, u, d, tol=1e-12):
+    """Eigenparts level by level, subtracting each part from a remainder.
+
+    At each catalog eigenvalue lam <= d/2, in descending order, the terms of
+    the remainder of degree 2 lam above tol times the coefficient scale form
+    the part; the walk stops once the remainder is at or below that bound.
+    """
+    catalog = analytic_spectrum(model, d / 2.0)
+    levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
+    parts = {}
+    remainder = u
+    scale = max(u.coeff_norm(), 1.0)
+    for lam in levels:
+        if remainder.is_zero(tol * scale):
+            break
+        if lam == 0.0:
+            break
+        part = HoloPoly(
+            u.m,
+            {a: c for a, c in remainder.terms.items() if sum(a) == 2.0 * lam and abs(c) > tol * scale},
+        )
+        if not part.is_zero():
+            parts[lam] = part
+            remainder = checked_difference(remainder, part)
+    if not remainder.is_zero(tol * scale):
+        parts[0.0] = remainder
+    total = HoloPoly.zero(u.m)
+    for part in parts.values():
+        total = checked_sum(total, part)
+    residual = checked_difference(u, total).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
 

@@ -359,12 +359,21 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (_FORMS_G2 + ["--form", '{"p":1}'], None, ["--form", "/form"]),
         (_FORMS_G2, {"form": '{"p":1'}, ["--form", "/form"]),
         (_FORMS_G2, {"form": {"p": 1}}, ["--form", "/form"]),
+        (_FORMS_G2 + ["--form", '{"p":1,"m":3}'], None, ["--form", "/form"]),
+        (_FORMS_G2, {"form": {"p": 1, "m": 3}}, ["--form", "/form"]),
+        (["dimension", "--model", "cylinder", "--d", "1e9"], None, ["--d", "/d"]),
+        (["dimension", "--model", "gaussian", "--m", "2"], {"d": 1e7}, ["--d", "/d"]),
+        (["spectrum", "--model", "gaussian", "--m", "3", "--lambda-max", "1e6"], None,
+         ["--lambda-max", "/lambda_max"]),
+        (["spectrum", "--model", "cylinder"], {"lambda_max": 1e4}, ["--lambda-max", "/lambda_max"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
         "poly-term-without-alpha", "poly-config-without-alpha", "initial-truncated-json",
         "initial-two-variables", "initial-imaginary", "initial-config-without-alpha",
         "form-truncated-json", "form-without-m", "form-config-truncated-json", "form-config-without-m",
+        "form-wrong-m", "form-config-wrong-m", "dimension-cylinder-guard", "dimension-config-guard",
+        "spectrum-guard", "spectrum-config-guard",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

@@ -10,11 +10,14 @@ import pytest
 
 from shrinker_lab.errors import DomainError
 from shrinker_lab.holopoly import (
+    DECOMPOSE_TOL,
+    PRUNE_REL,
     HoloPoly,
     decompose_by_eigenvalue,
     dim_O_d,
     evaluate,
     evaluate_parts,
+    gradient,
     growth_eigenvalue_consistency,
     lie_derivative_nabla_f,
     monomials,
@@ -62,6 +65,10 @@ def test_dimension_mismatch():
 def test_pruning_invariant():
     u = HoloPoly(1, {(0,): 1.0, (1,): 1e-20})
     assert (1,) not in u.terms
+    # the threshold itself is kept, the next float below it is not
+    edge = HoloPoly(1, {(0,): 1.0, (1,): PRUNE_REL, (2,): np.nextafter(PRUNE_REL, 0.0)})
+    assert list(edge.terms) == [(0,), (1,)]
+    assert list((edge + HoloPoly.zero(1)).terms) == [(0,), (1,)]
 
 
 def test_lie_derivative_monomials():
@@ -223,6 +230,113 @@ def test_decompose_matches_power_iteration(model, seed, count):
         for lam, part in want.parts.items():
             assert list(dec.parts[lam].terms.items()) == list(part.terms.items())
         assert dec.residual_norm == want.residual_norm
+
+
+def _edge_poly(m, rng):
+    """A seeded polynomial of degree <= 6 with terms at the two thresholds.
+
+    Some coefficients sit exactly at DECOMPOSE_TOL times the coefficient
+    scale, or one ulp above it, and some exactly at PRUNE_REL times the
+    largest modulus, or one ulp below it, which the constructor drops.
+    """
+    terms = {a: complex(rng.normal(), rng.normal()) for a in monomials(m, 6) if rng.uniform() < 0.5}
+    terms = terms or {(0,) * m: 1.0 + 0.5j}
+    top = max(abs(c) for c in terms.values())
+    tol = DECOMPOSE_TOL * max(top, 1.0)
+    edges = [tol, np.nextafter(tol, np.inf), PRUNE_REL * top, np.nextafter(PRUNE_REL * top, 0.0)]
+    for alpha in monomials(m, 6):
+        if alpha not in terms and rng.uniform() < 0.3:
+            terms[alpha] = complex(edges[rng.integers(len(edges))]) * (1.0 if rng.uniform() < 0.5 else -1.0)
+    return HoloPoly(m, terms)
+
+
+@pytest.mark.parametrize("model", _REFERENCE_MODELS.values(), ids=_REFERENCE_MODELS.keys())
+@pytest.mark.parametrize("d", [6.0, 7.5])
+def test_decompose_matches_catalog_walk(model, d):
+    rng = np.random.default_rng(9090 + model.flat_m + model.sphere_factors)
+    for _ in range(30):
+        u = _edge_poly(model.flat_m, rng)
+        dec = decompose_by_eigenvalue(model, u, d)
+        want = ref.decompose_by_catalog_walk(model, u, d)
+        assert list(dec.parts) == list(want.parts)
+        for lam, part in want.parts.items():
+            assert repr(list(dec.parts[lam].terms.items())) == repr(list(part.terms.items()))
+        assert repr(dec.residual_norm) == repr(want.residual_norm)
+
+
+def test_decompose_edge_terms_stay_in_remainder():
+    # the degree-1 term sits at the tolerance, so it is no part of its own
+    u = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0})
+    dec = decompose_by_eigenvalue(gaussian(1), u, 2.0)
+    assert list(dec.parts) == [1.0, 0.0]
+    assert dec.parts[0.0].terms == {(1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0}
+    assert dec.residual_norm == ref.decompose_by_catalog_walk(gaussian(1), u, 2.0).residual_norm == 0.0
+    small = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL})
+    dec = decompose_by_eigenvalue(gaussian(1), small, 2.0)
+    assert list(dec.parts) == [1.0]
+    assert dec.residual_norm == 4.0 * DECOMPOSE_TOL
+
+
+@pytest.mark.parametrize(
+    "alpha, message",
+    [((1,), "length 1, expected 2"), ((1, 2, 0), "length 3"), ((1, -1), "negative exponent")],
+)
+def test_constructor_refuses_bad_multi_index(alpha, message):
+    with pytest.raises(DomainError, match=message):
+        HoloPoly(2, {alpha: 1.0})
+    with pytest.raises(DomainError, match=message):
+        HoloPoly(2, {(0, 0): 1.0, alpha: 1.0})
+
+
+def test_constructor_coerces_integer_like_keys():
+    u = HoloPoly(2, {(1.0, np.int64(2)): 3, (np.int32(0), False): 0.5})
+    assert u.terms == {(1, 2): 3.0, (0, 0): 0.5}
+    for alpha, c in u.terms.items():
+        assert type(alpha) is tuple and all(type(a) is int for a in alpha) and type(c) is complex
+
+
+def _bits(u):
+    # repr keeps the sign of a zero part and every digit of a float
+    return repr(list(u.terms.items()))
+
+
+def test_derived_results_equal_checked_arithmetic():
+    const = HoloPoly.constant(2, 2.5 - 1.0j)
+    u = HoloPoly(2, {(2, 0): -2.0, (1, 1): 3.0 - 0.5j, (0, 3): -1e-3, (0, 0): 0.25})
+    # a carries a term kept against its own top but not against the top of a + big
+    a = HoloPoly(2, {(1, 0): 1e-3, (0, 1): 1e-16})
+    big = HoloPoly(2, {(2, 2): 1.0})
+    # c cancels a's top term exactly, which lowers the top the rest is pruned against
+    c = HoloPoly(2, {(1, 0): -1e-3, (3, 0): 2e-17})
+    cases = [
+        (const.partial(0), ref.checked_partial(const, 0)),
+        (u.partial(1), ref.checked_partial(u, 1)),
+        (u - u, ref.checked_difference(u, u)),
+        (u.scale(0), ref.checked_scale(u, 0)),
+        (u.scale(-1.0), ref.checked_scale(u, -1.0)),
+        (u - const, ref.checked_difference(u, const)),
+        (a + big, ref.checked_sum(a, big)),
+        (a + c, ref.checked_sum(a, c)),
+        (a - big.scale(-1.0), ref.checked_difference(a, ref.checked_scale(big, -1.0))),
+    ]
+    for got, want in cases:
+        assert _bits(got) == _bits(want)
+    assert (const.partial(0)).terms == {} and (u - u).terms == {} and u.scale(0).terms == {}
+    assert (0, 1) not in (a + big).terms and (0, 1) in a.terms
+    assert (a + c).terms == {(0, 1): 1e-16, (3, 0): 2e-17}
+    with pytest.raises(DomainError):
+        u - HoloPoly.zero(3)
+
+
+def test_gradient_is_built_once_and_read_only():
+    u = HoloPoly(2, {(2, 1): 1.0 - 2.0j, (0, 3): 0.5, (1, 0): 3.0})
+    grad = gradient(u)
+    assert gradient(u) is grad
+    assert grad == tuple(ref.checked_partial(u, j) for j in range(2))
+    with pytest.raises(TypeError):
+        grad[0] = HoloPoly.zero(2)
+    assert not hasattr(grad, "append")
+    assert gradient(u) == (u.partial(0), u.partial(1))
 
 
 def test_dim_O_d_values():

@@ -2,12 +2,21 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
-from shrinker_lab.errors import CompletenessError, DomainError
+from shrinker_lab import spectrum
+from shrinker_lab.errors import CompletenessError, DomainError, NumericError
 from shrinker_lab.oracle1d import oracle_spectrum_1d
 from shrinker_lab.models import cylinder, gaussian, product
-from shrinker_lab.spectrum import analytic_spectrum, count_eigenvalues, dimension_bound_check
+from shrinker_lab.spectrum import (
+    CATALOG_WORK_LIMIT,
+    _catalog_work,
+    analytic_spectrum,
+    count_eigenvalues,
+    dimension_bound_check,
+)
 
 
 def _lines(catalog):
@@ -62,6 +71,69 @@ def test_count_completeness_guard():
 def test_catalog_rejects_negative_horizon():
     with pytest.raises(DomainError):
         analytic_spectrum(gaussian(1), -1.0)
+
+
+_GUARD_MODELS = {
+    "gaussian_m1": gaussian(1),
+    "gaussian_m3": gaussian(3),
+    "cylinder": cylinder(),
+    "cylinder_x_gaussian": product([cylinder(), gaussian(1)]),
+    "cylinder_x_cylinder": product([cylinder(), cylinder()]),
+}
+
+
+def _built_work(model, lambda_max):
+    """Lines built plus line pairs convolved, counted on the catalog's own factors."""
+    parts = [spectrum._flat_lines(2 * model.flat_m, lambda_max)] if model.flat_m else []
+    parts += [spectrum._sphere_lines(lambda_max) for _ in range(model.sphere_factors)]
+    work, lines = sum(len(part) for part in parts), parts[0]
+    for more in parts[1:]:
+        work += len(lines) * len(more)
+        lines = spectrum._convolve(lines, more, lambda_max)
+    return work
+
+
+@pytest.mark.parametrize("model", _GUARD_MODELS.values(), ids=_GUARD_MODELS.keys())
+def test_catalog_work_bounds_the_built_work(model):
+    for lambda_max in (0.0, 0.5, 1.0, 2.9, 3.0, 10.25, 40.0):
+        built = _built_work(model, lambda_max)
+        assert built <= _catalog_work(model, lambda_max) <= 2.0 * built + 4.0
+    # every horizon verify-all uses is far inside the limit
+    assert _catalog_work(model, 3.0) < CATALOG_WORK_LIMIT / 1000
+
+
+@pytest.mark.parametrize(
+    "model, lambda_max",
+    [
+        (cylinder(), 5e8),
+        (gaussian(2), 5e6),
+        (gaussian(3), 1e6),
+        (gaussian(1), CATALOG_WORK_LIMIT / 2.0),
+        (product([cylinder(), cylinder()]), 1e3),
+        (gaussian(1), math.inf),
+        (gaussian(1), math.nan),
+    ],
+)
+def test_oversized_catalog_is_refused_before_any_line(model, lambda_max, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a line was built past the guard")
+
+    for name in ("_flat_lines", "_sphere_lines", "_convolve"):
+        monkeypatch.setattr(spectrum, name, refuse)
+    with pytest.raises(NumericError, match="over the limit"):
+        analytic_spectrum(model, lambda_max)
+    with pytest.raises(NumericError, match="over the limit"):
+        dimension_bound_check(model, 2.0 * lambda_max)
+
+
+def test_catalog_just_inside_the_limit_passes_the_guard(monkeypatch):
+    lambda_max = (CATALOG_WORK_LIMIT - 2) / 2.0  # CATALOG_WORK_LIMIT - 1 flat lines
+    built = []
+    monkeypatch.setattr(spectrum, "_flat_lines", lambda two_m, lam: built.append(lam) or [])
+    analytic_spectrum(gaussian(1), lambda_max)
+    assert built == [lambda_max]
+    with pytest.raises(NumericError):
+        analytic_spectrum(gaussian(1), lambda_max + 1.0)
 
 
 def test_dimension_bound_examples():
