@@ -25,6 +25,9 @@ from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
 _MU_MAX = 708
+_FORMATS = ("csv", "json")
+_RICCI_NORMS = ("operator", "tensor")
+_VERIFY_MODELS = ("gaussian", "cylinder", "both")
 _VAR_ALIASES = {"z": 0, "w": 0, "x": 0}
 _TOKEN = re.compile(r"(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<var>[a-zA-Z]\d*)(?:\^(?P<pow>\d+))?|(?P<mul>\*)")
 
@@ -119,7 +122,10 @@ def _resolve_model(args, config: dict) -> ModelShrinker:
         spec_dict = config["model"]
         if not isinstance(spec_dict, dict):
             raise ConfigError("config entry /model must be an object")
-        return ModelShrinker.from_dict(spec_dict)
+        try:
+            return ModelShrinker.from_dict(spec_dict)
+        except ConfigError as exc:
+            raise ConfigError(f"config entry /model: {exc}") from exc
     kind = getattr(args, "model", None) or "gaussian"
     if kind == "gaussian":
         return gaussian(_resolve_m(args, config))
@@ -149,6 +155,13 @@ def _finite(flag: str, value, positive: bool = False, nonnegative: bool = False)
     if nonnegative and value < 0:
         raise ConfigError(f"{flag} must be >= 0, got {value!r}")
     return float(value)
+
+
+def _choice(flag: str, value, choices: tuple[str, ...]) -> str:
+    """An option that must be one of `choices`, as its flag's argparse choices are."""
+    if value not in choices:
+        raise ConfigError(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -238,7 +251,7 @@ def _cmd_frequency(args) -> int:
     d = _finite("--d (growth order)", d, nonnegative=True)
     radii = np.linspace(rmin, rmax, n)
     profile = frequency.frequency_profile(model, u, d, radii, freq_cfg)
-    fmt = args.format or config.get("format", "csv")
+    fmt = _choice("--format (config /format)", args.format or config.get("format", "csv"), _FORMATS)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["r", "I", "D", "U", "eta", "monotone_q"])
@@ -347,6 +360,7 @@ def _cmd_forms(args) -> int:
     if mu > _MU_MAX:
         raise ConfigError(f"--mu (config /mu) must be a finite number <= {_MU_MAX}, got {mu!r}")
     norm = args.ricci_norm or config.get("ricci_norm", "operator")
+    norm = _choice("--ricci-norm (config /ricci_norm)", norm, _RICCI_NORMS)
     payload = {"model": model.to_dict(), "p": p, "mu": mu, "ricci_norm": norm}
     if p >= 1:
         try:
@@ -364,15 +378,14 @@ def _cmd_forms(args) -> int:
 def _cmd_verify_all(args) -> int:
     config = _load_config(args.config)
     choice = args.model or config.get("model_choice", "both")
+    choice = _choice("--model (config /model_choice)", choice, _VERIFY_MODELS)
     m = _resolve_m(args, config)
     if choice == "both":
         models = [gaussian(m), cylinder()]
     elif choice == "gaussian":
         models = [gaussian(m)]
-    elif choice == "cylinder":
-        models = [cylinder()]
     else:
-        raise ConfigError(f"verify-all model must be gaussian, cylinder or both, got {choice!r}")
+        models = [cylinder()]
     echo = {"model_choice": choice, "m": m}
     rep = report.verify_all(models, config_echo=echo)
     for check in rep.checks:
@@ -426,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument("--resolution", type=int)
     p_freq.add_argument("--sigma", type=float)
     p_freq.add_argument("--epsilon", type=float)
-    p_freq.add_argument("--format", choices=["csv", "json"])
+    p_freq.add_argument("--format", choices=_FORMATS)
     p_freq.set_defaults(fn=_cmd_frequency)
 
     p_heat = sub.add_parser("heatflow", help="series vs time-stepped drift heat flow")
@@ -443,13 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_forms.add_argument("--p", type=int)
     p_forms.add_argument("--mu", type=float)
     p_forms.add_argument("--form", help="JSON form literal to analyze instead of counting")
-    p_forms.add_argument("--ricci-norm", dest="ricci_norm", choices=["operator", "tensor"])
+    p_forms.add_argument("--ricci-norm", dest="ricci_norm", choices=_RICCI_NORMS)
     p_forms.set_defaults(fn=_cmd_forms)
 
     p_all = sub.add_parser("verify-all", help="run the complete verification suite")
     p_all.add_argument("--config", help="JSON configuration file")
     p_all.add_argument("--out", help="write the JSON report to this path")
-    p_all.add_argument("--model", choices=["gaussian", "cylinder", "both"])
+    p_all.add_argument("--model", choices=_VERIFY_MODELS)
     p_all.add_argument("--m", type=int)
     p_all.set_defaults(fn=_cmd_verify_all)
 

@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, evaluate_parts
+from .holopoly import HoloPoly, dim_O_d, evaluate_parts
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
@@ -389,8 +389,6 @@ def form_reduction_ledger(model: ModelShrinker, p: int, mu: int) -> FormReductio
     dim O_mu(p-forms) <= dim O_{mu+p} + sum of stage kernels.  The margin
     compares the first kernel against the exponential floor e^{1+mu}.
     """
-    from .holopoly import dim_O_d
-
     dim_forms = dim_O_forms(model, p, mu)
     dim_funcs = dim_O_d(model, mu + p)
     kernels = tuple(kernel_dimension(model, p - j, mu + j) for j in range(p))

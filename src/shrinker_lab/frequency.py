@@ -538,15 +538,11 @@ class DoublingRecord:
     passed: bool
 
 
-def doubling_and_three_circle(profile: FrequencyProfile, rhos=None) -> list[DoublingRecord]:
+def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingRecord]:
     """Evaluate the doubling and three-circle inequalities at grid radii rho, 2rho, 4rho."""
     rr = profile.radii
     config = profile.config
     sig = config.sigma_eff
-    if rhos is None:
-        rhos = [r for r in rr if any(np.isclose(rr, 2 * r)) and any(np.isclose(rr, 4 * r))]
-        if not rhos:
-            raise DomainError("grid contains no triple (rho, 2rho, 4rho)")
     out = []
     for rho in rhos:
         idx = [int(np.argmin(np.abs(rr - c * rho))) for c in (1, 2, 4)]

@@ -4,7 +4,8 @@ Polynomials are stored as a map from exponent multi-indices to complex
 coefficients.  They model holomorphic functions of polynomial growth on the
 flat factor of a model shrinker: the growth order of a polynomial equals its
 total degree, and the Lie derivative along the soliton vector field acts
-diagonally on monomials with eigenvalue ``|alpha| / 2``.
+diagonally on monomials with eigenvalue ``|alpha| / 2``.  Its eigenparts are
+therefore the homogeneous parts, split by degree without a spectral catalog.
 
 The public constructor ``HoloPoly(m, terms)`` validates every multi-index
 (length m, no negative exponent) and coerces keys to integer tuples and
@@ -277,35 +278,29 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
 
     The drift derivative is half the Euler operator, so z^alpha is an
     eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at lam is
-    its homogeneous part of degree 2 lam.  The terms above DECOMPOSE_TOL times
-    the coefficient scale are grouped by degree in one pass.  The catalog
-    eigenvalues <= d/2 are then visited in descending order, and the group of
-    degree 2 lam, pruned, is the part at lam; a level that is not a
-    half-integer has no group.  The terms no part takes form the constant
+    its homogeneous part of degree 2 lam; no spectral catalog is needed.  The
+    terms above DECOMPOSE_TOL times the coefficient scale are grouped by
+    degree in one pass, and the group of degree k > 0, pruned, is the part at
+    k/2, in descending order.  The terms no part takes form the constant
     (eigenvalue 0) part, unless all of them are at or below the tolerance.
     """
+    if not d >= 0:
+        raise DomainError(f"growth bound d must be a nonnegative number, got {d}")
     if u.degree > d:
         raise DomainError(f"degree {u.degree} exceeds growth bound d={d}")
-    from .spectrum import analytic_spectrum  # local import to avoid a cycle
-
     if u.m != model.flat_m:
         raise DomainError(
             f"polynomial has {u.m} variables but the model has {model.flat_m} flat variables"
         )
-    catalog = analytic_spectrum(model, d / 2.0)
-    levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
     tol = DECOMPOSE_TOL * max(u.coeff_norm(), 1.0)
     by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
     for alpha, c in u.terms.items():
         if abs(c) > tol:
             by_degree.setdefault(sum(alpha), {})[alpha] = c
-    parts: dict[float, HoloPoly] = {}
-    taken: set[tuple[int, ...]] = set()
-    for lam in levels:
-        group = by_degree.get(2.0 * lam) if lam > 0.0 else None
-        if group:
-            parts[lam] = HoloPoly._derived(u.m, group)
-            taken.update(parts[lam].terms)
+    parts = {
+        k / 2: HoloPoly._derived(u.m, by_degree[k]) for k in sorted(by_degree, reverse=True) if k > 0
+    }
+    taken = {alpha for part in parts.values() for alpha in part.terms}
     remainder = {a: c for a, c in u.terms.items() if a not in taken}
     if any(abs(c) > tol for c in remainder.values()):
         parts[0.0] = HoloPoly._derived(u.m, remainder)

@@ -144,7 +144,10 @@ class ModelShrinker:
         if kind == "gaussian":
             if "m" not in data:
                 raise ConfigError("gaussian model descriptor needs 'm' (/m)")
-            return gaussian(int(data["m"]))
+            m = data["m"]
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ConfigError(f"gaussian model descriptor 'm' must be an integer (/m), got {m!r}")
+            return gaussian(m)
         if kind == "cylinder":
             return cylinder()
         if kind == "product":

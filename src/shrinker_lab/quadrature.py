@@ -247,7 +247,6 @@ def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: in
     )
 
 
-@lru_cache(maxsize=128)
 def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
     """Quadrature on the level set {b = r}: the single radius rho = flat_radius(r)."""
     model.require_regular(r)
@@ -259,7 +258,6 @@ def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> Pro
     return _product_rule(rho, radial, m, *_level_counts(m, resolution))
 
 
-@lru_cache(maxsize=48)
 def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
     """Quadrature on the sublevel set {b < r}; its mass is the volume."""
     model.require_regular(r)
@@ -267,7 +265,6 @@ def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductR
     return _radial_shell(model, 0.0, rho, resolution)
 
 
-@lru_cache(maxsize=48)
 def shell_quadrature(
     model: ModelShrinker, r_lo: float, r_hi: float, resolution: int
 ) -> ProductRule:
@@ -292,7 +289,6 @@ def _radial_shell(model: ModelShrinker, s_lo: float, s_hi: float, resolution: in
 WEIGHTED_RADIUS_MAX = 42.0
 
 
-@lru_cache(maxsize=8)
 def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> ProductRule:
     """Quadrature for integrals against the weighted measure e^{-f} dv over M.
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CompletenessError, DomainError, NumericError
+from .holopoly import dim_O_d
 from .models import ModelShrinker
 
 _EPS = 1e-9
@@ -183,8 +184,6 @@ def dimension_bound_check(model: ModelShrinker, d: float) -> DimensionBoundResul
     """
     if d < 0:
         raise DomainError(f"growth order d must be nonnegative, got {d}")
-    from .holopoly import dim_O_d
-
     catalog = analytic_spectrum(model, d / 2.0)
     count = count_eigenvalues(catalog, 0.5, d / 2.0)
     bound = 1 + count // 2

@@ -366,6 +366,14 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (["spectrum", "--model", "gaussian", "--m", "3", "--lambda-max", "1e6"], None,
          ["--lambda-max", "/lambda_max"]),
         (["spectrum", "--model", "cylinder"], {"lambda_max": 1e4}, ["--lambda-max", "/lambda_max"]),
+        (_FORMS_G2, {"ricci_norm": "bogus"}, ["--ricci-norm", "/ricci_norm"]),
+        (_FREQ_G1 + ["--poly", "z"], {"format": "xml"}, ["--format", "/format"]),
+        (["verify-all"], {"model_choice": "torus"}, ["--model", "/model_choice"]),
+        (["spectrum"], {"model": {"kind": "gaussian", "m": "2"}}, ["/model", "/m"]),
+        (["spectrum"], {"model": {"kind": "gaussian", "m": 2.7}}, ["/model", "/m"]),
+        (["spectrum"], {"model": {"kind": "gaussian", "m": True}}, ["/model", "/m"]),
+        (["spectrum"], {"model": {"kind": "product", "factors": [{"kind": "gaussian", "m": 1.0}]}},
+         ["/model", "/m"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -373,7 +381,9 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "initial-two-variables", "initial-imaginary", "initial-config-without-alpha",
         "form-truncated-json", "form-without-m", "form-config-truncated-json", "form-config-without-m",
         "form-wrong-m", "form-config-wrong-m", "dimension-cylinder-guard", "dimension-config-guard",
-        "spectrum-guard", "spectrum-config-guard",
+        "spectrum-guard", "spectrum-config-guard", "ricci-norm-config", "format-config",
+        "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
+        "model-factor-m-float",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

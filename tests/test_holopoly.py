@@ -8,6 +8,7 @@ import loop_reference as ref
 import numpy as np
 import pytest
 
+from shrinker_lab import spectrum
 from shrinker_lab.errors import DomainError
 from shrinker_lab.holopoly import (
     DECOMPOSE_TOL,
@@ -180,6 +181,37 @@ def test_decompose_on_cylinder():
 def test_decompose_degree_guard():
     with pytest.raises(DomainError):
         decompose_by_eigenvalue(gaussian(1), HoloPoly.monomial(1, (4,)), 3.0)
+
+
+def test_decompose_needs_no_catalog(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the decomposition built a spectral catalog")
+
+    monkeypatch.setattr(spectrum, "analytic_spectrum", refuse)
+    dec = decompose_by_eigenvalue(cylinder(), HoloPoly(1, {(0,): 1.0, (3,): 0.5}), 4.0)
+    assert list(dec.parts) == [1.5, 0.0]
+    u = HoloPoly(2, {(0, 0): 1.0, (1, 0): 2.0, (2, 1): -1.0j})
+    dec = decompose_by_eigenvalue(gaussian(2), u, 3.0)
+    assert list(dec.parts) == [1.5, 0.5, 0.0]
+    assert dec.residual_norm == 0.0
+
+
+def test_decompose_at_a_huge_growth_bound():
+    # a catalog up to d/2 = 5e5 would be refused as too large; two terms split by degree
+    u = HoloPoly(1, {(3,): 1.0, (1,): 2.0})
+    dec = decompose_by_eigenvalue(gaussian(1), u, 1e6)
+    assert list(dec.parts) == [1.5, 0.5]
+    assert dec.parts[1.5].terms == {(3,): 1.0}
+    assert dec.parts[0.5].terms == {(1,): 2.0}
+    assert dec.residual_norm == 0.0
+
+
+@pytest.mark.parametrize("d", [-0.5, math.nan])
+def test_decompose_refuses_a_bad_growth_bound(d):
+    with pytest.raises(DomainError, match="growth bound"):
+        decompose_by_eigenvalue(gaussian(1), HoloPoly.zero(1), d)
+    with pytest.raises(DomainError, match="growth bound"):
+        decompose_by_eigenvalue(gaussian(1), HoloPoly.monomial(1, (1,)), d)
 
 
 @pytest.mark.parametrize("d", [8, 10, 12])

@@ -1,4 +1,4 @@
-"""The verify-all harness: crash reporting and the import cost."""
+"""The verify-all harness: crash reporting, product models and the import cost."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from shrinker_lab import report
-from shrinker_lab.models import gaussian
+from shrinker_lab.models import cylinder, gaussian, product
 
 
 def test_crashed_model_check_is_reported_under_its_name(monkeypatch):
@@ -23,6 +23,15 @@ def test_crashed_model_check_is_reported_under_its_name(monkeypatch):
     assert entry["status"] == "fail"
     assert entry["margin"] is None
     assert entry["detail"] == "ZeroDivisionError: forced on gaussian"
+
+
+def test_cylinder_times_line_passes_every_check():
+    # the curved frequency reference d r^2 / (r^2 - 4 sup S) holds with two flat variables too
+    rep = report.verify_all([product([cylinder(), gaussian(1)])])
+    assert len(rep.checks) == 29
+    assert [c.name for c in rep.checks if c.status != "pass"] == []
+    names = {c.name for c in rep.checks}
+    assert {"frequency.sharp_closed.product", "frequency.sharp_quadrature.product"} <= names
 
 
 def test_import_leaves_scipy_out():
