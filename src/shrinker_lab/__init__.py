@@ -14,7 +14,6 @@ from .holopoly import (
     HoloPoly,
     decompose_by_eigenvalue,
     dim_O_d,
-    evaluate,
     growth_eigenvalue_consistency,
     lie_derivative_nabla_f,
 )

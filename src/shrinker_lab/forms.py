@@ -26,7 +26,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, dim_O_d, evaluate_parts
+from .holopoly import HoloPoly, _literal_int, dim_O_d
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
@@ -36,6 +36,7 @@ from .spectrum import (
     SpectrumCatalog,
     _convolve,
     _flat_lines,
+    _require_catalog_work,
     _sphere_lines,
     count_eigenvalues,
 )
@@ -101,11 +102,12 @@ class HoloForm:
 
     @staticmethod
     def from_json_dict(data: dict) -> "HoloForm":
-        m = int(data["m"])
-        p = int(data["p"])
+        m = _literal_int(data["m"], "m")
+        p = _literal_int(data["p"], "p")
         coeffs = {}
         for entry in data.get("coeffs", []):
-            index = tuple(int(i) - 1 for i in entry["index"])  # JSON uses 1-based indices
+            # JSON uses 1-based indices
+            index = tuple(_literal_int(i, "index") - 1 for i in entry["index"])
             poly = HoloPoly.from_json_dict({"m": m, "terms": entry.get("terms", [])})
             coeffs[index] = coeffs[index] + poly if index in coeffs else poly
         return HoloForm(p, m, coeffs)
@@ -234,11 +236,14 @@ def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCa
     with the one line (p/2, C(m, p)).  On the cylinder a (p,0)-form is a
     sphere (a,0)-form times a flat (p-a,0)-form, a in {0, 1}; the sphere's
     (1,0) eigenforms share the nonconstant spherical harmonics' lines.
+    Raises NumericError, before any line is built, when the scalar catalog
+    up to lambda_max would exceed its work limit.
     """
     if p < 0 or p > model.m:
         raise DomainError(f"form degree p={p} outside 0..{model.m}")
     if model.kind not in ("gaussian", "cylinder"):
         raise DomainError("form spectra are available for gaussian and cylinder models")
+    _require_catalog_work(model, lambda_max)
 
     def flat(q: int):
         m = model.flat_m
@@ -349,12 +354,9 @@ def form_integral_identity_check(
     lam = Lambda if Lambda is not None else ricci_bound(model)
     mu = omega.mu
     rule = weighted_space_quadrature(model, resolution)
-    degrees = sorted({k for poly in omega.coeffs.values() for k in poly.homogeneous_parts()}) or [0]
-    parts = np.array(
-        [evaluate_parts(poly, rule.nodes, degrees) for poly in omega.coeffs.values()], dtype=complex
-    ).reshape(-1, len(degrees), rule.nodes.shape[0])
+    coeffs = list(omega.coeffs.values())
     # |omega|^2 = 2^p sum_I |u_I|^2: each dz factor contributes |dz|^2 = 2
-    norms = 2.0**omega.p * rule.sphere_integrals(parts, degrees, parts, degrees)
+    norms = 2.0**omega.p * rule.sphere_integrals(coeffs, coeffs)
     f_vals = model.f_min + 0.25 * rule.radii**2
     value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam)
     scale = rule.integrate(norms) * (model.n / 2.0 + mu + 2.0 * omega.p * lam)

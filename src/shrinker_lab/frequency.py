@@ -17,14 +17,15 @@ integrals J_i entering the dimension-counting ledger.
 Every integral has two routes: a closed form built from exact sphere or ball
 moments of monomials (cross moments vanish by the torus action), and a
 quadrature route over the product rules of the quadrature module.  The
-quadrature route evaluates the homogeneous parts of u, of grad u and of
-E = sum_j z_j du/dz_j once on the unit directions of a rule and contracts
-their Gram matrices with the radial nodes.  Every factor that is not a
-polynomial in z (|grad b|^2, Laplacian(b), 1/|z|^2, e^{-f}) depends on the
-radius alone, so this is the rule's own sum reordered, and the cross Gram
-entries the closed route drops by symmetry are summed.  Every function that
-takes a `method` (and FrequencyConfig) accepts "closed", the default, or
-"quadrature", and raises DomainError for any other value.
+quadrature route forms the torus sums of |u|^2, |grad u|^2, |E|^2 and
+Re(conj(u) E), with E = sum_j z_j du/dz_j, monomial pair by monomial pair
+at the simplex nodes of a rule, and contracts them with the radial nodes.
+Every factor that is not a polynomial in z (|grad b|^2, Laplacian(b),
+1/|z|^2, e^{-f}) depends on the radius alone, so this is the rule's own sum
+reordered, and the aliased monomial pairs the closed route drops by
+symmetry are summed.  Every function that takes a `method` (and
+FrequencyConfig) accepts "closed", the default, or "quadrature", and raises
+DomainError for any other value.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .holopoly import HoloPoly, evaluate_parts, gradient, lie_derivative_nabla_f
+from .holopoly import HoloPoly, gradient, lie_derivative_nabla_f
 from .models import ModelShrinker
 from .quadrature import (
     ProductRule,
@@ -96,50 +97,37 @@ class _SphereFields:
 
     Each field attribute is a coefficient array c with
     sum_k w_k F(s theta_k) = sum_d c_d s^d, for F one of |u|^2, |grad u|^2,
-    |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j.  The homogeneous
-    parts u has are evaluated on the rule's directions once, and only for the
-    fields read.  Rules of one kind and resolution share their directions, so
-    one instance serves every radius.
+    |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j = u.euler().  Each
+    is a torus sum over monomial pairs (ProductRule.sphere_integrals), formed
+    only for the fields read.  Rules of one kind and resolution share their
+    directions, so one instance serves every radius.
     """
 
     def __init__(self, u: HoloPoly, rule: ProductRule):
         self.u = u
         self.rule = rule
-        self.degrees = sorted(u.homogeneous_parts()) or [0]
-        # du/dz_j lowers each degree by one; z_j du/dz_j restores it in E
-        self.grad_degrees = [k - 1 for k in self.degrees if k > 0] or [0]
-        self.e_degrees = [k + 1 for k in self.grad_degrees]
 
     @cached_property
-    def _u_parts(self) -> np.ndarray:
-        return evaluate_parts(self.u, self.rule.nodes, self.degrees)
-
-    @cached_property
-    def _grad_parts(self) -> np.ndarray:
-        nodes = self.rule.nodes
-        return np.stack([evaluate_parts(g, nodes, self.grad_degrees) for g in gradient(self.u)])
-
-    @cached_property
-    def _e_parts(self) -> np.ndarray:
-        return np.einsum("xj,jdx->dx", self.rule.nodes, self._grad_parts)
+    def _e(self) -> HoloPoly:
+        return self.u.euler()
 
     @cached_property
     def u_sq(self) -> np.ndarray:
-        return self.rule.sphere_integrals(self._u_parts, self.degrees, self._u_parts, self.degrees)
+        return self.rule.sphere_integrals([self.u], [self.u])
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
         # |grad u|^2 = 2 sum_j |du/dz_j|^2
-        grad, deg = self._grad_parts, self.grad_degrees
-        return 2.0 * self.rule.sphere_integrals(grad, deg, grad, deg)
+        grad = gradient(self.u)
+        return 2.0 * self.rule.sphere_integrals(grad, grad)
 
     @cached_property
     def e_sq(self) -> np.ndarray:
-        return self.rule.sphere_integrals(self._e_parts, self.e_degrees, self._e_parts, self.e_degrees)
+        return self.rule.sphere_integrals([self._e], [self._e])
 
     @cached_property
     def u_e(self) -> np.ndarray:
-        return self.rule.sphere_integrals(self._e_parts, self.e_degrees, self._u_parts, self.degrees)
+        return self.rule.sphere_integrals([self._e], [self.u])
 
 
 def _diagonal_moments(model: ModelShrinker, u: HoloPoly, rho: float, kind: str) -> float:
@@ -320,7 +308,7 @@ def frequency_profile(
         i_vals = np.array([I_of_r(model, u, r, res, config.method) for r in rr])
         d_vals = np.array([_dirichlet_bulk(model, u, r, res, config.method) for r in rr])
     else:
-        # rules of one kind share their directions: one Gram matrix serves every radius
+        # rules of one kind share their directions: one set of torus sums serves every radius
         levels = [level_set_quadrature(model, r, res) for r in rr]
         balls = [ball_quadrature(model, r, res) for r in rr]
         on_level, on_ball = _SphereFields(u, levels[0]), _SphereFields(u, balls[0])

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import DomainError
 
 # Coefficients smaller than this times the largest coefficient are dropped.
@@ -36,6 +34,13 @@ def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], compl
         return {}
     floor = PRUNE_REL * max(abs(c) for c in terms.values())
     return {a: c for a, c in terms.items() if abs(c) >= floor}
+
+
+def _literal_int(value, entry: str) -> int:
+    """An integer entry of a JSON literal; a bool, float or string is refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"literal entry {entry!r} must be an integer, got {value!r}")
+    return value
 
 
 def _normalize_terms(m: int, terms: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
@@ -93,9 +98,9 @@ class HoloPoly:
         """Parse the JSON literal {"m": 2, "terms": [{"alpha": [2,0], "re": 1.0, "im": 0.0}]}."""
         terms: dict[tuple[int, ...], complex] = {}
         raw_terms = data.get("terms", [])
-        m = int(data.get("m", 0)) or (len(raw_terms[0]["alpha"]) if raw_terms else 1)
+        m = _literal_int(data.get("m", 0), "m") or (len(raw_terms[0]["alpha"]) if raw_terms else 1)
         for entry in raw_terms:
-            alpha = tuple(int(a) for a in entry["alpha"])
+            alpha = tuple(_literal_int(a, "alpha") for a in entry["alpha"])
             coef = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
             terms[alpha] = terms.get(alpha, 0.0) + coef
         return HoloPoly(m, terms)
@@ -183,56 +188,6 @@ class HoloPoly:
     @cached_property
     def _gradient(self) -> tuple["HoloPoly", ...]:
         return tuple(self.partial(j) for j in range(self.m))
-
-
-def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
-    """Evaluate u at a point of C^m or at an array of points of shape (..., m)."""
-    zs = np.asarray(z, dtype=complex)
-    if zs.ndim == 0:
-        if u.m != 1:
-            raise DomainError(f"point has 1 coordinate, polynomial has {u.m}")
-        zs = zs.reshape(1)
-    if zs.shape[-1] != u.m:
-        raise DomainError(f"point has {zs.shape[-1]} coordinates, polynomial has {u.m}")
-    if not u.terms:
-        out = np.zeros(zs.shape[:-1], dtype=complex)
-        return complex(out) if out.ndim == 0 else out
-    # Powers are shared between terms: pows[j][k] = z_j^k on the whole batch.
-    maxdeg = [0] * u.m
-    for alpha in u.terms:
-        for j, a in enumerate(alpha):
-            maxdeg[j] = max(maxdeg[j], a)
-    pows = []
-    for j in range(u.m):
-        col = zs[..., j]
-        p = [np.ones_like(col)]
-        for _ in range(maxdeg[j]):
-            p.append(p[-1] * col)
-        pows.append(p)
-    acc = np.zeros(zs.shape[:-1], dtype=complex)
-    for alpha, c in u.terms.items():
-        term = None
-        for j, a in enumerate(alpha):
-            if a == 0:
-                continue
-            term = pows[j][a] if term is None else term * pows[j][a]
-        acc = acc + c * (term if term is not None else 1.0)
-    if acc.ndim == 0:
-        return complex(acc)
-    return acc
-
-
-def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
-    """Homogeneous parts of u at points z of shape (K, m).
-
-    Row i holds the part of degree ``degrees[i]``, zero where u has none.
-    """
-    parts = u.homogeneous_parts()
-    out = np.zeros((len(degrees), z.shape[0]), dtype=complex)
-    for i, k in enumerate(degrees):
-        if k in parts:
-            out[i] = evaluate(parts[k], z)
-    return out
 
 
 def gradient(u: HoloPoly) -> tuple[HoloPoly, ...]:

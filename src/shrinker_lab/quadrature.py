@@ -9,9 +9,8 @@ its nodes are s_i * theta_k with weight W_i * w_k, where
 * the radii s_i are Gauss-Legendre nodes in the flat radius (a single radius
   for a level set), and W_i carries the Jacobian s^{2m-1}, the compact area
   and, for the weighted space, e^{-f};
-* the directions theta_k are uniform grids in the torus angles, exact for
-  trigonometric polynomials of frequency below the grid size, times
-  Gauss-Legendre nodes on the simplex below.
+* the directions theta_k are uniform grids of n_phi angles on each torus
+  circle, times Gauss-Legendre nodes on the simplex below.
 
 Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
@@ -19,13 +18,16 @@ the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
 moments integrate exactly.  The same parametrization yields the closed-form
 moments used by the closed-form evaluation paths.
 
-Rules are kept in this factored form and the s_i * theta_k grid is never
-built.  A polynomial splits into homogeneous parts u = sum_k u_k with
-u_k(s theta) = s^k u_k(theta), so the rule applied to a(z) conj(b(z)) is
-sum_i W_i sum_{k,l} s_i^{k+l} G_kl with the direction Gram matrix
-G_kl = sum_theta w_theta a_k(theta) conj(b_l(theta)).  This is the same sum
-over the same nodes, taken in another order: the off-diagonal G_kl are
-summed, not assumed to vanish by the torus action as the closed-form route
+Neither the s_i * theta_k grid nor the direction grid is built: a rule keeps
+its radial nodes, its simplex nodes u_s and n_phi.  A uniform grid of n_phi
+angles sums e^{ik phi} to n_phi when n_phi divides k and to zero otherwise,
+so the direction sum of z^alpha conj(z)^beta at the simplex node u_s is
+exactly (2 pi)^m prod_j u_{s,j}^{(alpha_j + beta_j)/2} when
+alpha = beta (mod n_phi) in every coordinate, and zero otherwise.  The rule
+applied to a(z) conj(b(z)) is therefore a sum over the matching monomial
+pairs of a and b, each a simplex sum times s_i^{|alpha| + |beta|}.  This is
+the same sum over the same nodes, taken in another order.  The aliased pairs
+alpha != beta are summed, not assumed to vanish as the closed-form route
 assumes, so the quadrature route stays independent of it.
 
 Gauss-Legendre tables are generated in long double, so the volume identity,
@@ -38,10 +40,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+from .holopoly import HoloPoly
 from .models import ModelShrinker
 
 __all__ = [
@@ -99,7 +103,7 @@ def ball_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
     return sphere_moment(m, alpha, radius) * radius / (2 * k + 2 * m)
 
 
-# -- Gauss-Legendre tables and direction grids --------------------------------
+# -- Gauss-Legendre tables and simplex rules ----------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -138,39 +142,29 @@ def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _unit_sphere_rule(m: int, n_u: int, n_phi: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
-    """Nodes (K, m) and weights (K,) on the unit sphere of C^m, and the weight sum in long double."""
-    phis = 2 * _PI_LD * np.arange(n_phi) / n_phi
-    w_phi = 2 * _PI_LD / n_phi
+def _unit_sphere_rule(m: int, n_u: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
+    """Simplex nodes u (S, m) and weights (S,) of the unit sphere of C^m, and their sum in long double.
+
+    The weights carry the torus volume (2 pi)^m, so they sum to the sphere's area.
+    """
+    torus = (2 * _PI_LD) ** m
     if m == 1:
-        nodes = np.exp(1j * phis.astype(float)).reshape(-1, 1)
-        weights = np.full(n_phi, w_phi)
+        nodes = np.ones((1, 1))
+        weights = np.array([torus])
     elif m == 2:
         u, wu = _gl(n_u, 0.0, 1.0)
-        uu, p1, p2 = np.meshgrid(u.astype(float), phis.astype(float), phis.astype(float), indexing="ij")
-        z1 = np.sqrt(uu) * np.exp(1j * p1)
-        z2 = np.sqrt(1.0 - uu) * np.exp(1j * p2)
-        nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
-        weights = np.broadcast_to((wu * w_phi**2 / 2)[:, None, None], uu.shape).ravel()
+        u = u.astype(float)
+        nodes = np.stack([u, 1.0 - u], axis=-1)
+        weights = wu * torus / 2
     elif m == 3:
         # Simplex {u1 + u2 + u3 = 1} via u1 = x1, u2 = (1-x1) x2.
         x1, w1 = _gl(n_u, 0.0, 1.0)
         x2, w2 = _gl(n_u, 0.0, 1.0)
-        phi = phis.astype(float)
-        xx1, xx2, p1, p2, p3 = np.meshgrid(x1.astype(float), x2.astype(float), phi, phi, phi, indexing="ij")
-        u1 = xx1
-        u2 = (1.0 - xx1) * xx2
+        u1 = np.repeat(x1.astype(float), n_u)
+        u2 = np.outer(1.0 - x1.astype(float), x2.astype(float)).ravel()
         u3 = np.clip(1.0 - u1 - u2, 0.0, None)
-        nodes = np.stack(
-            [
-                (np.sqrt(u1) * np.exp(1j * p1)).ravel(),
-                (np.sqrt(u2) * np.exp(1j * p2)).ravel(),
-                (np.sqrt(u3) * np.exp(1j * p3)).ravel(),
-            ],
-            axis=-1,
-        )
-        simplex = w1[:, None] * w2[None, :] * (1 - x1)[:, None] * w_phi**3 / 4
-        weights = np.broadcast_to(simplex[:, :, None, None, None], xx1.shape).ravel()
+        nodes = np.stack([u1, u2, u3], axis=-1)
+        weights = (w1[:, None] * w2[None, :] * (1 - x1)[:, None] * torus / 4).ravel()
     else:
         raise ConfigError(
             f"no quadrature rule for flat complex dimension {m}: sphere rules exist for 1 <= m <= 3"
@@ -202,9 +196,12 @@ def _ball_counts(m: int, resolution: int) -> tuple[int, int, int]:
 class ProductRule:
     """Radial rule times unit-sphere rule: node s_i theta_k carries weight W_i w_k.
 
-    ``radii``/``radial_weights`` hold s_i and W_i; ``nodes``/``weights`` hold
-    the unit directions theta_k (shape (K, m)) and their weights, which
-    depend only on the flat dimension, the rule kind and the resolution, so
+    ``radii``/``radial_weights`` hold s_i and W_i.  The directions theta_k
+    are kept as their simplex factor: ``nodes`` holds the moduli u_s
+    (shape (S, m)) and ``weights`` their weights, torus volume included, and
+    each u_s stands for the n_phi^m directions sqrt(u_s) e^{i phi} on a
+    uniform grid of ``n_phi`` angles per circle.  The direction factor
+    depends only on the flat dimension, the rule kind and the resolution, so
     direction sums formed on one rule serve every rule of its kind.
     ``mass`` is (sum W_i)(sum w_k), summed in long double.
     """
@@ -213,22 +210,31 @@ class ProductRule:
     radial_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+    n_phi: int
     mass: np.longdouble
 
-    def sphere_integrals(self, a: np.ndarray, a_degrees, b: np.ndarray, b_degrees) -> np.ndarray:
-        """Coefficients c with Re sum_k w_k a(s theta_k) conj(b(s theta_k)) = sum_d c_d s^d.
+    def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
+        """Coefficients c with sum_d c_d s^d = Re sum_k w_k sum_i a_i(s theta_k) conj(b_i(s theta_k)).
 
-        ``a`` holds homogeneous parts on the directions, shape (..., rows, K),
-        row i being the part of degree ``a_degrees[i]``, and likewise ``b``;
-        leading axes are summed over, as for the components of a gradient.
-        Every entry of the Gram matrix G_ij = sum_k w_k a_i(theta_k) conj(b_j(theta_k))
-        enters, off-diagonal ones too.
+        ``a`` and ``b`` are equally long sequences of polynomials, paired
+        componentwise, as for the components of a gradient.  The terms are
+        matched by their exponents mod n_phi, and each matching pair
+        (alpha, beta) adds Re(c_alpha conj(d_beta)) sum_s w_s |z|^(alpha + beta)
+        at the simplex nodes to c_{|alpha| + |beta|}.  Pairs with
+        alpha != beta that alias on the angle grid are summed too.
         """
-        gram = np.matmul(a * self.weights, np.swapaxes(b, -1, -2).conj()).real
-        gram = gram.reshape(-1, *gram.shape[-2:]).sum(axis=0)
-        coeffs = np.zeros(max(a_degrees) + max(b_degrees) + 1)
-        np.add.at(coeffs, np.add.outer(a_degrees, b_degrees), gram)
-        return coeffs
+        comp_a, alpha, coef_a = _term_table(a, self.nodes.shape[1])
+        comp_b, beta, coef_b = _term_table(b, self.nodes.shape[1])
+        match = (comp_a[:, None] == comp_b[None, :]) & np.all(
+            (alpha[:, None, :] - beta[None, :, :]) % self.n_phi == 0, axis=-1
+        )
+        i, j = np.nonzero(match)
+        powers = alpha[i] + beta[j]
+        # |z_j|^k = u_j^(k/2) at every simplex node, for k up to the largest power
+        modulus_powers = np.sqrt(self.nodes)[:, :, None] ** np.arange(powers.max(initial=0) + 1)
+        sums = self.weights @ modulus_powers[:, np.arange(powers.shape[1]), powers].prod(axis=-1)
+        pair_coefs = (coef_a[i] * coef_b[j].conj()).real
+        return np.bincount(powers.sum(axis=1), weights=pair_coefs * sums, minlength=1)
 
     def integrate(self, coeffs: np.ndarray, radial=1.0) -> float:
         """sum_i W_i radial(s_i) sum_d c_d s_i^d for direction sums c from sphere_integrals."""
@@ -236,13 +242,23 @@ class ProductRule:
         return float(np.sum(self.radial_weights * radial * sums))
 
 
+def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Component index (T,), exponents (T, m) and coefficients (T,) of the terms of polys."""
+    terms = [(k, alpha, c) for k, poly in enumerate(polys) for alpha, c in poly.terms.items()]
+    comps = np.array([k for k, _, _ in terms], dtype=int)
+    exps = np.array([alpha for _, alpha, _ in terms], dtype=int).reshape(-1, m)
+    coefs = np.array([c for _, _, c in terms], dtype=complex)
+    return comps, exps, coefs
+
+
 def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int) -> ProductRule:
-    nodes, weights, direction_mass = _unit_sphere_rule(m, n_u, n_phi)
+    nodes, weights, direction_mass = _unit_sphere_rule(m, n_u)
     return ProductRule(
         radii=radii.astype(float),
         radial_weights=radial_weights.astype(float),
         nodes=nodes,
         weights=weights,
+        n_phi=n_phi,
         mass=radial_weights.sum() * direction_mass,
     )
 

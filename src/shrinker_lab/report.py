@@ -173,7 +173,7 @@ def _frequency_sharp(model: ModelShrinker, method: str) -> float:
     for alpha in monomials(model.flat_m, 5, 1):
         u = HoloPoly.monomial(model.flat_m, alpha)
         d = sum(alpha)
-        # one profile per monomial evaluates its fields once for all radii
+        # one profile per monomial forms its torus sums once for all radii
         profile = frequency.frequency_profile(model, u, d, radii, config)
         for r, u_r in zip(radii, profile.U):
             target = d if model.sup_S == 0 else d * r * r / (r * r - 4.0 * model.sup_S)

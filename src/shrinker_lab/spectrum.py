@@ -122,6 +122,16 @@ def _catalog_work(model: ModelShrinker, lambda_max: float) -> float:
     return work
 
 
+def _require_catalog_work(model: ModelShrinker, lambda_max: float) -> None:
+    """Raise NumericError when `_catalog_work` exceeds CATALOG_WORK_LIMIT or is not finite."""
+    work = _catalog_work(model, lambda_max)
+    if not work <= CATALOG_WORK_LIMIT:
+        raise NumericError(
+            f"catalog up to lambda_max={lambda_max:g} needs about {work:.3g} lines and pairs, "
+            f"over the limit of {CATALOG_WORK_LIMIT:,}"
+        )
+
+
 def analytic_spectrum(model: ModelShrinker, lambda_max: float) -> SpectrumCatalog:
     """Complete catalog of drift-Laplacian eigenvalues up to lambda_max.
 
@@ -130,12 +140,7 @@ def analytic_spectrum(model: ModelShrinker, lambda_max: float) -> SpectrumCatalo
     """
     if lambda_max < 0:
         raise DomainError(f"lambda_max must be nonnegative, got {lambda_max}")
-    work = _catalog_work(model, lambda_max)
-    if not work <= CATALOG_WORK_LIMIT:
-        raise NumericError(
-            f"catalog up to lambda_max={lambda_max:g} needs about {work:.3g} lines and pairs, "
-            f"over the limit of {CATALOG_WORK_LIMIT:,}"
-        )
+    _require_catalog_work(model, lambda_max)
     parts: list[list[tuple[Fraction, int, str]]] = []
     if model.flat_m > 0:
         parts.append(_flat_lines(2 * model.flat_m, lambda_max))

@@ -1,16 +1,21 @@
 """Node-by-node reference for the factored quadrature route.
 
-Each product rule is expanded into its flat tensor-product grid, nodes
-s_i theta_k with weights W_i w_k, and every integrand is evaluated pointwise
-on that grid.  The package sums the same rule factored into radial sums and
-direction Gram matrices; the tests compare the two at low resolution.
+Each product rule is expanded into its flat grid: every simplex node u_s
+becomes the n_phi^m directions sqrt(u_s) e^{i phi} on the uniform angle
+grid, and the directions times the radii s_i give the nodes, with weights
+W_i w_s / n_phi^m.  Every integrand is evaluated pointwise on that grid.
+The package sums the same rule as torus sums over monomial pairs; the tests
+compare the two at low resolution.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from shrinker_lab.holopoly import evaluate, gradient
+from shrinker_lab.errors import DomainError
+from shrinker_lab.holopoly import HoloPoly, gradient
 from shrinker_lab.quadrature import (
     ball_quadrature,
     level_set_quadrature,
@@ -19,11 +24,91 @@ from shrinker_lab.quadrature import (
 )
 
 
+def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
+    """Evaluate u at a point of C^m or at an array of points of shape (..., m)."""
+    zs = np.asarray(z, dtype=complex)
+    if zs.ndim == 0:
+        if u.m != 1:
+            raise DomainError(f"point has 1 coordinate, polynomial has {u.m}")
+        zs = zs.reshape(1)
+    if zs.shape[-1] != u.m:
+        raise DomainError(f"point has {zs.shape[-1]} coordinates, polynomial has {u.m}")
+    if not u.terms:
+        out = np.zeros(zs.shape[:-1], dtype=complex)
+        return complex(out) if out.ndim == 0 else out
+    # Powers are shared between terms: pows[j][k] = z_j^k on the whole batch.
+    maxdeg = [0] * u.m
+    for alpha in u.terms:
+        for j, a in enumerate(alpha):
+            maxdeg[j] = max(maxdeg[j], a)
+    pows = []
+    for j in range(u.m):
+        col = zs[..., j]
+        p = [np.ones_like(col)]
+        for _ in range(maxdeg[j]):
+            p.append(p[-1] * col)
+        pows.append(p)
+    acc = np.zeros(zs.shape[:-1], dtype=complex)
+    for alpha, c in u.terms.items():
+        term = None
+        for j, a in enumerate(alpha):
+            if a == 0:
+                continue
+            term = pows[j][a] if term is None else term * pows[j][a]
+        acc = acc + c * (term if term is not None else 1.0)
+    if acc.ndim == 0:
+        return complex(acc)
+    return acc
+
+
+def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
+    """Homogeneous parts of u at points z of shape (K, m).
+
+    Row i holds the part of degree ``degrees[i]``, zero where u has none.
+    """
+    parts = u.homogeneous_parts()
+    out = np.zeros((len(degrees), z.shape[0]), dtype=complex)
+    for i, k in enumerate(degrees):
+        if k in parts:
+            out[i] = evaluate(parts[k], z)
+    return out
+
+
+def directions(rule):
+    """Flat unit directions (K, m) and weights (K,) of a rule's direction factor."""
+    s_count, m = rule.nodes.shape
+    phis = 2.0 * np.pi * np.arange(rule.n_phi) / rule.n_phi
+    angles = np.array(list(itertools.product(phis, repeat=m)))  # (n_phi^m, m)
+    dirs = np.sqrt(rule.nodes)[:, None, :] * np.exp(1j * angles)[None, :, :]
+    weights = np.repeat(rule.weights / rule.n_phi**m, len(angles))
+    return dirs.reshape(-1, m), weights
+
+
 def expand(rule):
     """Flat nodes (N, m) and weights (N,) of a product rule."""
-    nodes = rule.radii[:, None, None] * rule.nodes[None, :, :]
-    weights = rule.radial_weights[:, None] * rule.weights[None, :]
-    return nodes.reshape(-1, rule.nodes.shape[1]), weights.ravel()
+    dirs, dir_weights = directions(rule)
+    nodes = rule.radii[:, None, None] * dirs[None, :, :]
+    weights = rule.radial_weights[:, None] * dir_weights[None, :]
+    return nodes.reshape(-1, dirs.shape[1]), weights.ravel()
+
+
+def sphere_integrals(rule, a, b):
+    """Direction sums of sum_i a_i conj(b_i) by degree, from the parts on the flat direction grid.
+
+    The Gram matrix G_kl = sum_theta w_theta a_k(theta) conj(b_l(theta)) of
+    the homogeneous parts enters whole, so aliased pairs are summed by the
+    grid itself.
+    """
+    dirs, weights = directions(rule)
+    top_a = max(max(p.degree for p in a), 0)
+    top_b = max(max(p.degree for p in b), 0)
+    coeffs = np.zeros(top_a + top_b + 1)
+    for poly_a, poly_b in zip(a, b):
+        parts_a = evaluate_parts(poly_a, dirs, range(top_a + 1))
+        parts_b = evaluate_parts(poly_b, dirs, range(top_b + 1))
+        gram = ((parts_a * weights) @ parts_b.conj().T).real
+        np.add.at(coeffs, np.add.outer(np.arange(top_a + 1), np.arange(top_b + 1)), gram)
+    return coeffs
 
 
 def fields(u, nodes):

@@ -374,6 +374,17 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (["spectrum"], {"model": {"kind": "gaussian", "m": True}}, ["/model", "/m"]),
         (["spectrum"], {"model": {"kind": "product", "factors": [{"kind": "gaussian", "m": 1.0}]}},
          ["/model", "/m"]),
+        (_FREQ_G1 + ["--poly", '{"m": 1.7, "terms": [{"alpha": [1], "re": 1.0}]}'], None,
+         ["--poly", "/poly", "'m'"]),
+        (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"alpha": [1.6], "re": 1.0}]}'], None,
+         ["--poly", "/poly", "'alpha'"]),
+        (_FREQ_G1, {"poly": {"m": True, "terms": [{"alpha": [1], "re": 1.0}]}}, ["--poly", "/poly", "'m'"]),
+        (_FORMS_G2 + ["--form", '{"p": 1, "m": "2", "coeffs": []}'], None, ["--form", "/form", "'m'"]),
+        (_FORMS_G2 + ["--form", '{"p": 1.5, "m": 2, "coeffs": []}'], None, ["--form", "/form", "'p'"]),
+        (_FORMS_G2, {"form": {"p": 1, "m": 2, "coeffs": [{"index": [1.0], "terms": []}]}},
+         ["--form", "/form", "'index'"]),
+        (_FORMS_G2, {"form": {"p": 1, "m": 2, "coeffs": [{"index": [1], "terms": [{"alpha": ["1", 0]}]}]}},
+         ["--form", "/form", "'alpha'"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -383,7 +394,8 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "form-wrong-m", "form-config-wrong-m", "dimension-cylinder-guard", "dimension-config-guard",
         "spectrum-guard", "spectrum-config-guard", "ricci-norm-config", "format-config",
         "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
-        "model-factor-m-float",
+        "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
+        "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from shrinker_lab.frequency import (
     level_defect,
     shell_energy_ledger,
 )
-from shrinker_lab.holopoly import HoloPoly
+from shrinker_lab.holopoly import HoloPoly, gradient, monomials
 from shrinker_lab.models import cylinder, gaussian, product
+from shrinker_lab.quadrature import ball_quadrature, level_set_quadrature
+from shrinker_lab.report import _frequency_sharp
 
 MODELS = {
     "gaussian1": gaussian(1),
@@ -114,7 +117,7 @@ def test_profile_reuses_one_gram_per_rule_kind():
 
 
 def test_gaussian_m3_at_full_resolution_matches_closed_forms():
-    # 33.5M nodes as a flat ball grid; the factored rule evaluates 262,144 directions
+    # 33.5M nodes as a flat ball grid; the rule sums 64 simplex nodes for its 262,144 directions
     model = gaussian(3)
     u = HoloPoly(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5j, (0, 0, 1): 2.0})
     for r in (3.0, 7.0):
@@ -124,3 +127,40 @@ def test_gaussian_m3_at_full_resolution_matches_closed_forms():
         rec_q = D_of_r(model, u, r, 256, "quadrature")
         assert math.isclose(rec_q.bulk, rec_c.bulk, rel_tol=TOL)
         assert math.isclose(rec_q.boundary, rec_c.boundary, rel_tol=TOL)
+
+
+def _aliased_pairs(u, n_phi):
+    """Pairs alpha != beta of u's terms whose exponents agree mod n_phi."""
+    return [
+        (a, b)
+        for a in u.terms
+        for b in u.terms
+        if a != b and all((x - y) % n_phi == 0 for x, y in zip(a, b))
+    ]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("n_phi", [2, 3])
+def test_aliased_pairs_match_the_flat_grid(m, n_phi):
+    # a degree-5 polynomial on angle grids of 2 or 3 points: z^alpha conj(z)^beta
+    # with alpha != beta sums to a nonzero value on the grid whenever alpha = beta mod n_phi
+    rng = np.random.default_rng(100 * m + n_phi)
+    u = HoloPoly(m, {alpha: complex(*rng.normal(size=2)) for alpha in monomials(m, 5)})
+    v = u.euler()
+    assert _aliased_pairs(u, n_phi)
+    model = gaussian(m)
+    for rule in (level_set_quadrature(model, 3.0, 32), ball_quadrature(model, 3.0, 32)):
+        coarse = dataclasses.replace(rule, n_phi=n_phi)
+        for a, b in (([u], [u]), ([v], [u]), (gradient(u), gradient(u))):
+            got = coarse.sphere_integrals(a, b)
+            want = brute_force.sphere_integrals(coarse, a, b)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            # on the rule's own grid only alpha = beta pairs match: the aliased ones count
+            unaliased = rule.sphere_integrals(a, b)
+            assert np.max(np.abs(got - unaliased)) > 1e-3 * np.max(np.abs(want))
+
+
+def test_gaussian_m3_sharp_quadrature_row():
+    # the report row over all 55 monomials of degree 1..5 at resolution 256
+    assert _frequency_sharp(gaussian(3), "quadrature") <= 1e-4

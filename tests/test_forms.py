@@ -174,6 +174,19 @@ def test_kernel_guard_refuses_before_enumerating(monkeypatch):
         kernel_dimension(gaussian(10**6), 1, 10**6)
 
 
+def test_form_spectrum_guard_refuses_before_building(monkeypatch):
+    def no_lines(*args):
+        raise AssertionError("a line was built")
+
+    for name in ("_flat_lines", "_sphere_lines", "_convolve"):
+        monkeypatch.setattr(forms, name, no_lines)
+    # the cylinder's scalar catalog up to 2000 is about 2.6e5 lines and pairs
+    with pytest.raises(NumericError, match="lambda_max=2000"):
+        form_spectrum(cylinder(), 1, 2000.0)
+    with pytest.raises(NumericError):
+        form_spectrum(G2, 1, math.inf)
+
+
 def test_integer_rank_basics():
     assert integer_rank([[1, 2], [2, 4]]) == 1
     assert integer_rank([[1, 0], [0, 1]]) == 2

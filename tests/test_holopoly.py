@@ -7,6 +7,7 @@ import math
 import loop_reference as ref
 import numpy as np
 import pytest
+from brute_force import evaluate, evaluate_parts
 
 from shrinker_lab import spectrum
 from shrinker_lab.errors import DomainError
@@ -16,8 +17,6 @@ from shrinker_lab.holopoly import (
     HoloPoly,
     decompose_by_eigenvalue,
     dim_O_d,
-    evaluate,
-    evaluate_parts,
     gradient,
     growth_eigenvalue_consistency,
     lie_derivative_nabla_f,

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shrinker_lab.errors import ConfigError, RegularityError
-from shrinker_lab.holopoly import HoloPoly, evaluate
+from shrinker_lab.holopoly import HoloPoly
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.quadrature import (
     ball_moment,
@@ -24,7 +24,7 @@ from shrinker_lab.quadrature import (
     weighted_space_quadrature,
 )
 
-from brute_force import expand
+from brute_force import evaluate, expand
 
 
 def _total(rule):
