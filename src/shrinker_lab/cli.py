@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import fheat, forms, frequency, report, spectrum
+from . import fheat, forms, frequency, quadrature, report, spectrum
 from .errors import ConfigError, NumericError, ShrinkerLabError
 from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
@@ -239,11 +239,17 @@ def _cmd_frequency(args) -> int:
             f"--rmin (config /grid/rmin) must be a regular level, r^2 > 4 sup S = "
             f"{4.0 * model.sup_S:g}, got {rmin!r}"
         )
+    flag = "--resolution (config /resolution)"
     resolution = args.resolution if args.resolution is not None else config.get("resolution", 128)
+    resolution = _count(flag, resolution)
+    try:
+        quadrature.require_rule_work(model.flat_m, resolution)
+    except NumericError as exc:  # the rule work budget, checked before any rule is built
+        raise ConfigError(f"{flag} is too large: {exc}") from exc
     sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
     epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)
     freq_cfg = frequency.FrequencyConfig(
-        resolution=_count("--resolution (config /resolution)", resolution),
+        resolution=resolution,
         sigma=_finite("--sigma (config /sigma)", sigma, positive=True),
         epsilon=_finite("--epsilon (config /epsilon)", epsilon, positive=True),
     )
@@ -386,6 +392,11 @@ def _cmd_verify_all(args) -> int:
         models = [gaussian(m)]
     else:
         models = [cylinder()]
+    for model in models:
+        try:
+            quadrature.require_rule_work(model.flat_m, report.RESOLUTION)
+        except NumericError as exc:  # the rule work budget, checked before any check runs
+            raise ConfigError(f"--m (config /m) is too large: {exc}") from exc
     echo = {"model_choice": choice, "m": m}
     rep = report.verify_all(models, config_echo=echo)
     for check in rep.checks:

@@ -32,6 +32,7 @@ from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
 from .ratlinalg import integer_rank
 from .spectrum import (
+    _EPS,
     SpectralLine,
     SpectrumCatalog,
     _convolve,
@@ -227,6 +228,23 @@ def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
 # -- spectra of the weighted Hodge Laplacian ---------------------------------------
 
 
+def _form_work(model: ModelShrinker, lambda_max: float) -> float:
+    """Upper bound on the lines built and line pairs convolved by form_spectrum up to lambda_max.
+
+    A flat factor builds its frame line and L <= floor(2 lambda) + 1 scalar
+    lines and convolves L pairs.  The cylinder also builds its S sphere lines
+    and S - 1 (1,0) lines, convolves them with up to two flat factors of at
+    most L lines, and merges the two blocks, up to 2L lines, with the unit
+    line; S < sqrt(2 lambda) + 1 as in `spectrum._catalog_work`.
+    """
+    steps = 2.0 * (lambda_max + _EPS)
+    lines = steps + 1.0
+    if model.kind == "gaussian":
+        return 1.0 + 2.0 * lines
+    sphere = math.sqrt(steps) + 1.0
+    return 2.0 * sphere + 1.0 + (2.0 * sphere + 5.0) * lines
+
+
 def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCatalog:
     """Complete (p,0)-form spectrum of the model up to lambda_max.
 
@@ -236,14 +254,14 @@ def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCa
     with the one line (p/2, C(m, p)).  On the cylinder a (p,0)-form is a
     sphere (a,0)-form times a flat (p-a,0)-form, a in {0, 1}; the sphere's
     (1,0) eigenforms share the nonconstant spherical harmonics' lines.
-    Raises NumericError, before any line is built, when the scalar catalog
-    up to lambda_max would exceed its work limit.
+    Raises NumericError, before any line is built, when `_form_work` exceeds
+    the catalogs' work limit or lambda_max is not finite.
     """
     if p < 0 or p > model.m:
         raise DomainError(f"form degree p={p} outside 0..{model.m}")
     if model.kind not in ("gaussian", "cylinder"):
         raise DomainError("form spectra are available for gaussian and cylinder models")
-    _require_catalog_work(model, lambda_max)
+    _require_catalog_work(_form_work(model, lambda_max), lambda_max)
 
     def flat(q: int):
         m = model.flat_m

@@ -10,7 +10,8 @@ its nodes are s_i * theta_k with weight W_i * w_k, where
   for a level set), and W_i carries the Jacobian s^{2m-1}, the compact area
   and, for the weighted space, e^{-f};
 * the directions theta_k are uniform grids of n_phi angles on each torus
-  circle, times Gauss-Legendre nodes on the simplex below.
+  circle, times a Gauss-Legendre rule on the simplex below, built for every
+  flat dimension m in collapsed coordinates (`_unit_sphere_rule`).
 
 Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
@@ -30,21 +31,22 @@ the same sum over the same nodes, taken in another order.  The aliased pairs
 alpha != beta are summed, not assumed to vanish as the closed-form route
 assumes, so the quadrature route stays independent of it.
 
-Gauss-Legendre tables are generated in long double, so the volume identity,
-whose two sides cancel to machine zero on the flat model, is summed in
-extended precision end to end.
+Every rule is float64; only the volume identity sums its masses in decimal.
+Each rule builder first checks its size against RULE_WORK_LIMIT.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import NumericError
 from .holopoly import HoloPoly
 from .models import ModelShrinker
 
@@ -60,12 +62,9 @@ __all__ = [
     "unit_ball_volume",
     "volume_area",
     "raw_level_area",
+    "require_rule_work",
     "verify_volume_identity",
 ]
-
-_LD = np.longdouble
-_PI_LD = np.arccos(_LD(-1))
-
 
 # -- closed-form moments -----------------------------------------------------
 
@@ -105,15 +104,22 @@ def ball_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
 
 # -- Gauss-Legendre tables and simplex rules ----------------------------------
 
+# Bound on the work `require_rule_work` counts; every rule builder checks it
+# before it allocates.  Near the bound on a 2-core VM, the level, ball and
+# weighted rules of m = 5 at resolution 479 (707,281 simplex nodes) build in
+# 0.09 s at a 90 MB peak, and the slowest accepted build, the decimal tables
+# of verify_volume_identity at m = 2 and resolution 999, takes 0.52 s.
+# verify-all's largest rules, m = 5 at resolution 256, need 131,072; m = 6
+# needs 1,114,112.
+RULE_WORK_LIMIT = 1_000_000
 
-@lru_cache(maxsize=None)
-def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] in long double.
 
-    Newton's method on the three-term recurrence, started from the asymptotic
-    guesses cos(pi (k - 1/4) / (n + 1/2)), converges to long-double accuracy,
-    so weight sums carry errors near 1e-19 instead of the 1e-16 of a float64
-    table (cf. Hale & Townsend, SIAM J. Sci. Comput. 35, 2013).
+def _legendre_newton(x: np.ndarray, n: int, tol) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Newton's method from the guesses x.
+
+    The three-term recurrence runs alike on float64 and on Decimal object
+    arrays; the iteration stops after the first step of at most tol (cf. Hale
+    & Townsend, SIAM J. Sci. Comput. 35, 2013).
     """
 
     def legendre(x):
@@ -122,54 +128,49 @@ def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
             p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
         return p, n * (x * p - p_prev) / (x * x - 1)
 
-    k = np.arange(n, 0, -1, dtype=_LD)
-    x = np.cos(_PI_LD * (k - _LD(0.25)) / (n + _LD(0.5)))
     for _ in range(100):
         p, dp = legendre(x)
         step = p / dp
         x = x - step
-        if np.max(np.abs(step)) <= 4 * np.finfo(_LD).eps:
+        if np.max(np.abs(step), initial=0) <= tol:  # a 0-point table is empty
             break
     _, dp = legendre(x)
     return x, 2 / ((1 - x * x) * dp * dp)
 
 
+@lru_cache(maxsize=None)
+def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] in float64, from cos(pi (k - 1/4) / (n + 1/2))."""
+    k = np.arange(n, 0, -1)
+    return _legendre_newton(np.cos(math.pi * (k - 0.25) / (n + 0.5)), n, 4 * np.finfo(float).eps)
+
+
 def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre rule on [a, b], in long double."""
+    """n-point Gauss-Legendre rule on [a, b]."""
     x, w = _gl_reference(n)
-    half = (_LD(b) - _LD(a)) / 2
-    return half * x + (_LD(a) + _LD(b)) / 2, half * w
+    half = (b - a) / 2
+    return half * x + (a + b) / 2, half * w
 
 
 @lru_cache(maxsize=64)
-def _unit_sphere_rule(m: int, n_u: int) -> tuple[np.ndarray, np.ndarray, np.longdouble]:
-    """Simplex nodes u (S, m) and weights (S,) of the unit sphere of C^m, and their sum in long double.
+def _unit_sphere_rule(m: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """Simplex nodes u (S, m) and weights (S,) of the unit sphere of C^m, S = n_u^(m-1).
 
-    The weights carry the torus volume (2 pi)^m, so they sum to the sphere's area.
+    Collapsed coordinates x_i in [0, 1], i < m, each with the n_u-point rule,
+    give u_1 = x_1, u_{i+1} = x_{i+1} prod_{j<=i} (1 - x_j) and u_m =
+    prod_{j<m} (1 - x_j), with Jacobian prod_i (1 - x_i)^(m-1-i) (Duffy, SIAM
+    J. Numer. Anal. 19, 1982).  The weights carry the torus volume (2 pi)^m and
+    the sphere measure's 2^(1-m), so they sum to the sphere's area.
     """
-    torus = (2 * _PI_LD) ** m
-    if m == 1:
-        nodes = np.ones((1, 1))
-        weights = np.array([torus])
-    elif m == 2:
-        u, wu = _gl(n_u, 0.0, 1.0)
-        u = u.astype(float)
-        nodes = np.stack([u, 1.0 - u], axis=-1)
-        weights = wu * torus / 2
-    elif m == 3:
-        # Simplex {u1 + u2 + u3 = 1} via u1 = x1, u2 = (1-x1) x2.
-        x1, w1 = _gl(n_u, 0.0, 1.0)
-        x2, w2 = _gl(n_u, 0.0, 1.0)
-        u1 = np.repeat(x1.astype(float), n_u)
-        u2 = np.outer(1.0 - x1.astype(float), x2.astype(float)).ravel()
-        u3 = np.clip(1.0 - u1 - u2, 0.0, None)
-        nodes = np.stack([u1, u2, u3], axis=-1)
-        weights = (w1[:, None] * w2[None, :] * (1 - x1)[:, None] * torus / 4).ravel()
-    else:
-        raise ConfigError(
-            f"no quadrature rule for flat complex dimension {m}: sphere rules exist for 1 <= m <= 3"
-        )
-    return nodes, weights.astype(float), weights.sum()
+    nodes = np.empty((1, 0))
+    rest = np.ones(1)  # prod_{j<=i} (1 - x_j) at each node
+    weights = np.full(1, (2 * math.pi) ** m / 2 ** (m - 1))
+    x, w = _gl(n_u, 0.0, 1.0)
+    for i in range(1, m):
+        nodes = np.column_stack([np.repeat(nodes, n_u, axis=0), np.outer(rest, x).ravel()])
+        rest = np.outer(rest, 1.0 - x).ravel()
+        weights = np.outer(weights, w * (1.0 - x) ** (m - 1 - i)).ravel()
+    return np.column_stack([nodes, rest]), weights
 
 
 def _level_counts(m: int, resolution: int) -> tuple[int, int]:
@@ -189,6 +190,22 @@ def _ball_counts(m: int, resolution: int) -> tuple[int, int, int]:
     return n_rad, max(4, resolution // 32), max(12, resolution // 16)
 
 
+def require_rule_work(m: int, resolution: int) -> None:
+    """Raise NumericError when rules of flat dimension m at this resolution exceed RULE_WORK_LIMIT.
+
+    The work is the level rule's n_u^(m-1) simplex nodes, the most of any
+    rule, plus n^2 for the largest Gauss-Legendre order n = max(64,
+    resolution): each Newton step runs the n-term recurrence on n nodes.
+    """
+    n_u, _ = _level_counts(m, resolution)
+    work = n_u ** (m - 1) + max(64, resolution) ** 2
+    if work > RULE_WORK_LIMIT:
+        raise NumericError(
+            f"rules for m={m} at resolution {resolution} need about {work:.3g} simplex nodes "
+            f"and Newton terms, over the limit of {RULE_WORK_LIMIT:,}"
+        )
+
+
 # -- product rules -------------------------------------------------------------
 
 
@@ -202,8 +219,9 @@ class ProductRule:
     each u_s stands for the n_phi^m directions sqrt(u_s) e^{i phi} on a
     uniform grid of ``n_phi`` angles per circle.  The direction factor
     depends only on the flat dimension, the rule kind and the resolution, so
-    direction sums formed on one rule serve every rule of its kind.
-    ``mass`` is (sum W_i)(sum w_k), summed in long double.
+    direction sums formed on one rule serve every rule of its kind.  Every
+    array is float64, and the simplex factor is the collapsed rule of
+    `_unit_sphere_rule`, one construction for every flat dimension.
     """
 
     radii: np.ndarray
@@ -211,7 +229,6 @@ class ProductRule:
     nodes: np.ndarray
     weights: np.ndarray
     n_phi: int
-    mass: np.longdouble
 
     def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
         """Coefficients c with sum_d c_d s^d = Re sum_k w_k sum_i a_i(s theta_k) conj(b_i(s theta_k)).
@@ -252,15 +269,8 @@ def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int) -> ProductRule:
-    nodes, weights, direction_mass = _unit_sphere_rule(m, n_u)
-    return ProductRule(
-        radii=radii.astype(float),
-        radial_weights=radial_weights.astype(float),
-        nodes=nodes,
-        weights=weights,
-        n_phi=n_phi,
-        mass=radial_weights.sum() * direction_mass,
-    )
+    nodes, weights = _unit_sphere_rule(m, n_u)
+    return ProductRule(radii=radii, radial_weights=radial_weights, nodes=nodes, weights=weights, n_phi=n_phi)
 
 
 def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
@@ -269,8 +279,9 @@ def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> Pro
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     m = model.flat_m
-    rho = np.array([model.flat_radius(r)], dtype=_LD)
-    radial = _LD(model.compact_area) * rho ** (2 * m - 1)
+    require_rule_work(m, resolution)
+    rho = np.array([model.flat_radius(r)])
+    radial = model.compact_area * rho ** (2 * m - 1)
     return _product_rule(rho, radial, m, *_level_counts(m, resolution))
 
 
@@ -294,9 +305,10 @@ def shell_quadrature(
 
 def _radial_shell(model: ModelShrinker, s_lo: float, s_hi: float, resolution: int) -> ProductRule:
     m = model.flat_m
+    require_rule_work(m, resolution)
     n_rad, n_u, n_phi = _ball_counts(m, resolution)
     s, w_s = _gl(n_rad, s_lo, s_hi)
-    radial = w_s * s ** (2 * m - 1) * _LD(model.compact_area)
+    radial = w_s * s ** (2 * m - 1) * model.compact_area
     return _product_rule(s, radial, m, n_u, n_phi)
 
 
@@ -311,10 +323,11 @@ def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> Pr
     The radial weights already include e^{-f} and stop at WEIGHTED_RADIUS_MAX.
     """
     m = model.flat_m
+    require_rule_work(m, resolution)
     n_rad = max(64, resolution)
     _, n_u, n_phi = _ball_counts(m, resolution)
     s, w_s = _gl(n_rad, 0.0, WEIGHTED_RADIUS_MAX)
-    radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * _LD(model.compact_area)
+    radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * model.compact_area
     return _product_rule(s, radial, m, n_u, n_phi)
 
 
@@ -341,26 +354,51 @@ def raw_level_area(model: ModelShrinker, r: float) -> float:
     return model.compact_area * unit_sphere_area(model.flat_m) * rho ** (2 * model.flat_m - 1)
 
 
-def verify_volume_identity(model: ModelShrinker, r: float, resolution: int = 128) -> float:
-    """Residual of n V(r) - r V'(r) = 2 int_{b<r} S - 2 int_{b=r} S/|grad f|.
+def verify_volume_identity(
+    model: ModelShrinker, radii: Sequence[float], resolution: int = 128
+) -> list[float]:
+    """Residuals of n V(r) - r V'(r) = 2 int_{b<r} S - 2 int_{b=r} S/|grad f| at each r in radii.
 
-    Both sides are evaluated with quadrature; the relative residual
-    |LHS - RHS| / (1 + |LHS|) is returned.  The two sides cancel to machine
-    zero on the flat model, at a scale of up to r^{2m}, so the volume and the
-    level mass are (radial sum) x (direction sum) of long-double weights and
-    the identity is formed in long double too.  This relies on an 80-bit (or
-    wider) long double.
+    Both sides come from the masses of the level and ball rules at
+    `resolution`, as |LHS - RHS| / (1 + |LHS|).  The sides cancel on the flat
+    model at a scale of up to r^{2m}, so the masses are summed in decimal at
+    42 digits, from the rules' own tables refined by Newton's method; they
+    scale with r, so one set of tables serves every radius.  pi enters every
+    mass through the same factor (2 pi)^m, so a float64 pi cannot make a residual.
     """
-    level = level_set_quadrature(model, r, resolution)
-    ball = ball_quadrature(model, r, resolution)
-    vol = ball.mass
-    level_mass = level.mass
-    r_ld = _LD(r)
-    rho = _LD(model.flat_radius(r))
-    # coarea: V'(r) = int_{b=r} 1/|grad b|, with |grad b| = rho/r on the level set
-    area_coarea = level_mass * (r_ld / rho)
-    lhs = model.n * vol - r_ld * area_coarea
-    s = model.s_const
-    # |grad f| = rho/2 on the level set
-    rhs = 2 * s * vol - 2 * s * level_mass * (2 / rho)
-    return float(abs(lhs - rhs) / (1 + abs(lhs)))
+    m = model.flat_m
+    require_rule_work(m, resolution)
+    rhos = [model.flat_radius(r) for r in radii]
+    n_level, _ = _level_counts(m, resolution)
+    n_rad, n_ball, _ = _ball_counts(m, resolution)
+    residuals = []
+    with decimal.localcontext() as context:
+        # at m = 5 and r = 20 the sides cancel at a scale near 3e14: the masses need about 4e-25
+        context.prec = 42
+
+        def table(n):
+            # Newton squares the float64 seeds' error, so a step below 1e-21 is the last; the
+            # nodes are symmetric about 0, so only the upper half (ascending) is refined
+            seed = np.array([Decimal(v) for v in _gl_reference(n)[0][n // 2:]], dtype=object)
+            x, w = _legendre_newton(seed, n, Decimal("1e-21"))
+            return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
+
+        def unit_sphere_mass(n_u):
+            # sum of the weights of _unit_sphere_rule(m, n_u); the table on [0, 1] has nodes (1 + x)/2
+            x, w = table(n_u)
+            factors = (np.sum(w * (1 - x) ** k) / 2 ** (k + 1) for k in range(m - 1))
+            return (2 * Decimal(math.pi)) ** m / 2 ** (m - 1) * math.prod(factors)
+
+        x, w = table(n_rad)
+        unit_ball = unit_sphere_mass(n_ball) * np.sum(w * (1 + x) ** (2 * m - 1)) / 2 ** (2 * m)
+        unit_sphere = unit_sphere_mass(n_level)
+        area, s = Decimal(model.compact_area), Decimal(model.s_const)
+        for r, rho in zip(map(Decimal, radii), map(Decimal, rhos)):
+            vol = area * unit_ball * rho ** (2 * m)
+            level_mass = area * unit_sphere * rho ** (2 * m - 1)
+            # coarea: V'(r) = int_{b=r} 1/|grad b|, with |grad b| = rho/r on the level set
+            lhs = model.n * vol - r * level_mass * (r / rho)
+            # |grad f| = rho/2 on the level set
+            rhs = 2 * s * vol - 2 * s * level_mass * (2 / rho)
+            residuals.append(float(abs(lhs - rhs) / (1 + abs(lhs))))
+    return residuals

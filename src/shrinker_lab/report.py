@@ -27,6 +27,9 @@ from .models import ModelShrinker, cylinder, gaussian, geometry_at
 
 __version__ = "0.1.0"
 
+# the largest resolution the per-model rows build quadrature rules at
+RESOLUTION = 256
+
 
 @dataclass
 class CheckResult:
@@ -168,7 +171,7 @@ def _frequency_sharp(model: ModelShrinker, method: str) -> float:
     radii = [1.0, 2.5, 8.0, 20.0, 40.0]
     if model.sup_S > 0:
         radii = [4.5, 8.0, 20.0, 40.0]
-    config = frequency.FrequencyConfig(resolution=256, method=method)
+    config = frequency.FrequencyConfig(resolution=RESOLUTION, method=method)
     errors = []
     for alpha in monomials(model.flat_m, 5, 1):
         u = HoloPoly.monomial(model.flat_m, alpha)
@@ -192,14 +195,14 @@ def _dirichlet_gap(model: ModelShrinker) -> float:
     gaps = []
     for u in (HoloPoly(m, {e1: 1.0}), HoloPoly(m, {e2: 1.0, (0,) * m: 0.5, e1: -0.75})):
         for r in (4.5, 10.0):
-            rec = frequency.D_of_r(model, u, r, 256, "quadrature")
+            rec = frequency.D_of_r(model, u, r, RESOLUTION, "quadrature")
             gaps.append(abs(rec.bulk - rec.boundary) / max(abs(rec.bulk), 1e-300))
     return _worst(gaps)
 
 
 def _volume_identity(model: ModelShrinker) -> float:
     radii = (3.0, 6.0, 10.0, 20.0) if model.sup_S == 0 else (4.0, 6.0, 10.0, 20.0)
-    return _worst(quadrature.verify_volume_identity(model, r, 128) for r in radii)
+    return _worst(quadrature.verify_volume_identity(model, radii, 128))
 
 
 def _normalization(model: ModelShrinker) -> float:
@@ -262,7 +265,7 @@ def _j_ledger(model: ModelShrinker) -> float:
 def _k_lemma(model: ModelShrinker) -> float:
     m = model.flat_m
     u = HoloPoly(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * (m - 1) + (2,): 0.5})
-    recs = [frequency.check_defect_recursion(model, u, r, 2, 256) for r in (6.0, 10.0)]
+    recs = [frequency.check_defect_recursion(model, u, r, 2, RESOLUTION) for r in (6.0, 10.0)]
     return _worst(res for rec in recs for res in rec.recursion_residuals)
 
 
@@ -452,6 +455,9 @@ CHECKS = [
 
 
 def _model_tag(model: ModelShrinker) -> str:
+    """gaussian_m<m>, cylinder, or a product's factor tags joined by _x_."""
+    if model.kind == "product":
+        return "_x_".join(_model_tag(factor) for factor in model.factors)
     return f"gaussian_m{model.flat_m}" if model.kind == "gaussian" else model.kind
 
 

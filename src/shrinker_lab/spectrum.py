@@ -23,6 +23,8 @@ _EPS = 1e-9
 # Building a catalog at the bound takes under 1 s on a 2-core VM: 100,000 flat
 # lines take 0.45 s, and the cylinder's 94,000 units up to lambda = 1000 take
 # 0.64 s.  Every horizon verify-all uses (lambda <= 3) needs fewer than 40.
+# forms.form_spectrum is held to it through forms._form_work: the cylinder's
+# (1,0) spectrum at its largest accepted horizon, about 637, takes 0.52 s.
 CATALOG_WORK_LIMIT = 100_000
 
 
@@ -122,9 +124,8 @@ def _catalog_work(model: ModelShrinker, lambda_max: float) -> float:
     return work
 
 
-def _require_catalog_work(model: ModelShrinker, lambda_max: float) -> None:
-    """Raise NumericError when `_catalog_work` exceeds CATALOG_WORK_LIMIT or is not finite."""
-    work = _catalog_work(model, lambda_max)
+def _require_catalog_work(work: float, lambda_max: float) -> None:
+    """Raise NumericError when a catalog's `work` exceeds CATALOG_WORK_LIMIT or is not finite."""
     if not work <= CATALOG_WORK_LIMIT:
         raise NumericError(
             f"catalog up to lambda_max={lambda_max:g} needs about {work:.3g} lines and pairs, "
@@ -140,7 +141,7 @@ def analytic_spectrum(model: ModelShrinker, lambda_max: float) -> SpectrumCatalo
     """
     if lambda_max < 0:
         raise DomainError(f"lambda_max must be nonnegative, got {lambda_max}")
-    _require_catalog_work(model, lambda_max)
+    _require_catalog_work(_catalog_work(model, lambda_max), lambda_max)
     parts: list[list[tuple[Fraction, int, str]]] = []
     if model.flat_m > 0:
         parts.append(_flat_lines(2 * model.flat_m, lambda_max))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -385,6 +386,8 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
          ["--form", "/form", "'index'"]),
         (_FORMS_G2, {"form": {"p": 1, "m": 2, "coeffs": [{"index": [1], "terms": [{"alpha": ["1", 0]}]}]}},
          ["--form", "/form", "'alpha'"]),
+        (["verify-all", "--m", "6"], None, ["--m", "/m"]),
+        (_FREQ_G1 + ["--poly", "z", "--resolution", "10000000"], None, ["--resolution", "/resolution"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -396,6 +399,7 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
         "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
+        "verify-all-rule-guard", "frequency-rule-guard",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
@@ -403,7 +407,10 @@ def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(entries))
         argv = argv + ["--config", str(cfg)]
+    t0 = time.perf_counter()
     code = main(argv)
+    # each guard refuses before it builds anything
+    assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert code == 2, err
     assert all(name in err for name in names), err

@@ -183,8 +183,38 @@ def test_form_spectrum_guard_refuses_before_building(monkeypatch):
     # the cylinder's scalar catalog up to 2000 is about 2.6e5 lines and pairs
     with pytest.raises(NumericError, match="lambda_max=2000"):
         form_spectrum(cylinder(), 1, 2000.0)
+    # its scalar catalog up to 1000 passes (about 9.4e4), but the form path's two
+    # blocks and their merge are about 1.9e5
+    with pytest.raises(NumericError, match="lambda_max=1000"):
+        form_spectrum(cylinder(), 1, 1000.0)
     with pytest.raises(NumericError):
         form_spectrum(G2, 1, math.inf)
+
+
+@pytest.mark.parametrize("model", [G1, G3, cylinder()], ids=["gaussian_m1", "gaussian_m3", "cylinder"])
+def test_form_work_bounds_the_built_work(model, monkeypatch):
+    built = 0
+
+    def counted(fn, size):
+        def wrapper(*args):
+            nonlocal built
+            out = fn(*args)
+            built += size(args, out)
+            return out
+
+        return wrapper
+
+    for name in ("_flat_lines", "_sphere_lines"):
+        monkeypatch.setattr(forms, name, counted(getattr(forms, name), lambda args, out: len(out)))
+    monkeypatch.setattr(forms, "_convolve", counted(forms._convolve, lambda args, out: len(args[0]) * len(args[1])))
+    for lambda_max in (0.0, 0.5, 1.0, 2.9, 10.25, 40.0):
+        worst = 0
+        for p in range(model.m + 1):
+            built = 0
+            form_spectrum(model, p, lambda_max)
+            worst = max(worst, built)
+        # the bound holds for every p and is reached, within a factor 2, by the costliest
+        assert worst <= forms._form_work(model, lambda_max) <= 2.0 * worst + 4.0
 
 
 def test_integer_rank_basics():

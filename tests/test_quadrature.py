@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from shrinker_lab.errors import ConfigError, RegularityError
+from shrinker_lab import quadrature
+from shrinker_lab.errors import NumericError, RegularityError
 from shrinker_lab.holopoly import HoloPoly
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.quadrature import (
@@ -15,6 +16,7 @@ from shrinker_lab.quadrature import (
     ball_quadrature,
     level_set_quadrature,
     raw_level_area,
+    require_rule_work,
     shell_quadrature,
     sphere_moment,
     unit_ball_volume,
@@ -131,9 +133,9 @@ def test_weighted_space_total_mass():
 
 
 def test_volume_identity_gaussian_exact():
-    for m in (1, 2):
-        for r in (3.0, 6.0, 10.0):
-            assert verify_volume_identity(gaussian(m), r, 128) < 1e-10
+    # the report's radii; at m = 3 and r = 20 the sides cancel at a scale near 2e9
+    for m in (1, 2, 3, 4):
+        assert max(verify_volume_identity(gaussian(m), (3.0, 6.0, 10.0, 20.0), 128)) < 1e-10
 
 
 def test_volume_identity_cylinder_closed_form():
@@ -145,18 +147,17 @@ def test_volume_identity_cylinder_closed_form():
     rho = model.flat_radius(4.0)
     rhs = 2.0 * v - 2.0 * raw_level_area(model, 4.0) * 2.0 / rho
     assert math.isclose(rhs, 128.0 * math.pi**2, rel_tol=1e-13)
-    assert verify_volume_identity(model, 4.0, 64) < 1e-10
+    assert verify_volume_identity(model, (4.0,), 64)[0] < 1e-10
 
 
 def test_volume_identity_cylinder_quadrature():
-    for r in (6.0, 10.0, 20.0):
-        assert verify_volume_identity(cylinder(), r, 128) < 1e-6
+    assert max(verify_volume_identity(cylinder(), (6.0, 10.0, 20.0), 128)) < 1e-6
 
 
 def test_volume_identity_refinement():
     # the tensor rules are exact here, so refinement keeps the residual at the floor
-    coarse = verify_volume_identity(cylinder(), 10.0, 64)
-    fine = verify_volume_identity(cylinder(), 10.0, 128)
+    (coarse,) = verify_volume_identity(cylinder(), (10.0,), 64)
+    (fine,) = verify_volume_identity(cylinder(), (10.0,), 128)
     assert fine <= max(coarse / 3.0, 1e-12)
 
 
@@ -168,15 +169,32 @@ def test_irregular_radius_rejected():
 
 
 def test_sphere_moment_m3_against_quadrature():
-    nodes, weights = expand(level_set_quadrature(gaussian(3), 2.0, 64))
-    for alpha in [(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)]:
-        u = HoloPoly.monomial(3, alpha)
-        num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
-        assert math.isclose(num, sphere_moment(3, alpha, 2.0), rel_tol=1e-11)
+    # m = 4 too: the collapsed simplex rule has one loop for every flat dimension
+    for alphas in ([(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)], [(0, 0, 0, 0), (1, 0, 0, 2), (1, 1, 1, 1)]):
+        m = len(alphas[0])
+        nodes, weights = expand(level_set_quadrature(gaussian(m), 2.0, 64))
+        for alpha in alphas:
+            u = HoloPoly.monomial(m, alpha)
+            num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
+            assert math.isclose(num, sphere_moment(m, alpha, 2.0), rel_tol=1e-11)
 
 
-def test_unsupported_flat_dimension_is_a_config_error():
-    with pytest.raises(ConfigError, match="dimension 4"):
-        level_set_quadrature(gaussian(4), 3.0, 32)
-    with pytest.raises(ConfigError, match="dimension 4"):
-        ball_quadrature(gaussian(4), 3.0, 32)
+def test_over_budget_rules_are_refused_before_any_table(monkeypatch):
+    def no_table(n):
+        raise AssertionError("a Gauss-Legendre table was built")
+
+    monkeypatch.setattr(quadrature, "_gl_reference", no_table)
+    builders = [
+        lambda model, res: level_set_quadrature(model, 3.0, res),
+        lambda model, res: ball_quadrature(model, 3.0, res),
+        lambda model, res: shell_quadrature(model, 3.0, 4.0, res),
+        lambda model, res: weighted_space_quadrature(model, res),
+        lambda model, res: verify_volume_identity(model, (3.0,), res),
+    ]
+    # 16^5 simplex nodes at m = 6, and a 10^7-point radial table at m = 1
+    for model, res in ((gaussian(6), 256), (gaussian(1), 10**7)):
+        for build in builders:
+            with pytest.raises(NumericError, match="over the limit"):
+                build(model, res)
+    # the largest rules verify-all builds: m = 5 at resolution 256
+    require_rule_work(5, 256)

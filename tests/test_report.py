@@ -31,7 +31,27 @@ def test_cylinder_times_line_passes_every_check():
     assert len(rep.checks) == 29
     assert [c.name for c in rep.checks if c.status != "pass"] == []
     names = {c.name for c in rep.checks}
-    assert {"frequency.sharp_closed.product", "frequency.sharp_quadrature.product"} <= names
+    assert {
+        "frequency.sharp_closed.cylinder_x_gaussian_m1",
+        "frequency.sharp_quadrature.cylinder_x_gaussian_m1",
+    } <= names
+
+
+def test_two_products_share_one_report(monkeypatch):
+    row = next(c for c in report.CHECKS if c.name == "geometry.normalization")
+    monkeypatch.setattr(report, "CHECKS", [row])
+    rep = report.verify_all([product([cylinder(), gaussian(1)]), product([cylinder(), cylinder()])])
+    assert [c.name for c in rep.checks] == [
+        "geometry.normalization.cylinder_x_cylinder",
+        "geometry.normalization.cylinder_x_gaussian_m1",
+    ]
+
+
+def test_four_flat_variables_pass_every_check():
+    # the quadrature rows run on collapsed simplex rules of 16^3 (level) and 8^3 (ball) nodes
+    rep = report.verify_all([gaussian(4)])
+    assert len(rep.checks) == 29
+    assert [c.name for c in rep.checks if c.status != "pass"] == []
 
 
 def test_import_leaves_scipy_out():
