@@ -303,6 +303,11 @@ def _cmd_heatflow(args) -> int:
     n_grid = _count("--n-grid (config /n_grid)", n_grid, minimum=16)
     n_steps = args.n_steps if args.n_steps is not None else config.get("n_steps", 200)
     n_steps = _count("--n-steps (config /n_steps)", n_steps)
+    try:
+        fheat.require_heat_work(n_grid, n_steps, args.extrapolate)
+    except NumericError as exc:  # the heat work budget, checked before the grid is built
+        flag = "--n-grid (config /n_grid)" if n_grid > fheat.HEAT_GRID_LIMIT else "--n-steps (config /n_steps)"
+        raise ConfigError(f"{flag} is too large: {exc}") from exc
     sol = fheat.project_to_eigenbasis(coeffs)
     x, numeric = fheat.timestep_oracle(
         lambda xs: np.polynomial.polynomial.polyval(xs, coeffs),

@@ -7,14 +7,21 @@ element-by-element loop.
 
 Implicit heat stepping solves one constant tridiagonal matrix many times.
 `thomas_factor` does the elimination once and `thomas_substitute` solves each
-right-hand side with two parallel-prefix (Hillis-Steele) scans of the
-first-order recurrences of the forward and back substitution (Stone, J. ACM
-20, 1973), log2(n) numpy multiply-adds each.  The scans sum the same terms as
-the textbook loop in a different order, so solutions agree with it to
-rounding, not bit for bit.
+right-hand side by the closed form of the first-order recurrences of the
+forward and back substitution: with the summation factor Q_i, the running
+product of the multipliers, z_i = r_i + a_i z_{i-1} is
+z_i = Q_i sum_{j <= i} r_j / Q_j (Graham, Knuth & Patashnik, Concrete
+Mathematics, 2.2).  Q and 1/Q are kept within 2^±500 by cutting the rows into
+equal blocks, each with its own Q; one cumulative sum along the blocks
+evaluates every block's sums, and a loop over the blocks carries each one's
+end into the next.  The sums hold the same terms as the textbook loop in a
+different order, so solutions agree with it to rounding, not bit for bit.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +30,24 @@ from .errors import NumericError
 # bisection stops when the bracket is below this times the Gershgorin span
 BISECTION_TOL = 1e-12
 MAX_BISECTIONS = 200
+# every running product of multipliers in a scan block, and its inverse, stays within 2^±_BLOCK_BITS
+_BLOCK_BITS = 500
+
+
+@dataclass(frozen=True)
+class _SumBlocks:
+    """Summation factors of the recurrence z_i = r_i + a_i z_{i-1}, in B blocks of L rows.
+
+    With Q the product of the multipliers of the rows after the start of a
+    block, up to row t (1 at the start), inv_q[b, t] = 1 / Q and
+    out[b, t] = Q times the scale its row's result takes.  gains[b - 1] is the
+    multiplier of block b's first row times Q at the end of block b - 1: it
+    carries the sum of block b - 1 into block b.
+    """
+
+    inv_q: np.ndarray
+    out: np.ndarray
+    gains: list[float]
 
 
 def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
@@ -89,20 +114,23 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
     return out
 
 
-def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[_SumBlocks, _SumBlocks]:
     """Eliminate the symmetric tridiagonal matrix (diag, off) once.
 
-    Returns (pivots, levels) for `thomas_substitute`.  Pivot i is the
-    eliminated diagonal entry of row i; with the multipliers
-    c_i = off[i] / pivot i the matrix is L D L^T, L unit lower bidiagonal
-    with subdiagonal c.  levels[k] holds the products of 2^k consecutive
-    -c: levels[k][t] = prod(-c[t : t + 2^k]).  They depend on the matrix
-    alone, so every right-hand side reuses them.
+    Returns (forward, backward) for `thomas_substitute`.  With the pivots
+    d_i, the eliminated diagonal entries, and the multipliers
+    c_i = off[i] / d_i the matrix is L D L^T, L unit lower bidiagonal with
+    subdiagonal c.  forward holds the summation factors of
+    z_i = r_i - c_{i-1} z_{i-1}, scaled to return y_i = z_i / d_i; backward
+    those of x_i = y_i - c_i x_{i+1}, read from the last row up.  Both use one
+    block length (see `_block_length`) and depend on the matrix alone, so
+    every right-hand side reuses them.
 
-    For a strictly diagonally dominant matrix every |c_i| < 1, so every scan
-    coefficient and every product in `levels` is below 1 in magnitude and
-    the scans do not amplify rounding.  The backward-Euler matrix M + ds K
-    is such a matrix: K is a Dirichlet Laplacian and M a positive mass.
+    For a strictly diagonally dominant matrix every |c_i| < 1, so each term
+    r_j Q_i / Q_j of a solution entry carries a product of multipliers below
+    1 in magnitude, as in the textbook loop, and the sums do not amplify
+    rounding.  The backward-Euler matrix M + ds K is such a matrix: K is a
+    Dirichlet Laplacian and M a positive mass.
     """
     diag = np.asarray(diag, dtype=float).tolist()
     off = np.asarray(off, dtype=float).tolist()
@@ -118,31 +146,98 @@ def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[np.ndarray, list[n
         if denom == 0.0:
             raise NumericError(f"zero pivot in tridiagonal solve at row {i}")
         pivots.append(denom)
-    levels = []
-    prod = -np.array(mults)
-    shift = 1
-    while shift < n:
-        levels.append(prod)
-        prod = prod[:-shift] * prod[shift:]
-        shift *= 2
-    return np.array(pivots), levels
+    a = -np.array(mults)
+    length = _block_length(a)
+    return _sum_blocks(a, length, 1.0 / np.array(pivots)), _sum_blocks(a[::-1], length, 1.0)
 
 
-def thomas_substitute(factor: tuple[np.ndarray, list[np.ndarray]], rhs: np.ndarray) -> np.ndarray:
+def _block_length(a: np.ndarray) -> int:
+    """Rows per block for the multipliers a of an order-(a.size + 1) recurrence.
+
+    A block of L rows multiplies up to L - 1 consecutive multipliers, and
+    |log2| of a window's product is at most the sum of |log2 a| over the
+    window.  The longest L keeps that sum within _BLOCK_BITS on every window
+    of L - 1 multipliers; one search of its cumulative sum finds it.  A zero
+    multiplier counts as out of range and makes every block one row.  The
+    rows are then shared out equally between the fewest blocks of at most
+    that length.
+    """
+    n = a.size + 1
+    with np.errstate(divide="ignore"):
+        bits = np.minimum(np.abs(np.log2(np.abs(a))), 2 * _BLOCK_BITS)
+    reach = np.concatenate(([0.0], np.cumsum(bits)))
+    ends = np.searchsorted(reach, reach + _BLOCK_BITS, side="right")
+    gaps = (ends - np.arange(n))[ends < n]
+    longest = int(gaps.min()) if gaps.size else n
+    blocks = -(-n // longest)
+    return -(-n // blocks)
+
+
+def _sum_blocks(a: np.ndarray, length: int, scale: float | np.ndarray) -> _SumBlocks:
+    """Summation factors of z_i = r_i + a_i z_{i-1} (a_0 unused) in blocks of `length` rows.
+
+    Row i of the result is multiplied by scale, a number or one per row.
+    """
+    n = a.size + 1
+    mult = np.ones((-(-n // length), length))
+    mult.ravel()[1:n] = a
+    lead = mult[:, 0].copy()
+    mult[:, 0] = 1.0
+    q = np.cumprod(mult, axis=1)
+    out = q.copy()
+    out.ravel()[:n] *= scale
+    return _SumBlocks(inv_q=1.0 / q, out=out, gains=(lead[1:] * q[:-1, -1]).tolist())
+
+
+def _block_scan(blocks: _SumBlocks, r: np.ndarray) -> np.ndarray:
+    """z_i = r_i + a_i z_{i-1} for every i, by the summation factors in `blocks`.
+
+    Within block b, z_t = Q_t (k_b + sum_{j <= t} r_j / Q_j), where the carry
+    k_b is the block's leading multiplier times z at the end of block b - 1.
+    When some r_j / Q_j overflows, the last block's closing sum is not
+    finite; the scan then runs again on r scaled by a power of two, which is
+    exact for every entry within 2^1000 of the largest, and scales the result
+    back.
+    """
+    z, closing = _block_scan_once(blocks, r)
+    if math.isfinite(closing):
+        return z
+    _, exponent = math.frexp(float(np.max(np.abs(r))))
+    if exponent <= 0:  # r is not finite, or too small to be the cause: no scale mends it
+        return z
+    z, _ = _block_scan_once(blocks, np.ldexp(r, -exponent))
+    return np.ldexp(z, exponent)
+
+
+def _block_scan_once(blocks: _SumBlocks, r: np.ndarray) -> tuple[np.ndarray, float]:
+    """The block scan of r and its last block's closing sum, finite iff every block sum is."""
+    n = r.size
+    s = np.zeros(blocks.out.shape)
+    flat = s.ravel()
+    np.multiply(r, blocks.inv_q.ravel()[:n], out=flat[:n])
+    np.add.accumulate(s, axis=1, out=s)
+    sums = s[:, -1].tolist()
+    carry = 0.0
+    if blocks.gains:
+        carries = [carry]
+        for gain, total in zip(blocks.gains, sums):
+            carry = gain * (total + carry)
+            carries.append(carry)
+        s += np.array(carries)[:, None]
+    s *= blocks.out
+    return flat[:n], sums[-1] + carry
+
+
+def thomas_substitute(factor: tuple[_SumBlocks, _SumBlocks], rhs: np.ndarray) -> np.ndarray:
     """Solve the factored tridiagonal system for one right-hand side.
 
-    Forward, z_i = rhs_i - c_{i-1} z_{i-1} solves L z = rhs; back,
-    x_i = z_i / pivot_i - c_i x_{i+1} solves D L^T x = z.  Each recurrence
-    runs as a Hillis-Steele scan: at level k, shift s = 2^k, every entry
-    adds levels[k] times the entry s rows before it (after it, going back).
+    Forward, z_i = rhs_i - c_{i-1} z_{i-1} solves L z = rhs, and y = z / d;
+    back, x_i = y_i - c_i x_{i+1} solves L^T x = y.  Each recurrence runs as
+    one block scan: a multiply by 1/Q, a cumulative sum along the blocks, a
+    loop that carries each block's end into the next, and a multiply by Q.
     """
-    pivots, levels = factor
-    x = np.array(rhs, dtype=float)
-    for k, prod in enumerate(levels):
-        shift = 1 << k
-        x[shift:] += prod * x[:-shift]
-    x /= pivots
-    for k, prod in enumerate(levels):
-        shift = 1 << k
-        x[:-shift] += prod * x[shift:]
-    return x
+    forward, backward = factor
+    # an overflowing block sum is caught by the finite check of _block_scan, which solves again
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _block_scan(forward, np.asarray(rhs, dtype=float))
+        return _block_scan(backward, y[::-1])[::-1]

@@ -7,8 +7,11 @@ expansion in this basis is finite and exact.  Series solutions evolve each
 coefficient by e^{-k s / 2}; the backward-Euler oracle advances the
 discretized operator of the oracle1d module instead and is compared against
 the series in the weighted L^2 norm.  Its step matrix M + ds K is factored
-once per run, and each step is a numpy scan solve (see eigensolve) that
-matches a fresh per-step elimination to rounding.
+once per run, and each step solves by the summation factors of the
+elimination's recurrences, one cumulative sum per recurrence over equal row
+blocks (see eigensolve), which matches a fresh per-step elimination to
+rounding.  A run is refused before its grid is built when its grid or its
+row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
 
 Heat polynomials (polynomial solutions of the plain heat equation) transform
 to eternal drift-heat solutions through the soliton flow x -> x e^{-s/2},
@@ -24,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .oracle1d import discretize, flat_weight
 from .eigensolve import thomas_factor, thomas_substitute
 
@@ -117,6 +120,34 @@ def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
 
 # -- time-stepping oracle --------------------------------------------------------
 
+# Bound on the row-steps `require_heat_work` counts.  On a 2-core VM a
+# backward-Euler step costs about 17 us of numpy calls plus 19 ns per grid
+# row, so the estimate charges every step _STEP_ROWS rows on top of its grid.
+# Near the bound the slowest accepted runs, grids of 400 to 800 with 36,000 to
+# 28,000 steps, take 1.1 s at a 31 MB peak; N_grid = HEAT_GRID_LIMIT with 495
+# steps takes 0.7 s at a 57 MB peak.  The largest run in use, (1600, 400)
+# extrapolated, needs 1,560,000.
+HEAT_WORK_LIMIT = 50_000_000
+_STEP_ROWS = 1_000
+# Bound on N_grid: discretize and thomas_factor hold arrays and Python lists of N_grid floats.
+HEAT_GRID_LIMIT = 100_000
+
+
+def require_heat_work(N_grid: int, N_steps: int, extrapolate: bool) -> None:
+    """Raise NumericError when N_grid exceeds HEAT_GRID_LIMIT or the run's row-steps exceed HEAT_WORK_LIMIT.
+
+    The row-steps are (N_grid + _STEP_ROWS) per step, over 3/2 as many steps
+    when extrapolating.
+    """
+    if N_grid > HEAT_GRID_LIMIT:
+        raise NumericError(f"grid of {N_grid:,} intervals is over the limit of {HEAT_GRID_LIMIT:,}")
+    work = (N_grid + _STEP_ROWS) * N_steps * (1.5 if extrapolate else 1.0)
+    if work > HEAT_WORK_LIMIT:
+        raise NumericError(
+            f"{N_steps:,} steps on a grid of {N_grid:,} need about {work:.3g} row-steps, "
+            f"over the limit of {HEAT_WORK_LIMIT:,}"
+        )
+
 
 def timestep_oracle(
     u0: Callable[[np.ndarray], np.ndarray],
@@ -133,10 +164,12 @@ def timestep_oracle(
     Returns the full grid and the solution samples at s1 (Dirichlet zeros at
     the truncation boundary).  extrapolate=True combines runs at N_steps and
     N_steps/2 to cancel the leading first-order time error while every
-    individual step remains an implicit backward step.
+    individual step remains an implicit backward step.  Raises NumericError,
+    before the grid is built, when `require_heat_work` refuses the run.
     """
     if s1 <= s0:
         raise DomainError(f"need s1 > s0, got [{s0}, {s1}]")
+    require_heat_work(N_grid, N_steps, extrapolate)
     op = discretize(X, N_grid)
     x = op.grid
     vals0 = np.asarray(u0(x[1:-1]), dtype=float)

@@ -113,6 +113,13 @@ def ball_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
 # needs 1,114,112.
 RULE_WORK_LIMIT = 1_000_000
 
+# Bound on the floats, simplex nodes x pairs x m, that ProductRule.sphere_integrals
+# gathers at once (8 MB): it takes the matched pairs in chunks of this size.
+# Every verify-all, test and benchmark input needs at most 32,768, one chunk.
+# A 20-term profile on gaussian(5) at resolution 256 peaks 38 MB above import
+# instead of 81 MB, and at resolution 479 (707,281 nodes) 282 MB instead of 875.
+_PAIR_CHUNK_FLOATS = 1 << 20
+
 
 def _legendre_newton(x: np.ndarray, n: int, tol) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights on [-1, 1] by Newton's method from the guesses x.
@@ -238,7 +245,9 @@ class ProductRule:
         matched by their exponents mod n_phi, and each matching pair
         (alpha, beta) adds Re(c_alpha conj(d_beta)) sum_s w_s |z|^(alpha + beta)
         at the simplex nodes to c_{|alpha| + |beta|}.  Pairs with
-        alpha != beta that alias on the angle grid are summed too.
+        alpha != beta that alias on the angle grid are summed too.  The pairs
+        are taken in chunks that gather at most _PAIR_CHUNK_FLOATS powers, or
+        one pair where a single pair gathers more.
         """
         comp_a, alpha, coef_a = _term_table(a, self.nodes.shape[1])
         comp_b, beta, coef_b = _term_table(b, self.nodes.shape[1])
@@ -249,7 +258,12 @@ class ProductRule:
         powers = alpha[i] + beta[j]
         # |z_j|^k = u_j^(k/2) at every simplex node, for k up to the largest power
         modulus_powers = np.sqrt(self.nodes)[:, :, None] ** np.arange(powers.max(initial=0) + 1)
-        sums = self.weights @ modulus_powers[:, np.arange(powers.shape[1]), powers].prod(axis=-1)
+        axes = np.arange(powers.shape[1])
+        step = max(1, _PAIR_CHUNK_FLOATS // self.nodes.size)
+        sums = np.empty(len(powers))
+        for start in range(0, len(powers), step):
+            chunk = modulus_powers[:, axes, powers[start : start + step]]
+            sums[start : start + step] = self.weights @ chunk.prod(axis=-1)
         pair_coefs = (coef_a[i] * coef_b[j].conj()).real
         return np.bincount(powers.sum(axis=1), weights=pair_coefs * sums, minlength=1)
 

@@ -1,13 +1,14 @@
 """Element-by-element reference loops for the discrete oracles and eigenparts.
 
 The package runs its Sturm counts on Python floats, factors the
-backward-Euler matrix once per run, solves each step by parallel-prefix
-scans and ranks the contraction kernel one block per support size.  The
-loops below index numpy arrays one element at a time and redo the
-elimination at every step.  The Sturm counts do the same floating-point
-operations in the same order, so the tests require equal spectra, not close
-ones.  The scans sum the substitution's terms in another order, so heat
-stepping is matched element by element to a relative 1e-12 instead.  The
+backward-Euler matrix once per run, solves each step by summation factors,
+one cumulative sum per recurrence over equal row blocks, and ranks the
+contraction kernel one block per support size.  The loops below index numpy
+arrays one element at a time and redo the elimination at every step.  The
+Sturm counts do the same floating-point operations in the same order, so the
+tests require equal spectra, not close ones.  The block sums hold the
+substitution's terms in another order, so heat stepping is matched element
+by element to a relative 1e-12 instead.  The
 contraction kernel is ranked here as one whole sparse matrix, by exact
 elimination over the rationals.
 

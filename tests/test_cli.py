@@ -388,6 +388,8 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
          ["--form", "/form", "'alpha'"]),
         (["verify-all", "--m", "6"], None, ["--m", "/m"]),
         (_FREQ_G1 + ["--poly", "z", "--resolution", "10000000"], None, ["--resolution", "/resolution"]),
+        (_HEAT + ["--n-steps", "1000000000"], None, ["--n-steps", "/n_steps"]),
+        (_HEAT + ["--n-grid", "1000000000"], None, ["--n-grid", "/n_grid"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -399,7 +401,7 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
         "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
-        "verify-all-rule-guard", "frequency-rule-guard",
+        "verify-all-rule-guard", "frequency-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import brute_force
+from shrinker_lab import quadrature
 from shrinker_lab.forms import HoloForm, form_integral_identity_check, ricci_bound
 from shrinker_lab.frequency import (
     D_of_r,
@@ -159,6 +160,20 @@ def test_aliased_pairs_match_the_flat_grid(m, n_phi):
             # on the rule's own grid only alpha = beta pairs match: the aliased ones count
             unaliased = rule.sphere_integrals(a, b)
             assert np.max(np.abs(got - unaliased)) > 1e-3 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_pair_chunks_match_one_chunk(m, monkeypatch):
+    # a cap of three pairs' powers splits the matched pairs into several chunks
+    rng = np.random.default_rng(11 + m)
+    u = HoloPoly(m, {alpha: complex(*rng.normal(size=2)) for alpha in monomials(m, 4)})
+    rule = ball_quadrature(gaussian(m), 3.0, 32)
+    for a, b in (([u], [u]), (gradient(u), gradient(u))):
+        whole = rule.sphere_integrals(a, b)
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature, "_PAIR_CHUNK_FLOATS", 3 * rule.nodes.size)
+            chunked = rule.sphere_integrals(a, b)
+        assert np.array_equal(chunked, whole)
 
 
 def test_gaussian_m3_sharp_quadrature_row():

@@ -9,8 +9,10 @@ import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab.errors import DomainError
+from shrinker_lab import fheat
+from shrinker_lab.errors import DomainError, NumericError
 from shrinker_lab.fheat import (
+    HEAT_GRID_LIMIT,
     HeatPolynomial,
     HeatSolution,
     ancient_transform_check,
@@ -106,8 +108,8 @@ def test_timestep_oracle_preserves_constants():
 
 @pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (1600, 400)])
 def test_timestep_oracle_matches_per_step_solve_to_rounding(n_grid, n_steps):
-    # the scan solve sums the substitution's terms in another order: the
-    # grid is equal, each solution sample within a relative 1e-12
+    # the block sums of the substitution hold its terms in another order:
+    # the grid is equal, each solution sample within a relative 1e-12
     coeffs = np.random.default_rng(7).normal(size=5)
     u0 = lambda xs: np.polynomial.polynomial.polyval(xs, coeffs)
     got = timestep_oracle(u0, 0.0, 1.0, N_grid=n_grid, N_steps=n_steps, extrapolate=True)
@@ -119,6 +121,25 @@ def test_timestep_oracle_matches_per_step_solve_to_rounding(n_grid, n_steps):
 def test_timestep_oracle_validation():
     with pytest.raises(DomainError):
         timestep_oracle(lambda xs: xs, 1.0, 0.5)
+
+
+def test_over_budget_heat_runs_are_refused_before_the_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(fheat, "discretize", no_grid)
+    # too many steps; a grid over its cap; 20,000 steps on 800 fit only without extrapolation
+    for n_grid, n_steps, extrapolate in (
+        (800, 10**9, False),
+        (HEAT_GRID_LIMIT + 1, 1, False),
+        (800, 20_000, True),
+    ):
+        with pytest.raises(NumericError, match="over the limit"):
+            timestep_oracle(np.square, 0.0, 1.0, N_grid=n_grid, N_steps=n_steps, extrapolate=extrapolate)
+    # every run in use is accepted
+    for n_grid, n_steps in ((800, 200), (1600, 400), (400, 200), (200, 20)):
+        fheat.require_heat_work(n_grid, n_steps, True)
+    fheat.require_heat_work(800, 20_000, False)
 
 
 def test_heat_polynomial_family():

@@ -77,15 +77,76 @@ def test_thomas_scan_matches_dense_solve_on_heat_matrix():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_thomas_scan_small_orders(n):
-    # orders 1, 2 and 3 run the scans with 0, 1 and 2 levels
+    # orders 1, 2 and 3 run the scans as one block of n rows
     diag = np.array([4.0, 5.0, 3.0])[:n]
     off = np.array([1.0, -2.0])[: n - 1]
     rhs = np.array([1.0, -2.0, 0.5])[:n]
     factor = thomas_factor(diag, off)
-    assert len(factor[1]) == n - 1
+    assert factor[0].out.shape == factor[1].out.shape == (1, n)
     got = thomas_substitute(factor, rhs)
     want = np.linalg.solve(ref.dense(diag, off), rhs)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def _heat_matrix(n_grid, n_steps):
+    op = discretize(12.0, n_grid)
+    ds = 1.0 / n_steps
+    diag = op.weight + ds * op.diag * op.weight
+    off = ds * op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
+    return op, diag, off
+
+
+def test_thomas_scan_in_many_blocks_matches_dense_solve():
+    # at ds = 1/20000 the multipliers are small: the running products leave
+    # 2^-500 within about a hundred rows, so the rows split into many blocks
+    op, diag, off = _heat_matrix(800, 20000)
+    factor = thomas_factor(diag, off)
+    assert factor[0].out.shape[0] >= 3 and factor[1].out.shape[0] >= 3
+    xs = op.grid[1:-1]
+    a = ref.dense(diag, off)
+    quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
+    for u in (np.ones_like(xs), xs**2, quartic):
+        rhs = op.weight * u
+        got = thomas_substitute(factor, rhs)
+        want = np.linalg.solve(a, rhs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (800, 20000)])
+def test_thomas_scan_scales_exactly_by_powers_of_two(n_grid, n_steps):
+    # r 2^900 overflows r / Q; the scan solves again on r scaled down by a
+    # power of two, so the result is the unscaled one times 2^900 bit for bit
+    op, diag, off = _heat_matrix(n_grid, n_steps)
+    factor = thomas_factor(diag, off)
+    rhs = op.weight * np.random.default_rng(3).normal(size=diag.size)
+    big = thomas_substitute(factor, rhs * 2.0**900)
+    assert np.array_equal(big, thomas_substitute(factor, rhs) * 2.0**900)
+
+
+def test_thomas_scan_zero_off_diagonal():
+    # a zero multiplier decouples the rows; every block is then one row
+    diag = np.array([4.0, 5.0, 3.0, 6.0, 2.0])
+    off = np.array([1.0, 0.0, -2.0, 1.0])
+    rhs = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
+    factor = thomas_factor(diag, off)
+    assert factor[0].out.shape == (5, 1)
+    got = thomas_substitute(factor, rhs)
+    want = np.linalg.solve(ref.dense(diag, off), rhs)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+def test_thomas_scan_non_dominant_multipliers():
+    # L D L^T with D = 1 and multipliers alternating 4 and 1/8: |c| > 1 on
+    # every other row, while each pair of rows halves the running product
+    n = 1000
+    c = np.where(np.arange(n - 1) % 2 == 0, 4.0, 0.125)
+    diag = np.concatenate(([1.0], 1.0 + c * c))
+    factor = thomas_factor(diag, c)
+    assert factor[0].out.shape[0] >= 2
+    x_true = np.random.default_rng(5).normal(size=n)
+    rhs = ref.dense(diag, c) @ x_true
+    got = thomas_substitute(factor, rhs)
+    assert np.abs(got - x_true).max() <= 1e-12 * np.abs(x_true).max()
 
 
 def test_thomas_order_one_and_zero_pivot():
