@@ -239,17 +239,9 @@ def _cmd_frequency(args) -> int:
             f"--rmin (config /grid/rmin) must be a regular level, r^2 > 4 sup S = "
             f"{4.0 * model.sup_S:g}, got {rmin!r}"
         )
-    flag = "--resolution (config /resolution)"
-    resolution = args.resolution if args.resolution is not None else config.get("resolution", 128)
-    resolution = _count(flag, resolution)
-    try:
-        quadrature.require_rule_work(model.flat_m, resolution)
-    except NumericError as exc:  # the rule work budget, checked before any rule is built
-        raise ConfigError(f"{flag} is too large: {exc}") from exc
     sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
     epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)
     freq_cfg = frequency.FrequencyConfig(
-        resolution=resolution,
         sigma=_finite("--sigma (config /sigma)", sigma, positive=True),
         epsilon=_finite("--epsilon (config /epsilon)", epsilon, positive=True),
     )
@@ -452,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_freq.add_argument("--rmin", type=float)
     p_freq.add_argument("--rmax", type=float)
     p_freq.add_argument("--n", type=int)
-    p_freq.add_argument("--resolution", type=int)
     p_freq.add_argument("--sigma", type=float)
     p_freq.add_argument("--epsilon", type=float)
     p_freq.add_argument("--format", choices=_FORMATS)

@@ -14,25 +14,21 @@ mu = e^{2p+6} d^2, the almost-monotone combination of U with the damping
 integral eta, the doubling and three-circle inequalities, and the shell
 integrals J_i entering the dimension-counting ledger.
 
-Every integral has two routes: a closed form built from exact sphere or ball
-moments of monomials (cross moments vanish by the torus action), and a
-quadrature route over the product rules of the quadrature module.  The
-quadrature route forms the torus sums of |u|^2, |grad u|^2, |E|^2 and
-Re(conj(u) E), with E = sum_j z_j du/dz_j, monomial pair by monomial pair
-at the simplex nodes of a rule, and contracts them with the radial nodes.
-Every factor that is not a polynomial in z (|grad b|^2, Laplacian(b),
-1/|z|^2, e^{-f}) depends on the radius alone, so this is the rule's own sum
-reordered, and the aliased monomial pairs the closed route drops by
-symmetry are summed.  Every function that takes a `method` (and
-FrequencyConfig) accepts "closed", the default, or "quadrature", and raises
-DomainError for any other value.
+Each quantity is one formula in the direction sums of |u|^2, |grad u|^2,
+|E|^2 and Re(conj(u) E), E = sum_j z_j du/dz_j, integrated over a level set
+or a ball by a rule; every other factor (|grad b|^2, Laplacian(b), 1/|z|^2,
+e^{-f}) depends on the radius alone.  The two routes differ only in the rule,
+which `_rules` picks from `method`: "closed", the default, takes the
+MomentRule of exact sphere moments and closed radial integrals, and
+"quadrature" the product rules, which also sum the aliased monomial pairs.
+Any other `method` (also in FrequencyConfig) raises DomainError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -40,15 +36,17 @@ from .errors import DomainError
 from .holopoly import HoloPoly, gradient, lie_derivative_nabla_f
 from .models import ModelShrinker
 from .quadrature import (
+    MomentRule,
     ProductRule,
-    ball_moment,
+    ball_moments,
     ball_quadrature,
+    level_set_moments,
     level_set_quadrature,
     shell_quadrature,
-    sphere_moment,
 )
 
 MONOTONE_SLACK = 1e-6
+_Rule = ProductRule | MomentRule  # a rule of the quadrature or of the closed route
 
 
 def default_R0(model: ModelShrinker) -> float:
@@ -80,7 +78,7 @@ class FrequencyConfig:
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if self.epsilon <= 0:
             raise DomainError(f"epsilon must be positive, got {self.epsilon}")
-        _use_closed(self.method)  # raises DomainError for an unknown method
+        _rules(self.method, self.resolution)  # raises DomainError for an unknown method
 
     @property
     def sigma_eff(self) -> float:
@@ -93,17 +91,17 @@ class FrequencyConfig:
 
 
 class _SphereFields:
-    """Direction sums of the fields of u on a product rule, as polynomials in the radius.
+    """Direction sums of the fields of u on a rule, as polynomials in the radius.
 
     Each field attribute is a coefficient array c with
     sum_k w_k F(s theta_k) = sum_d c_d s^d, for F one of |u|^2, |grad u|^2,
     |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j = u.euler().  Each
-    is a torus sum over monomial pairs (ProductRule.sphere_integrals), formed
-    only for the fields read.  Rules of one kind and resolution share their
+    is a sum over monomial pairs (the rule's sphere_integrals), formed only
+    for the fields read.  Rules of one kind and resolution share their
     directions, so one instance serves every radius.
     """
 
-    def __init__(self, u: HoloPoly, rule: ProductRule):
+    def __init__(self, u: HoloPoly, rule: _Rule):
         self.u = u
         self.rule = rule
 
@@ -130,30 +128,14 @@ class _SphereFields:
         return self.rule.sphere_integrals([self._e], [self.u])
 
 
-def _diagonal_moments(model: ModelShrinker, u: HoloPoly, rho: float, kind: str) -> float:
-    """Sum over terms of |c_alpha|^2 moment(alpha) at flat radius rho."""
-    total = 0.0
-    for alpha, c in u.terms.items():
-        mom = (
-            sphere_moment(model.flat_m, alpha, rho)
-            if kind == "sphere"
-            else ball_moment(model.flat_m, alpha, rho)
-        )
-        total += abs(c) ** 2 * mom
-    return model.compact_area * total
-
-
-def _weighted_sphere_sum(model: ModelShrinker, u: HoloPoly, rho: float, weight_fn) -> float:
-    total = 0.0
-    for alpha, c in u.terms.items():
-        total += weight_fn(alpha) * abs(c) ** 2 * sphere_moment(model.flat_m, alpha, rho)
-    return model.compact_area * total
-
-
-def _use_closed(method: str) -> bool:
-    if method not in ("closed", "quadrature"):
-        raise DomainError(f"unknown evaluation method {method!r}")
-    return method == "closed"
+def _rules(method: str, resolution: int):
+    """The level-set and ball rule builders, each (model, r) -> rule, of the route `method`."""
+    if method == "closed":
+        return level_set_moments, ball_moments
+    if method == "quadrature":
+        return (partial(level_set_quadrature, resolution=resolution),
+                partial(ball_quadrature, resolution=resolution))
+    raise DomainError(f"unknown evaluation method {method!r}")
 
 
 # -- I, D, U -------------------------------------------------------------------
@@ -167,35 +149,18 @@ def I_of_r(
     method: str = "closed",
 ) -> float:
     """Height function I(r) = r^{1-n} int_{b=r} |u|^2 |grad b|."""
-    model.require_regular(r)
-    rho = model.flat_radius(r)
-    grad_b = rho / r
-    if _use_closed(method):
-        return r ** (1 - model.n) * grad_b * _diagonal_moments(model, u, rho, "sphere")
-    level = level_set_quadrature(model, r, resolution)
+    level = _rules(method, resolution)[0](model, r)
     return _height(model, r, level, _SphereFields(u, level))
 
 
-def _height(model: ModelShrinker, r: float, level: ProductRule, fields: _SphereFields) -> float:
+def _height(model: ModelShrinker, r: float, level: _Rule, fields: _SphereFields) -> float:
     grad_b = model.flat_radius(r) / r
     return r ** (1 - model.n) * grad_b * level.integrate(fields.u_sq)
 
 
-def _bulk_energy(model: ModelShrinker, r: float, ball: ProductRule, fields: _SphereFields) -> float:
-    return r ** (2 - model.n) * ball.integrate(fields.grad_sq)
-
-
-def _dirichlet_bulk(
-    model: ModelShrinker, u: HoloPoly, r: float, resolution: int, method: str
-) -> float:
+def _bulk_energy(model: ModelShrinker, r: float, ball: _Rule, fields: _SphereFields) -> float:
     """D(r) in its bulk form r^{2-n} int_{b<r} |grad u|^2."""
-    model.require_regular(r)
-    if _use_closed(method):
-        rho = model.flat_radius(r)
-        moments = sum(_diagonal_moments(model, g, rho, "ball") for g in gradient(u))
-        return r ** (2 - model.n) * 2.0 * moments
-    ball = ball_quadrature(model, r, resolution)
-    return _bulk_energy(model, r, ball, _SphereFields(u, ball))
+    return r ** (2 - model.n) * ball.integrate(fields.grad_sq)
 
 
 @dataclass(frozen=True)
@@ -212,16 +177,11 @@ def D_of_r(
     method: str = "closed",
 ) -> DirichletRecord:
     """Dirichlet energy D(r) in both its bulk and boundary forms."""
-    bulk = _dirichlet_bulk(model, u, r, resolution, method)
-    rho = model.flat_radius(r)
-    scale = r ** (2 - model.n)
-    if _use_closed(method):
-        boundary = scale / rho * _weighted_sphere_sum(model, u, rho, lambda a: float(sum(a)))
-        return DirichletRecord(bulk=bulk, boundary=boundary)
-    level = level_set_quadrature(model, r, resolution)
+    level_rule, ball_rule = _rules(method, resolution)
+    ball, level = ball_rule(model, r), level_rule(model, r)
     # <grad |u|^2, nu> = 2 Re(conj(u) E) / rho, and D carries a further 1/2
-    boundary = scale / rho * level.integrate(_SphereFields(u, level).u_e)
-    return DirichletRecord(bulk=bulk, boundary=boundary)
+    boundary = r ** (2 - model.n) / model.flat_radius(r) * level.integrate(_SphereFields(u, level).u_e)
+    return DirichletRecord(bulk=_bulk_energy(model, r, ball, _SphereFields(u, ball)), boundary=boundary)
 
 
 def frequency_U(
@@ -231,10 +191,8 @@ def frequency_U(
     resolution: int = 128,
     method: str = "closed",
 ) -> float:
-    i_val = I_of_r(model, u, r, resolution, method)
-    if i_val <= 0.0:
-        raise DomainError("I(r) vanished: the function is identically zero")
-    return _dirichlet_bulk(model, u, r, resolution, method) / i_val
+    i_val, d_val = _height_and_energy(model, u, np.array([float(r)]), resolution, method)
+    return float(d_val[0] / i_val[0])
 
 
 def eta_integral(r: float, config: FrequencyConfig, mu: float, lo: float = 0.0) -> float:
@@ -303,19 +261,7 @@ def frequency_profile(
     if np.any(np.diff(rr) <= 0):
         raise DomainError("profile radii must be strictly increasing")
     mu = mu_constant(d, model.n)
-    res = config.resolution
-    if _use_closed(config.method):
-        i_vals = np.array([I_of_r(model, u, r, res, config.method) for r in rr])
-        d_vals = np.array([_dirichlet_bulk(model, u, r, res, config.method) for r in rr])
-    else:
-        # rules of one kind share their directions: one set of torus sums serves every radius
-        levels = [level_set_quadrature(model, r, res) for r in rr]
-        balls = [ball_quadrature(model, r, res) for r in rr]
-        on_level, on_ball = _SphereFields(u, levels[0]), _SphereFields(u, balls[0])
-        i_vals = np.array([_height(model, r, level, on_level) for r, level in zip(rr, levels)])
-        d_vals = np.array([_bulk_energy(model, r, ball, on_ball) for r, ball in zip(rr, balls)])
-    if np.any(i_vals <= 0):
-        raise DomainError("I(r) must be positive on the grid (u is not identically zero)")
+    i_vals, d_vals = _height_and_energy(model, u, rr, config.resolution, config.method)
     u_vals = d_vals / i_vals
     sig = config.sigma_eff
     eta_vals = np.empty_like(rr)
@@ -339,6 +285,27 @@ def frequency_profile(
     )
 
 
+def _height_and_energy(
+    model: ModelShrinker, u: HoloPoly, rr: np.ndarray, resolution: int, method: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """I and the bulk D on the radii rr, with I checked positive.
+
+    Rules of one kind share their directions, so one set of sphere sums
+    serves every radius.
+    """
+    if rr.size == 0:
+        raise DomainError("the radius grid is empty")
+    level_rule, ball_rule = _rules(method, resolution)
+    levels = [level_rule(model, r) for r in rr]
+    balls = [ball_rule(model, r) for r in rr]
+    on_level, on_ball = _SphereFields(u, levels[0]), _SphereFields(u, balls[0])
+    i_vals = np.array([_height(model, r, level, on_level) for r, level in zip(rr, levels)])
+    d_vals = np.array([_bulk_energy(model, r, ball, on_ball) for r, ball in zip(rr, balls)])
+    if np.any(i_vals <= 0):
+        raise DomainError("I(r) must be positive on the grid (u is not identically zero)")
+    return i_vals, d_vals
+
+
 # -- derivative identity for I ---------------------------------------------------
 
 
@@ -350,18 +317,12 @@ def i_prime_rhs(
     method: str = "closed",
 ) -> float:
     """Exact expression for I'(r): boundary flux plus the curvature correction."""
-    model.require_regular(r)
+    level = _rules(method, resolution)[0](model, r)
+    fields = _SphereFields(u, level)
     rho = model.flat_radius(r)
     n = model.n
-    s = model.s_const
-    if _use_closed(method):
-        flux = (2.0 / rho) * _weighted_sphere_sum(model, u, rho, lambda a: float(sum(a)))
-        curv = s * (r / rho) * _diagonal_moments(model, u, rho, "sphere")
-    else:
-        level = level_set_quadrature(model, r, resolution)
-        fields = _SphereFields(u, level)
-        flux = 2.0 / rho * level.integrate(fields.u_e)
-        curv = s * (r / rho) * level.integrate(fields.u_sq)
+    flux = 2.0 / rho * level.integrate(fields.u_e)
+    curv = model.s_const * (r / rho) * level.integrate(fields.u_sq)
     return r ** (1 - n) * flux + r ** (-n) * (4.0 * n / r**2 - 2.0) * curv
 
 
@@ -467,12 +428,9 @@ def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, r: float) -> RhoMuRecord
     if u.is_zero():
         raise DomainError("rho is undefined for the zero function")
     mu = mu_constant(d, model.n)
-    model.require_regular(r)
-    rho_flat = model.flat_radius(r)
+    level = level_set_moments(model, r)
     u1 = lie_derivative_nabla_f(model, u)
-    num = _diagonal_moments(model, u1, rho_flat, "sphere")
-    den = _diagonal_moments(model, u, rho_flat, "sphere")
-    ratio = num / den
+    ratio = level.integrate(_SphereFields(u1, level).u_sq) / level.integrate(_SphereFields(u, level).u_sq)
     return RhoMuRecord(rho=ratio, mu=mu, passed=ratio <= mu)
 
 
@@ -499,19 +457,18 @@ def calibrate_constants(model: ModelShrinker, u: HoloPoly, d: float, pre_grid) -
     config = FrequencyConfig()
     mu = mu_constant(d, model.n)
     sig = config.sigma_eff
-    need_c1, need_c2 = 0.0, 0.0
-    for r in np.asarray(pre_grid, dtype=float):
-        h = 1e-5 * r
-        u_mid = frequency_U(model, u, r, config.resolution, "closed")
-        u_plus = frequency_U(model, u, r + h, config.resolution, "closed")
-        u_minus = frequency_U(model, u, r - h, config.resolution, "closed")
-        slope = (u_plus - u_minus) / (2.0 * h)
-        need = max(0.0, -slope)
-        if need == 0.0:
-            continue
-        need_c1 = max(need_c1, need * r ** (1.0 + sig) / (2.0 * u_mid))
-        need_c2 = max(need_c2, need * r ** (1.0 + sig) / (2.0 * math.sqrt(mu)))
-    return replace(config, C1=max(0.5, 1.5 * need_c1), C2=max(0.5, 1.5 * need_c2))
+    rr = np.asarray(pre_grid, dtype=float)
+    h = 1e-5 * rr
+    # one pass over the three shifted grids shares one set of sphere sums
+    grids = np.concatenate([rr, rr + h, rr - h])
+    i_vals, d_vals = _height_and_energy(model, u, grids, config.resolution, config.method)
+    u_mid, u_plus, u_minus = np.split(d_vals / i_vals, 3)
+    slope = (u_plus - u_minus) / (2.0 * h)
+    down = slope < 0.0
+    need = -slope[down] * rr[down] ** (1.0 + sig) / 2.0
+    need_c1 = np.max(need / u_mid[down], initial=0.0)
+    need_c2 = np.max(need, initial=0.0) / math.sqrt(mu)
+    return replace(config, C1=max(0.5, 1.5 * float(need_c1)), C2=max(0.5, 1.5 * float(need_c2)))
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
 {u_j >= 0, sum u_j = 1} times the torus, which is flat in u, so polynomial
 moments integrate exactly.  The same parametrization yields the closed-form
-moments used by the closed-form evaluation paths.
+moments of `sphere_moment`.
 
 Neither the s_i * theta_k grid nor the direction grid is built: a rule keeps
 its radial nodes, its simplex nodes u_s and n_phi.  A uniform grid of n_phi
@@ -30,6 +30,11 @@ pairs of a and b, each a simplex sum times s_i^{|alpha| + |beta|}.  This is
 the same sum over the same nodes, taken in another order.  The aliased pairs
 alpha != beta are summed, not assumed to vanish as the closed-form route
 assumes, so the quadrature route stays independent of it.
+
+`MomentRule`, the closed-form counterpart of a level-set or ball rule, keeps
+only the pairs alpha = beta with their exact sphere moments and integrates
+s^(d + 2m - 1) radially in closed form.  It reads no simplex table and no
+n_phi, and ProductRule never calls sphere_moment.
 
 Every rule is float64; only the volume identity sums its masses in decimal.
 Each rule builder first checks its size against RULE_WORK_LIMIT.
@@ -52,12 +57,14 @@ from .models import ModelShrinker
 
 __all__ = [
     "ProductRule",
+    "MomentRule",
     "level_set_quadrature",
     "ball_quadrature",
     "shell_quadrature",
     "weighted_space_quadrature",
+    "level_set_moments",
+    "ball_moments",
     "sphere_moment",
-    "ball_moment",
     "unit_sphere_area",
     "unit_ball_volume",
     "volume_area",
@@ -94,12 +101,6 @@ def sphere_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
         / math.factorial(k + m - 1)
     )
     return radius ** (2 * k + 2 * m - 1) * angular
-
-
-def ball_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
-    """Integral of |z^alpha|^2 over the radius-R ball in C^m."""
-    k = sum(alpha)
-    return sphere_moment(m, alpha, radius) * radius / (2 * k + 2 * m)
 
 
 # -- Gauss-Legendre tables and simplex rules ----------------------------------
@@ -343,6 +344,56 @@ def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> Pr
     s, w_s = _gl(n_rad, 0.0, WEIGHTED_RADIUS_MAX)
     radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * model.compact_area
     return _product_rule(s, radial, m, n_u, n_phi)
+
+
+# -- closed-form rules ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class MomentRule:
+    """Exact counterpart of a level-set (``ball`` false) or ball rule of flat radius ``radius``.
+
+    ``area`` is the compact area.  Direction sums are exact unit-sphere
+    moments, so one set of them serves every radius, as on a ProductRule.
+    """
+
+    m: int
+    radius: float
+    area: float
+    ball: bool
+
+    def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
+        """Coefficients c with sum_d c_d s^d = Re int_{S^(2m-1)} sum_i a_i(s theta) conj(b_i(s theta)).
+
+        Only the pairs alpha = beta survive the torus action; each adds
+        Re(c_alpha conj(d_alpha)) times the unit-sphere moment of |z^alpha|^2
+        to c_{2|alpha|}.
+        """
+        coeffs = [0.0] * (2 * max((sum(alpha) for p in a for alpha in p.terms), default=0) + 1)
+        for p, q in zip(a, b):
+            for alpha, c in p.terms.items():
+                d = q.terms.get(alpha)
+                if d is not None:
+                    coeffs[2 * sum(alpha)] += (c * d.conjugate()).real * sphere_moment(self.m, alpha, 1.0)
+        return np.array(coeffs)
+
+    def integrate(self, coeffs: np.ndarray) -> float:
+        """area sum_d c_d int s^(d+2m-1): at s = radius (level) or over [0, radius] (ball)."""
+        n, total = 2 * self.m, 0.0
+        for d, c in enumerate(coeffs.tolist()):
+            if c:
+                total += c * (self.radius ** (d + n) / (d + n) if self.ball else self.radius ** (d + n - 1))
+        return self.area * total
+
+
+def level_set_moments(model: ModelShrinker, r: float) -> MomentRule:
+    """Closed-form rule on the level set {b = r}."""
+    return MomentRule(model.flat_m, model.flat_radius(r), model.compact_area, ball=False)
+
+
+def ball_moments(model: ModelShrinker, r: float) -> MomentRule:
+    """Closed-form rule on the sublevel set {b < r}."""
+    return MomentRule(model.flat_m, model.flat_radius(r), model.compact_area, ball=True)
 
 
 # -- volumes, areas and the divergence identity -------------------------------

@@ -106,13 +106,13 @@ def _catalog(model: ModelShrinker) -> float:
         n = 2 * model.flat_m
         expected = [math.comb(n + int(2 * line.eigenvalue) - 1, n - 1) for line in cat.lines]
         return float([line.multiplicity for line in cat.lines] != expected)
-    # product structure: counts up to the horizon match the factor convolution
-    flat = spectrum.analytic_spectrum(gaussian(model.flat_m), 3.0)
-    total = 0
-    for line in flat.lines:
-        for ell in range(0, 3):
-            if float(line.eigenvalue) + ell * (ell + 1) / 2 <= 3.0 + 1e-9:
-                total += line.multiplicity * (2 * ell + 1)
+    # product structure: counts up to the horizon match the convolution of the
+    # flat lines with the lines l(l+1)/2 (multiplicity 2l+1) of each sphere factor
+    lines = [(float(line.eigenvalue), line.multiplicity)
+             for line in spectrum.analytic_spectrum(gaussian(model.flat_m), 3.0).lines]
+    for _ in range(model.sphere_factors):
+        lines = [(lam + ell * (ell + 1) / 2, mult * (2 * ell + 1)) for lam, mult in lines for ell in range(3)]
+    total = sum(mult for lam, mult in lines if lam <= 3.0 + 1e-9)
     return abs(spectrum.count_eigenvalues(cat, 0.0, 3.0) - total)
 
 

@@ -215,7 +215,6 @@ _HEAT = ["heatflow", "--initial", "x^2"]
     "argv, flag",
     [
         (_FREQ + ["--n", "0"], "--n"),
-        (_FREQ + ["--resolution", "0"], "--resolution"),
         (_FREQ + ["--rmin", "nan"], "--rmin"),
         (_FREQ + ["--rmax", "inf"], "--rmax"),
         (_HEAT + ["--s", "-1"], "--s"),
@@ -237,7 +236,7 @@ _HEAT = ["heatflow", "--initial", "x^2"]
         (_FREQ + ["--rmin", "1"], "--rmin"),
     ],
     ids=[
-        "n", "resolution", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps",
+        "n", "rmin", "rmax", "s-negative", "s-zero", "s-nan", "n-grid", "n-steps",
         "d-nan", "d-negative", "lambda-max-nan", "lambda-max-negative", "rmin-above-rmax",
         "rmin-equals-rmax", "sigma-negative", "epsilon-zero", "frequency-d-nan", "n-grid-5",
         "n-grid-15", "rmin-irregular",
@@ -247,6 +246,14 @@ def test_bad_numeric_flag_exits_2(argv, flag, capsys):
     code = main(argv)
     assert code == 2
     assert f"{flag} (" in capsys.readouterr().err
+
+
+def test_frequency_has_no_resolution_flag(capsys):
+    # frequency runs the closed route, which builds no quadrature rule
+    with pytest.raises(SystemExit) as exc:
+        main(_FREQ + ["--resolution", "128"])
+    assert exc.value.code == 2
+    assert "--resolution" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -387,7 +394,6 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (_FORMS_G2, {"form": {"p": 1, "m": 2, "coeffs": [{"index": [1], "terms": [{"alpha": ["1", 0]}]}]}},
          ["--form", "/form", "'alpha'"]),
         (["verify-all", "--m", "6"], None, ["--m", "/m"]),
-        (_FREQ_G1 + ["--poly", "z", "--resolution", "10000000"], None, ["--resolution", "/resolution"]),
         (_HEAT + ["--n-steps", "1000000000"], None, ["--n-steps", "/n_steps"]),
         (_HEAT + ["--n-grid", "1000000000"], None, ["--n-grid", "/n_grid"]),
     ],
@@ -401,7 +407,7 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
         "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
-        "verify-all-rule-guard", "frequency-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
+        "verify-all-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

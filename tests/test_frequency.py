@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from shrinker_lab import quadrature
 from shrinker_lab.errors import DomainError, RegularityError
 from shrinker_lab.holopoly import HoloPoly
 from shrinker_lab.models import cylinder, gaussian
@@ -173,6 +174,9 @@ def test_profile_invariants_and_monotone_gaussian():
 def test_profile_rejects_reversed_grid():
     with pytest.raises(DomainError):
         frequency_profile(G1, Z, 1.0, [5.0, 4.0, 3.0])
+    for config in (FrequencyConfig(), FrequencyConfig(resolution=64, method="quadrature")):
+        with pytest.raises(DomainError, match="empty"):
+            frequency_profile(G1, Z, 1.0, [], config)
 
 
 def test_profile_rejects_zero_function():
@@ -245,6 +249,36 @@ def test_config_validation():
             call(G1, Z, 3.0, method="quadratur")
     with pytest.raises(DomainError):
         FrequencyConfig(method="auto")
+
+
+def test_routes_stay_independent(monkeypatch):
+    u = HoloPoly(2, {(1, 0): 1.0, (0, 2): 0.5j, (0, 0): -1.0})
+    quad = FrequencyConfig(resolution=64, method="quadrature")
+
+    def crossed(*args):
+        raise AssertionError("one route called into the other")
+
+    def run(method):
+        config = quad if method == "quadrature" else FrequencyConfig()
+        rec = D_of_r(G2, u, 3.0, 64, method)
+        return [
+            I_of_r(G2, u, 3.0, 64, method),
+            rec.bulk,
+            rec.boundary,
+            i_prime_rhs(G2, u, 3.0, 64, method),
+            *frequency_profile(G2, u, 2.0, [2.0, 3.0], config).U,
+        ]
+
+    with monkeypatch.context() as patch:
+        # the closed route reads no simplex table
+        patch.setattr(quadrature, "_unit_sphere_rule", crossed)
+        closed = run("closed")
+        rho_mu(G2, u, 2.0, 3.0)
+    with monkeypatch.context() as patch:
+        # the quadrature route takes no closed-form moment
+        patch.setattr(quadrature, "sphere_moment", crossed)
+        quad_vals = run("quadrature")
+    assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(closed, quad_vals))
 
 
 def test_profile_rows_roundtrip():

@@ -9,11 +9,12 @@ import pytest
 
 from shrinker_lab import quadrature
 from shrinker_lab.errors import NumericError, RegularityError
-from shrinker_lab.holopoly import HoloPoly
+from shrinker_lab.holopoly import HoloPoly, monomials
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.quadrature import (
-    ball_moment,
+    ball_moments,
     ball_quadrature,
+    level_set_moments,
     level_set_quadrature,
     raw_level_area,
     require_rule_work,
@@ -99,12 +100,18 @@ def test_sphere_moment_against_quadrature():
 
 
 def test_ball_moment_against_quadrature():
-    model = gaussian(2)
-    nodes, weights = expand(ball_quadrature(model, 2.5, 64))
-    for alpha in [(0, 0), (2, 0), (1, 3)]:
-        u = HoloPoly.monomial(2, alpha)
-        num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
-        assert math.isclose(num, ball_moment(2, alpha, 2.5), rel_tol=1e-12)
+    # the closed-form level and ball rules against the product rules
+    for m in (1, 2, 3):
+        model = gaussian(m)
+        pairs = [
+            (level_set_moments(model, 2.5), level_set_quadrature(model, 2.5, 256)),
+            (ball_moments(model, 2.5), ball_quadrature(model, 2.5, 256)),
+        ]
+        for alpha in monomials(m, 6):
+            u = [HoloPoly.monomial(m, alpha)]
+            for closed, rule in pairs:
+                exact = closed.integrate(closed.sphere_integrals(u, u))
+                assert math.isclose(exact, rule.integrate(rule.sphere_integrals(u, u)), rel_tol=1e-12)
 
 
 def test_cross_moments_vanish():

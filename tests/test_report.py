@@ -59,3 +59,11 @@ def test_import_leaves_scipy_out():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_catalog_row_passes_on_two_sphere_factors():
+    # the reference convolves the flat lines with one sphere line set per sphere factor
+    row = next(c for c in report.CHECKS if c.name == "spectrum.catalog")
+    for model in (product([cylinder(), cylinder()]), cylinder(), gaussian(2)):
+        result = report._run_check(row, model)
+        assert result.status == "pass" and result.margin == 0.0, result
