@@ -47,7 +47,6 @@ from .frequency import (
     check_monotone,
     doubling_and_three_circle,
     frequency_profile,
-    frequency_U,
     rho_mu,
 )
 from .fheat import (

@@ -25,6 +25,8 @@ from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
 _MU_MAX = 708
+# radii of one frequency profile: 25,000 take about 1 s on a 2-core VM
+_GRID_MAX = 25_000
 _FORMATS = ("csv", "json")
 _RICCI_NORMS = ("operator", "tensor")
 _VERIFY_MODELS = ("gaussian", "cylinder", "both")
@@ -225,6 +227,8 @@ def _cmd_frequency(args) -> int:
     rmin = args.rmin if args.rmin is not None else grid_cfg.get("rmin")
     rmax = args.rmax if args.rmax is not None else grid_cfg.get("rmax")
     n = _count("--n (config /grid/n)", args.n if args.n is not None else grid_cfg.get("n", 64))
+    if n > _GRID_MAX:
+        raise ConfigError(f"--n (config /grid/n) must be at most {_GRID_MAX:,}, got {n!r}")
     if rmin is None or rmax is None:
         raise ConfigError("frequency needs a radius grid (--rmin/--rmax or config /grid)")
     rmin = _finite("--rmin (config /grid/rmin)", rmin)
@@ -238,6 +242,12 @@ def _cmd_frequency(args) -> int:
         raise ConfigError(
             f"--rmin (config /grid/rmin) must be a regular level, r^2 > 4 sup S = "
             f"{4.0 * model.sup_S:g}, got {rmin!r}"
+        )
+    # the ball integrals carry the flat radius to the power 2 degree + n
+    if (2 * max(u.degree, 0) + model.n) * math.log(model.flat_radius(rmax)) > math.log(sys.float_info.max):
+        raise ConfigError(
+            f"--poly (config /poly) of degree {u.degree} overflows a float at --rmax "
+            f"(config /grid/rmax) {rmax!r}: lower the degree or the radius"
         )
     sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
     epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)

@@ -184,17 +184,6 @@ def D_of_r(
     return DirichletRecord(bulk=_bulk_energy(model, r, ball, _SphereFields(u, ball)), boundary=boundary)
 
 
-def frequency_U(
-    model: ModelShrinker,
-    u: HoloPoly,
-    r: float,
-    resolution: int = 128,
-    method: str = "closed",
-) -> float:
-    i_val, d_val = _height_and_energy(model, u, np.array([float(r)]), resolution, method)
-    return float(d_val[0] / i_val[0])
-
-
 def eta_integral(r: float, config: FrequencyConfig, mu: float, lo: float = 0.0) -> float:
     """Damping integral int C2 sqrt(mu) s^{-1-sigma} exp(-C1/(sigma s^sigma)) ds over [lo, r].
 

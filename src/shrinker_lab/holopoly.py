@@ -86,10 +86,6 @@ class HoloPoly:
         return HoloPoly(m, {})
 
     @staticmethod
-    def constant(m: int, value: complex) -> "HoloPoly":
-        return HoloPoly(m, {(0,) * m: value})
-
-    @staticmethod
     def monomial(m: int, alpha: Iterable[int], coef: complex = 1.0) -> "HoloPoly":
         return HoloPoly(m, {tuple(alpha): coef})
 
@@ -177,13 +173,6 @@ class HoloPoly:
     def euler(self) -> "HoloPoly":
         """sum_j z_j d/dz_j; z^alpha maps to |alpha| z^alpha."""
         return HoloPoly._derived(self.m, {a: c * sum(a) for a, c in self.terms.items()})
-
-    def homogeneous_parts(self) -> dict[int, "HoloPoly"]:
-        """Split u = sum_k u_k into nonzero parts homogeneous of degree k."""
-        parts: dict[int, dict[tuple[int, ...], complex]] = {}
-        for alpha, c in self.terms.items():
-            parts.setdefault(sum(alpha), {})[alpha] = c
-        return {k: HoloPoly._derived(self.m, terms) for k, terms in parts.items()}
 
     @cached_property
     def _gradient(self) -> tuple["HoloPoly", ...]:

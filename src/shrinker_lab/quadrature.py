@@ -10,30 +10,38 @@ its nodes are s_i * theta_k with weight W_i * w_k, where
   for a level set), and W_i carries the Jacobian s^{2m-1}, the compact area
   and, for the weighted space, e^{-f};
 * the directions theta_k are uniform grids of n_phi angles on each torus
-  circle, times a Gauss-Legendre rule on the simplex below, built for every
-  flat dimension m in collapsed coordinates (`_unit_sphere_rule`).
+  circle, times a Gauss-Legendre rule on the simplex below, the same
+  n_u-point rule on [0, 1] in each of its m - 1 collapsed coordinates, for
+  every flat dimension m.
 
 Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
 {u_j >= 0, sum u_j = 1} times the torus, which is flat in u, so polynomial
 moments integrate exactly.  The same parametrization yields the closed-form
-moments of `sphere_moment`.
+moments of `sphere_moment`.  The collapsed coordinates x_c in [0, 1], c < m,
+give u_1 = x_1, u_{c+1} = x_{c+1} prod_{j<=c} (1 - x_j) and u_m =
+prod_{j<m} (1 - x_j), with Jacobian prod_c (1 - x_c)^(m-1-c) (Duffy, SIAM J.
+Numer. Anal. 19, 1982).
 
-Neither the s_i * theta_k grid nor the direction grid is built: a rule keeps
-its radial nodes, its simplex nodes u_s and n_phi.  A uniform grid of n_phi
-angles sums e^{ik phi} to n_phi when n_phi divides k and to zero otherwise,
-so the direction sum of z^alpha conj(z)^beta at the simplex node u_s is
-exactly (2 pi)^m prod_j u_{s,j}^{(alpha_j + beta_j)/2} when
-alpha = beta (mod n_phi) in every coordinate, and zero otherwise.  The rule
-applied to a(z) conj(b(z)) is therefore a sum over the matching monomial
-pairs of a and b, each a simplex sum times s_i^{|alpha| + |beta|}.  This is
-the same sum over the same nodes, taken in another order.  The aliased pairs
-alpha != beta are summed, not assumed to vanish as the closed-form route
-assumes, so the quadrature route stays independent of it.
+Neither the s_i * theta_k grid, nor the direction grid, nor the simplex grid
+is built: a rule keeps its radial nodes, the 1-D rule of its collapsed
+coordinates, m and n_phi.  A uniform grid of n_phi angles sums e^{ik phi} to
+n_phi when n_phi divides k and to zero otherwise, so the direction sum of
+z^alpha conj(z)^beta at the simplex node u is exactly (2 pi)^m prod_j
+u_j^{(alpha_j + beta_j)/2} when alpha = beta (mod n_phi) in every
+coordinate, and zero otherwise.  In collapsed coordinates that product is
+prod_c x_c^{k_c/2} (1 - x_c)^{(k_{c+1} + ... + k_m)/2} for k = alpha + beta,
+so its simplex sum, Jacobian included, is a product of m - 1 one-dimensional
+Gauss-Legendre sums (sum factorization; Orszag, J. Comput. Phys. 37, 1980).
+The rule applied to a(z) conj(b(z)) is therefore a sum over the matching
+monomial pairs of a and b, each such a product times s_i^{|alpha| + |beta|}.
+This is the same sum over the same nodes, taken in another order.  The
+aliased pairs alpha != beta are summed, not assumed to vanish as the
+closed-form route assumes, so the quadrature route stays independent of it.
 
 `MomentRule`, the closed-form counterpart of a level-set or ball rule, keeps
 only the pairs alpha = beta with their exact sphere moments and integrates
-s^(d + 2m - 1) radially in closed form.  It reads no simplex table and no
+s^(d + 2m - 1) radially in closed form.  It reads no 1-D table and no
 n_phi, and ProductRule never calls sphere_moment.
 
 Every rule is float64; only the volume identity sums its masses in decimal.
@@ -94,32 +102,22 @@ def sphere_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
     level integral.
     """
     k = sum(alpha)
-    angular = (
-        2.0 ** (1 - m)
-        * (2.0 * math.pi) ** m
-        * math.prod(math.factorial(a) for a in alpha)
-        / math.factorial(k + m - 1)
-    )
+    # the factorials are divided as integers: each alone may pass the float range
+    ratio = math.prod(math.factorial(a) for a in alpha) / math.factorial(k + m - 1)
+    angular = 2.0 ** (1 - m) * (2.0 * math.pi) ** m * ratio
     return radius ** (2 * k + 2 * m - 1) * angular
 
 
-# -- Gauss-Legendre tables and simplex rules ----------------------------------
+# -- Gauss-Legendre tables ----------------------------------------------------
 
 # Bound on the work `require_rule_work` counts; every rule builder checks it
-# before it allocates.  Near the bound on a 2-core VM, the level, ball and
-# weighted rules of m = 5 at resolution 479 (707,281 simplex nodes) build in
-# 0.09 s at a 90 MB peak, and the slowest accepted build, the decimal tables
-# of verify_volume_identity at m = 2 and resolution 999, takes 0.52 s.
-# verify-all's largest rules, m = 5 at resolution 256, need 131,072; m = 6
-# needs 1,114,112.
+# before it allocates.  The count is the n_u^(m-1) nodes of the level rule's
+# simplex grid.  No rule builds that grid, since its sums factor per collapsed
+# coordinate, but counting it keeps m = 6 at verify-all's resolution refused.
+# The slowest accepted build, the decimal tables of verify_volume_identity at
+# m = 2 and resolution 999, takes 0.52 s on a 2-core VM.  verify-all's largest
+# rules, m = 5 at resolution 256, count 131,072; m = 6 counts 1,114,112.
 RULE_WORK_LIMIT = 1_000_000
-
-# Bound on the floats, simplex nodes x pairs x m, that ProductRule.sphere_integrals
-# gathers at once (8 MB): it takes the matched pairs in chunks of this size.
-# Every verify-all, test and benchmark input needs at most 32,768, one chunk.
-# A 20-term profile on gaussian(5) at resolution 256 peaks 38 MB above import
-# instead of 81 MB, and at resolution 479 (707,281 nodes) 282 MB instead of 875.
-_PAIR_CHUNK_FLOATS = 1 << 20
 
 
 def _legendre_newton(x: np.ndarray, n: int, tol) -> tuple[np.ndarray, np.ndarray]:
@@ -161,24 +159,9 @@ def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=64)
-def _unit_sphere_rule(m: int, n_u: int) -> tuple[np.ndarray, np.ndarray]:
-    """Simplex nodes u (S, m) and weights (S,) of the unit sphere of C^m, S = n_u^(m-1).
-
-    Collapsed coordinates x_i in [0, 1], i < m, each with the n_u-point rule,
-    give u_1 = x_1, u_{i+1} = x_{i+1} prod_{j<=i} (1 - x_j) and u_m =
-    prod_{j<m} (1 - x_j), with Jacobian prod_i (1 - x_i)^(m-1-i) (Duffy, SIAM
-    J. Numer. Anal. 19, 1982).  The weights carry the torus volume (2 pi)^m and
-    the sphere measure's 2^(1-m), so they sum to the sphere's area.
-    """
-    nodes = np.empty((1, 0))
-    rest = np.ones(1)  # prod_{j<=i} (1 - x_j) at each node
-    weights = np.full(1, (2 * math.pi) ** m / 2 ** (m - 1))
-    x, w = _gl(n_u, 0.0, 1.0)
-    for i in range(1, m):
-        nodes = np.column_stack([np.repeat(nodes, n_u, axis=0), np.outer(rest, x).ravel()])
-        rest = np.outer(rest, 1.0 - x).ravel()
-        weights = np.outer(weights, w * (1.0 - x) ** (m - 1 - i)).ravel()
-    return np.column_stack([nodes, rest]), weights
+def _collapsed_rule(n_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n_u-point Gauss-Legendre rule on [0, 1] of every collapsed coordinate of the simplex."""
+    return _gl(n_u, 0.0, 1.0)
 
 
 def _level_counts(m: int, resolution: int) -> tuple[int, int]:
@@ -201,9 +184,10 @@ def _ball_counts(m: int, resolution: int) -> tuple[int, int, int]:
 def require_rule_work(m: int, resolution: int) -> None:
     """Raise NumericError when rules of flat dimension m at this resolution exceed RULE_WORK_LIMIT.
 
-    The work is the level rule's n_u^(m-1) simplex nodes, the most of any
-    rule, plus n^2 for the largest Gauss-Legendre order n = max(64,
-    resolution): each Newton step runs the n-term recurrence on n nodes.
+    The work is the n_u^(m-1) nodes of the level rule's simplex grid, the
+    largest of any rule's (counted, though no rule builds it), plus n^2 for
+    the largest Gauss-Legendre order n = max(64, resolution): each Newton
+    step runs the n-term recurrence on n nodes.
     """
     n_u, _ = _level_counts(m, resolution)
     work = n_u ** (m - 1) + max(64, resolution) ** 2
@@ -222,20 +206,20 @@ class ProductRule:
     """Radial rule times unit-sphere rule: node s_i theta_k carries weight W_i w_k.
 
     ``radii``/``radial_weights`` hold s_i and W_i.  The directions theta_k
-    are kept as their simplex factor: ``nodes`` holds the moduli u_s
-    (shape (S, m)) and ``weights`` their weights, torus volume included, and
-    each u_s stands for the n_phi^m directions sqrt(u_s) e^{i phi} on a
-    uniform grid of ``n_phi`` angles per circle.  The direction factor
-    depends only on the flat dimension, the rule kind and the resolution, so
-    direction sums formed on one rule serve every rule of its kind.  Every
-    array is float64, and the simplex factor is the collapsed rule of
-    `_unit_sphere_rule`, one construction for every flat dimension.
+    are kept as their factors: ``nodes`` and ``weights`` hold the n_u-point
+    Gauss-Legendre rule on [0, 1] of each of the m - 1 collapsed coordinates
+    of the simplex, and each simplex node u stands for the n_phi^m
+    directions sqrt(u) e^{i phi} on a uniform grid of ``n_phi`` angles per
+    circle.  The direction factor depends only on the flat dimension, the
+    rule kind and the resolution, so direction sums formed on one rule serve
+    every rule of its kind.  Every array is float64.
     """
 
     radii: np.ndarray
     radial_weights: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
+    m: int
     n_phi: int
 
     def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
@@ -244,27 +228,32 @@ class ProductRule:
         ``a`` and ``b`` are equally long sequences of polynomials, paired
         componentwise, as for the components of a gradient.  The terms are
         matched by their exponents mod n_phi, and each matching pair
-        (alpha, beta) adds Re(c_alpha conj(d_beta)) sum_s w_s |z|^(alpha + beta)
-        at the simplex nodes to c_{|alpha| + |beta|}.  Pairs with
-        alpha != beta that alias on the angle grid are summed too.  The pairs
-        are taken in chunks that gather at most _PAIR_CHUNK_FLOATS powers, or
-        one pair where a single pair gathers more.
+        (alpha, beta) adds Re(c_alpha conj(d_beta)) times the simplex sum of
+        |z|^(alpha + beta) to c_{|alpha| + |beta|}.  Pairs with alpha != beta
+        that alias on the angle grid are summed too.  Each simplex sum is the
+        torus volume times the sphere measure's 2^(1-m) times, per collapsed
+        coordinate c, sum_i w_i x_i^(k_c/2) (1 - x_i)^((k_{c+1} + ... + k_m)/2
+        + m - 1 - c), the Jacobian's power included; these 1-D sums come from
+        one table over the powers of sqrt(x) and sqrt(1 - x).
         """
-        comp_a, alpha, coef_a = _term_table(a, self.nodes.shape[1])
-        comp_b, beta, coef_b = _term_table(b, self.nodes.shape[1])
+        comp_a, alpha, coef_a = _term_table(a, self.m)
+        comp_b, beta, coef_b = _term_table(b, self.m)
         match = (comp_a[:, None] == comp_b[None, :]) & np.all(
             (alpha[:, None, :] - beta[None, :, :]) % self.n_phi == 0, axis=-1
         )
         i, j = np.nonzero(match)
         powers = alpha[i] + beta[j]
-        # |z_j|^k = u_j^(k/2) at every simplex node, for k up to the largest power
-        modulus_powers = np.sqrt(self.nodes)[:, :, None] ** np.arange(powers.max(initial=0) + 1)
-        axes = np.arange(powers.shape[1])
-        step = max(1, _PAIR_CHUNK_FLOATS // self.nodes.size)
-        sums = np.empty(len(powers))
-        for start in range(0, len(powers), step):
-            chunk = modulus_powers[:, axes, powers[start : start + step]]
-            sums[start : start + step] = self.weights @ chunk.prod(axis=-1)
+        sums = np.full(len(powers), (2 * math.pi) ** self.m / 2 ** (self.m - 1))
+        if self.m > 1:
+            # the powers of sqrt(x_c) and of sqrt(1 - x_c), Jacobian included, for c < m
+            heads = powers[:, :-1]
+            tails = np.cumsum(powers[:, :0:-1], axis=1)[:, ::-1] + 2 * np.arange(self.m - 2, -1, -1)
+            root_x = np.sqrt(self.nodes)[:, None] ** np.arange(heads.max(initial=0) + 1)
+            root_rest = np.sqrt(1.0 - self.nodes)[:, None] ** np.arange(tails.max(initial=0) + 1)
+            # table[p, q] = sum_i w_i x_i^(p/2) (1 - x_i)^(q/2)
+            grid = root_x[:, :, None] * root_rest[:, None, :]
+            table = (self.weights @ grid.reshape(len(grid), -1)).reshape(grid.shape[1:])
+            sums *= table[heads, tails].prod(axis=1)
         pair_coefs = (coef_a[i] * coef_b[j].conj()).real
         return np.bincount(powers.sum(axis=1), weights=pair_coefs * sums, minlength=1)
 
@@ -284,8 +273,8 @@ def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int) -> ProductRule:
-    nodes, weights = _unit_sphere_rule(m, n_u)
-    return ProductRule(radii=radii, radial_weights=radial_weights, nodes=nodes, weights=weights, n_phi=n_phi)
+    nodes, weights = _collapsed_rule(n_u)
+    return ProductRule(radii=radii, radial_weights=radial_weights, nodes=nodes, weights=weights, m=m, n_phi=n_phi)
 
 
 def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
@@ -449,7 +438,7 @@ def verify_volume_identity(
             return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
 
         def unit_sphere_mass(n_u):
-            # sum of the weights of _unit_sphere_rule(m, n_u); the table on [0, 1] has nodes (1 + x)/2
+            # the torus factor times the m - 1 Jacobian sums of the collapsed rule, whose nodes are (1 + x)/2
             x, w = table(n_u)
             factors = (np.sum(w * (1 - x) ** k) / 2 ** (k + 1) for k in range(m - 1))
             return (2 * Decimal(math.pi)) ** m / 2 ** (m - 1) * math.prod(factors)

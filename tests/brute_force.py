@@ -1,16 +1,18 @@
 """Node-by-node reference for the factored quadrature route.
 
-Each product rule is expanded into its flat grid: every simplex node u_s
-becomes the n_phi^m directions sqrt(u_s) e^{i phi} on the uniform angle
-grid, and the directions times the radii s_i give the nodes, with weights
-W_i w_s / n_phi^m.  Every integrand is evaluated pointwise on that grid.
-The package sums the same rule as torus sums over monomial pairs; the tests
-compare the two at low resolution.
+Each product rule is expanded into its flat grid: the 1-D rule of its
+collapsed coordinates gives the simplex grid node by node, every simplex
+node u_s becomes the n_phi^m directions sqrt(u_s) e^{i phi} on the uniform
+angle grid, and the directions times the radii s_i give the nodes, with
+weights W_i w_s / n_phi^m.  Every integrand is evaluated pointwise on that
+grid.  The package sums the same rule as products of 1-D sums over monomial
+pairs; the tests compare the two at low resolution.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -61,12 +63,20 @@ def evaluate(u: HoloPoly, z) -> complex | np.ndarray:
     return acc
 
 
+def homogeneous_parts(u: HoloPoly) -> dict[int, HoloPoly]:
+    """Split u = sum_k u_k into nonzero parts homogeneous of degree k."""
+    parts: dict[int, dict[tuple[int, ...], complex]] = {}
+    for alpha, c in u.terms.items():
+        parts.setdefault(sum(alpha), {})[alpha] = c
+    return {k: HoloPoly(u.m, terms) for k, terms in parts.items()}
+
+
 def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
     """Homogeneous parts of u at points z of shape (K, m).
 
     Row i holds the part of degree ``degrees[i]``, zero where u has none.
     """
-    parts = u.homogeneous_parts()
+    parts = homogeneous_parts(u)
     out = np.zeros((len(degrees), z.shape[0]), dtype=complex)
     for i, k in enumerate(degrees):
         if k in parts:
@@ -74,13 +84,38 @@ def evaluate_parts(u: HoloPoly, z: np.ndarray, degrees) -> np.ndarray:
     return out
 
 
+def simplex(rule):
+    """Simplex nodes u (S, m) and weights (S,) of a rule, S = n_u^(m-1), built node by node.
+
+    Collapsed coordinates x_c in [0, 1], c < m, each on the rule's 1-D
+    table, give u_1 = x_1, u_{c+1} = x_{c+1} prod_{j<=c} (1 - x_j) and u_m =
+    prod_{j<m} (1 - x_j), with Jacobian prod_c (1 - x_c)^(m-1-c).  The
+    weights carry the torus volume (2 pi)^m and the sphere measure's
+    2^(1-m), so they sum to the sphere's area.
+    """
+    m = rule.m
+    nodes, weights = [], []
+    for index in itertools.product(range(len(rule.nodes)), repeat=m - 1):
+        u, rest = [], 1.0
+        weight = (2 * math.pi) ** m / 2 ** (m - 1)
+        for c, i in enumerate(index, start=1):
+            x = rule.nodes[i]
+            u.append(x * rest)
+            rest *= 1.0 - x
+            weight *= rule.weights[i] * (1.0 - x) ** (m - 1 - c)
+        nodes.append(u + [rest])
+        weights.append(weight)
+    return np.array(nodes).reshape(-1, m), np.array(weights)
+
+
 def directions(rule):
     """Flat unit directions (K, m) and weights (K,) of a rule's direction factor."""
-    s_count, m = rule.nodes.shape
+    m = rule.m
+    nodes, simplex_weights = simplex(rule)
     phis = 2.0 * np.pi * np.arange(rule.n_phi) / rule.n_phi
     angles = np.array(list(itertools.product(phis, repeat=m)))  # (n_phi^m, m)
-    dirs = np.sqrt(rule.nodes)[:, None, :] * np.exp(1j * angles)[None, :, :]
-    weights = np.repeat(rule.weights / rule.n_phi**m, len(angles))
+    dirs = np.sqrt(nodes)[:, None, :] * np.exp(1j * angles)[None, :, :]
+    weights = np.repeat(simplex_weights / rule.n_phi**m, len(angles))
     return dirs.reshape(-1, m), weights
 
 

@@ -92,16 +92,17 @@ def test_acceptance_03_decomposition():
 def test_acceptance_04_frequency_sharpness():
     ok = True
     worst_closed, worst_quad = 0.0, 0.0
+    quad = frequency.FrequencyConfig(resolution=256, method="quadrature")
     for m in (1, 2):
         model = gaussian(m)
         for alpha in monomials(m, 5, 1):
             u = HoloPoly.monomial(m, alpha)
             d = sum(alpha)
             for r in (1.0, 2.5, 10.0, 40.0):
-                err = abs(frequency.frequency_U(model, u, r) - d)
+                err = abs(frequency.frequency_profile(model, u, d, [r]).U[0] - d)
                 worst_closed = max(worst_closed, err)
             for r in (2.5, 20.0):
-                err = abs(frequency.frequency_U(model, u, r, 256, "quadrature") - d)
+                err = abs(frequency.frequency_profile(model, u, d, [r], quad).U[0] - d)
                 worst_quad = max(worst_quad, err)
     ok = worst_closed < 1e-8 and worst_quad < 1e-4
     _line(4, "frequency equals degree for flat monomials", ok,

@@ -396,6 +396,12 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (["verify-all", "--m", "6"], None, ["--m", "/m"]),
         (_HEAT + ["--n-steps", "1000000000"], None, ["--n-steps", "/n_steps"]),
         (_HEAT + ["--n-grid", "1000000000"], None, ["--n-grid", "/n_grid"]),
+        (_FREQ_G1 + ["--poly", "z", "--n", "1000000000"], None, ["--n", "/grid/n"]),
+        (["frequency", "--model", "gaussian", "--m", "1", "--poly", "z"],
+         {"grid": {"rmin": 5, "rmax": 6, "n": 10**9}}, ["--n", "/grid/n"]),
+        # |z|^200 on the ball of radius 40 passes the float range
+        (["frequency", "--model", "gaussian", "--m", "1", "--poly", "z^100", "--rmin", "5", "--rmax", "40",
+          "--n", "4"], None, ["--poly", "/poly", "--rmax"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -408,6 +414,7 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
         "verify-all-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
+        "frequency-grid-guard", "frequency-grid-config-guard", "frequency-degree-guard",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
@@ -422,6 +429,15 @@ def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert all(name in err for name in names), err
+
+
+def test_high_degree_poly_inside_the_float_range(capsys):
+    # 400! and 401! pass the float range; their ratio and the radius power do not
+    argv = ["frequency", "--model", "gaussian", "--m", "2", "--poly", "z1^400", "--rmin", "1", "--rmax", "1.5"]
+    assert main(argv + ["--n", "2"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 2
+    assert all(abs(float(row["U"]) - 400.0) < 1e-9 for row in rows)
 
 
 def test_heatflow_initial_from_config_object(tmp_path, capsys):

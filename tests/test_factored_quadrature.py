@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import brute_force
-from shrinker_lab import quadrature
 from shrinker_lab.forms import HoloForm, form_integral_identity_check, ricci_bound
 from shrinker_lab.frequency import (
     D_of_r,
@@ -118,7 +118,8 @@ def test_profile_reuses_one_gram_per_rule_kind():
 
 
 def test_gaussian_m3_at_full_resolution_matches_closed_forms():
-    # 33.5M nodes as a flat ball grid; the rule sums 64 simplex nodes for its 262,144 directions
+    # 33.5M nodes as a flat ball grid; the rule sums an 8-point 1-D rule per collapsed
+    # coordinate for its 262,144 directions
     model = gaussian(3)
     u = HoloPoly(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5j, (0, 0, 1): 2.0})
     for r in (3.0, 7.0):
@@ -140,7 +141,7 @@ def _aliased_pairs(u, n_phi):
     ]
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_phi", [2, 3])
 def test_aliased_pairs_match_the_flat_grid(m, n_phi):
     # a degree-5 polynomial on angle grids of 2 or 3 points: z^alpha conj(z)^beta
@@ -162,18 +163,25 @@ def test_aliased_pairs_match_the_flat_grid(m, n_phi):
             assert np.max(np.abs(got - unaliased)) > 1e-3 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_pair_chunks_match_one_chunk(m, monkeypatch):
-    # a cap of three pairs' powers splits the matched pairs into several chunks
-    rng = np.random.default_rng(11 + m)
-    u = HoloPoly(m, {alpha: complex(*rng.normal(size=2)) for alpha in monomials(m, 4)})
-    rule = ball_quadrature(gaussian(m), 3.0, 32)
-    for a, b in (([u], [u]), (gradient(u), gradient(u))):
-        whole = rule.sphere_integrals(a, b)
-        with monkeypatch.context() as patch:
-            patch.setattr(quadrature, "_PAIR_CHUNK_FLOATS", 3 * rule.nodes.size)
-            chunked = rule.sphere_integrals(a, b)
-        assert np.array_equal(chunked, whole)
+def test_profile_memory_stays_off_the_simplex_grid():
+    # gaussian(5) at resolution 479, the largest the rule budget accepts: its level
+    # simplex grid would hold 29^4 = 707,281 nodes, and the sums read 1-D tables only
+    model = gaussian(5)
+    rng = np.random.default_rng(5)
+    alphas = list(monomials(5, 3))
+    picks = rng.choice(len(alphas), 20, replace=False)
+    u = HoloPoly(5, {alphas[k]: complex(*rng.normal(size=2)) for k in picks})
+    config = FrequencyConfig(resolution=479, method="quadrature")
+    radii = [4.0, 6.0, 9.0]
+    tracemalloc.start()
+    try:
+        profile = frequency_profile(model, u, 3.0, radii, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    closed = frequency_profile(model, u, 3.0, radii)
+    assert np.allclose(profile.U, closed.U, rtol=1e-12, atol=0.0)
 
 
 def test_gaussian_m3_sharp_quadrature_row():

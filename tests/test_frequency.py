@@ -23,7 +23,6 @@ from shrinker_lab.frequency import (
     check_monotone,
     default_R0,
     doubling_and_three_circle,
-    frequency_U,
     frequency_profile,
     i_prime_rhs,
     mu_constant,
@@ -42,7 +41,7 @@ W = HoloPoly.monomial(1, (1,))
 def test_I_closed_forms():
     for r in (1.0, 2.0, 7.5):
         assert math.isclose(I_of_r(G1, Z, r), 2.0 * math.pi * r * r, rel_tol=1e-13)
-        assert math.isclose(I_of_r(G1, HoloPoly.constant(1, 1.0), r), 2.0 * math.pi, rel_tol=1e-13)
+        assert math.isclose(I_of_r(G1, HoloPoly(1, {(0,): 1.0}), r), 2.0 * math.pi, rel_tol=1e-13)
     for k in (1, 2, 3):
         for r in (4.5, 6.0, 10.0):
             rho = math.sqrt(r * r - 4.0)
@@ -63,7 +62,7 @@ def test_D_closed_forms():
         rec = D_of_r(G1, Z, r)
         assert math.isclose(rec.bulk, 2.0 * math.pi * r * r, rel_tol=1e-13)
         assert math.isclose(rec.boundary, rec.bulk, rel_tol=1e-13)
-    rec = D_of_r(G1, HoloPoly.constant(1, 2.0), 3.0)
+    rec = D_of_r(G1, HoloPoly(1, {(0,): 2.0}), 3.0)
     assert rec.bulk == 0.0 and rec.boundary == 0.0
 
 
@@ -81,22 +80,24 @@ def test_D_bulk_boundary_gap_quadrature(model):
 def test_U_sharp_on_gaussian_monomials():
     for alpha in [(1,), (3,), (5,)]:
         for r in (1.0, 10.0, 40.0):
-            assert abs(frequency_U(G1, HoloPoly.monomial(1, alpha), r) - sum(alpha)) < 1e-8
+            u_val = frequency_profile(G1, HoloPoly.monomial(1, alpha), 1.0, [r]).U[0]
+            assert abs(u_val - sum(alpha)) < 1e-8
     for alpha in [(1, 0), (2, 3), (0, 5)]:
         for r in (1.0, 20.0):
-            u_val = frequency_U(G2, HoloPoly.monomial(2, alpha), r)
+            u_val = frequency_profile(G2, HoloPoly.monomial(2, alpha), 1.0, [r]).U[0]
             assert abs(u_val - sum(alpha)) < 1e-8
 
 
 def test_U_quadrature_tolerance():
     for alpha in [(2, 1), (0, 4)]:
-        u_val = frequency_U(G2, HoloPoly.monomial(2, alpha), 8.0, 256, "quadrature")
+        config = FrequencyConfig(resolution=256, method="quadrature")
+        u_val = frequency_profile(G2, HoloPoly.monomial(2, alpha), 1.0, [8.0], config).U[0]
         assert abs(u_val - sum(alpha)) < 1e-4
 
 
 def test_U_cylinder_limit():
     w2 = HoloPoly.monomial(1, (2,))
-    values = [frequency_U(CYL, w2, r) for r in (5.0, 10.0, 40.0)]
+    values = frequency_profile(CYL, w2, 2.0, [5.0, 10.0, 40.0]).U
     for r, u_val in zip((5.0, 10.0, 40.0), values):
         assert math.isclose(u_val, 2.0 * r * r / (r * r - 4.0), rel_tol=1e-12)
     assert abs(values[-1] - 2.0) < 6e-3  # exact gap is 8/(r^2 - 4)
@@ -149,7 +150,7 @@ def test_rho_mu_gaussian_exact():
 
 
 def test_rho_mu_constant_and_zero():
-    rec = rho_mu(G1, HoloPoly.constant(1, 3.0), 1.0, 4.0)
+    rec = rho_mu(G1, HoloPoly(1, {(0,): 3.0}), 1.0, 4.0)
     assert rec.rho == 0.0 and rec.passed
     with pytest.raises(DomainError):
         rho_mu(G1, HoloPoly.zero(1), 1.0, 4.0)
@@ -229,7 +230,7 @@ def test_j_ledger_models():
     assert 0 < rec.J1 < rec.J2 < rec.J3
     rec = shell_energy_ledger(G1, Z, 1.0)
     assert rec.passed and rec.lam == 3.0
-    const = shell_energy_ledger(G2, HoloPoly.constant(2, 1.0), 1.0)
+    const = shell_energy_ledger(G2, HoloPoly(2, {(0, 0): 1.0}), 1.0)
     assert const.passed  # shell volumes satisfy the same comparison
 
 
@@ -244,7 +245,7 @@ def test_config_validation():
     with pytest.raises(DomainError):
         FrequencyConfig(method="magic")
     # every public function that takes a method rejects a typo instead of running a route
-    for call in (I_of_r, D_of_r, frequency_U, i_prime_rhs, check_derivative_I):
+    for call in (I_of_r, D_of_r, i_prime_rhs, check_derivative_I):
         with pytest.raises(DomainError, match="unknown evaluation method"):
             call(G1, Z, 3.0, method="quadratur")
     with pytest.raises(DomainError):
@@ -270,8 +271,8 @@ def test_routes_stay_independent(monkeypatch):
         ]
 
     with monkeypatch.context() as patch:
-        # the closed route reads no simplex table
-        patch.setattr(quadrature, "_unit_sphere_rule", crossed)
+        # the closed route reads no 1-D table of the collapsed coordinates
+        patch.setattr(quadrature, "_collapsed_rule", crossed)
         closed = run("closed")
         rho_mu(G2, u, 2.0, 3.0)
     with monkeypatch.context() as patch:
@@ -385,7 +386,7 @@ def test_frequency_monotone_in_r_for_mixed_polynomials():
             if u.is_zero():
                 continue
             radii = np.linspace(0.5, 60.0, 40)
-            values = [frequency_U(model, u, r) for r in radii]
+            values = frequency_profile(model, u, 1.0, radii).U
             assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
             assert values[-1] <= u.degree + 1e-9
             assert values[-1] > u.degree - 0.1  # the top degree dominates by r = 60

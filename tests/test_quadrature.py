@@ -27,12 +27,12 @@ from shrinker_lab.quadrature import (
     weighted_space_quadrature,
 )
 
-from brute_force import evaluate, expand
+from brute_force import evaluate, expand, simplex
 
 
 def _total(rule):
-    """Total weight of a product rule: radial sum times direction sum."""
-    return rule.radial_weights.sum() * rule.weights.sum()
+    """Total weight of a product rule: radial sum times the sum over its simplex grid."""
+    return rule.radial_weights.sum() * simplex(rule)[1].sum()
 
 
 def test_level_set_total_weights():
@@ -88,6 +88,11 @@ def test_raw_area_differs_from_coarea_area():
     assert math.isclose(raw, 16.0 * math.pi**2 * math.sqrt(12.0), rel_tol=1e-13)
     _, coarea = volume_area(model, 4.0)
     assert raw < coarea  # |grad b| < 1 pulls the coarea integral above the raw area
+
+
+def test_sphere_moment_of_high_degree():
+    # 400! / 401! = 1/401, though 400! alone passes the float range
+    assert math.isclose(sphere_moment(2, (400, 0), 1.0), 2.0 * math.pi**2 / 401, rel_tol=1e-14)
 
 
 def test_sphere_moment_against_quadrature():
@@ -176,7 +181,7 @@ def test_irregular_radius_rejected():
 
 
 def test_sphere_moment_m3_against_quadrature():
-    # m = 4 too: the collapsed simplex rule has one loop for every flat dimension
+    # m = 4 too: one collapsed rule serves every flat dimension
     for alphas in ([(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)], [(0, 0, 0, 0), (1, 0, 0, 2), (1, 1, 1, 1)]):
         m = len(alphas[0])
         nodes, weights = expand(level_set_quadrature(gaussian(m), 2.0, 64))

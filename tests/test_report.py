@@ -48,7 +48,7 @@ def test_two_products_share_one_report(monkeypatch):
 
 
 def test_four_flat_variables_pass_every_check():
-    # the quadrature rows run on collapsed simplex rules of 16^3 (level) and 8^3 (ball) nodes
+    # the quadrature rows sum over 16-point (level) and 8-point (ball) rules per collapsed coordinate
     rep = report.verify_all([gaussian(4)])
     assert len(rep.checks) == 29
     assert [c.name for c in rep.checks if c.status != "pass"] == []
