@@ -259,12 +259,21 @@ def _cmd_frequency(args) -> int:
     d = _finite("--d (growth order)", d, nonnegative=True)
     radii = np.linspace(rmin, rmax, n)
     profile = frequency.frequency_profile(model, u, d, radii, freq_cfg)
+    rows = profile.to_rows()
+    # the degree guard bounds the radial power alone; the gradient's degree^2
+    # factor, the coefficients and the area can still carry D past the float range
+    overflow = next((row["r"] for row in rows if not all(map(math.isfinite, row.values()))), None)
+    if overflow is not None:
+        raise ConfigError(
+            f"--poly (config /poly) overflows a float at radius {overflow!r}: "
+            f"lower the degree, the coefficients or --rmax (config /grid/rmax)"
+        )
     fmt = _choice("--format (config /format)", args.format or config.get("format", "csv"), _FORMATS)
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["r", "I", "D", "U", "eta", "monotone_q"])
         writer.writeheader()
-        for row in profile.to_rows():
+        for row in rows:
             writer.writerow(row)
         _emit(buf.getvalue(), args.out)
     else:
@@ -275,7 +284,7 @@ def _cmd_frequency(args) -> int:
             "poly": u.to_json_dict(),
             "d": d,
             "mu": profile.mu,
-            "rows": profile.to_rows(),
+            "rows": rows,
             "monotone": frequency.check_monotone(profile),
             "u_max": float(np.max(profile.U)),
             "u_bound_sqrt": d + freq_cfg.epsilon * math.sqrt(profile.mu),

@@ -1,9 +1,12 @@
 """Symmetric tridiagonal kernels implemented in-repo.
 
 The discretized drift operators are symmetric tridiagonal, so their low
-eigenvalues come from Sturm-sequence bisection.  The Sturm counts loop over
-Python floats in textbook order, so the spectra are bit-identical to an
-element-by-element loop.
+eigenvalues come from the pivots of T - x: isolate by Sturm counts, refine by
+safeguarded Newton, bit-identical to the element loop.  One pass over the
+pivots counts the eigenvalues below x, and the same pass can also return the
+log-derivative of det(T - x) for a Newton step.  The passes loop over Python
+floats in textbook order, so the spectra are bit-identical to an
+element-by-element loop of the same algorithm.
 
 Implicit heat stepping solves one constant tridiagonal matrix many times.
 `thomas_factor` does the elimination once and `thomas_substitute` solves each
@@ -21,15 +24,21 @@ different order, so solutions agree with it to rounding, not bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
 
-# bisection stops when the bracket is below this times the Gershgorin span
-BISECTION_TOL = 1e-12
+# the stall guard: Sturm counts and Newton passes on one eigenvalue, together
 MAX_BISECTIONS = 200
+# an eigenvalue has converged once its Newton step or bracket is within
+# _ULPS ulps of it plus _EPS times the Gershgorin span
+_ULPS = 4
+_EPS = sys.float_info.epsilon
+# a zero pivot is replaced by this one
+_TINY_PIVOT = 1e-300
 # every running product of multipliers in a scan block, and its inverse, stays within 2^±_BLOCK_BITS
 _BLOCK_BITS = 500
 
@@ -53,27 +62,66 @@ class _SumBlocks:
 def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
     """Number of eigenvalues of the tridiagonal matrix strictly below x.
 
-    e2[i] is the squared off-diagonal entry coupling rows i-1 and i (e2[0] = 0).
+    The pivots q_i = d_i - x - e2[i] / q_{i-1} of T - x = L D L^T have as
+    many negative entries as T - x has negative eigenvalues (Sylvester's law
+    of inertia).  e2[i] is the squared off-diagonal entry coupling rows i-1
+    and i (e2[0] = 0).  A zero pivot is replaced by a tiny positive one.
     """
     count = 0
     q = 1.0
-    tiny = 1e-300
     for d, e in zip(diag, e2):
-        if q == 0.0:
-            q = tiny
         q = d - x - e / q
         if q < 0.0:
             count += 1
+        elif q == 0.0:
+            q = _TINY_PIVOT
     return count
+
+
+def _newton_pass(diag: list[float], e2: list[float], x: float) -> tuple[int, float]:
+    """The Sturm count at x and S(x) = d/dx log det(T - x), from one pass over the pivots.
+
+    det(T - x) is the product of the pivots of `_sturm_count`, so
+    S = sum_i q_i' / q_i, where q_i' = -1 + e2[i] q_{i-1}' / q_{i-1}^2
+    differentiates their recurrence.  The Newton step for det(T - x) = 0 is
+    x - 1 / S.
+    """
+    count = 0
+    q = 1.0
+    dq = 0.0
+    s = 0.0
+    for d, e in zip(diag, e2):
+        r = e / q
+        dq = r / q * dq - 1.0
+        q = d - x - r
+        if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q = _TINY_PIVOT
+        s += dq / q
+    return count, s
 
 
 def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
     """The k smallest eigenvalues of a symmetric tridiagonal matrix.
 
-    Bisection on Sturm-sequence counts; robust for clustered spectra and
-    O(n) per count evaluation.  Every bisection starts from the same
-    Gershgorin bracket, so their first midpoints coincide: each count is
-    kept per call and looked up, never recomputed.
+    Isolate by Sturm counts, refine by safeguarded Newton, bit-identical to
+    the element loop.  Every count made in the call is kept by abscissa, so
+    eigenvalue j starts from the tightest bracket [a, b) with
+    count(a) <= j < count(b) that the counts already make (the Gershgorin
+    bounds stand for counts 0 and n).  No count lies inside that bracket, so
+    none is ever made twice.  It bisects the bracket until it holds
+    eigenvalue j alone: count(a) = j and count(b) = j + 1.  Newton's method on
+    det(T - x) then refines it; each pass also returns the count at x, which
+    shrinks the bracket, and a step that leaves the bracket is replaced by a
+    bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Demmel,
+    Applied Numerical Linear Algebra, 5.3).
+
+    Eigenvalue j is converged when the Newton step or the bracket is within
+    _ULPS ulps of it plus eps times the Gershgorin span.  A bracket that
+    reaches that width before it isolates eigenvalue j, as a multiple
+    eigenvalue's does, returns its midpoint.  More than MAX_BISECTIONS passes
+    on one eigenvalue raise NumericError.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -94,23 +142,38 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
     counts: dict[float, int] = {}
     out = np.empty(k)
     for j in range(k):
-        a, b = lo, hi
+        a, count_a = max(((x, c) for x, c in counts.items() if c <= j), default=(lo, 0))
+        b, count_b = min(((x, c) for x, c in counts.items() if c > j), default=(hi, n))
+        x = 0.5 * (a + b)
         for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (a + b)
-            count = counts.get(mid)
-            if count is None:
-                count = counts[mid] = _sturm_count(diag_list, e2, mid)
-            if count >= j + 1:
-                b = mid
-            else:
-                a = mid
-            if b - a <= BISECTION_TOL * span:
+            tol = _EPS * (_ULPS * abs(x) + span)
+            if b - a <= tol:
+                out[j] = 0.5 * (a + b)
                 break
+            isolated = count_a == j and count_b == j + 1
+            if isolated:
+                count, s = _newton_pass(diag_list, e2, x)
+            else:
+                count = _sturm_count(diag_list, e2, x)
+            counts[x] = count
+            if count <= j:
+                a, count_a = x, count
+            else:
+                b, count_b = x, count
+            if isolated and s != 0.0:
+                step = 1.0 / s
+                x = x - step
+                if a < x < b:
+                    if abs(step) <= tol:
+                        out[j] = x
+                        break
+                    continue
+            x = 0.5 * (a + b)
         else:
             raise NumericError(
-                f"bisection for eigenvalue {j} stalled at interval width {b - a:.3e}"
+                f"eigenvalue {j} did not converge in {MAX_BISECTIONS} passes; "
+                f"its bracket stalled at width {b - a:.3e}"
             )
-        out[j] = 0.5 * (a + b)
     return out
 
 

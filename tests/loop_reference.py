@@ -1,12 +1,15 @@
 """Element-by-element reference loops for the discrete oracles and eigenparts.
 
-The package runs its Sturm counts on Python floats, factors the
-backward-Euler matrix once per run, solves each step by summation factors,
-one cumulative sum per recurrence over equal row blocks, and ranks the
-contraction kernel one block per support size.  The loops below index numpy
-arrays one element at a time and redo the elimination at every step.  The
-Sturm counts do the same floating-point operations in the same order, so the
-tests require equal spectra, not close ones.  The block sums hold the
+The package runs its Sturm counts and Newton passes on Python floats,
+factors the backward-Euler matrix once per run, solves each step by summation
+factors, one cumulative sum per recurrence over equal row blocks, and ranks
+the contraction kernel one block per support size.  The loops below index
+numpy arrays one element at a time and redo the elimination at every step.
+`tridiagonal_eigenvalues` is the package's algorithm written as such a loop:
+it isolates each eigenvalue by Sturm counts and refines it by safeguarded
+Newton, and keeps its counts in a list that it scans for each bracket
+instead of a dict.  Its passes do the same floating-point operations in the
+same order, so the tests require equal spectra, not close ones.  The block sums hold the
 substitution's terms in another order, so heat stepping is matched element
 by element to a relative 1e-12 instead.  The
 contraction kernel is ranked here as one whole sparse matrix, by exact
@@ -53,35 +56,88 @@ def sturm_count(diag, off, x):
     count = 0
     q = 1.0
     for i in range(diag.size):
-        if q == 0.0:
-            q = 1e-300
         e2 = off[i - 1] ** 2 if i > 0 else 0.0
         q = diag[i] - x - e2 / q
         if q < 0.0:
             count += 1
+        elif q == 0.0:
+            q = 1e-300
     return count
 
 
-def tridiagonal_eigenvalues(diag, off, k, tol=1e-12, max_bisections=200):
-    """The k smallest eigenvalues by bisection on `sturm_count`."""
-    radius = np.zeros(diag.size)
+def newton_pass(diag, off, x):
+    """The Sturm count at x and S = sum q_i' / q_i, the log-derivative of det(T - x)."""
+    count = 0
+    q = 1.0
+    dq = 0.0
+    s = 0.0
+    for i in range(diag.size):
+        e2 = off[i - 1] ** 2 if i > 0 else 0.0
+        r = e2 / q
+        dq = r / q * dq - 1.0
+        q = diag[i] - x - r
+        if q < 0.0:
+            count += 1
+        elif q == 0.0:
+            q = 1e-300
+        s += dq / q
+    return count, s
+
+
+def tridiagonal_eigenvalues(diag, off, k):
+    """The k smallest eigenvalues: isolate by `sturm_count`, refine by Newton on `newton_pass`.
+
+    Every (x, count) evaluated is kept in `seen`; eigenvalue j bisects the
+    tightest bracket they make until it holds eigenvalue j alone, then takes
+    Newton steps x - 1/S that stay inside the bracket and bisects otherwise.
+    It stops when the step or the bracket is within 4 ulps of x plus eps
+    times the span; a bracket that gets there first returns its midpoint.
+    """
+    n = diag.size
+    eps = np.finfo(float).eps
+    ulps, max_passes = 4, 200
+    radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     span = max(hi - lo, 1.0)
+    seen = []
     out = np.empty(k)
     for j in range(k):
-        a, b = lo, hi
-        for _ in range(max_bisections):
-            mid = 0.5 * (a + b)
-            if sturm_count(diag, off, mid) >= j + 1:
-                b = mid
-            else:
-                a = mid
-            if b - a <= tol * span:
+        a, count_a, b, count_b = lo, 0, hi, n
+        for x, c in seen:
+            if c <= j and x > a:
+                a, count_a = x, c
+            if c > j and x < b:
+                b, count_b = x, c
+        x = 0.5 * (a + b)
+        for _ in range(max_passes):
+            tol = eps * (ulps * abs(x) + span)
+            if b - a <= tol:
+                out[j] = 0.5 * (a + b)
                 break
-        out[j] = 0.5 * (a + b)
+            newton = count_a == j and count_b == j + 1
+            if newton:
+                count, s = newton_pass(diag, off, x)
+            else:
+                count = sturm_count(diag, off, x)
+            seen.append((x, count))
+            if count <= j:
+                a, count_a = x, count
+            else:
+                b, count_b = x, count
+            if newton and s != 0.0:
+                step = 1.0 / s
+                if a < x - step < b:
+                    if abs(step) <= tol:
+                        out[j] = x - step
+                        break
+                    x = x - step
+                    continue
+            x = 0.5 * (a + b)
+        else:
+            raise RuntimeError(f"eigenvalue {j} did not converge in {max_passes} passes")
     return out
 
 

@@ -402,6 +402,9 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         # |z|^200 on the ball of radius 40 passes the float range
         (["frequency", "--model", "gaussian", "--m", "1", "--poly", "z^100", "--rmin", "5", "--rmax", "40",
           "--n", "4"], None, ["--poly", "/poly", "--rmax"]),
+        # inside the degree guard, the gradient's 150^2 carries D past the float range at r = 10.5
+        (["frequency", "--model", "cylinder", "--poly", "w^150", "--rmin", "5", "--rmax", "10.5", "--n", "3"],
+         None, ["--poly", "/poly", "10.5"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
@@ -415,6 +418,7 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
         "verify-all-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
         "frequency-grid-guard", "frequency-grid-config-guard", "frequency-degree-guard",
+        "frequency-overflow",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

@@ -6,6 +6,7 @@ import loop_reference as ref
 import numpy as np
 import pytest
 
+from shrinker_lab import eigensolve
 from shrinker_lab.eigensolve import thomas_factor, thomas_substitute, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
 from shrinker_lab.oracle1d import discretize, oracle_spectrum_1d
@@ -37,7 +38,7 @@ def test_operator_matrix_symmetric_psd():
 
 
 def test_jacobi_against_bisection():
-    # the dense symmetric eigensolver cross-checks the bisection path
+    # the dense symmetric eigensolver cross-checks the Sturm-count and Newton path
     op = discretize(10.0, 60)
     dense = np.linalg.eigvalsh(ref.dense(op.diag, op.off))
     tri = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
@@ -157,12 +158,96 @@ def test_thomas_order_one_and_zero_pivot():
         thomas_factor(np.array([1.0, 1.0]), np.array([1.0]))
 
 
-@pytest.mark.parametrize("n", [800, 1600])
+@pytest.mark.parametrize("n", [800, 1600, 3200])
 def test_oracle_bit_equal_to_element_loop(n):
     for shift in (0.0, 0.5):
         got = oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
         want = ref.oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
         assert np.array_equal(got, want)
+
+
+def test_oracle_ladder_converges_through_3200():
+    # the eigenvalues converge to rounding, so the grid error keeps falling past N = 1600
+    target = np.arange(5) / 2.0
+    errs = [np.abs(oracle_spectrum_1d(X=12.0, N=n, k_eigs=5) - target).max() for n in (800, 1600, 3200)]
+    assert errs[0] > errs[1] > errs[2]
+
+
+def test_oracle_matches_dense_eigensolver_to_rounding():
+    op = discretize(12.0, 400)
+    want = np.linalg.eigvalsh(ref.dense(op.diag, op.off))[:6]
+    assert np.abs(tridiagonal_eigenvalues(op.diag, op.off, 6) - want).max() < 1e-12
+
+
+def test_passes_per_call(monkeypatch):
+    # Sturm counts isolate each eigenvalue and Newton passes refine it; bisection alone takes 168 counts
+    passes = []
+    for name in ("_sturm_count", "_newton_pass"):
+        inner = getattr(eigensolve, name)
+
+        def counted(*args, inner=inner, name=name):
+            passes.append(name)
+            return inner(*args)
+
+        monkeypatch.setattr(eigensolve, name, counted)
+    op = discretize(12.0, 3200)
+    tridiagonal_eigenvalues(op.diag, op.off, 6)
+    assert "_newton_pass" in passes
+    assert len(passes) <= 70
+
+
+def test_stall_guard_raises(monkeypatch):
+    monkeypatch.setattr(eigensolve, "MAX_BISECTIONS", 3)
+    op = discretize(12.0, 400)
+    with pytest.raises(NumericError, match="did not converge in 3 passes"):
+        tridiagonal_eigenvalues(op.diag, op.off, 1)
+
+
+def _span(diag, off):
+    radius = np.zeros(diag.size)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    return max(float(np.max(diag + radius) - np.min(diag - radius)), 1.0)
+
+
+def test_exact_multiplicities():
+    # no bracket isolates a triple eigenvalue: each returns its midpoint at the width floor
+    diag = np.array([1.0, 1.0, 1.0, 2.0])
+    got = tridiagonal_eigenvalues(diag, np.zeros(3), 4)
+    assert np.abs(got - [1.0, 1.0, 1.0, 2.0]).max() <= 1e-12
+    # three uncoupled copies of one block: every eigenvalue is triple
+    rng = np.random.default_rng(11)
+    block_diag, block_off = rng.normal(size=5), rng.normal(size=4)
+    diag = np.tile(block_diag, 3)
+    off = np.concatenate((block_off, [0.0], block_off, [0.0], block_off))
+    want = np.repeat(np.linalg.eigvalsh(ref.dense(block_diag, block_off)), 3)
+    assert np.abs(tridiagonal_eigenvalues(diag, off, 15) - want).max() <= 1e-12 * _span(diag, off)
+
+
+def test_wilkinson_matrix_every_k():
+    # W21+ has pairs of eigenvalues that agree to about 1e-14 and more
+    diag = np.abs(np.arange(-10.0, 11.0))
+    off = np.ones(20)
+    want = np.linalg.eigvalsh(ref.dense(diag, off))
+    tol = 1e-12 * _span(diag, off)
+    for k in range(1, 22):
+        assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+
+
+def test_random_tridiagonals_every_eigenvalue():
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        n = int(rng.integers(1, 51))
+        diag = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+        off = rng.normal(size=n - 1) * 10.0 ** rng.integers(-3, 4)
+        # some off-diagonals vanish, splitting the matrix into blocks with shared eigenvalues
+        off[rng.random(n - 1) < 0.2] = 0.0
+        want = np.linalg.eigvalsh(ref.dense(diag, off))
+        got = tridiagonal_eigenvalues(diag, off, n)
+        assert np.abs(got - want).max() <= 1e-12 * _span(diag, off)
+        # eigenvalue j does not depend on how many are asked for
+        k = int(rng.integers(1, n + 1))
+        assert np.array_equal(tridiagonal_eigenvalues(diag, off, k), got[:k])
 
 
 def test_shifted_operator():
