@@ -25,7 +25,8 @@ from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
 _MU_MAX = 708
-# radii of one frequency profile: 25,000 take about 1 s on a 2-core VM
+# radii of one frequency profile: 25,000 take about 0.4 s from the CLI on a 2-core VM,
+# most of it in writing the rows
 _GRID_MAX = 25_000
 _FORMATS = ("csv", "json")
 _RICCI_NORMS = ("operator", "tensor")

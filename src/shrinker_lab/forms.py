@@ -376,8 +376,8 @@ def form_integral_identity_check(
     # |omega|^2 = 2^p sum_I |u_I|^2: each dz factor contributes |dz|^2 = 2
     norms = 2.0**omega.p * rule.sphere_integrals(coeffs, coeffs)
     f_vals = model.f_min + 0.25 * rule.radii**2
-    value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam)
-    scale = rule.integrate(norms) * (model.n / 2.0 + mu + 2.0 * omega.p * lam)
+    value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam).item()
+    scale = rule.integrate(norms).item() * (model.n / 2.0 + mu + 2.0 * omega.p * lam)
     if value > 1e-8 * max(1.0, scale):
         raise NumericError(f"kernel-form integral is positive: {value:.3e}")
     return value

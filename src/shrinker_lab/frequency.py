@@ -15,13 +15,17 @@ integral eta, the doubling and three-circle inequalities, and the shell
 integrals J_i entering the dimension-counting ledger.
 
 Each quantity is one formula in the direction sums of |u|^2, |grad u|^2,
-|E|^2 and Re(conj(u) E), E = sum_j z_j du/dz_j, integrated over a level set
-or a ball by a rule; every other factor (|grad b|^2, Laplacian(b), 1/|z|^2,
-e^{-f}) depends on the radius alone.  The two routes differ only in the rule,
-which `_rules` picks from `method`: "closed", the default, takes the
-MomentRule of exact sphere moments and closed radial integrals, and
-"quadrature" the product rules, which also sum the aliased monomial pairs.
-Any other `method` (also in FrequencyConfig) raises DomainError.
+|E|^2 and Re(conj(u) E), E = sum_j z_j du/dz_j, integrated over level sets
+or balls by a rule; every other factor (|grad b|^2, Laplacian(b), 1/|z|^2,
+e^{-f}) depends on the radius alone.  One level-set rule and one ball rule
+cover a whole radius grid: the direction sums are formed once, and each
+rule's `integrate` returns one value per radius from per-degree radial
+moments.  A single radius is a grid of one.  The two routes differ only in
+the rule, which `_rules` picks from `method`: "closed", the default, takes
+the MomentRule of exact sphere moments and closed radial integrals, and
+"quadrature" the product rules, which also sum the aliased monomial pairs
+and take their radial moments from Gauss-Legendre nodes.  Any other
+`method` (also in FrequencyConfig) raises DomainError.
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ class _SphereFields:
     sum_k w_k F(s theta_k) = sum_d c_d s^d, for F one of |u|^2, |grad u|^2,
     |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j = u.euler().  Each
     is a sum over monomial pairs (the rule's sphere_integrals), formed only
-    for the fields read.  Rules of one kind and resolution share their
-    directions, so one instance serves every radius.
+    for the fields read.  The direction sums do not depend on the radius, so
+    one instance serves every radius of the rule's grid.
     """
 
     def __init__(self, u: HoloPoly, rule: _Rule):
@@ -129,7 +133,7 @@ class _SphereFields:
 
 
 def _rules(method: str, resolution: int):
-    """The level-set and ball rule builders, each (model, r) -> rule, of the route `method`."""
+    """The level-set and ball rule builders, each (model, radii) -> rule, of the route `method`."""
     if method == "closed":
         return level_set_moments, ball_moments
     if method == "quadrature":
@@ -149,18 +153,19 @@ def I_of_r(
     method: str = "closed",
 ) -> float:
     """Height function I(r) = r^{1-n} int_{b=r} |u|^2 |grad b|."""
-    level = _rules(method, resolution)[0](model, r)
-    return _height(model, r, level, _SphereFields(u, level))
+    rr = np.array([r], dtype=float)
+    level = _rules(method, resolution)[0](model, rr)
+    return _height(model, rr, level, _SphereFields(u, level)).item()
 
 
-def _height(model: ModelShrinker, r: float, level: _Rule, fields: _SphereFields) -> float:
-    grad_b = model.flat_radius(r) / r
-    return r ** (1 - model.n) * grad_b * level.integrate(fields.u_sq)
+def _height(model: ModelShrinker, rr: np.ndarray, level: _Rule, fields: _SphereFields) -> np.ndarray:
+    """I on the radii rr of the level rule's grid; |grad b| = rho/r."""
+    return rr ** (1 - model.n) * (level.rho / rr) * level.integrate(fields.u_sq)
 
 
-def _bulk_energy(model: ModelShrinker, r: float, ball: _Rule, fields: _SphereFields) -> float:
-    """D(r) in its bulk form r^{2-n} int_{b<r} |grad u|^2."""
-    return r ** (2 - model.n) * ball.integrate(fields.grad_sq)
+def _bulk_energy(model: ModelShrinker, rr: np.ndarray, ball: _Rule, fields: _SphereFields) -> np.ndarray:
+    """D in its bulk form r^{2-n} int_{b<r} |grad u|^2, on the radii rr of the ball rule's grid."""
+    return rr ** (2 - model.n) * ball.integrate(fields.grad_sq)
 
 
 @dataclass(frozen=True)
@@ -177,32 +182,37 @@ def D_of_r(
     method: str = "closed",
 ) -> DirichletRecord:
     """Dirichlet energy D(r) in both its bulk and boundary forms."""
+    rr = np.array([r], dtype=float)
     level_rule, ball_rule = _rules(method, resolution)
-    ball, level = ball_rule(model, r), level_rule(model, r)
+    ball, level = ball_rule(model, rr), level_rule(model, rr)
     # <grad |u|^2, nu> = 2 Re(conj(u) E) / rho, and D carries a further 1/2
-    boundary = r ** (2 - model.n) / model.flat_radius(r) * level.integrate(_SphereFields(u, level).u_e)
-    return DirichletRecord(bulk=_bulk_energy(model, r, ball, _SphereFields(u, ball)), boundary=boundary)
+    boundary = rr ** (2 - model.n) / level.rho * level.integrate(_SphereFields(u, level).u_e)
+    bulk = _bulk_energy(model, rr, ball, _SphereFields(u, ball))
+    return DirichletRecord(bulk=bulk.item(), boundary=boundary.item())
 
 
-def eta_integral(r: float, config: FrequencyConfig, mu: float, lo: float = 0.0) -> float:
+def eta_integral(r, config: FrequencyConfig, mu: float, lo=0.0):
     """Damping integral int C2 sqrt(mu) s^{-1-sigma} exp(-C1/(sigma s^sigma)) ds over [lo, r].
 
+    Elementwise for arrays r and lo, as for the intervals of a radius grid.
     The integrand vanishes for s <= 0 and is the derivative of
     (C2 sqrt(mu)/C1) e^{-C1/(sigma s^sigma)}, so the integral is a difference
-    of that antiderivative at the exponents a (at r) and b (at lo).  It is
-    formed as e^a (-expm1(b - a)), with b - a = (C1/sigma) lo^-sigma
-    ((lo/r)^sigma - 1) taken through expm1/log1p, so that it keeps its digits
-    for tiny C1 and for short intervals.
+    of that antiderivative at the exponents a (at the upper end) and b (at
+    the lower end).  It is formed as e^a (-expm1(b - a)), with b - a =
+    (C1/sigma) lo^-sigma ((lo/r)^sigma - 1) taken through expm1/log1p, so
+    that it keeps its digits for tiny C1 and for short intervals.  An
+    interval with r < lo counts negatively.
     """
-    if r < lo:
-        return -eta_integral(lo, config, mu, lo=r)
+    r, lo = np.asarray(r, dtype=float), np.asarray(lo, dtype=float)
     sig = config.sigma_eff
     scale = config.C2 * math.sqrt(mu) / config.C1
-    a = -config.C1 / (sig * r**sig) if r > 0.0 else -math.inf
-    if lo <= 0.0:
-        return scale * math.exp(a)
-    b_minus_a = config.C1 / (sig * lo**sig) * math.expm1(-sig * math.log1p((r - lo) / lo))
-    return scale * math.exp(a) * -math.expm1(b_minus_a)
+    hi, low = np.maximum(r, lo), np.minimum(r, lo)
+    # the branches of np.where are formed everywhere; a lower end at or below 0 takes b = -inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.where(hi > 0.0, -config.C1 / (sig * hi**sig), -np.inf)
+        b_minus_a = config.C1 / (sig * low**sig) * np.expm1(-sig * np.log1p((hi - low) / low))
+        part = np.where(low > 0.0, -np.expm1(b_minus_a), 1.0)
+    return np.where(r < lo, -scale, scale) * np.exp(a) * part
 
 
 @dataclass
@@ -253,12 +263,8 @@ def frequency_profile(
     i_vals, d_vals = _height_and_energy(model, u, rr, config.resolution, config.method)
     u_vals = d_vals / i_vals
     sig = config.sigma_eff
-    eta_vals = np.empty_like(rr)
-    prev_r, acc = 0.0, 0.0
-    for i, r in enumerate(rr):
-        acc += eta_integral(r, config, mu, lo=prev_r)
-        eta_vals[i] = acc
-        prev_r = r
+    # eta accumulates the integrals over [0, r_0], [r_0, r_1], ... in grid order
+    eta_vals = np.cumsum(eta_integral(rr, config, mu, lo=np.concatenate(([0.0], rr[:-1]))))
     damping = np.exp(-config.C1 / (sig * rr**sig))
     q = u_vals * damping + eta_vals
     return FrequencyProfile(
@@ -279,17 +285,16 @@ def _height_and_energy(
 ) -> tuple[np.ndarray, np.ndarray]:
     """I and the bulk D on the radii rr, with I checked positive.
 
-    Rules of one kind share their directions, so one set of sphere sums
-    serves every radius.
+    One level-set rule and one ball rule cover the grid, so each set of
+    sphere sums is formed once; the builders check every radius regular
+    before any sum is formed.
     """
     if rr.size == 0:
         raise DomainError("the radius grid is empty")
     level_rule, ball_rule = _rules(method, resolution)
-    levels = [level_rule(model, r) for r in rr]
-    balls = [ball_rule(model, r) for r in rr]
-    on_level, on_ball = _SphereFields(u, levels[0]), _SphereFields(u, balls[0])
-    i_vals = np.array([_height(model, r, level, on_level) for r, level in zip(rr, levels)])
-    d_vals = np.array([_bulk_energy(model, r, ball, on_ball) for r, ball in zip(rr, balls)])
+    level, ball = level_rule(model, rr), ball_rule(model, rr)
+    i_vals = _height(model, rr, level, _SphereFields(u, level))
+    d_vals = _bulk_energy(model, rr, ball, _SphereFields(u, ball))
     if np.any(i_vals <= 0):
         raise DomainError("I(r) must be positive on the grid (u is not identically zero)")
     return i_vals, d_vals
@@ -306,13 +311,14 @@ def i_prime_rhs(
     method: str = "closed",
 ) -> float:
     """Exact expression for I'(r): boundary flux plus the curvature correction."""
-    level = _rules(method, resolution)[0](model, r)
+    rr = np.array([r], dtype=float)
+    level = _rules(method, resolution)[0](model, rr)
     fields = _SphereFields(u, level)
-    rho = model.flat_radius(r)
+    rho = level.rho
     n = model.n
     flux = 2.0 / rho * level.integrate(fields.u_e)
-    curv = model.s_const * (r / rho) * level.integrate(fields.u_sq)
-    return r ** (1 - n) * flux + r ** (-n) * (4.0 * n / r**2 - 2.0) * curv
+    curv = model.s_const * (rr / rho) * level.integrate(fields.u_sq)
+    return (rr ** (1 - n) * flux + rr ** (-n) * (4.0 * n / rr**2 - 2.0) * curv).item()
 
 
 def check_derivative_I(
@@ -326,11 +332,11 @@ def check_derivative_I(
     """Relative residual of the central difference of I against its derivative formula."""
     if h is None:
         h = 1e-3 * r
-    model.require_regular(r - h)
-    diff = (
-        I_of_r(model, u, r + h, resolution, method)
-        - I_of_r(model, u, r - h, resolution, method)
-    ) / (2.0 * h)
+    # I at r - h and r + h from one two-radius level rule
+    rr = np.array([r - h, r + h])
+    level = _rules(method, resolution)[0](model, rr)
+    i_lo, i_hi = _height(model, rr, level, _SphereFields(u, level))
+    diff = (i_hi - i_lo) / (2.0 * h)
     rhs = i_prime_rhs(model, u, r, resolution, method)
     return abs(diff - rhs) / (1.0 + abs(rhs))
 
@@ -340,13 +346,12 @@ def check_derivative_I(
 
 def level_defect(model: ModelShrinker, u: HoloPoly, r: float, j: int, resolution: int = 128) -> float:
     """level_defect(r) = int_{b=r} S^j (|grad u|^2 - 2 |du/dnu|^2) / |grad b|."""
-    model.require_regular(r)
-    rho = model.flat_radius(r)
-    level = level_set_quadrature(model, r, resolution)
+    level = level_set_quadrature(model, [r], resolution)
     fields = _SphereFields(u, level)
+    rho = level.rho.item()
     # |du/dnu|^2 = |E|^2 / rho^2 on the level set
     integral = level.integrate(fields.grad_sq) - 2.0 * level.integrate(fields.e_sq) / rho**2
-    return model.s_const**j * (r / rho) * integral
+    return model.s_const**j * (r / rho) * integral.item()
 
 
 @dataclass(frozen=True)
@@ -369,21 +374,22 @@ def check_defect_recursion(
     # S is constant on every catalog model, so K_j = S^j K_0
     k0 = level_defect(model, u, r, 0, resolution)
     ks = [model.s_const**j * k0 for j in range(jmax + 2)]
-    ball = ball_quadrature(model, r, resolution)
+    ball = ball_quadrature(model, [r], resolution)
     fields = _SphereFields(u, ball)
-    dirichlet = ball.integrate(fields.grad_sq)
+    dirichlet = ball.integrate(fields.grad_sq).item()
     c_measured = abs(ks[0]) / dirichlet if dirichlet > 0 else 0.0
     c = model.f_min
     n_flat = 2 * model.flat_m
     # b and its derivatives depend on the radius alone, so direction sums of
-    # |grad u|^2 and |E|^2 per radial node carry the whole integrand
-    s = ball.radii
+    # |grad u|^2 and |E|^2 per radial node carry the whole integrand; the one
+    # ball of the grid has the nodes rho s_i and the weights rho^power W_i
+    s = ball.rho * ball.radii
     grad_sq = np.polynomial.polynomial.polyval(s, fields.grad_sq)
     normal_sq = np.polynomial.polynomial.polyval(s, fields.e_sq) / s**2
     b_val = np.sqrt(4.0 * c + s**2)
     lap_b = 4.0 * c / b_val**3 + (n_flat - 1) / b_val
     hess = (4.0 * c / b_val**3) * normal_sq + (grad_sq - normal_sq) / b_val
-    bulk = float(np.sum(ball.radial_weights * (grad_sq * lap_b - 2.0 * hess)))
+    bulk = float(np.sum(ball.rho**ball.power * ball.radial_weights * (grad_sq * lap_b - 2.0 * hess)))
     residuals = []
     for j in range(jmax + 1):
         lhs = ks[j] - (4.0 / r**2) * ks[j + 1]
@@ -417,9 +423,10 @@ def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, r: float) -> RhoMuRecord
     if u.is_zero():
         raise DomainError("rho is undefined for the zero function")
     mu = mu_constant(d, model.n)
-    level = level_set_moments(model, r)
+    level = level_set_moments(model, [r])
     u1 = lie_derivative_nabla_f(model, u)
-    ratio = level.integrate(_SphereFields(u1, level).u_sq) / level.integrate(_SphereFields(u, level).u_sq)
+    energy, derived = (level.integrate(_SphereFields(v, level).u_sq).item() for v in (u, u1))
+    ratio = derived / energy
     return RhoMuRecord(rho=ratio, mu=mu, passed=ratio <= mu)
 
 
@@ -538,8 +545,7 @@ def shell_energy_ledger(
     d_eff = max(d, 1.0)
     lam = 1.0 + 2.0 / d_eff
     radii = [r0 * lam**i for i in range(4)]
-    for r in radii:
-        model.require_regular(r)
+    model.require_regular(radii)
     if c_constant is None:
         c_constant = check_defect_recursion(model, u, radii[3], 1, config.resolution).c_measured
 
@@ -548,7 +554,7 @@ def shell_energy_ledger(
 
     def shell(rule: ProductRule) -> float:
         s_sq = rule.radii**2
-        return rule.integrate(fields.u_sq, s_sq / (4.0 * model.f_min + s_sq))
+        return rule.integrate(fields.u_sq, s_sq / (4.0 * model.f_min + s_sq)).item()
 
     j1, j2, j3 = (shell(rule) for rule in shells)
     exponent = model.n + 2.0 * (d_eff + config.epsilon * math.sqrt(mu))

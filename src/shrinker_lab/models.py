@@ -111,20 +111,27 @@ class ModelShrinker:
         zs = self.check_point(z)
         return self.f_min + 0.25 * float(np.sum(np.abs(zs) ** 2))
 
-    def is_regular(self, r: float) -> bool:
-        return r > 0 and r * r > 4.0 * self.sup_S + REGULARITY_MARGIN
+    def is_regular(self, r):
+        """Whether r is a regular level radius, elementwise for an array."""
+        r = np.asarray(r, dtype=float)
+        return (r > 0) & (r * r > 4.0 * self.sup_S + REGULARITY_MARGIN)
 
-    def require_regular(self, r: float) -> None:
-        if not self.is_regular(r):
+    def require_regular(self, r) -> None:
+        """Raise RegularityError naming the first radius of r (a number or an array) that is not regular."""
+        rr = np.asarray(r, dtype=float).reshape(-1)
+        regular = self.is_regular(rr)
+        if not regular.all():
+            first = float(rr[np.argmin(regular)])
             raise RegularityError(
-                f"r={r} is not a regular level: need r^2 > {4.0 * self.sup_S + REGULARITY_MARGIN:.6g}"
-                f" (got r^2 = {r * r:.6g})"
+                f"r={first} is not a regular level: need r^2 > {4.0 * self.sup_S + REGULARITY_MARGIN:.6g}"
+                f" (got r^2 = {first * first:.6g})"
             )
 
-    def flat_radius(self, r: float) -> float:
-        """Radius of the flat sphere carrying the level set {b = r}."""
+    def flat_radius(self, r):
+        """Radius of the flat sphere carrying the level set {b = r}, elementwise for an array."""
         self.require_regular(r)
-        return math.sqrt(r * r - 4.0 * self.f_min)
+        r = np.asarray(r, dtype=float)
+        return np.sqrt(r * r - 4.0 * self.f_min)
 
     # -- serialization ---------------------------------------------------------
 

@@ -14,6 +14,24 @@ its nodes are s_i * theta_k with weight W_i * w_k, where
   n_u-point rule on [0, 1] in each of its m - 1 collapsed coordinates, for
   every flat dimension m.
 
+A level-set or ball rule covers a whole grid of radii.  The level set and the
+ball of flat radius rho are the unit sphere and the unit ball dilated by rho,
+so the rule keeps the grid of flat radii and the radial rule at rho = 1: the
+node 1 for a level set, and for a ball the n_rad-point Gauss-Legendre rule
+x_i, w_i on [0, 1].  With the direction sums c_d of an integrand, homogeneous
+of degree d in s, the rule gives one value per radius of the grid:
+
+    level set:  A rho^(2m-1) sum_d c_d rho^d
+    ball:       A sum_d c_d t_{d+2m-1} rho^(d+2m),   t_k = sum_i w_i x_i^k,
+
+with A the compact area.  The ball's sum runs over the same n_rad nodes as
+a rule built at each radius, in another order: the radial sums factor into
+one moment t_k per degree (sum factorization, as for the directions below).
+Its memory is O(R D) for R radii and D degrees, never R times n_rad.  The
+shell and weighted-space rules, whose radial factors s^2/(4c + s^2) and
+e^{-s^2/4} are not polynomials in s, are single rules that keep their radial
+nodes.
+
 Sphere coordinates use z_j = sqrt(u_j) e^{i phi_j}: the surface measure of
 the radius-R flat sphere becomes R^{2m-1} 2^{1-m} du dphi over the simplex
 {u_j >= 0, sum u_j = 1} times the torus, which is flat in u, so polynomial
@@ -41,8 +59,9 @@ closed-form route assumes, so the quadrature route stays independent of it.
 
 `MomentRule`, the closed-form counterpart of a level-set or ball rule, keeps
 only the pairs alpha = beta with their exact sphere moments and integrates
-s^(d + 2m - 1) radially in closed form.  It reads no 1-D table and no
-n_phi, and ProductRule never calls sphere_moment.
+s^(d + 2m - 1) radially in closed form, as A sum_d c_d rho^(d+2m)/(d+2m) on
+a ball.  It reads no 1-D table and no n_phi, and ProductRule never calls
+sphere_moment nor divides by d + 2m.
 
 Every rule is float64; only the volume identity sums its masses in decimal.
 Each rule builder first checks its size against RULE_WORK_LIMIT.
@@ -201,22 +220,41 @@ def require_rule_work(m: int, resolution: int) -> None:
 # -- product rules -------------------------------------------------------------
 
 
+def _grid_sum(rho: np.ndarray, power: int, coeffs: np.ndarray) -> np.ndarray:
+    """sum_d coeffs_d rho^(d + power) at each flat radius of rho, shape (R,).
+
+    Zero coefficients are skipped, so 0 * inf never forms where a power of
+    rho passes the float range; a sum that passes it is inf, and the
+    callers that print values check them finite.
+    """
+    (d,) = coeffs.nonzero()
+    with np.errstate(over="ignore"):
+        return (rho[:, None] ** (d + power) * coeffs[d]).sum(axis=1)
+
+
 @dataclass(frozen=True)
 class ProductRule:
-    """Radial rule times unit-sphere rule: node s_i theta_k carries weight W_i w_k.
+    """Radial rule times unit-sphere rule on each flat radius of a grid.
 
-    ``radii``/``radial_weights`` hold s_i and W_i.  The directions theta_k
-    are kept as their factors: ``nodes`` and ``weights`` hold the n_u-point
-    Gauss-Legendre rule on [0, 1] of each of the m - 1 collapsed coordinates
-    of the simplex, and each simplex node u stands for the n_phi^m
-    directions sqrt(u) e^{i phi} on a uniform grid of ``n_phi`` angles per
-    circle.  The direction factor depends only on the flat dimension, the
-    rule kind and the resolution, so direction sums formed on one rule serve
-    every rule of its kind.  Every array is float64.
+    At each flat radius rho of ``rho`` (shape R) the rule has the nodes
+    rho s_i theta_k with weights rho^power W_i w_k, where
+    ``radii``/``radial_weights`` hold s_i and W_i of the rule at rho = 1: the
+    node 1 for a level set (power 2m - 1), the Gauss-Legendre rule on [0, 1]
+    with the Jacobian x^(2m-1) for a ball (power 2m).  A shell or the
+    weighted space is a single rule with its own radial nodes, at rho = 1.
+    The directions theta_k are kept as their factors: ``nodes`` and
+    ``weights`` hold the n_u-point Gauss-Legendre rule on [0, 1] of each of
+    the m - 1 collapsed coordinates of the simplex, and each simplex node u
+    stands for the n_phi^m directions sqrt(u) e^{i phi} on a uniform grid of
+    ``n_phi`` angles per circle.  The direction factor does not depend on the
+    radius, so one set of direction sums serves the whole grid.  Every array
+    is float64.
     """
 
+    rho: np.ndarray
     radii: np.ndarray
     radial_weights: np.ndarray
+    power: int
     nodes: np.ndarray
     weights: np.ndarray
     m: int
@@ -257,10 +295,16 @@ class ProductRule:
         pair_coefs = (coef_a[i] * coef_b[j].conj()).real
         return np.bincount(powers.sum(axis=1), weights=pair_coefs * sums, minlength=1)
 
-    def integrate(self, coeffs: np.ndarray, radial=1.0) -> float:
-        """sum_i W_i radial(s_i) sum_d c_d s_i^d for direction sums c from sphere_integrals."""
-        sums = np.polynomial.polynomial.polyval(self.radii, coeffs)
-        return float(np.sum(self.radial_weights * radial * sums))
+    def integrate(self, coeffs: np.ndarray, radial=1.0) -> np.ndarray:
+        """The rule at each rho applied to sum_d c_d s^d, c from sphere_integrals: shape (R,).
+
+        ``radial``, a factor per radial node s_i, multiplies the integrand of
+        a single rule.  The radial sum factors per degree: with the moments
+        t_d = sum_i W_i radial_i s_i^d of the rule at rho = 1, the value at
+        rho is sum_d c_d t_d rho^(d + power).
+        """
+        moments = (self.radial_weights * radial) @ self.radii[:, None] ** np.arange(len(coeffs))
+        return _grid_sum(self.rho, self.power, coeffs * moments)
 
 
 def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -272,48 +316,58 @@ def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarr
     return comps, exps, coefs
 
 
-def _product_rule(radii: np.ndarray, radial_weights: np.ndarray, m: int, n_u: int, n_phi: int) -> ProductRule:
+def _product_rule(rho, radii, radial_weights, power: int, m: int, n_u: int, n_phi: int) -> ProductRule:
     nodes, weights = _collapsed_rule(n_u)
-    return ProductRule(radii=radii, radial_weights=radial_weights, nodes=nodes, weights=weights, m=m, n_phi=n_phi)
+    return ProductRule(rho=rho, radii=radii, radial_weights=radial_weights, power=power,
+                       nodes=nodes, weights=weights, m=m, n_phi=n_phi)
 
 
-def level_set_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
-    """Quadrature on the level set {b = r}: the single radius rho = flat_radius(r)."""
-    model.require_regular(r)
+def _flat_grid(model: ModelShrinker, radii) -> np.ndarray:
+    """Flat radii (R,) of a 1-D grid of level radii; one regularity check covers the grid."""
+    rr = np.asarray(radii, dtype=float)
+    if rr.ndim != 1:
+        raise ValueError(f"radii must be a 1-D grid, got shape {rr.shape}")
+    return model.flat_radius(rr)
+
+
+def level_set_quadrature(model: ModelShrinker, radii, resolution: int) -> ProductRule:
+    """Quadrature on the level sets {b = r}, r in radii: the unit sphere dilated to each flat radius."""
+    rho = _flat_grid(model, radii)
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     m = model.flat_m
     require_rule_work(m, resolution)
-    rho = np.array([model.flat_radius(r)])
-    radial = model.compact_area * rho ** (2 * m - 1)
-    return _product_rule(rho, radial, m, *_level_counts(m, resolution))
+    unit = np.ones(1)
+    n_u, n_phi = _level_counts(m, resolution)
+    return _product_rule(rho, unit, model.compact_area * unit, 2 * m - 1, m, n_u, n_phi)
 
 
-def ball_quadrature(model: ModelShrinker, r: float, resolution: int) -> ProductRule:
-    """Quadrature on the sublevel set {b < r}; its mass is the volume."""
-    model.require_regular(r)
-    rho = model.flat_radius(r)
-    return _radial_shell(model, 0.0, rho, resolution)
+def ball_quadrature(model: ModelShrinker, radii, resolution: int) -> ProductRule:
+    """Quadrature on the sublevel sets {b < r}, r in radii: the unit ball dilated to each flat radius.
+
+    The unit ball's radial rule is the n_rad-point Gauss-Legendre rule on
+    [0, 1], its weights times the Jacobian x^(2m-1); its mass at rho is the volume.
+    """
+    rho = _flat_grid(model, radii)
+    m = model.flat_m
+    require_rule_work(m, resolution)
+    n_rad, n_u, n_phi = _ball_counts(m, resolution)
+    x, w = _gl(n_rad, 0.0, 1.0)
+    return _product_rule(rho, x, w * x ** (2 * m - 1) * model.compact_area, 2 * m, m, n_u, n_phi)
 
 
 def shell_quadrature(
     model: ModelShrinker, r_lo: float, r_hi: float, resolution: int
 ) -> ProductRule:
-    """Quadrature on {r_lo < b < r_hi}."""
-    model.require_regular(r_lo)
-    model.require_regular(r_hi)
+    """Quadrature on {r_lo < b < r_hi}: a single rule that keeps its radial nodes."""
+    model.require_regular([r_lo, r_hi])
     if r_hi <= r_lo:
         raise ValueError(f"empty shell: {r_lo} >= {r_hi}")
-    return _radial_shell(model, model.flat_radius(r_lo), model.flat_radius(r_hi), resolution)
-
-
-def _radial_shell(model: ModelShrinker, s_lo: float, s_hi: float, resolution: int) -> ProductRule:
     m = model.flat_m
     require_rule_work(m, resolution)
     n_rad, n_u, n_phi = _ball_counts(m, resolution)
-    s, w_s = _gl(n_rad, s_lo, s_hi)
-    radial = w_s * s ** (2 * m - 1) * model.compact_area
-    return _product_rule(s, radial, m, n_u, n_phi)
+    s, w_s = _gl(n_rad, model.flat_radius(r_lo), model.flat_radius(r_hi))
+    return _product_rule(np.ones(1), s, w_s * s ** (2 * m - 1) * model.compact_area, 0, m, n_u, n_phi)
 
 
 # flat radius beyond which the weighted measure is dropped: the lost tail is
@@ -324,7 +378,8 @@ WEIGHTED_RADIUS_MAX = 42.0
 def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> ProductRule:
     """Quadrature for integrals against the weighted measure e^{-f} dv over M.
 
-    The radial weights already include e^{-f} and stop at WEIGHTED_RADIUS_MAX.
+    A single rule: the radial weights already include e^{-f} and stop at
+    WEIGHTED_RADIUS_MAX.
     """
     m = model.flat_m
     require_rule_work(m, resolution)
@@ -332,7 +387,7 @@ def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> Pr
     _, n_u, n_phi = _ball_counts(m, resolution)
     s, w_s = _gl(n_rad, 0.0, WEIGHTED_RADIUS_MAX)
     radial = w_s * s ** (2 * m - 1) * np.exp(-s * s / 4 - model.f_min) * model.compact_area
-    return _product_rule(s, radial, m, n_u, n_phi)
+    return _product_rule(np.ones(1), s, radial, 0, m, n_u, n_phi)
 
 
 # -- closed-form rules ----------------------------------------------------------
@@ -340,14 +395,14 @@ def weighted_space_quadrature(model: ModelShrinker, resolution: int = 256) -> Pr
 
 @dataclass(frozen=True)
 class MomentRule:
-    """Exact counterpart of a level-set (``ball`` false) or ball rule of flat radius ``radius``.
+    """Exact counterpart of the level-set (``ball`` false) or ball rules on the grid of flat radii ``rho``.
 
     ``area`` is the compact area.  Direction sums are exact unit-sphere
     moments, so one set of them serves every radius, as on a ProductRule.
     """
 
     m: int
-    radius: float
+    rho: np.ndarray
     area: float
     ball: bool
 
@@ -366,23 +421,25 @@ class MomentRule:
                     coeffs[2 * sum(alpha)] += (c * d.conjugate()).real * sphere_moment(self.m, alpha, 1.0)
         return np.array(coeffs)
 
-    def integrate(self, coeffs: np.ndarray) -> float:
-        """area sum_d c_d int s^(d+2m-1): at s = radius (level) or over [0, radius] (ball)."""
-        n, total = 2 * self.m, 0.0
-        for d, c in enumerate(coeffs.tolist()):
-            if c:
-                total += c * (self.radius ** (d + n) / (d + n) if self.ball else self.radius ** (d + n - 1))
-        return self.area * total
+    def integrate(self, coeffs: np.ndarray) -> np.ndarray:
+        """area sum_d c_d int s^(d+2m-1) at each rho: at s = rho (level) or over [0, rho] (ball); shape (R,).
+
+        The ball's radial integrals are rho^(d+2m)/(d+2m) in closed form.
+        """
+        n = 2 * self.m
+        if self.ball:
+            return _grid_sum(self.rho, n, self.area * coeffs / (np.arange(len(coeffs)) + n))
+        return _grid_sum(self.rho, n - 1, self.area * coeffs)
 
 
-def level_set_moments(model: ModelShrinker, r: float) -> MomentRule:
-    """Closed-form rule on the level set {b = r}."""
-    return MomentRule(model.flat_m, model.flat_radius(r), model.compact_area, ball=False)
+def level_set_moments(model: ModelShrinker, radii) -> MomentRule:
+    """Closed-form rule on the level sets {b = r}, r in radii."""
+    return MomentRule(model.flat_m, _flat_grid(model, radii), model.compact_area, ball=False)
 
 
-def ball_moments(model: ModelShrinker, r: float) -> MomentRule:
-    """Closed-form rule on the sublevel set {b < r}."""
-    return MomentRule(model.flat_m, model.flat_radius(r), model.compact_area, ball=True)
+def ball_moments(model: ModelShrinker, radii) -> MomentRule:
+    """Closed-form rule on the sublevel sets {b < r}, r in radii."""
+    return MomentRule(model.flat_m, _flat_grid(model, radii), model.compact_area, ball=True)
 
 
 # -- volumes, areas and the divergence identity -------------------------------
@@ -408,6 +465,27 @@ def raw_level_area(model: ModelShrinker, r: float) -> float:
     return model.compact_area * unit_sphere_area(model.flat_m) * rho ** (2 * model.flat_m - 1)
 
 
+# digits of the decimal sums of verify_volume_identity: at m = 5 and r = 20 its
+# sides cancel at a scale near 3e14, so the masses need about 4e-25
+_VOLUME_DIGITS = 42
+
+
+@lru_cache(maxsize=None)
+def _decimal_gl(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1] as Decimal object arrays at _VOLUME_DIGITS digits.
+
+    Newton's method refines the float64 table; it squares the seeds' error,
+    so a step below 1e-21 is the last.  The nodes are symmetric about 0, so
+    only the upper half (ascending) is refined.
+    """
+    with decimal.localcontext() as context:
+        context.prec = _VOLUME_DIGITS
+        seed = np.array([Decimal(v) for v in _gl_reference(n)[0][n // 2:]], dtype=object)
+        x, w = _legendre_newton(seed, n, Decimal("1e-21"))
+        # negation rounds to the context's digits too
+        return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
+
+
 def verify_volume_identity(
     model: ModelShrinker, radii: Sequence[float], resolution: int = 128
 ) -> list[float]:
@@ -422,28 +500,20 @@ def verify_volume_identity(
     """
     m = model.flat_m
     require_rule_work(m, resolution)
-    rhos = [model.flat_radius(r) for r in radii]
+    rhos = model.flat_radius(radii)
     n_level, _ = _level_counts(m, resolution)
     n_rad, n_ball, _ = _ball_counts(m, resolution)
     residuals = []
     with decimal.localcontext() as context:
-        # at m = 5 and r = 20 the sides cancel at a scale near 3e14: the masses need about 4e-25
-        context.prec = 42
-
-        def table(n):
-            # Newton squares the float64 seeds' error, so a step below 1e-21 is the last; the
-            # nodes are symmetric about 0, so only the upper half (ascending) is refined
-            seed = np.array([Decimal(v) for v in _gl_reference(n)[0][n // 2:]], dtype=object)
-            x, w = _legendre_newton(seed, n, Decimal("1e-21"))
-            return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
+        context.prec = _VOLUME_DIGITS
 
         def unit_sphere_mass(n_u):
             # the torus factor times the m - 1 Jacobian sums of the collapsed rule, whose nodes are (1 + x)/2
-            x, w = table(n_u)
+            x, w = _decimal_gl(n_u)
             factors = (np.sum(w * (1 - x) ** k) / 2 ** (k + 1) for k in range(m - 1))
             return (2 * Decimal(math.pi)) ** m / 2 ** (m - 1) * math.prod(factors)
 
-        x, w = table(n_rad)
+        x, w = _decimal_gl(n_rad)
         unit_ball = unit_sphere_mass(n_ball) * np.sum(w * (1 + x) ** (2 * m - 1)) / 2 ** (2 * m)
         unit_sphere = unit_sphere_mass(n_level)
         area, s = Decimal(model.compact_area), Decimal(model.s_const)

@@ -134,30 +134,33 @@ def _equality_d1(model: ModelShrinker) -> tuple[float, str]:
     return float(not ok), f"bound={rec.bound} dim={rec.dim_Od}"
 
 
-def _random_poly(model: ModelShrinker, rng) -> HoloPoly:
+def _random_polys(model: ModelShrinker, seed: int, count: int):
+    """count random polynomials of degree <= 6 from one seeded stream.
+
+    Each monomial of degree 1..6, then the constant, is kept with
+    probability 0.6 and a complex normal coefficient; the monomials are
+    enumerated once for all draws.
+    """
+    rng = np.random.default_rng(seed)
     zero = (0,) * model.flat_m
-    terms = {}
-    for alpha in [*monomials(model.flat_m, 6, 1), zero]:
-        if rng.uniform() < 0.6:
-            terms[alpha] = complex(rng.normal(), rng.normal())
-    return HoloPoly(model.flat_m, terms or {zero: 1.0})
+    support = [*monomials(model.flat_m, 6, 1), zero]
+    for _ in range(count):
+        terms = {alpha: complex(rng.normal(), rng.normal()) for alpha in support if rng.uniform() < 0.6}
+        yield HoloPoly(model.flat_m, terms or {zero: 1.0})
 
 
 def _decomposition(model: ModelShrinker) -> float:
-    rng = np.random.default_rng(20240811)
     errors = []
-    for _ in range(100):
-        u = _random_poly(model, rng)
+    for u in _random_polys(model, 20240811, 100):
         recon = holopoly.decompose_by_eigenvalue(model, u, 6.0).reconstruct(model.flat_m)
         errors.append((recon - u).coeff_norm() / max(u.coeff_norm(), 1.0))
     return _worst(errors)
 
 
 def _decomposition_growth(model: ModelShrinker) -> float:
-    rng = np.random.default_rng(77)
     ok = True
-    for _ in range(25):
-        dec = holopoly.decompose_by_eigenvalue(model, _random_poly(model, rng), 6.0)
+    for u in _random_polys(model, 77, 25):
+        dec = holopoly.decompose_by_eigenvalue(model, u, 6.0)
         if not holopoly.growth_eigenvalue_consistency(dec):
             ok = False
         for lam, part in dec.parts.items():

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from shrinker_lab.errors import DomainError
-from shrinker_lab.holopoly import HoloPoly, gradient
+from shrinker_lab.holopoly import HoloPoly, gradient, monomials
 from shrinker_lab.quadrature import (
     ball_quadrature,
     level_set_quadrature,
@@ -120,10 +120,15 @@ def directions(rule):
 
 
 def expand(rule):
-    """Flat nodes (N, m) and weights (N,) of a product rule."""
+    """Flat nodes (N, m) and weights (N,) of a product rule on one radius.
+
+    At its flat radius rho the rule has the radial nodes rho s_i and
+    weights rho^power W_i; a single rule has rho = 1.
+    """
+    (rho,) = rule.rho
     dirs, dir_weights = directions(rule)
-    nodes = rule.radii[:, None, None] * dirs[None, :, :]
-    weights = rule.radial_weights[:, None] * dir_weights[None, :]
+    nodes = (rho * rule.radii)[:, None, None] * dirs[None, :, :]
+    weights = (rho**rule.power * rule.radial_weights)[:, None] * dir_weights[None, :]
     return nodes.reshape(-1, dirs.shape[1]), weights.ravel()
 
 
@@ -160,7 +165,7 @@ def fields(u, nodes):
 
 
 def on_level(model, u, r, resolution):
-    nodes, weights = expand(level_set_quadrature(model, r, resolution))
+    nodes, weights = expand(level_set_quadrature(model, [r], resolution))
     return fields(u, nodes), weights
 
 
@@ -174,7 +179,7 @@ def D_of_r(model, u, r, resolution):
     """(bulk, boundary) forms of the Dirichlet energy."""
     rho = model.flat_radius(r)
     scale = r ** (2 - model.n)
-    nodes, weights = expand(ball_quadrature(model, r, resolution))
+    nodes, weights = expand(ball_quadrature(model, [r], resolution))
     bulk = scale * float(np.sum(weights * fields(u, nodes)["grad_sq"]))
     f, w = on_level(model, u, r, resolution)
     boundary = scale / rho * float(np.sum(w * np.real(np.conj(f["u"]) * f["E"])))
@@ -191,7 +196,7 @@ def level_defect(model, u, r, j, resolution):
 def defect_recursion(model, u, r, jmax, resolution):
     """(K_0..K_jmax, ball Dirichlet energy, recursion residuals)."""
     ks = [level_defect(model, u, r, j, resolution) for j in range(jmax + 2)]
-    nodes, weights = expand(ball_quadrature(model, r, resolution))
+    nodes, weights = expand(ball_quadrature(model, [r], resolution))
     f = fields(u, nodes)
     c = model.f_min
     b_val = np.sqrt(4.0 * c + f["R_sq"])
@@ -220,3 +225,17 @@ def form_integral(model, omega, shift, resolution):
     norms = 2.0**omega.p * sum(np.abs(evaluate(p, nodes)) ** 2 for p in omega.coeffs.values())
     f_vals = model.f_min + 0.25 * np.sum(np.abs(nodes) ** 2, axis=-1)
     return float(np.sum(weights * norms * (f_vals - shift)))
+
+
+def random_polys(model, seed, count):
+    """The report's random polynomials, enumerating the monomials again for every draw."""
+    rng = np.random.default_rng(seed)
+    zero = (0,) * model.flat_m
+    out = []
+    for _ in range(count):
+        terms = {}
+        for alpha in [*monomials(model.flat_m, 6, 1), zero]:
+            if rng.uniform() < 0.6:
+                terms[alpha] = complex(rng.normal(), rng.normal())
+        out.append(HoloPoly(model.flat_m, terms or {zero: 1.0}))
+    return out

@@ -151,7 +151,7 @@ def test_aliased_pairs_match_the_flat_grid(m, n_phi):
     v = u.euler()
     assert _aliased_pairs(u, n_phi)
     model = gaussian(m)
-    for rule in (level_set_quadrature(model, 3.0, 32), ball_quadrature(model, 3.0, 32)):
+    for rule in (level_set_quadrature(model, [3.0], 32), ball_quadrature(model, [3.0], 32)):
         coarse = dataclasses.replace(rule, n_phi=n_phi)
         for a, b in (([u], [u]), ([v], [u]), (gradient(u), gradient(u))):
             got = coarse.sphere_integrals(a, b)
@@ -182,6 +182,25 @@ def test_profile_memory_stays_off_the_simplex_grid():
     assert peak < 16 * 2**20
     closed = frequency_profile(model, u, 3.0, radii)
     assert np.allclose(profile.U, closed.U, rtol=1e-12, atol=0.0)
+
+
+def test_profile_memory_stays_off_the_radius_by_node_table():
+    # one ball rule over 25,000 radii sums per-degree radial moments: an R x n_rad
+    # node table would hold 25,000 x 128 floats (25.6 MB) on its own
+    model = gaussian(2)
+    u = HoloPoly(2, {(2, 1): 1.0, (0, 1): 1.0, (1, 0): 0.5 - 2.0j, (0, 0): -1.0})
+    radii = np.linspace(1.0, 40.0, 25_000)
+    config = FrequencyConfig(resolution=256, method="quadrature")
+    tracemalloc.start()
+    try:
+        profile = frequency_profile(model, u, 3.0, radii, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    closed = frequency_profile(model, u, 3.0, radii)
+    for q in ("I", "D", "U"):
+        assert np.allclose(getattr(profile, q), getattr(closed, q), rtol=1e-12, atol=0.0)
 
 
 def test_gaussian_m3_sharp_quadrature_row():

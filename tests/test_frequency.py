@@ -7,10 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from shrinker_lab import quadrature
+from shrinker_lab import frequency, quadrature
 from shrinker_lab.errors import DomainError, RegularityError
 from shrinker_lab.holopoly import HoloPoly
-from shrinker_lab.models import cylinder, gaussian
+from shrinker_lab.models import cylinder, gaussian, product
 from shrinker_lab.frequency import (
     D_of_r,
     FrequencyConfig,
@@ -262,12 +262,17 @@ def test_routes_stay_independent(monkeypatch):
     def run(method):
         config = quad if method == "quadrature" else FrequencyConfig()
         rec = D_of_r(G2, u, 3.0, 64, method)
+        # one level and one ball rule over a grid, and the two-radius grid of the central difference
+        profile = frequency_profile(G2, u, 2.0, np.linspace(2.0, 9.0, 15), config)
+        check_derivative_I(G2, u, 4.5, resolution=64, method=method)
         return [
             I_of_r(G2, u, 3.0, 64, method),
             rec.bulk,
             rec.boundary,
             i_prime_rhs(G2, u, 3.0, 64, method),
             *frequency_profile(G2, u, 2.0, [2.0, 3.0], config).U,
+            *profile.I,
+            *profile.D,
         ]
 
     with monkeypatch.context() as patch:
@@ -280,6 +285,52 @@ def test_routes_stay_independent(monkeypatch):
         patch.setattr(quadrature, "sphere_moment", crossed)
         quad_vals = run("quadrature")
     assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(closed, quad_vals))
+
+
+def _grid_poly(m):
+    """Mixed degrees and complex coefficients in m variables."""
+    pad = (0,) * (m - 1)
+    return HoloPoly(m, {(0,) * m: 1.0 - 0.5j, (1,) + pad: 2.0, (2,) + pad: -0.75, pad + (3,): 0.25j})
+
+
+_GRID_MODELS = {
+    "gaussian1": G1,
+    "gaussian3": gaussian(3),
+    "cylinder": CYL,
+    "cylinder_x_cylinder": product([cylinder(), cylinder()]),
+}
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+@pytest.mark.parametrize("name", sorted(_GRID_MODELS))
+def test_grid_profile_matches_one_radius_rules(name, method):
+    # one rule over 40 radii gives, at each radius, what a rule on that radius alone gives
+    model = _GRID_MODELS[name]
+    u = _grid_poly(model.flat_m)
+    radii = np.linspace(3.5, 40.0, 40)
+    profile = frequency_profile(model, u, 3.0, radii, FrequencyConfig(resolution=64, method=method))
+    for r, i_val, d_val in zip(radii, profile.I, profile.D):
+        assert math.isclose(i_val, I_of_r(model, u, r, 64, method), rel_tol=1e-13)
+        assert math.isclose(d_val, D_of_r(model, u, r, 64, method).bulk, rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("method", ["closed", "quadrature"])
+def test_irregular_grid_radius_is_named_before_any_sphere_sum(monkeypatch, method):
+    def no_sums(*args):
+        raise AssertionError("a sphere sum was formed")
+
+    monkeypatch.setattr(quadrature.ProductRule, "sphere_integrals", no_sums)
+    monkeypatch.setattr(quadrature.MomentRule, "sphere_integrals", no_sums)
+    u = HoloPoly.monomial(1, (2,))
+    config = FrequencyConfig(resolution=64, method=method)
+    # r^2 = 4 is the cylinder's critical level; the rest of the grid is regular
+    with pytest.raises(RegularityError, match=r"^r=2\.0 is not a regular level"):
+        frequency_profile(CYL, u, 2.0, [2.0, 3.0, 4.5, 9.0], config)
+    # the first irregular radius of an unordered grid is named
+    level_rule, ball_rule = frequency._rules(method, 64)
+    for build in (level_rule, ball_rule):
+        with pytest.raises(RegularityError, match=r"^r=1\.9 is not a regular level"):
+            build(CYL, [3.0, 5.0, 1.9, 2.0, 6.0])
 
 
 def test_profile_rows_roundtrip():

@@ -23,7 +23,7 @@ from shrinker_lab.holopoly import (
     monomials,
 )
 from shrinker_lab.models import cylinder, gaussian, product
-from shrinker_lab.report import _random_poly
+from shrinker_lab.report import _random_polys
 
 
 def test_evaluate_examples():
@@ -252,9 +252,7 @@ _REFERENCE_MODELS = {
 @pytest.mark.parametrize("seed, count", [(20240811, 100), (77, 25), (1, 10), (2, 10), (3, 10)])
 def test_decompose_matches_power_iteration(model, seed, count):
     # the report's two seeds draw as many polynomials as its decomposition checks do
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        u = _random_poly(model, rng)
+    for u in _random_polys(model, seed, count):
         dec = decompose_by_eigenvalue(model, u, 6.0)
         want = ref.decompose_by_eigenvalue(model, u, 6.0)
         assert list(dec.parts) == list(want.parts)

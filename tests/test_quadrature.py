@@ -31,25 +31,26 @@ from brute_force import evaluate, expand, simplex
 
 
 def _total(rule):
-    """Total weight of a product rule: radial sum times the sum over its simplex grid."""
-    return rule.radial_weights.sum() * simplex(rule)[1].sum()
+    """Total weight of a product rule on one radius: radial sum times the sum over its simplex grid."""
+    (rho,) = rule.rho
+    return rho**rule.power * rule.radial_weights.sum() * simplex(rule)[1].sum()
 
 
 def test_level_set_total_weights():
     # circle of radius 2 in C^1: length 4 pi
-    q = level_set_quadrature(gaussian(1), 2.0, 64)
+    q = level_set_quadrature(gaussian(1), [2.0], 64)
     assert math.isclose(_total(q), 4.0 * math.pi, rel_tol=1e-13)
     # unit 3-sphere: area 2 pi^2
-    q = level_set_quadrature(gaussian(2), 1.0, 64)
+    q = level_set_quadrature(gaussian(2), [1.0], 64)
     assert math.isclose(_total(q), 2.0 * math.pi**2, rel_tol=1e-13)
     # 5-sphere: area pi^3 r^5
-    q = level_set_quadrature(gaussian(3), 2.0, 64)
+    q = level_set_quadrature(gaussian(3), [2.0], 64)
     assert math.isclose(_total(q), math.pi**3 * 2.0**5, rel_tol=1e-12)
 
 
 def test_level_nodes_sit_on_level():
     for model, r in ((gaussian(2), 3.0), (cylinder(), 5.0)):
-        nodes, _ = expand(level_set_quadrature(model, r, 32))
+        nodes, _ = expand(level_set_quadrature(model, [r], 32))
         b_vals = 2.0 * np.sqrt(model.f_min + 0.25 * np.sum(np.abs(nodes) ** 2, axis=-1))
         assert np.max(np.abs(b_vals - r)) < 1e-12 * r
 
@@ -57,7 +58,7 @@ def test_level_nodes_sit_on_level():
 def test_cylinder_level_coarea():
     # int_{b=r} 1/|grad b| = 16 pi^2 r at r = 4
     model = cylinder()
-    q = level_set_quadrature(model, 4.0, 64)
+    q = level_set_quadrature(model, [4.0], 64)
     rho = model.flat_radius(4.0)
     val = _total(q) * (4.0 / rho)
     assert math.isclose(val, 64.0 * math.pi**2, rel_tol=1e-13)
@@ -70,7 +71,7 @@ def test_ball_volume_and_closed_forms():
     v, a = volume_area(cylinder(), 4.0)
     assert math.isclose(v, 8.0 * math.pi**2 * 12.0, rel_tol=1e-13)
     assert math.isclose(a, 16.0 * math.pi**2 * 4.0, rel_tol=1e-13)
-    ball = ball_quadrature(cylinder(), 4.0, 64)
+    ball = ball_quadrature(cylinder(), [4.0], 64)
     assert math.isclose(_total(ball), v, rel_tol=1e-12)
 
 
@@ -97,7 +98,7 @@ def test_sphere_moment_of_high_degree():
 
 def test_sphere_moment_against_quadrature():
     model = gaussian(2)
-    nodes, weights = expand(level_set_quadrature(model, 2.5, 64))
+    nodes, weights = expand(level_set_quadrature(model, [2.5], 64))
     for alpha in [(0, 0), (1, 0), (2, 1), (3, 2)]:
         u = HoloPoly.monomial(2, alpha)
         num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
@@ -109,18 +110,18 @@ def test_ball_moment_against_quadrature():
     for m in (1, 2, 3):
         model = gaussian(m)
         pairs = [
-            (level_set_moments(model, 2.5), level_set_quadrature(model, 2.5, 256)),
-            (ball_moments(model, 2.5), ball_quadrature(model, 2.5, 256)),
+            (level_set_moments(model, [2.5]), level_set_quadrature(model, [2.5], 256)),
+            (ball_moments(model, [2.5]), ball_quadrature(model, [2.5], 256)),
         ]
         for alpha in monomials(m, 6):
             u = [HoloPoly.monomial(m, alpha)]
             for closed, rule in pairs:
-                exact = closed.integrate(closed.sphere_integrals(u, u))
-                assert math.isclose(exact, rule.integrate(rule.sphere_integrals(u, u)), rel_tol=1e-12)
+                exact = closed.integrate(closed.sphere_integrals(u, u)).item()
+                assert math.isclose(exact, rule.integrate(rule.sphere_integrals(u, u)).item(), rel_tol=1e-12)
 
 
 def test_cross_moments_vanish():
-    nodes, weights = expand(level_set_quadrature(gaussian(2), 2.0, 64))
+    nodes, weights = expand(level_set_quadrature(gaussian(2), [2.0], 64))
     z1 = nodes[:, 0]
     z2 = nodes[:, 1]
     val = np.sum(weights * z1 * np.conj(z2))
@@ -162,6 +163,19 @@ def test_volume_identity_cylinder_closed_form():
     assert verify_volume_identity(model, (4.0,), 64)[0] < 1e-10
 
 
+def test_volume_identity_tables_are_built_once_per_order():
+    # gaussian(2) and the cylinder share the 64-point radial table at resolution 128,
+    # and the cylinder's level and ball rules share the empty one of no collapsed coordinate
+    cases = ((gaussian(2), (3.0, 6.0, 10.0, 20.0)), (cylinder(), (4.0, 6.0, 10.0, 20.0)))
+    quadrature._decimal_gl.cache_clear()
+    cold = [verify_volume_identity(model, radii, 128) for model, radii in cases]
+    info = quadrature._decimal_gl.cache_info()
+    assert (info.misses, info.hits) == (4, 2)
+    warm = [verify_volume_identity(model, radii, 128) for model, radii in cases]
+    assert quadrature._decimal_gl.cache_info().misses == 4
+    assert warm == cold
+
+
 def test_volume_identity_cylinder_quadrature():
     assert max(verify_volume_identity(cylinder(), (6.0, 10.0, 20.0), 128)) < 1e-6
 
@@ -175,16 +189,16 @@ def test_volume_identity_refinement():
 
 def test_irregular_radius_rejected():
     with pytest.raises(RegularityError):
-        level_set_quadrature(cylinder(), 2.0, 32)
+        level_set_quadrature(cylinder(), [2.0], 32)
     with pytest.raises(RegularityError):
-        ball_quadrature(cylinder(), 1.9, 32)
+        ball_quadrature(cylinder(), [1.9], 32)
 
 
 def test_sphere_moment_m3_against_quadrature():
     # m = 4 too: one collapsed rule serves every flat dimension
     for alphas in ([(0, 0, 0), (1, 0, 0), (1, 1, 1), (2, 0, 1)], [(0, 0, 0, 0), (1, 0, 0, 2), (1, 1, 1, 1)]):
         m = len(alphas[0])
-        nodes, weights = expand(level_set_quadrature(gaussian(m), 2.0, 64))
+        nodes, weights = expand(level_set_quadrature(gaussian(m), [2.0], 64))
         for alpha in alphas:
             u = HoloPoly.monomial(m, alpha)
             num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
@@ -197,8 +211,8 @@ def test_over_budget_rules_are_refused_before_any_table(monkeypatch):
 
     monkeypatch.setattr(quadrature, "_gl_reference", no_table)
     builders = [
-        lambda model, res: level_set_quadrature(model, 3.0, res),
-        lambda model, res: ball_quadrature(model, 3.0, res),
+        lambda model, res: level_set_quadrature(model, [3.0], res),
+        lambda model, res: ball_quadrature(model, [3.0], res),
         lambda model, res: shell_quadrature(model, 3.0, 4.0, res),
         lambda model, res: weighted_space_quadrature(model, res),
         lambda model, res: verify_volume_identity(model, (3.0,), res),

@@ -6,6 +6,7 @@ import dataclasses
 import subprocess
 import sys
 
+import brute_force
 from shrinker_lab import report
 from shrinker_lab.models import cylinder, gaussian, product
 
@@ -67,3 +68,12 @@ def test_catalog_row_passes_on_two_sphere_factors():
     for model in (product([cylinder(), cylinder()]), cylinder(), gaussian(2)):
         result = report._run_check(row, model)
         assert result.status == "pass" and result.margin == 0.0, result
+
+
+def test_roundtrip_polynomials_match_a_per_draw_enumeration():
+    # the monomials are enumerated once per model; the draws and their order stay those
+    # of an enumeration per draw, so the row tests the same 100 polynomials
+    for model in (gaussian(2), cylinder()):
+        got = list(report._random_polys(model, 20240811, 100))
+        want = brute_force.random_polys(model, 20240811, 100)
+        assert [list(u.terms.items()) for u in got] == [list(u.terms.items()) for u in want]
