@@ -14,6 +14,9 @@ lines of the spectrum module and returned as its SpectrumCatalog.  The
 contraction map keeps the torus weight w = alpha + 1_I of z^alpha dz^I, and
 the block of w depends on the size of supp(w) alone, so its kernel dimension
 is summed over one small block per support size, each an exact integer rank.
+Results of form arithmetic have valid indices by construction, so they are
+built in one pass without the constructor's checks; only zero coefficients
+are dropped.
 """
 
 from __future__ import annotations
@@ -72,6 +75,19 @@ class HoloForm:
                 cleaned[index] = poly
         object.__setattr__(self, "coeffs", cleaned)
 
+    @classmethod
+    def _derived(cls, p: int, m: int, coeffs: dict[tuple[int, ...], HoloPoly]) -> "HoloForm":
+        """A result of HoloForm arithmetic, whose indices and coefficients are valid already.
+
+        Only the zero coefficients are dropped, as the public constructor drops them.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "p", p)
+        object.__setattr__(form, "m", m)
+        cleaned = {i: poly for i, poly in coeffs.items() if not poly.is_zero()}
+        object.__setattr__(form, "coeffs", cleaned)
+        return form
+
     @property
     def mu(self) -> int:
         """Growth order: the maximal coefficient degree."""
@@ -86,13 +102,14 @@ class HoloForm:
         merged = dict(self.coeffs)
         for index, poly in other.coeffs.items():
             merged[index] = merged[index] + poly if index in merged else poly
-        return HoloForm(self.p, self.m, merged)
+        return HoloForm._derived(self.p, self.m, merged)
 
     def __sub__(self, other: "HoloForm") -> "HoloForm":
         return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "HoloForm":
-        return HoloForm(self.p, self.m, {i: poly.scale(factor) for i, poly in self.coeffs.items()})
+        scaled = {i: poly.scale(factor) for i, poly in self.coeffs.items()}
+        return HoloForm._derived(self.p, self.m, scaled)
 
     def coeff_norm(self) -> float:
         return max((poly.coeff_norm() for poly in self.coeffs.values()), default=0.0)
@@ -145,7 +162,7 @@ def exterior_derivative(omega: HoloForm) -> HoloForm:
             sign = (-1.0) ** sum(1 for i in index if i < j)
             contrib = du.scale(sign)
             out[merged] = out[merged] + contrib if merged in out else contrib
-    return HoloForm(omega.p + 1, omega.m, out)
+    return HoloForm._derived(omega.p + 1, omega.m, out)
 
 
 def interior_product(model: ModelShrinker, omega: HoloForm) -> HoloForm:
@@ -159,13 +176,13 @@ def interior_product(model: ModelShrinker, omega: HoloForm) -> HoloForm:
             rest = index[:pos] + index[pos + 1 :]
             contrib = poly.mul_variable(j).scale(0.5 * (-1.0) ** pos)
             out[rest] = out[rest] + contrib if rest in out else contrib
-    return HoloForm(omega.p - 1, omega.m, out)
+    return HoloForm._derived(omega.p - 1, omega.m, out)
 
 
 def f_hodge_laplacian(model: ModelShrinker, omega: HoloForm) -> HoloForm:
     """Weighted Hodge Laplacian on a holomorphic form: i_X d + d i_X."""
     _check_model_form(model, omega)
-    total = HoloForm(omega.p, omega.m, {})
+    total = HoloForm._derived(omega.p, omega.m, {})
     if omega.p < omega.m:  # d omega vanishes identically at top degree
         total = total + interior_product(model, exterior_derivative(omega))
     if omega.p >= 1:

@@ -11,8 +11,12 @@ The public constructor ``HoloPoly(m, terms)`` validates every multi-index
 (length m, no negative exponent) and coerces keys to integer tuples and
 coefficients to complex.  Results of HoloPoly's own arithmetic have valid
 keys by construction, so they are only pruned: zero coefficients and those
-below PRUNE_REL times the largest one are dropped, by the same rule.  The
-gradient of a polynomial is built once and kept on the instance.
+below PRUNE_REL times the largest one are dropped, by the same rule.  Each
+result is merged into one dict and pruned once: the drift derivative is one
+pass over the terms, a decomposition is reconstructed from one merge of its
+parts, and the decomposition reads its residual off the terms no part keeps
+instead of subtracting the parts again.  The gradient of a polynomial is
+built once and kept on the instance.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ def _prune(terms: dict[tuple[int, ...], complex]) -> dict[tuple[int, ...], compl
     """Drop the coefficients below PRUNE_REL times the largest modulus."""
     if not terms:
         return {}
-    floor = PRUNE_REL * max(abs(c) for c in terms.values())
+    floor = PRUNE_REL * max(map(abs, terms.values()))
     return {a: c for a, c in terms.items() if abs(c) >= floor}
 
 
@@ -128,7 +132,7 @@ class HoloPoly:
         """Max modulus of the coefficients."""
         if not self.terms:
             return 0.0
-        return max(abs(c) for c in self.terms.values())
+        return max(map(abs, self.terms.values()))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -196,7 +200,8 @@ def lie_derivative_nabla_f(model, u: HoloPoly) -> HoloPoly:
         raise DomainError(
             f"polynomial has {u.m} variables but the model has {model.flat_m} flat variables"
         )
-    return u.euler().scale(0.5)
+    # one pass: halving after the integer degree is exact, as in euler().scale(0.5)
+    return HoloPoly._derived(u.m, {a: c * sum(a) * 0.5 for a, c in u.terms.items()})
 
 
 @dataclass
@@ -207,10 +212,17 @@ class EigenDecomposition:
     residual_norm: float
 
     def reconstruct(self, m: int) -> HoloPoly:
-        total = HoloPoly.zero(m)
+        """The sum of the parts, merged into one dict and pruned once.
+
+        The parts of a decomposition have disjoint supports, so one prune
+        against the largest term drops exactly what adding them one at a
+        time would drop.
+        """
+        total: dict[tuple[int, ...], complex] = {}
         for part in self.parts.values():
-            total = total + part
-        return total
+            for alpha, c in part.terms.items():
+                total[alpha] = total.get(alpha, 0.0) + c
+        return HoloPoly._derived(m, total)
 
 
 # Terms of the remainder at or below this times the coefficient scale are dropped.
@@ -227,6 +239,8 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
     degree in one pass, and the group of degree k > 0, pruned, is the part at
     k/2, in descending order.  The terms no part takes form the constant
     (eigenvalue 0) part, unless all of them are at or below the tolerance.
+    The parts keep u's coefficients unchanged, so u minus their sum is the
+    terms no part keeps, and the residual is the largest of their moduli.
     """
     if not d >= 0:
         raise DomainError(f"growth bound d must be a nonnegative number, got {d}")
@@ -248,7 +262,8 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
     remainder = {a: c for a, c in u.terms.items() if a not in taken}
     if any(abs(c) > tol for c in remainder.values()):
         parts[0.0] = HoloPoly._derived(u.m, remainder)
-    residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
+    kept = parts[0.0].terms if 0.0 in parts else {}
+    residual = max((abs(c) for a, c in remainder.items() if a not in kept), default=0.0)
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
 

@@ -139,14 +139,20 @@ def _random_polys(model: ModelShrinker, seed: int, count: int):
 
     Each monomial of degree 1..6, then the constant, is kept with
     probability 0.6 and a complex normal coefficient; the monomials are
-    enumerated once for all draws.
+    enumerated once for all draws.  `random()` and `standard_normal()` draw
+    the same streams as `uniform()` and `normal()` at their defaults, and the
+    keys are valid by construction, so the terms skip the constructor's checks.
     """
     rng = np.random.default_rng(seed)
     zero = (0,) * model.flat_m
     support = [*monomials(model.flat_m, 6, 1), zero]
     for _ in range(count):
-        terms = {alpha: complex(rng.normal(), rng.normal()) for alpha in support if rng.uniform() < 0.6}
-        yield HoloPoly(model.flat_m, terms or {zero: 1.0})
+        terms = {
+            alpha: complex(rng.standard_normal(), rng.standard_normal())
+            for alpha in support
+            if rng.random() < 0.6
+        }
+        yield HoloPoly._derived(model.flat_m, terms or {zero: 1.0 + 0.0j})
 
 
 def _decomposition(model: ModelShrinker) -> float:
@@ -265,11 +271,16 @@ def _j_ledger(model: ModelShrinker) -> float:
     return float(not ok)
 
 
-def _k_lemma(model: ModelShrinker) -> float:
+def _k_lemma(model: ModelShrinker) -> tuple[float, str]:
     m = model.flat_m
     u = HoloPoly(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * (m - 1) + (2,): 0.5})
     recs = [frequency.check_defect_recursion(model, u, r, 2, RESOLUTION) for r in (6.0, 10.0)]
-    return _worst(res for rec in recs for res in rec.recursion_residuals)
+    detail = ""
+    if m == 1:
+        # one complex variable: |grad u|^2 = 2 |du/dnu|^2 pointwise, so every K_j and,
+        # by the recursion, its bulk form vanish; the residual compares two roundings
+        detail = "vacuous on one flat variable: K_j and its bulk form vanish, both sides are rounding"
+    return _worst(res for rec in recs for res in rec.recursion_residuals), detail
 
 
 # -- global measures --------------------------------------------------------------
@@ -327,10 +338,10 @@ def _forms_nilpotent() -> float:
         for idx in combinations(range(3), 2):
             terms = {}
             for alpha in monomials(3, 3, 1):
-                if rng.uniform() < 0.3:
-                    terms[alpha] = complex(rng.normal(), rng.normal())
+                if rng.random() < 0.3:
+                    terms[alpha] = complex(rng.standard_normal(), rng.standard_normal())
             if terms:
-                coeffs[idx] = HoloPoly(3, terms)
+                coeffs[idx] = HoloPoly._derived(3, terms)
         if not coeffs:
             continue
         om = forms.HoloForm(2, 3, coeffs)
@@ -403,7 +414,7 @@ CHECKS = [
           _SHARP, note="tol={tol}"),
     Check("frequency.i_prime", 1e-5, _i_prime,
           "the derivative of the height function matches flux plus curvature correction",
-          note="central difference h = 1e-3 r, tol 1e-5"),
+          note="Richardson-extrapolated central difference, h = 1e-3 r, tol 1e-5"),
     Check("frequency.dirichlet_gap", 1e-6, _dirichlet_gap,
           "bulk and boundary Dirichlet energies agree (divergence theorem)",
           note="resolution=256, relative tol 1e-6"),

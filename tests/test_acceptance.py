@@ -117,11 +117,11 @@ def test_acceptance_05_derivative_identity():
         for r in (4.5, 6.0, 10.0, 20.0):
             worst = max(worst, frequency.check_derivative_I(cyl, u, r))
     u = HoloPoly.monomial(1, (2,))
-    ratio = frequency.check_derivative_I(cyl, u, 6.0, h=6e-3) / frequency.check_derivative_I(
-        cyl, u, 6.0, h=3e-3
+    ratio = frequency.check_derivative_I(cyl, u, 6.0, h=0.6) / frequency.check_derivative_I(
+        cyl, u, 6.0, h=0.3
     )
-    ok = worst < 1e-5 and ratio > 2.5
-    _line(5, "height-derivative identity with second-order differences", ok,
+    ok = worst < 1e-5 and ratio > 12.0
+    _line(5, "height-derivative identity with fourth-order differences", ok,
           f"worst {worst:.2e}, halving ratio {ratio:.2f}")
 
 

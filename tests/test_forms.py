@@ -11,7 +11,7 @@ import pytest
 
 from shrinker_lab import forms
 from shrinker_lab.errors import DomainError, NumericError
-from shrinker_lab.holopoly import HoloPoly, dim_O_d
+from shrinker_lab.holopoly import HoloPoly, dim_O_d, monomials
 from shrinker_lab.models import cylinder, gaussian
 from shrinker_lab.ratlinalg import integer_rank
 from shrinker_lab.forms import (
@@ -107,6 +107,32 @@ def test_interior_square_zero():
             continue
         om = HoloForm(2, 3, coeffs)
         assert interior_product(G3, interior_product(G3, om)).is_zero(1e-13 * om.coeff_norm())
+
+
+def _random_form(rng, p, m):
+    coeffs = {}
+    for idx in combinations(range(m), p):
+        terms = {alpha: complex(*rng.normal(size=2)) for alpha in monomials(m, 4) if rng.uniform() < 0.4}
+        coeffs[idx] = HoloPoly(m, terms)
+    return HoloForm(p, m, coeffs)
+
+
+def test_derived_forms_equal_the_public_constructor():
+    # results skip the index checks; rebuilt through HoloForm(p, m, coeffs) they are unchanged
+    rng = np.random.default_rng(31)
+    for m in (1, 2, 3):
+        model = gaussian(m)
+        for p in range(m + 1):
+            for _ in range(5):
+                om = _random_form(rng, p, m)
+                results = [f_hodge_laplacian(model, om), om + om.scale(-1.0), om.scale(0.0)]
+                if p >= 1:
+                    results.append(interior_product(model, om))
+                for got in results:
+                    # the constructor refuses an invalid index and drops a zero coefficient
+                    assert list(HoloForm(got.p, got.m, got.coeffs).coeffs) == list(got.coeffs)
+                    assert not any(poly.is_zero() for poly in got.coeffs.values())
+                assert (om - om).coeffs == {} and om.scale(0.0).coeffs == {}
 
 
 def test_output_growth_order():

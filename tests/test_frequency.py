@@ -114,11 +114,12 @@ def test_check_derivative_I_cylinder():
             assert check_derivative_I(CYL, u, r) < 1e-5
 
 
-def test_check_derivative_I_second_order():
+def test_check_derivative_I_fourth_order():
+    # h is large enough that the O(h^4) error stands above rounding at both steps
     u = HoloPoly.monomial(1, (2,))
-    res_h = check_derivative_I(CYL, u, 6.0, h=6e-3)
-    res_h2 = check_derivative_I(CYL, u, 6.0, h=3e-3)
-    assert res_h / res_h2 > 2.5  # ratio ~4 for an O(h^2) difference
+    res_h = check_derivative_I(CYL, u, 6.0, h=0.6)
+    res_h2 = check_derivative_I(CYL, u, 6.0, h=0.3)
+    assert res_h / res_h2 > 12.0  # ratio ~16 for an O(h^4) difference; an O(h^2) one gives ~4
 
 
 def test_K_vanishes_on_one_flat_variable():
@@ -262,7 +263,7 @@ def test_routes_stay_independent(monkeypatch):
     def run(method):
         config = quad if method == "quadrature" else FrequencyConfig()
         rec = D_of_r(G2, u, 3.0, 64, method)
-        # one level and one ball rule over a grid, and the two-radius grid of the central difference
+        # one level and one ball rule over a grid, and the four-radius grid of the extrapolated difference
         profile = frequency_profile(G2, u, 2.0, np.linspace(2.0, 9.0, 15), config)
         check_derivative_I(G2, u, 4.5, resolution=64, method=method)
         return [

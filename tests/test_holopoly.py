@@ -306,6 +306,39 @@ def test_decompose_edge_terms_stay_in_remainder():
     assert dec.residual_norm == 4.0 * DECOMPOSE_TOL
 
 
+def _checked_reconstruct(parts, m):
+    total = HoloPoly.zero(m)
+    for part in parts.values():
+        total = ref.checked_sum(total, part)
+    return total
+
+
+def _one_pass_cases():
+    """The report's 100 + 25 draws on three models, and the threshold polynomials."""
+    for model in (gaussian(2), cylinder(), gaussian(3)):
+        for seed, count in ((20240811, 100), (77, 25)):
+            for u in _random_polys(model, seed, count):
+                yield model, u, 6.0
+        rng = np.random.default_rng(9090 + model.flat_m + model.sphere_factors)
+        for _ in range(30):
+            yield model, _edge_poly(model.flat_m, rng), 7.5
+
+
+def test_one_pass_reconstruct_and_residual_equal_checked_sums():
+    # the parts are merged into one dict and pruned once, and the residual is read off
+    # the terms no part keeps; both equal adding and subtracting one part at a time
+    for model, u, d in _one_pass_cases():
+        dec = decompose_by_eigenvalue(model, u, d)
+        total = _checked_reconstruct(dec.parts, u.m)
+        assert _bits(dec.reconstruct(u.m)) == _bits(total)
+        assert repr(dec.residual_norm) == repr(ref.checked_difference(u, total).coeff_norm())
+
+
+def test_lie_derivative_is_half_euler_term_for_term():
+    for model, u, _ in _one_pass_cases():
+        assert _bits(lie_derivative_nabla_f(model, u)) == _bits(u.euler().scale(0.5))
+
+
 @pytest.mark.parametrize(
     "alpha, message",
     [((1,), "length 1, expected 2"), ((1, 2, 0), "length 3"), ((1, -1), "negative exponent")],

@@ -38,6 +38,26 @@ def test_cylinder_times_line_passes_every_check():
     } <= names
 
 
+def test_cylinder_times_cylinder_passes_every_check():
+    # the extrapolated difference of I keeps frequency.i_prime far inside its tolerance here
+    rep = report.verify_all([product([cylinder(), cylinder()])])
+    assert len(rep.checks) == 29
+    assert [c.name for c in rep.checks if c.status != "pass"] == []
+
+
+def test_k_lemma_says_it_is_vacuous_on_one_flat_variable():
+    row = next(c for c in report.CHECKS if c.name == "frequency.k_lemma")
+    for model in (cylinder(), gaussian(1), gaussian(2), product([cylinder(), cylinder()])):
+        result = report._run_check(row, model)
+        assert result.status == "pass" and result.margin <= row.tol
+        if model.flat_m == 1:
+            assert result.detail.startswith("vacuous on one flat variable")
+            # no tolerance figure in the detail, which would add an accuracy reading
+            assert "tol" not in result.detail
+        else:
+            assert result.detail == ""
+
+
 def test_two_products_share_one_report(monkeypatch):
     row = next(c for c in report.CHECKS if c.name == "geometry.normalization")
     monkeypatch.setattr(report, "CHECKS", [row])
