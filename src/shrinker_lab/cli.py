@@ -371,10 +371,6 @@ def _cmd_forms(args) -> int:
             payload["kernel_integral"] = forms.form_integral_identity_check(model, omega)
         _emit(_json_dump(payload), args.out)
         return 0
-    if model.kind not in ("gaussian", "cylinder"):
-        raise ConfigError(
-            f"form counting needs a gaussian or cylinder model (config /model), got kind {model.kind!r}"
-        )
     p = args.p if args.p is not None else config.get("p", 1)
     if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= model.m:
         raise ConfigError(f"--p (config /p) must be an integer in 0..{model.m}, got {p!r}")

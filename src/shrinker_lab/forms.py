@@ -9,10 +9,13 @@ The weighted Hodge Laplacian acts on holomorphic forms through the flow
 derivative alone (the plain Hodge Laplacian annihilates them), computed here
 via the two contraction pieces i_X d + d i_X with X the soliton field; on
 monomial forms it is diagonal with eigenvalue (|alpha| + p)/2, which the
-tests assert rather than assume.  Form spectra are built from the scalar
-lines of the spectrum module and returned as its SpectrumCatalog.  The
-contraction map keeps the torus weight w = alpha + 1_I of z^alpha dz^I, and
-the block of w depends on the size of supp(w) alone, so its kernel dimension
+tests assert rather than assume.  Form spectra follow the Kunneth formula
+with the form degree as a generating variable t: the (p,0) catalog is the t^p
+coefficient of  sum_q t^q ((q/2, C(m, q)) * flat lines)  times
+(scalar lines + t (1,0) lines) for each sphere factor, which the spectrum
+module builds; its t^0 coefficient is the scalar catalog.  The contraction
+map keeps the torus weight w = alpha + 1_I of z^alpha dz^I, and the block of
+w depends on the size of supp(w) alone, so its kernel dimension
 is summed over one small block per support size, each an exact integer rank.
 Results of form arithmetic have valid indices by construction, so they are
 built in one pass without the constructor's checks; only zero coefficients
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -34,16 +36,7 @@ from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import weighted_space_quadrature
 from .ratlinalg import integer_rank
-from .spectrum import (
-    _EPS,
-    SpectralLine,
-    SpectrumCatalog,
-    _convolve,
-    _flat_lines,
-    _require_catalog_work,
-    _sphere_lines,
-    count_eigenvalues,
-)
+from .spectrum import SpectrumCatalog, _catalog, count_eigenvalues
 
 # Bound on blocks x subset length x entries of the largest block, the work of
 # one kernel dimension.  The slowest accepted (m, p), (11, 4), takes about
@@ -245,77 +238,32 @@ def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
 # -- spectra of the weighted Hodge Laplacian ---------------------------------------
 
 
-def _form_work(model: ModelShrinker, lambda_max: float) -> float:
-    """Upper bound on the lines built and line pairs convolved by form_spectrum up to lambda_max.
-
-    A flat factor builds its frame line and L <= floor(2 lambda) + 1 scalar
-    lines and convolves L pairs.  The cylinder also builds its S sphere lines
-    and S - 1 (1,0) lines, convolves them with up to two flat factors of at
-    most L lines, and merges the two blocks, up to 2L lines, with the unit
-    line; S < sqrt(2 lambda) + 1 as in `spectrum._catalog_work`.
-    """
-    steps = 2.0 * (lambda_max + _EPS)
-    lines = steps + 1.0
-    if model.kind == "gaussian":
-        return 1.0 + 2.0 * lines
-    sphere = math.sqrt(steps) + 1.0
-    return 2.0 * sphere + 1.0 + (2.0 * sphere + 5.0) * lines
-
-
 def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCatalog:
     """Complete (p,0)-form spectrum of the model up to lambda_max.
 
-    Multiplicities count complex dimensions of eigenspaces.  On a flat factor
-    the weighted Hodge Laplacian acts on u dz^I as the scalar drift Laplacian
-    shifted by p/2, so the flat (p,0) lines are the scalar lines convolved
-    with the one line (p/2, C(m, p)).  On the cylinder a (p,0)-form is a
-    sphere (a,0)-form times a flat (p-a,0)-form, a in {0, 1}; the sphere's
-    (1,0) eigenforms share the nonconstant spherical harmonics' lines.
-    Raises NumericError, before any line is built, when `_form_work` exceeds
-    the catalogs' work limit or lambda_max is not finite.
+    Multiplicities count complex dimensions of eigenspaces.  The lines are the
+    t^p coefficient of the generating catalog (see the spectrum module), so
+    p = 0 gives the scalar catalog.  Raises NumericError, before any line is
+    built, when its work exceeds the catalogs' work limit or lambda_max is not
+    finite.
     """
     if p < 0 or p > model.m:
         raise DomainError(f"form degree p={p} outside 0..{model.m}")
-    if model.kind not in ("gaussian", "cylinder"):
-        raise DomainError("form spectra are available for gaussian and cylinder models")
-    _require_catalog_work(_form_work(model, lambda_max), lambda_max)
-
-    def flat(q: int):
-        m = model.flat_m
-        if not 0 <= q <= m:
-            return []
-        frame = [(Fraction(q, 2), math.comb(m, q), f"dz^({q} of {m})")]
-        return _convolve(frame, _flat_lines(2 * m, lambda_max), lambda_max)
-
-    if model.kind == "gaussian":
-        lines = flat(p)
-    else:
-        scalar = _sphere_lines(lambda_max)
-        one = [
-            (ev, mult, f"sphere (1,0) eigenform l={ell}")
-            for ell, (ev, mult, _) in enumerate(scalar[1:], start=1)
-        ]
-        blocks = _convolve(one, flat(p - 1), lambda_max) + _convolve(scalar, flat(p), lambda_max)
-        # convolving with the unit line merges the blocks' equal eigenvalues
-        lines = _convolve(blocks, [(Fraction(0), 1, "")], lambda_max)
-    return SpectrumCatalog(
-        model=model,
-        lines=tuple(SpectralLine(ev, mult, label) for ev, mult, label in lines),
-        lambda_max=float(lambda_max),
-    )
+    return _catalog(model, lambda_max, p)
 
 
 def ricci_bound(model: ModelShrinker, norm: str = "operator") -> float:
     """Lambda = sup |Ric| + 1/2; the norm convention for |Ric| is selectable.
 
-    The sphere factor has Ric = g/2, so its operator norm is 1/2 and its
-    tensor (Frobenius) norm is sqrt(2)/2.  Operator norm is the default.
+    Each sphere factor has Ric = g/2 on its two real directions and the flat
+    factor has Ric = 0, so on k sphere factors the operator norm is 1/2 and
+    the tensor (Frobenius) norm is sqrt(2k)/2.  Operator norm is the default.
     """
     if norm not in ("operator", "tensor"):
         raise DomainError(f"unknown Ricci norm convention {norm!r}")
-    if model.kind == "gaussian" or not model.sphere_factors:
+    if not model.sphere_factors:
         return 0.5
-    sup_ric = 0.5 if norm == "operator" else 0.5 * math.sqrt(2.0)
+    sup_ric = 0.5 if norm == "operator" else 0.5 * math.sqrt(2.0 * model.sphere_factors)
     return sup_ric + 0.5
 
 

@@ -19,7 +19,7 @@ them) and are folded into area weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,38 +34,32 @@ REGULARITY_MARGIN = 1e-6
 
 @dataclass(frozen=True)
 class ModelShrinker:
-    """Descriptor of a closed-form gradient Kahler Ricci shrinker model."""
+    """A closed-form gradient Kahler Ricci shrinker model, stored as its normal form.
 
-    kind: str
-    m_flat_gaussian: int = 0
-    factors: tuple["ModelShrinker", ...] = field(default_factory=tuple)
+    flat_m is the complex dimension of the flat factor and sphere_factors the
+    number of compact sphere factors.  A product keeps its factors, which its
+    serialization and report tag name; a model without factors is flat C^m or
+    the cylinder, one sphere factor times C.
+    """
+
+    flat_m: int
+    sphere_factors: int = 0
+    factors: tuple["ModelShrinker", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "cylinder", "product"):
-            raise ConfigError(f"unknown model kind {self.kind!r}")
-        if self.kind == "gaussian" and self.m_flat_gaussian < 1:
-            raise ConfigError("gaussian model needs a positive complex dimension")
-        if self.kind == "product" and len(self.factors) < 1:
-            raise ConfigError("product model needs at least one factor")
+        if self.flat_m < 1:
+            raise ConfigError("a model needs a flat factor of positive complex dimension")
+        if self.factors:
+            normal = (sum(f.flat_m for f in self.factors), sum(f.sphere_factors for f in self.factors))
+        else:
+            normal = (1, 1) if self.sphere_factors else (self.flat_m, 0)
+        if (self.flat_m, self.sphere_factors) != normal:
+            raise ConfigError(
+                f"flat_m={self.flat_m}, sphere_factors={self.sphere_factors} is not the normal form"
+                f" of a catalog model"
+            )
 
     # -- reduced normal form -------------------------------------------------
-
-    @property
-    def flat_m(self) -> int:
-        """Complex dimension of the flat factor."""
-        if self.kind == "gaussian":
-            return self.m_flat_gaussian
-        if self.kind == "cylinder":
-            return 1
-        return sum(f.flat_m for f in self.factors)
-
-    @property
-    def sphere_factors(self) -> int:
-        if self.kind == "gaussian":
-            return 0
-        if self.kind == "cylinder":
-            return 1
-        return sum(f.sphere_factors for f in self.factors)
 
     @property
     def m(self) -> int:
@@ -136,11 +130,11 @@ class ModelShrinker:
     # -- serialization ---------------------------------------------------------
 
     def to_dict(self) -> dict:
-        if self.kind == "gaussian":
-            return {"kind": "gaussian", "m": self.m_flat_gaussian}
-        if self.kind == "cylinder":
+        if self.factors:
+            return {"kind": "product", "factors": [f.to_dict() for f in self.factors]}
+        if self.sphere_factors:
             return {"kind": "cylinder"}
-        return {"kind": "product", "factors": [f.to_dict() for f in self.factors]}
+        return {"kind": "gaussian", "m": self.flat_m}
 
     @staticmethod
     def from_dict(data: dict) -> "ModelShrinker":
@@ -158,22 +152,32 @@ class ModelShrinker:
         if kind == "cylinder":
             return cylinder()
         if kind == "product":
-            return product([ModelShrinker.from_dict(f) for f in data.get("factors", [])])
+            factors = data.get("factors")
+            if not isinstance(factors, list) or not factors:
+                raise ConfigError(
+                    f"product model descriptor 'factors' must be a nonempty list of model descriptors"
+                    f" (/factors), got {factors!r}"
+                )
+            return product([ModelShrinker.from_dict(f) for f in factors])
         raise ConfigError(f"unknown model kind {kind!r} (/kind)")
 
 
 def gaussian(m: int) -> ModelShrinker:
     """Flat C^m with potential |z|^2/4."""
-    return ModelShrinker(kind="gaussian", m_flat_gaussian=m)
+    return ModelShrinker(flat_m=m)
 
 
 def cylinder() -> ModelShrinker:
     """Compact sphere factor (Ric = g/2) times flat C."""
-    return ModelShrinker(kind="cylinder")
+    return ModelShrinker(flat_m=1, sphere_factors=1)
 
 
 def product(factors: list[ModelShrinker]) -> ModelShrinker:
-    return ModelShrinker(kind="product", factors=tuple(factors))
+    return ModelShrinker(
+        flat_m=sum(f.flat_m for f in factors),
+        sphere_factors=sum(f.sphere_factors for f in factors),
+        factors=tuple(factors),
+    )
 
 
 @dataclass(frozen=True)

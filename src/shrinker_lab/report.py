@@ -101,19 +101,17 @@ def _z1_power(model: ModelShrinker, k: int) -> HoloPoly:
 
 
 def _catalog(model: ModelShrinker) -> float:
-    cat = spectrum.analytic_spectrum(model, 3.0)
-    if model.kind == "gaussian":
-        n = 2 * model.flat_m
-        expected = [math.comb(n + int(2 * line.eigenvalue) - 1, n - 1) for line in cat.lines]
-        return float([line.multiplicity for line in cat.lines] != expected)
-    # product structure: counts up to the horizon match the convolution of the
-    # flat lines with the lines l(l+1)/2 (multiplicity 2l+1) of each sphere factor
-    lines = [(float(line.eigenvalue), line.multiplicity)
-             for line in spectrum.analytic_spectrum(gaussian(model.flat_m), 3.0).lines]
+    # line by line against the closed form, indexed by twice the eigenvalue: the flat
+    # lines (k/2, C(2m+k-1, 2m-1)) convolved with (l(l+1)/2, 2l+1) once per sphere factor
+    n = 2 * model.flat_m
+    expected = [math.comb(n + k - 1, n - 1) for k in range(7)]
     for _ in range(model.sphere_factors):
-        lines = [(lam + ell * (ell + 1) / 2, mult * (2 * ell + 1)) for lam, mult in lines for ell in range(3)]
-    total = sum(mult for lam, mult in lines if lam <= 3.0 + 1e-9)
-    return abs(spectrum.count_eigenvalues(cat, 0.0, 3.0) - total)
+        expected = [
+            sum(expected[k - ell * (ell + 1)] * (2 * ell + 1) for ell in range(3) if ell * (ell + 1) <= k)
+            for k in range(7)
+        ]
+    got = [(2 * line.eigenvalue, line.multiplicity) for line in spectrum.analytic_spectrum(model, 3.0).lines]
+    return float(got != list(enumerate(expected)))
 
 
 def _first_eigenvalue(model: ModelShrinker) -> float:
@@ -127,7 +125,7 @@ def _dimension_bound(model: ModelShrinker) -> float:
 
 def _equality_d1(model: ModelShrinker) -> tuple[float, str]:
     rec = spectrum.dimension_bound_check(model, 1.0)
-    if model.kind == "gaussian":
+    if not model.sphere_factors:
         ok = rec.bound == rec.dim_Od == model.m + 1
     else:
         ok = rec.dim_Od <= rec.bound
@@ -235,7 +233,7 @@ def _rho_mu(model: ModelShrinker) -> float:
         for r in (4.5, 8.0, 16.0):
             rec = frequency.rho_mu(model, u, float(d), r)
             excess.append(rec.rho - rec.mu)
-            if model.kind == "gaussian":
+            if not model.sphere_factors:
                 excess.append(abs(rec.rho - d * d / 4.0) - 1e-8)
     return _worst(excess)
 
@@ -470,9 +468,9 @@ CHECKS = [
 
 def _model_tag(model: ModelShrinker) -> str:
     """gaussian_m<m>, cylinder, or a product's factor tags joined by _x_."""
-    if model.kind == "product":
+    if model.factors:
         return "_x_".join(_model_tag(factor) for factor in model.factors)
-    return f"gaussian_m{model.flat_m}" if model.kind == "gaussian" else model.kind
+    return "cylinder" if model.sphere_factors else f"gaussian_m{model.flat_m}"
 
 
 def _run_check(check: Check, model: ModelShrinker | None = None) -> CheckResult:

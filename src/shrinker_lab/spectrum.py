@@ -1,10 +1,19 @@
-"""Analytic spectrum of the drift Laplacian on model shrinkers.
+"""Analytic spectra of the drift Laplacian and of the weighted Hodge Laplacian on (p,0)-forms.
 
 Eigenvalues are exact half-integers on every catalog model, so they are kept
 as fractions internally and only converted to floats at the reporting
 boundary.  Multiplicities are real multiplicities of real eigenfunctions:
 the degree-k Hermite stratum of a flat factor R^{2m} counts C(2m+k-1, 2m-1)
 and the sphere factor counts 2l+1 spherical harmonics at l(l+1)/2.
+
+Every catalog is one coefficient of a single generating catalog, with the form
+degree as a generating variable t (the Kunneth formula).  The flat factor C^m
+contributes sum_q t^q ((q/2, C(m, q)) * flat lines), since the weighted Hodge
+Laplacian acts on u dz^I as the scalar operator shifted by q/2, and each
+sphere factor multiplies that by (scalar lines + t (1,0) lines), its (1,0)
+eigenforms sharing the lines l >= 1 of the nonconstant spherical harmonics.
+The scalar catalog is the t^0 coefficient and the (p,0)-form catalog the t^p
+coefficient.
 """
 
 from __future__ import annotations
@@ -19,12 +28,12 @@ from .models import ModelShrinker
 
 _EPS = 1e-9
 
-# Bound on the lines built plus the line pairs convolved for one catalog.
-# Building a catalog at the bound takes under 1 s on a 2-core VM: 100,000 flat
-# lines take 0.45 s, and the cylinder's 94,000 units up to lambda = 1000 take
-# 0.64 s.  Every horizon verify-all uses (lambda <= 3) needs fewer than 40.
-# forms.form_spectrum is held to it through forms._form_work: the cylinder's
-# (1,0) spectrum at its largest accepted horizon, about 637, takes 0.52 s.
+# Bound on the lines built plus the line pairs convolved for one catalog, as
+# `_catalog_work` counts them for every form degree.  Building a catalog at the
+# bound takes under 1 s on a 2-core VM: 100,000 flat lines take 0.45 s, and the
+# cylinder's 94,000 units up to lambda = 1000 take 0.64 s.  Every horizon
+# verify-all uses (lambda <= 3) needs fewer than 40.  The cylinder's (1,0)
+# catalog at its largest accepted horizon, about 651, takes 0.63 s.
 CATALOG_WORK_LIMIT = 100_000
 
 
@@ -106,55 +115,87 @@ def _convolve(
     return [(ev, mult, "; ".join(labels)) for ev, (mult, labels) in sorted(acc.items())]
 
 
-def _catalog_work(model: ModelShrinker, lambda_max: float) -> float:
-    """Upper bound on the lines built and line pairs convolved up to lambda_max.
+def _window(model: ModelShrinker, p: int, done: int) -> range:
+    """Form degrees that can still reach t^p once `done` of the sphere factors are multiplied in."""
+    return range(max(0, p - model.sphere_factors + done), min(p, model.flat_m + done) + 1)
 
-    A flat factor has floor(2 lambda) + 1 lines and a sphere factor one line
-    per l with l(l+1)/2 <= lambda, fewer than sqrt(2 lambda) + 1.  Every
-    eigenvalue is a half-integer, so a convolution's result has at most
-    floor(2 lambda) + 1 lines, and it visits the product of its inputs' sizes.
+
+def _catalog_work(model: ModelShrinker, lambda_max: float, p: int = 0) -> float:
+    """Upper bound on the lines built and line pairs convolved for the t^p catalog up to lambda_max.
+
+    The flat factor has floor(2 lambda) + 1 lines, each convolved once with the
+    frame line of every degree q >= 1 in its window.  A sphere factor has one
+    line per l with l(l+1)/2 <= lambda, fewer than sqrt(2 lambda) + 1; for
+    p >= 1 it also has (1,0) lines, l >= 1, at most sqrt(2 lambda + 1/4) - 1/2
+    of them and none below lambda = 1.  Every eigenvalue is a half-integer and
+    a degree-q block starts at q/2, so it has at most floor(2 lambda) + 1 - q
+    lines; a convolution visits the product of its inputs' sizes and a merge,
+    made only when both blocks are non-empty, the sum of theirs.
     """
     steps = 2.0 * (lambda_max + _EPS)
-    sizes = [steps + 1.0] if model.flat_m > 0 else []
-    sizes += [math.sqrt(steps) + 1.0] * model.sphere_factors
-    work, lines = sum(sizes), sizes[0]
-    for size in sizes[1:]:
-        work += lines * size
-        lines = steps + 1.0
+    lines, sphere = steps + 1.0, math.sqrt(max(steps, 0.0)) + 1.0
+    one = math.sqrt(steps + 0.25) - 0.5 if p and steps >= 2.0 else 0.0
+    blocks = {q: max(lines - q, 0.0) for q in _window(model, p, 0)}
+    work = lines * (1 + sum(1 for q in blocks if q))
+    for _ in range(model.sphere_factors):
+        work += sphere + one
+    for done in range(1, model.sphere_factors + 1):
+        for q in _window(model, p, done):
+            a, b = blocks.get(q, 0.0), blocks.get(q - 1, 0.0)
+            work += a * sphere + b * one + (a + b if a and b and one else 0.0)
+        blocks = {q: max(lines - q, 0.0) for q in _window(model, p, done)}
     return work
 
 
-def _require_catalog_work(work: float, lambda_max: float) -> None:
-    """Raise NumericError when a catalog's `work` exceeds CATALOG_WORK_LIMIT or is not finite."""
+def _catalog(model: ModelShrinker, lambda_max: float, p: int = 0) -> SpectrumCatalog:
+    """The t^p coefficient of the generating catalog, complete up to lambda_max.
+
+    Only the degrees that can still reach t^p are kept, so the scalar catalog
+    (p = 0) convolves the flat lines with each sphere factor's lines and nothing
+    else.  Raises NumericError, before any line is built, when `_catalog_work`
+    exceeds CATALOG_WORK_LIMIT or lambda_max is not finite.
+    """
+    work = _catalog_work(model, lambda_max, p)
     if not work <= CATALOG_WORK_LIMIT:
         raise NumericError(
             f"catalog up to lambda_max={lambda_max:g} needs about {work:.3g} lines and pairs, "
             f"over the limit of {CATALOG_WORK_LIMIT:,}"
         )
+    m = model.flat_m
+    flat = _flat_lines(2 * m, lambda_max)
+    blocks = {
+        q: _convolve([(Fraction(q, 2), math.comb(m, q), f"dz^({q} of {m})")], flat, lambda_max) if q else flat
+        for q in _window(model, p, 0)
+    }
+    for done in range(1, model.sphere_factors + 1):
+        scalar = _sphere_lines(lambda_max)
+        one = [
+            (ev, mult, f"sphere (1,0) eigenform l={ell}")
+            for ell, (ev, mult, _) in enumerate(scalar[1:] if p else [], start=1)
+        ]
+        merged = {}
+        for q in _window(model, p, done):
+            a = _convolve(blocks.get(q, []), scalar, lambda_max)
+            b = _convolve(blocks.get(q - 1, []), one, lambda_max)
+            # convolving with the unit line merges the two blocks' equal eigenvalues
+            merged[q] = _convolve(a + b, [(Fraction(0), 1, "")], lambda_max) if a and b else a or b
+        blocks = merged
+    return SpectrumCatalog(
+        model=model,
+        lines=tuple(SpectralLine(ev, mult, label) for ev, mult, label in blocks.get(p, [])),
+        lambda_max=float(lambda_max),
+    )
 
 
 def analytic_spectrum(model: ModelShrinker, lambda_max: float) -> SpectrumCatalog:
-    """Complete catalog of drift-Laplacian eigenvalues up to lambda_max.
+    """Complete catalog of drift-Laplacian eigenvalues up to lambda_max: the t^0 coefficient.
 
     Raises NumericError, before any line is built, when `_catalog_work`
     exceeds CATALOG_WORK_LIMIT or lambda_max is not finite.
     """
     if lambda_max < 0:
         raise DomainError(f"lambda_max must be nonnegative, got {lambda_max}")
-    _require_catalog_work(_catalog_work(model, lambda_max), lambda_max)
-    parts: list[list[tuple[Fraction, int, str]]] = []
-    if model.flat_m > 0:
-        parts.append(_flat_lines(2 * model.flat_m, lambda_max))
-    for _ in range(model.sphere_factors):
-        parts.append(_sphere_lines(lambda_max))
-    lines = parts[0]
-    for more in parts[1:]:
-        lines = _convolve(lines, more, lambda_max)
-    return SpectrumCatalog(
-        model=model,
-        lines=tuple(SpectralLine(ev, mult, label) for ev, mult, label in lines),
-        lambda_max=float(lambda_max),
-    )
+    return _catalog(model, lambda_max)
 
 
 def count_eigenvalues(catalog: SpectrumCatalog, lo: float, hi: float) -> int:

@@ -380,7 +380,7 @@ def form_spectrum(model, p, lambda_max):
     Flat lines come from the closed multiplicity C(m, p) C(2m + k - 1, 2m - 1)
     at (k + p)/2; the cylinder's p = 1 lines merge its two blocks in a loop.
     """
-    if model.kind == "gaussian":
+    if not model.sphere_factors:
         return _flat_form_lines(2 * model.flat_m, p, lambda_max)
     flat_scalar = _flat_lines(2, lambda_max)
     sphere_scalar = _sphere_lines(lambda_max)

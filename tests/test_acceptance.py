@@ -164,7 +164,7 @@ def test_acceptance_08_derivative_ratio_bound():
                 rec = frequency.rho_mu(model, u, d, r)
                 if not rec.passed:
                     ok = False
-                if model.kind == "gaussian":
+                if not model.sphere_factors:
                     worst_exact = max(worst_exact, abs(rec.rho - d * d / 4.0))
     ok = ok and worst_exact < 1e-8
     _line(8, "derivative-pair ratio below e^{2p+6} d^2 with the exact flat value", ok,

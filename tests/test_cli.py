@@ -340,6 +340,18 @@ def test_frequency_json_reports_both_bounds(capsys):
 
 
 _PRODUCT = {"kind": "product", "factors": [{"kind": "cylinder"}, {"kind": "gaussian", "m": 1}]}
+
+
+def test_forms_counts_a_product_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": _PRODUCT, "p": 1, "mu": 2}))
+    code = main(["forms", "--config", str(cfg)])
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["model"] == _PRODUCT
+    assert data["count_bound"]["pass"] is True
+
+
 _FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rmax", "6", "--n", "2"]
 _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
 
@@ -352,7 +364,6 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         # the requested p = 15 kernel is one 15 x 1 block; the ledger's (p, mu) = (12, 3) is not
         (["forms", "--model", "gaussian", "--m", "30", "--p", "15", "--mu", "0"], None,
          ["--m", "--p", "--mu", "/m", "/p", "/mu"]),
-        (["forms"], {"model": _PRODUCT, "p": 1, "mu": 2}, ["/model"]),
         (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"alpha": [2], "re": 1.0}'], None, ["--poly", "/poly"]),
         (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"re": 1.0}]}'], None, ["--poly"]),
         (_FREQ_G1, {"poly": {"m": 1, "terms": [{"re": 1.0}]}}, ["/poly"]),
@@ -382,6 +393,8 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         (["spectrum"], {"model": {"kind": "gaussian", "m": True}}, ["/model", "/m"]),
         (["spectrum"], {"model": {"kind": "product", "factors": [{"kind": "gaussian", "m": 1.0}]}},
          ["/model", "/m"]),
+        (["spectrum"], {"model": {"kind": "product", "factors": 3}}, ["/model", "/factors"]),
+        (["spectrum"], {"model": {"kind": "product", "factors": {"kind": "cylinder"}}}, ["/model", "/factors"]),
         (_FREQ_G1 + ["--poly", '{"m": 1.7, "terms": [{"alpha": [1], "re": 1.0}]}'], None,
          ["--poly", "/poly", "'m'"]),
         (_FREQ_G1 + ["--poly", '{"m": 1, "terms": [{"alpha": [1.6], "re": 1.0}]}'], None,
@@ -407,14 +420,14 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
          None, ["--poly", "/poly", "10.5"]),
     ],
     ids=[
-        "forms-kernel-guard", "forms-ledger-guard", "forms-product-model", "poly-truncated-json",
+        "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
         "poly-term-without-alpha", "poly-config-without-alpha", "initial-truncated-json",
         "initial-two-variables", "initial-imaginary", "initial-config-without-alpha",
         "form-truncated-json", "form-without-m", "form-config-truncated-json", "form-config-without-m",
         "form-wrong-m", "form-config-wrong-m", "dimension-cylinder-guard", "dimension-config-guard",
         "spectrum-guard", "spectrum-config-guard", "ricci-norm-config", "format-config",
         "verify-all-model-config", "model-m-string", "model-m-fraction", "model-m-bool",
-        "model-factor-m-float", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
+        "model-factor-m-float", "model-factors-int", "model-factors-dict", "poly-m-fraction", "poly-alpha-fraction", "poly-config-m-bool",
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
         "verify-all-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
         "frequency-grid-guard", "frequency-grid-config-guard", "frequency-degree-guard",

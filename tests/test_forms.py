@@ -9,10 +9,10 @@ import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab import forms
+from shrinker_lab import forms, spectrum
 from shrinker_lab.errors import DomainError, NumericError
 from shrinker_lab.holopoly import HoloPoly, dim_O_d, monomials
-from shrinker_lab.models import cylinder, gaussian
+from shrinker_lab.models import cylinder, gaussian, product
 from shrinker_lab.ratlinalg import integer_rank
 from shrinker_lab.forms import (
     HoloForm,
@@ -205,7 +205,7 @@ def test_form_spectrum_guard_refuses_before_building(monkeypatch):
         raise AssertionError("a line was built")
 
     for name in ("_flat_lines", "_sphere_lines", "_convolve"):
-        monkeypatch.setattr(forms, name, no_lines)
+        monkeypatch.setattr(spectrum, name, no_lines)
     # the cylinder's scalar catalog up to 2000 is about 2.6e5 lines and pairs
     with pytest.raises(NumericError, match="lambda_max=2000"):
         form_spectrum(cylinder(), 1, 2000.0)
@@ -217,7 +217,11 @@ def test_form_spectrum_guard_refuses_before_building(monkeypatch):
         form_spectrum(G2, 1, math.inf)
 
 
-@pytest.mark.parametrize("model", [G1, G3, cylinder()], ids=["gaussian_m1", "gaussian_m3", "cylinder"])
+@pytest.mark.parametrize(
+    "model",
+    [G1, G3, cylinder(), product([cylinder(), cylinder()])],
+    ids=["gaussian_m1", "gaussian_m3", "cylinder", "cylinder_x_cylinder"],
+)
 def test_form_work_bounds_the_built_work(model, monkeypatch):
     built = 0
 
@@ -231,16 +235,16 @@ def test_form_work_bounds_the_built_work(model, monkeypatch):
         return wrapper
 
     for name in ("_flat_lines", "_sphere_lines"):
-        monkeypatch.setattr(forms, name, counted(getattr(forms, name), lambda args, out: len(out)))
-    monkeypatch.setattr(forms, "_convolve", counted(forms._convolve, lambda args, out: len(args[0]) * len(args[1])))
+        monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name), lambda args, out: len(out)))
+    monkeypatch.setattr(
+        spectrum, "_convolve", counted(spectrum._convolve, lambda args, out: len(args[0]) * len(args[1]))
+    )
     for lambda_max in (0.0, 0.5, 1.0, 2.9, 10.25, 40.0):
-        worst = 0
         for p in range(model.m + 1):
             built = 0
             form_spectrum(model, p, lambda_max)
-            worst = max(worst, built)
-        # the bound holds for every p and is reached, within a factor 2, by the costliest
-        assert worst <= forms._form_work(model, lambda_max) <= 2.0 * worst + 4.0
+            # the bound holds for every p and is reached within a factor 2
+            assert built <= spectrum._catalog_work(model, lambda_max, p) <= 2.0 * built + 4.0, (p, lambda_max)
 
 
 def test_integer_rank_basics():
@@ -303,11 +307,38 @@ def test_form_count_sweep():
     for p in (0, 1, 2):
         for mu in range(0, 5):
             assert form_count_check(cylinder(), p, mu).passed
+    # a negative horizon builds no line, with or without sphere factors
+    assert form_count_check(cylinder(), 0, -1).count == form_count_check(G1, 0, -1).count == 0
 
 
 def test_ricci_bound_values():
     assert ricci_bound(G2) == 0.5
     assert ricci_bound(cylinder()) == 1.0
+    assert ricci_bound(G2, norm="tensor") == 0.5
+    # Ric = g/2 on each sphere factor's two real directions: Frobenius norm sqrt(2k)/2
+    assert ricci_bound(cylinder(), norm="tensor") == math.sqrt(2.0) / 2.0 + 0.5
+    assert ricci_bound(product([cylinder(), cylinder()]), norm="tensor") == 1.5
+    assert ricci_bound(product([cylinder(), cylinder()])) == 1.0
+
+
+_PRODUCTS = {
+    "cylinder_x_cylinder": product([cylinder(), cylinder()]),
+    "cylinder_x_gaussian_m1": product([cylinder(), G1]),
+    "cylinder_x_cylinder_x_gaussian_m2": product([cylinder(), cylinder(), G2]),
+}
+
+
+@pytest.mark.parametrize("model", _PRODUCTS.values(), ids=_PRODUCTS.keys())
+def test_form_count_on_products(model):
+    for p in range(model.flat_m + 1):
+        for mu in range(5):
+            assert form_count_check(model, p, mu).passed, (p, mu)
+
+
+@pytest.mark.parametrize("model", _PRODUCTS.values(), ids=_PRODUCTS.keys())
+def test_form_spectrum_p0_is_the_scalar_catalog(model):
+    for lam in (0.0, 1.0, 2.5, 4.0):
+        assert form_spectrum(model, 0, lam) == spectrum.analytic_spectrum(model, lam)
 
 
 def test_dim_O_forms_values():

@@ -107,3 +107,16 @@ def test_bad_descriptors():
         ModelShrinker.from_dict({"kind": "gaussian"})
     with pytest.raises(ConfigError):
         gaussian(0)
+    for factors in (3, {"kind": "cylinder"}, [], None):
+        with pytest.raises(ConfigError, match="/factors"):
+            ModelShrinker.from_dict({"kind": "product", "factors": factors})
+
+
+def test_models_store_their_normal_form():
+    model = product([cylinder(), cylinder(), gaussian(2)])
+    assert (model.flat_m, model.sphere_factors, len(model.factors)) == (4, 2, 3)
+    assert (cylinder().flat_m, cylinder().sphere_factors, cylinder().factors) == (1, 1, ())
+    # without factors a normal form is flat C^m or the cylinder; with them, their sums
+    for flat_m, sphere_factors, factors in ((2, 1, ()), (1, 2, ()), (3, 1, (cylinder(), gaussian(1)))):
+        with pytest.raises(ConfigError):
+            ModelShrinker(flat_m, sphere_factors, factors)

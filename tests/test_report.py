@@ -13,7 +13,7 @@ from shrinker_lab.models import cylinder, gaussian, product
 
 def test_crashed_model_check_is_reported_under_its_name(monkeypatch):
     def boom(model):
-        raise ZeroDivisionError(f"forced on {model.kind}")
+        raise ZeroDivisionError(f"forced on flat_m={model.flat_m}")
 
     row = next(c for c in report.CHECKS if c.name == "frequency.k_lemma")
     monkeypatch.setattr(report, "CHECKS", [dataclasses.replace(row, measure=boom)])
@@ -23,7 +23,7 @@ def test_crashed_model_check_is_reported_under_its_name(monkeypatch):
     assert entry["name"] == "frequency.k_lemma.gaussian_m2"
     assert entry["status"] == "fail"
     assert entry["margin"] is None
-    assert entry["detail"] == "ZeroDivisionError: forced on gaussian"
+    assert entry["detail"] == "ZeroDivisionError: forced on flat_m=2"
 
 
 def test_cylinder_times_line_passes_every_check():
