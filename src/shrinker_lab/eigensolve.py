@@ -6,7 +6,11 @@ safeguarded Newton, bit-identical to the element loop.  One pass over the
 pivots counts the eigenvalues below x, and the same pass can also return the
 log-derivative of det(T - x) for a Newton step.  The passes loop over Python
 floats in textbook order, so the spectra are bit-identical to an
-element-by-element loop of the same algorithm.
+element-by-element loop of the same algorithm.  A matrix equal to its own
+reversal (persymmetric), as the flat-line operator is, splits exactly into an
+even and an odd block of half the order (Cantoni & Butler, Linear Algebra
+Appl. 13, 1976); each eigenvalue is found on its own block, so every pass
+runs on half the rows.  Any other matrix is solved whole.
 
 Implicit heat stepping solves one constant tridiagonal matrix many times.
 `thomas_factor` does the elimination once and `thomas_substitute` solves each
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -102,59 +106,48 @@ def _newton_pass(diag: list[float], e2: list[float], x: float) -> tuple[int, flo
     return count, s
 
 
-def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of a symmetric tridiagonal matrix.
+@dataclass(frozen=True)
+class _SturmBlock:
+    """One symmetric tridiagonal eigenproblem and every Sturm count made on it.
 
-    Isolate by Sturm counts, refine by safeguarded Newton, bit-identical to
-    the element loop.  Every count made in the call is kept by abscissa, so
-    eigenvalue j starts from the tightest bracket [a, b) with
-    count(a) <= j < count(b) that the counts already make (the Gershgorin
-    bounds stand for counts 0 and n).  No count lies inside that bracket, so
-    none is ever made twice.  It bisects the bracket until it holds
-    eigenvalue j alone: count(a) = j and count(b) = j + 1.  Newton's method on
-    det(T - x) then refines it; each pass also returns the count at x, which
-    shrinks the bracket, and a step that leaves the bracket is replaced by a
-    bisection (Barth, Martin & Wilkinson, Numer. Math. 9, 1967; Demmel,
-    Applied Numerical Linear Algebra, 5.3).
-
-    Eigenvalue j is converged when the Newton step or the bracket is within
-    _ULPS ulps of it plus eps times the Gershgorin span.  A bracket that
-    reaches that width before it isolates eigenvalue j, as a multiple
-    eigenvalue's does, returns its midpoint.  More than MAX_BISECTIONS passes
-    on one eigenvalue raise NumericError.
+    e2[i] is the squared off-diagonal entry coupling rows i-1 and i
+    (e2[0] = 0).  [lo, hi] bounds the spectrum and span sets the stop rule;
+    a block of a folded matrix takes the whole matrix's.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.size
-    if off.size != n - 1:
-        raise NumericError(f"off-diagonal has size {off.size}, expected {n - 1}")
-    if not 1 <= k <= n:
-        raise NumericError(f"requested {k} eigenvalues from an order-{n} matrix")
-    # Gershgorin bounds
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    span = max(hi - lo, 1.0)
-    diag_list = diag.tolist()
-    e2 = [0.0] + (off * off).tolist()
-    counts: dict[float, int] = {}
-    out = np.empty(k)
-    for j in range(k):
-        a, count_a = max(((x, c) for x, c in counts.items() if c <= j), default=(lo, 0))
-        b, count_b = min(((x, c) for x, c in counts.items() if c > j), default=(hi, n))
+
+    diag: list[float]
+    e2: list[float]
+    lo: float
+    hi: float
+    span: float
+    name: str = "eigenvalue"
+    counts: dict[float, int] = field(default_factory=dict)
+
+    def eigenvalue(self, j: int) -> float:
+        """Eigenvalue j, once eigenvalues 0 .. j-1 have been found.
+
+        Every count is kept by abscissa, so eigenvalue j starts from the
+        tightest bracket [a, b) with count(a) <= j < count(b) that the counts
+        already make (lo and hi stand for counts 0 and n).  No count lies
+        inside that bracket, so none is ever made twice.  It bisects the
+        bracket until it holds eigenvalue j alone: count(a) = j and
+        count(b) = j + 1.  Newton's method on det(T - x) then refines it;
+        each pass also returns the count at x, which shrinks the bracket, and
+        a step that leaves the bracket is replaced by a bisection.
+        """
+        counts = self.counts
+        a, count_a = max(((x, c) for x, c in counts.items() if c <= j), default=(self.lo, 0))
+        b, count_b = min(((x, c) for x, c in counts.items() if c > j), default=(self.hi, len(self.diag)))
         x = 0.5 * (a + b)
         for _ in range(MAX_BISECTIONS):
-            tol = _EPS * (_ULPS * abs(x) + span)
+            tol = _EPS * (_ULPS * abs(x) + self.span)
             if b - a <= tol:
-                out[j] = 0.5 * (a + b)
-                break
+                return 0.5 * (a + b)
             isolated = count_a == j and count_b == j + 1
             if isolated:
-                count, s = _newton_pass(diag_list, e2, x)
+                count, s = _newton_pass(self.diag, self.e2, x)
             else:
-                count = _sturm_count(diag_list, e2, x)
+                count = _sturm_count(self.diag, self.e2, x)
             counts[x] = count
             if count <= j:
                 a, count_a = x, count
@@ -165,16 +158,105 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
                 x = x - step
                 if a < x < b:
                     if abs(step) <= tol:
-                        out[j] = x
-                        break
+                        return x
                     continue
             x = 0.5 * (a + b)
-        else:
-            raise NumericError(
-                f"eigenvalue {j} did not converge in {MAX_BISECTIONS} passes; "
-                f"its bracket stalled at width {b - a:.3e}"
-            )
-    return out
+        raise NumericError(
+            f"{self.name} {j} did not converge in {MAX_BISECTIONS} passes; "
+            f"its bracket stalled at width {b - a:.3e}"
+        )
+
+
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of a symmetric tridiagonal matrix.
+
+    Isolate by Sturm counts, refine by safeguarded Newton (Barth, Martin &
+    Wilkinson, Numer. Math. 9, 1967; Demmel, Applied Numerical Linear
+    Algebra, 5.3); see `_SturmBlock.eigenvalue`.  A matrix equal to its own
+    reversal, diag and off alike, is folded into its even and odd blocks
+    (`_fold`), and each eigenvalue is found on its own block alone, on half
+    the rows; `_merge` takes the k smallest of the two.  Both blocks take the
+    Gershgorin bounds of the whole matrix, which hold their spectra too.
+
+    Eigenvalue j is converged when the Newton step or the bracket is within
+    _ULPS ulps of it plus eps times the Gershgorin span.  A bracket that
+    reaches that width before it isolates eigenvalue j, as a multiple
+    eigenvalue's does, returns its midpoint.  More than MAX_BISECTIONS passes
+    on one eigenvalue raise NumericError, as does a non-finite entry, before
+    any pass.
+    """
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    n = diag.size
+    if off.size != n - 1:
+        raise NumericError(f"off-diagonal has size {off.size}, expected {n - 1}")
+    if not 1 <= k <= n:
+        raise NumericError(f"requested {k} eigenvalues from an order-{n} matrix")
+    for label, entries in (("diagonal", diag), ("off-diagonal", off)):
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            raise NumericError(f"{label} entry {bad[0]} is {entries[bad[0]]}, not finite")
+    # Gershgorin bounds
+    radius = np.zeros(n)
+    radius[:-1] += np.abs(off)
+    radius[1:] += np.abs(off)
+    lo = float(np.min(diag - radius))
+    hi = float(np.max(diag + radius))
+    span = max(hi - lo, 1.0)
+    if n > 1 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
+        even, odd = _fold(diag, off)
+        return _merge(
+            _SturmBlock(*even, lo, hi, span, name="even-block eigenvalue"),
+            _SturmBlock(*odd, lo, hi, span, name="odd-block eigenvalue"),
+            k,
+        )
+    block = _SturmBlock(diag.tolist(), [0.0] + (off * off).tolist(), lo, hi, span)
+    return np.array([block.eigenvalue(j) for j in range(k)])
+
+
+def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[tuple[list[float], list[float]], ...]:
+    """The (diag, e2) of the even and odd blocks of a persymmetric tridiagonal matrix.
+
+    A symmetric matrix equal to its reversal maps vectors with v_i = v_{n-1-i}
+    to such vectors, and those with v_i = -v_{n-1-i} likewise, so its spectrum
+    is that of its action on each, read off its first ceil(n/2) and
+    floor(n/2) rows (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  On an
+    even order the centre pair's coupling c folds onto the last diagonal
+    entry as d + c and d - c.  On an odd order the centre node m enters the
+    even block, where it sees row m - 1 twice: its coupling, symmetrized,
+    squares to 2 c^2; the odd block vanishes there and ends at row m - 1.
+    """
+    m = diag.size // 2
+    half_e2 = [0.0] + (off[: m - 1] * off[: m - 1]).tolist()
+    centre = float(off[m - 1])
+    if diag.size % 2:
+        return (diag[: m + 1].tolist(), half_e2 + [2.0 * (centre * centre)]), (diag[:m].tolist(), half_e2)
+    even_d = diag[:m].tolist()
+    odd_d = list(even_d)
+    even_d[-1] += centre
+    odd_d[-1] -= centre
+    return (even_d, half_e2), (odd_d, half_e2)
+
+
+def _merge(even: _SturmBlock, odd: _SturmBlock, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the two blocks together.
+
+    It takes ceil(k/2) from the even block and floor(k/2) from the odd one.
+    Only the block that holds the largest value taken can hold too many: it
+    does while the other block has more eigenvalues strictly below that
+    value than were taken from it, and then the value gives way to the other
+    block's next eigenvalue.  Blocks that alternate need one count, which is
+    not kept, so a block's eigenvalue j does not depend on k.
+    """
+    from_even = [even.eigenvalue(j) for j in range((k + 1) // 2)]
+    from_odd = [odd.eigenvalue(j) for j in range(k // 2)]
+    high, other, low = from_even, odd, from_odd
+    if from_odd and from_odd[-1] > from_even[-1]:
+        high, other, low = from_odd, even, from_even
+    while high and len(low) < len(other.diag) and _sturm_count(other.diag, other.e2, high[-1]) > len(low):
+        high.pop()
+        low.append(other.eigenvalue(len(low)))
+    return np.array(sorted(high + low))
 
 
 def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[_SumBlocks, _SumBlocks]:

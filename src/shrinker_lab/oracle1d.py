@@ -10,10 +10,18 @@ weight collapses super-exponentially.  Eigenvalue errors shrink at least
 quadratically under grid doubling (measured: quartically), independent of the
 analytic eigenbasis.  A shift adds a constant to the operator: the flat-line
 1-form spectrum is the scalar one shifted by 1/2.
+
+The weight is even, and the operator keeps that symmetry exactly: node i is
+X (2i - N) / N, so node N - i is its exact negative, every weight is
+evaluated at mirrored abscissae to the same bits, and each off-diagonal entry
+multiplies its two mass factors as one commutative pair.  The matrix equals
+its own reversal bit for bit, so the eigensolver folds it into its even and
+odd blocks and runs each Sturm and Newton pass on half the rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,12 +47,13 @@ class DiscretizedOperator:
 
 def discretize(X: float, N: int, shift: float = 0.0) -> DiscretizedOperator:
     """Discretize -Delta_f (+ shift) on [-X, X] with Dirichlet truncation."""
-    if X <= 0:
-        raise NumericError("truncation radius X must be positive")
+    if not (math.isfinite(X) and X > 0):
+        raise NumericError(f"truncation radius X must be positive and finite, got {X!r}")
     if N < 16:
         raise NumericError(f"grid size N={N} is too small (need N >= 16)")
-    x = np.linspace(-X, X, N + 1)
-    h = x[1] - x[0]
+    # X (2i - N) / N: node N - i is the exact negative of node i
+    x = X * np.arange(-N, N + 1, 2, dtype=float) / N
+    h = 2.0 * X / N
     w_mid = flat_weight(0.5 * (x[:-1] + x[1:]))
     w_node = flat_weight(x)
     # interior nodes x_1 .. x_{N-1}
@@ -53,7 +62,7 @@ def discretize(X: float, N: int, shift: float = 0.0) -> DiscretizedOperator:
     mass = h * w_node[1:-1]
     inv_sqrt = 1.0 / np.sqrt(mass)
     diag = stiff_diag * inv_sqrt**2 + shift
-    off = stiff_off * inv_sqrt[:-1] * inv_sqrt[1:]
+    off = stiff_off * (inv_sqrt[:-1] * inv_sqrt[1:])  # a commutative pair: mirrored rows agree
     return DiscretizedOperator(grid=x, diag=diag, off=off, weight=mass)
 
 

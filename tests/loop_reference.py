@@ -6,7 +6,8 @@ factors, one cumulative sum per recurrence over equal row blocks, and ranks
 the contraction kernel one block per support size.  The loops below index
 numpy arrays one element at a time and redo the elimination at every step.
 `tridiagonal_eigenvalues` is the package's algorithm written as such a loop:
-it isolates each eigenvalue by Sturm counts and refines it by safeguarded
+it folds a matrix equal to its reversal into its even and odd blocks,
+isolates each eigenvalue by Sturm counts and refines it by safeguarded
 Newton, and keeps its counts in a list that it scans for each bracket
 instead of a dict.  Its passes do the same floating-point operations in the
 same order, so the tests require equal spectra, not close ones.  The block sums hold the
@@ -51,13 +52,12 @@ def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def sturm_count(diag, off, x):
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
+def sturm_count(diag, e2, x):
+    """Number of eigenvalues strictly below x; e2[i] is the squared coupling of rows i-1 and i."""
     count = 0
     q = 1.0
-    for i in range(diag.size):
-        e2 = off[i - 1] ** 2 if i > 0 else 0.0
-        q = diag[i] - x - e2 / q
+    for i in range(len(diag)):
+        q = diag[i] - x - e2[i] / q
         if q < 0.0:
             count += 1
         elif q == 0.0:
@@ -65,15 +65,14 @@ def sturm_count(diag, off, x):
     return count
 
 
-def newton_pass(diag, off, x):
+def newton_pass(diag, e2, x):
     """The Sturm count at x and S = sum q_i' / q_i, the log-derivative of det(T - x)."""
     count = 0
     q = 1.0
     dq = 0.0
     s = 0.0
-    for i in range(diag.size):
-        e2 = off[i - 1] ** 2 if i > 0 else 0.0
-        r = e2 / q
+    for i in range(len(diag)):
+        r = e2[i] / q
         dq = r / q * dq - 1.0
         q = diag[i] - x - r
         if q < 0.0:
@@ -84,61 +83,99 @@ def newton_pass(diag, off, x):
     return count, s
 
 
-def tridiagonal_eigenvalues(diag, off, k):
-    """The k smallest eigenvalues: isolate by `sturm_count`, refine by Newton on `newton_pass`.
+def block_eigenvalue(diag, e2, lo, hi, span, seen, j):
+    """Eigenvalue j of (diag, e2): isolate by `sturm_count`, refine by Newton on `newton_pass`.
 
-    Every (x, count) evaluated is kept in `seen`; eigenvalue j bisects the
-    tightest bracket they make until it holds eigenvalue j alone, then takes
-    Newton steps x - 1/S that stay inside the bracket and bisects otherwise.
-    It stops when the step or the bracket is within 4 ulps of x plus eps
-    times the span; a bracket that gets there first returns its midpoint.
+    Every (x, count) evaluated on this matrix is kept in `seen`; eigenvalue j
+    bisects the tightest bracket they make until it holds eigenvalue j alone,
+    then takes Newton steps x - 1/S that stay inside the bracket and bisects
+    otherwise.  It stops when the step or the bracket is within 4 ulps of x
+    plus eps times the span; a bracket that gets there first returns its
+    midpoint.
     """
-    n = diag.size
     eps = np.finfo(float).eps
     ulps, max_passes = 4, 200
+    a, count_a, b, count_b = lo, 0, hi, len(diag)
+    for x, c in seen:
+        if c <= j and x > a:
+            a, count_a = x, c
+        if c > j and x < b:
+            b, count_b = x, c
+    x = 0.5 * (a + b)
+    for _ in range(max_passes):
+        tol = eps * (ulps * abs(x) + span)
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        newton = count_a == j and count_b == j + 1
+        if newton:
+            count, s = newton_pass(diag, e2, x)
+        else:
+            count = sturm_count(diag, e2, x)
+        seen.append((x, count))
+        if count <= j:
+            a, count_a = x, count
+        else:
+            b, count_b = x, count
+        if newton and s != 0.0:
+            step = 1.0 / s
+            if a < x - step < b:
+                if abs(step) <= tol:
+                    return x - step
+                x = x - step
+                continue
+        x = 0.5 * (a + b)
+    raise RuntimeError(f"eigenvalue {j} did not converge in {max_passes} passes")
+
+
+def tridiagonal_eigenvalues(diag, off, k):
+    """The k smallest eigenvalues, by `block_eigenvalue` on the matrix or on its two folded blocks.
+
+    A matrix equal to its reversal has an even block, rows 0 .. ceil(n/2)-1
+    acting on mirror-symmetric vectors, and an odd block, rows
+    0 .. floor(n/2)-1 on antisymmetric ones.  A centre pair coupled by c adds
+    +c and -c to their last diagonal entries; a centre node keeps its row in
+    the even block, coupled with squared weight 2 c^2.  Both blocks take the
+    whole matrix's Gershgorin bounds.  ceil(k/2) eigenvalues come from the
+    even block and floor(k/2) from the odd one; then, while the other block
+    has more eigenvalues below the largest one taken than were taken from
+    it, that one is swapped for the other block's next.
+    """
+    n = diag.size
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
     radius[1:] += np.abs(off)
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     span = max(hi - lo, 1.0)
-    seen = []
-    out = np.empty(k)
-    for j in range(k):
-        a, count_a, b, count_b = lo, 0, hi, n
-        for x, c in seen:
-            if c <= j and x > a:
-                a, count_a = x, c
-            if c > j and x < b:
-                b, count_b = x, c
-        x = 0.5 * (a + b)
-        for _ in range(max_passes):
-            tol = eps * (ulps * abs(x) + span)
-            if b - a <= tol:
-                out[j] = 0.5 * (a + b)
-                break
-            newton = count_a == j and count_b == j + 1
-            if newton:
-                count, s = newton_pass(diag, off, x)
-            else:
-                count = sturm_count(diag, off, x)
-            seen.append((x, count))
-            if count <= j:
-                a, count_a = x, count
-            else:
-                b, count_b = x, count
-            if newton and s != 0.0:
-                step = 1.0 / s
-                if a < x - step < b:
-                    if abs(step) <= tol:
-                        out[j] = x - step
-                        break
-                    x = x - step
-                    continue
-            x = 0.5 * (a + b)
-        else:
-            raise RuntimeError(f"eigenvalue {j} did not converge in {max_passes} passes")
-    return out
+    mirrored = all(diag[i] == diag[n - 1 - i] for i in range(n)) and all(
+        off[i] == off[n - 2 - i] for i in range(n - 1)
+    )
+    if n == 1 or not mirrored:
+        e2 = [0.0] + [off[i] ** 2 for i in range(n - 1)]
+        seen = []
+        return np.array([block_eigenvalue(diag, e2, lo, hi, span, seen, j) for j in range(k)])
+    m = n // 2
+    odd_diag = [diag[i] for i in range(m)]
+    odd_e2 = [0.0] + [off[i] ** 2 for i in range(m - 1)]
+    if n % 2:
+        even_diag = odd_diag + [diag[m]]
+        even_e2 = odd_e2 + [2.0 * off[m - 1] ** 2]
+    else:
+        even_diag = odd_diag[:-1] + [diag[m - 1] + off[m - 1]]
+        even_e2 = odd_e2
+        odd_diag = odd_diag[:-1] + [diag[m - 1] - off[m - 1]]
+    blocks = [(even_diag, even_e2, []), (odd_diag, odd_e2, [])]
+    taken = [
+        [block_eigenvalue(d, e2, lo, hi, span, seen, j) for j in range(count)]
+        for (d, e2, seen), count in zip(blocks, ((k + 1) // 2, k // 2))
+    ]
+    top = 1 if taken[1] and taken[1][-1] > taken[0][-1] else 0
+    other = 1 - top
+    d, e2, seen = blocks[other]
+    while taken[top] and len(taken[other]) < len(d) and sturm_count(d, e2, taken[top][-1]) > len(taken[other]):
+        taken[top].pop()
+        taken[other].append(block_eigenvalue(d, e2, lo, hi, span, seen, len(taken[other])))
+    return np.array(sorted(taken[0] + taken[1]))
 
 
 def oracle_spectrum_1d(X=12.0, N=800, k_eigs=5, shift=0.0):

@@ -173,27 +173,44 @@ def test_oracle_ladder_converges_through_3200():
     assert errs[0] > errs[1] > errs[2]
 
 
+@pytest.mark.parametrize("n", [16, 17, 800, 801])
+def test_operator_is_exactly_persymmetric(n):
+    # the grid is antisymmetric bit for bit and the coupling a commutative pair product
+    for shift in (0.0, 0.5):
+        op = discretize(12.0, n, shift=shift)
+        assert np.array_equal(op.grid, -op.grid[::-1])
+        assert np.array_equal(op.diag, op.diag[::-1])
+        assert np.array_equal(op.off, op.off[::-1])
+
+
 def test_oracle_matches_dense_eigensolver_to_rounding():
-    op = discretize(12.0, 400)
-    want = np.linalg.eigvalsh(ref.dense(op.diag, op.off))[:6]
-    assert np.abs(tridiagonal_eigenvalues(op.diag, op.off, 6) - want).max() < 1e-12
+    # N = 400 leaves an odd order, folded at a centre node; N = 401 an even one, at a centre pair
+    for n in (400, 401):
+        op = discretize(12.0, n)
+        want = np.linalg.eigvalsh(ref.dense(op.diag, op.off))[:6]
+        assert np.abs(tridiagonal_eigenvalues(op.diag, op.off, 6) - want).max() < 1e-12
+
+
+def test_folded_eigenvalue_does_not_depend_on_k():
+    op = discretize(12.0, 800)
+    assert np.array_equal(tridiagonal_eigenvalues(op.diag, op.off, 3), tridiagonal_eigenvalues(op.diag, op.off, 6)[:3])
 
 
 def test_passes_per_call(monkeypatch):
-    # Sturm counts isolate each eigenvalue and Newton passes refine it; bisection alone takes 168 counts
-    passes = []
-    for name in ("_sturm_count", "_newton_pass"):
+    # Sturm counts isolate each eigenvalue and Newton passes refine it, each on one folded block
+    rows = {"_sturm_count": 0, "_newton_pass": 0}
+    for name in rows:
         inner = getattr(eigensolve, name)
 
-        def counted(*args, inner=inner, name=name):
-            passes.append(name)
-            return inner(*args)
+        def counted(diag, e2, x, inner=inner, name=name):
+            rows[name] += len(diag)
+            return inner(diag, e2, x)
 
         monkeypatch.setattr(eigensolve, name, counted)
     op = discretize(12.0, 3200)
     tridiagonal_eigenvalues(op.diag, op.off, 6)
-    assert "_newton_pass" in passes
-    assert len(passes) <= 70
+    assert rows["_newton_pass"] > 0
+    assert rows["_sturm_count"] + rows["_newton_pass"] <= 120_000
 
 
 def test_stall_guard_raises(monkeypatch):
@@ -224,8 +241,37 @@ def test_exact_multiplicities():
     assert np.abs(tridiagonal_eigenvalues(diag, off, 15) - want).max() <= 1e-12 * _span(diag, off)
 
 
+def test_zero_centre_coupling_returns_each_shared_eigenvalue_twice():
+    # with the centre pair uncoupled both blocks are the same matrix
+    rng = np.random.default_rng(13)
+    half_diag, half_off = rng.normal(size=6), rng.normal(size=5)
+    diag = np.concatenate((half_diag, half_diag[::-1]))
+    off = np.concatenate((half_off, [0.0], half_off[::-1]))
+    want = np.repeat(np.linalg.eigvalsh(ref.dense(half_diag, half_off)), 2)
+    tol = 1e-12 * _span(diag, off)
+    for k in range(1, 13):
+        assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+
+
+def test_random_persymmetric_tridiagonals_every_k():
+    # a strong centre coupling pulls one block's eigenvalue far below the other's:
+    # the blocks need not alternate
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        n = int(rng.integers(2, 31))
+        half_diag = rng.normal(size=(n + 1) // 2)
+        half_off = rng.normal(size=n // 2)
+        half_off[-1] *= 10.0 ** rng.integers(0, 3)
+        diag = np.concatenate((half_diag, half_diag[: n // 2][::-1]))
+        off = np.concatenate((half_off, half_off[: (n - 1) // 2][::-1]))
+        want = np.linalg.eigvalsh(ref.dense(diag, off))
+        tol = 1e-12 * _span(diag, off)
+        for k in range(1, n + 1):
+            assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+
+
 def test_wilkinson_matrix_every_k():
-    # W21+ has pairs of eigenvalues that agree to about 1e-14 and more
+    # W21+ has pairs of eigenvalues that agree to about 1e-14 and more; it is persymmetric, so it is folded
     diag = np.abs(np.arange(-10.0, 11.0))
     off = np.ones(20)
     want = np.linalg.eigvalsh(ref.dense(diag, off))
@@ -262,3 +308,28 @@ def test_validation_errors():
         discretize(-1.0, 100)
     with pytest.raises(NumericError):
         discretize(10.0, 8)
+
+
+@pytest.mark.parametrize("X", [float("nan"), float("inf")])
+def test_discretize_refuses_non_finite_radius(X):
+    with pytest.raises(NumericError, match="truncation radius X"):
+        discretize(X, 100)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_tiny_radius_is_refused_before_any_pass(monkeypatch):
+    # X = 1e-300 overflows the operator's entries to inf, which no pass may see
+    monkeypatch.setattr(eigensolve, "_sturm_count", None)
+    monkeypatch.setattr(eigensolve, "_newton_pass", None)
+    with pytest.raises(NumericError, match="^diagonal entry 0 is inf, not finite"):
+        oracle_spectrum_1d(X=1e-300, N=100, k_eigs=3)
+
+
+@pytest.mark.parametrize("which,index", [("diagonal", 0), ("diagonal", 3), ("off-diagonal", 1)])
+def test_tridiagonal_refuses_non_finite_entry(which, index):
+    diag, off = np.full(5, 2.0), np.full(4, -1.0)
+    entries = diag if which == "diagonal" else off
+    for bad in (np.nan, np.inf):
+        entries[index] = bad
+        with pytest.raises(NumericError, match=f"^{which} entry {index} is {bad}, not finite"):
+            tridiagonal_eigenvalues(diag, off, 2)
