@@ -29,18 +29,14 @@ from .quadrature import (
     ProductRule,
     ball_quadrature,
     level_set_quadrature,
-    raw_level_area,
     verify_volume_identity,
-    volume_area,
 )
 from .frequency import (
     DirichletRecord,
     FrequencyConfig,
     FrequencyProfile,
     D_of_r,
-    I_of_r,
     shell_energy_ledger,
-    level_defect,
     calibrate_constants,
     check_derivative_I,
     check_defect_recursion,

@@ -192,10 +192,7 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
         raise NumericError(f"off-diagonal has size {off.size}, expected {n - 1}")
     if not 1 <= k <= n:
         raise NumericError(f"requested {k} eigenvalues from an order-{n} matrix")
-    for label, entries in (("diagonal", diag), ("off-diagonal", off)):
-        bad = np.flatnonzero(~np.isfinite(entries))
-        if bad.size:
-            raise NumericError(f"{label} entry {bad[0]} is {entries[bad[0]]}, not finite")
+    _require_finite(diag, off)
     # Gershgorin bounds
     radius = np.zeros(n)
     radius[:-1] += np.abs(off)
@@ -212,6 +209,14 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
         )
     block = _SturmBlock(diag.tolist(), [0.0] + (off * off).tolist(), lo, hi, span)
     return np.array([block.eigenvalue(j) for j in range(k)])
+
+
+def _require_finite(diag: np.ndarray, off: np.ndarray) -> None:
+    """Raise NumericError naming the first non-finite entry of diag, then of off."""
+    for label, entries in (("diagonal", diag), ("off-diagonal", off)):
+        bad = np.flatnonzero(~np.isfinite(entries))
+        if bad.size:
+            raise NumericError(f"{label} entry {bad[0]} is {entries[bad[0]]}, not finite")
 
 
 def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[tuple[list[float], list[float]], ...]:
@@ -275,10 +280,13 @@ def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[_SumBlocks, _SumBl
     r_j Q_i / Q_j of a solution entry carries a product of multipliers below
     1 in magnitude, as in the textbook loop, and the sums do not amplify
     rounding.  The backward-Euler matrix M + ds K is such a matrix: K is a
-    Dirichlet Laplacian and M a positive mass.
+    Dirichlet Laplacian and M a positive mass.  A non-finite entry raises
+    NumericError, naming its index, before any elimination.
     """
-    diag = np.asarray(diag, dtype=float).tolist()
-    off = np.asarray(off, dtype=float).tolist()
+    diag = np.asarray(diag, dtype=float)
+    off = np.asarray(off, dtype=float)
+    _require_finite(diag, off)
+    diag, off = diag.tolist(), off.tolist()
     n = len(diag)
     denom = diag[0]
     if denom == 0.0:

@@ -20,12 +20,16 @@ or balls by a rule; every other factor (|grad b|^2, Laplacian(b), 1/|z|^2,
 e^{-f}) depends on the radius alone.  One level-set rule and one ball rule
 cover a whole radius grid: the direction sums are formed once, and each
 rule's `integrate` returns one value per radius from per-degree radial
-moments.  A single radius is a grid of one.  The two routes differ only in
-the rule, which `_rules` picks from `method`: "closed", the default, takes
-the MomentRule of exact sphere moments and closed radial integrals, and
-"quadrature" the product rules, which also sum the aliased monomial pairs
-and take their radial moments from Gauss-Legendre nodes.  Any other
-`method` (also in FrequencyConfig) raises DomainError.
+moments.  Every entry point of I, D, I' and rho therefore takes a 1-D
+radius grid and returns one value per radius.  The two routes differ only
+in the rule, which `_rules` picks from `method`: "closed", the default,
+takes the MomentRule of exact sphere moments and closed radial integrals,
+and "quadrature" the product rules, which also sum the aliased monomial
+pairs and take their radial moments from Gauss-Legendre nodes.  Any other
+`method` (also in FrequencyConfig) raises DomainError.  The defect
+recursion and the shell ledger integrate radial factors that are not
+polynomials in the radius over product rules with their own radial nodes,
+so they take one radius and no method.
 """
 
 from __future__ import annotations
@@ -50,6 +54,8 @@ from .quadrature import (
 )
 
 MONOTONE_SLACK = 1e-6
+# the eps of the doubling bound 2(d + eps sqrt(mu)) and of the shell ledger's exponent
+EPSILON = 0.01
 _Rule = ProductRule | MomentRule  # a rule of the quadrature or of the closed route
 
 
@@ -72,7 +78,7 @@ def mu_constant(d: float, p: float) -> float:
 class FrequencyConfig:
     resolution: int = 128
     sigma: float = 0.5
-    epsilon: float = 0.01
+    epsilon: float = EPSILON
     C1: float = 1.0
     C2: float = 1.0
     method: str = "closed"
@@ -145,22 +151,18 @@ def _rules(method: str, resolution: int):
 # -- I, D, U -------------------------------------------------------------------
 
 
-def I_of_r(
-    model: ModelShrinker,
-    u: HoloPoly,
-    r: float,
-    resolution: int = 128,
-    method: str = "closed",
-) -> float:
-    """Height function I(r) = r^{1-n} int_{b=r} |u|^2 |grad b|."""
-    rr = np.array([r], dtype=float)
-    level = _rules(method, resolution)[0](model, rr)
-    return _height(model, rr, level, _SphereFields(u, level)).item()
-
-
 def _height(model: ModelShrinker, rr: np.ndarray, level: _Rule, fields: _SphereFields) -> np.ndarray:
     """I on the radii rr of the level rule's grid; |grad b| = rho/r."""
     return rr ** (1 - model.n) * (level.rho / rr) * level.integrate(fields.u_sq)
+
+
+def _i_prime_rhs(model: ModelShrinker, rr: np.ndarray, level: _Rule, fields: _SphereFields) -> np.ndarray:
+    """The formula for I' on the radii rr of the level rule's grid: boundary flux plus curvature correction."""
+    rho = level.rho
+    n = model.n
+    flux = 2.0 / rho * level.integrate(fields.u_e)
+    curv = model.s_const * (rr / rho) * level.integrate(fields.u_sq)
+    return rr ** (1 - n) * flux + rr ** (-n) * (4.0 * n / rr**2 - 2.0) * curv
 
 
 def _bulk_energy(model: ModelShrinker, rr: np.ndarray, ball: _Rule, fields: _SphereFields) -> np.ndarray:
@@ -170,25 +172,24 @@ def _bulk_energy(model: ModelShrinker, rr: np.ndarray, ball: _Rule, fields: _Sph
 
 @dataclass(frozen=True)
 class DirichletRecord:
-    bulk: float
-    boundary: float
+    bulk: np.ndarray
+    boundary: np.ndarray
 
 
 def D_of_r(
     model: ModelShrinker,
     u: HoloPoly,
-    r: float,
+    radii,
     resolution: int = 128,
     method: str = "closed",
 ) -> DirichletRecord:
-    """Dirichlet energy D(r) in both its bulk and boundary forms."""
-    rr = np.array([r], dtype=float)
+    """Dirichlet energy D in both its bulk and boundary forms, one value per radius of the 1-D grid."""
+    rr = np.asarray(radii, dtype=float)
     level_rule, ball_rule = _rules(method, resolution)
     ball, level = ball_rule(model, rr), level_rule(model, rr)
     # <grad |u|^2, nu> = 2 Re(conj(u) E) / rho, and D carries a further 1/2
     boundary = rr ** (2 - model.n) / level.rho * level.integrate(_SphereFields(u, level).u_e)
-    bulk = _bulk_energy(model, rr, ball, _SphereFields(u, ball))
-    return DirichletRecord(bulk=bulk.item(), boundary=boundary.item())
+    return DirichletRecord(bulk=_bulk_energy(model, rr, ball, _SphereFields(u, ball)), boundary=boundary)
 
 
 def eta_integral(r, config: FrequencyConfig, mu: float, lo=0.0):
@@ -303,59 +304,34 @@ def _height_and_energy(
 # -- derivative identity for I ---------------------------------------------------
 
 
-def i_prime_rhs(
-    model: ModelShrinker,
-    u: HoloPoly,
-    r: float,
-    resolution: int = 128,
-    method: str = "closed",
-) -> float:
-    """Exact expression for I'(r): boundary flux plus the curvature correction."""
-    rr = np.array([r], dtype=float)
-    level = _rules(method, resolution)[0](model, rr)
-    fields = _SphereFields(u, level)
-    rho = level.rho
-    n = model.n
-    flux = 2.0 / rho * level.integrate(fields.u_e)
-    curv = model.s_const * (rr / rho) * level.integrate(fields.u_sq)
-    return (rr ** (1 - n) * flux + rr ** (-n) * (4.0 * n / rr**2 - 2.0) * curv).item()
-
-
 def check_derivative_I(
     model: ModelShrinker,
     u: HoloPoly,
-    r: float,
+    radii,
     h: float | None = None,
     resolution: int = 128,
     method: str = "closed",
-) -> float:
+) -> np.ndarray:
     """Relative residual of the extrapolated central difference of I against its derivative formula.
 
+    One value per radius r of the 1-D grid, with step h (default 1e-3 r).
     The central differences D(h) and D(h/2) each carry an error of order h^2;
-    (4 D(h/2) - D(h)) / 3 cancels it, leaving one of order h^4.
+    (4 D(h/2) - D(h)) / 3 cancels it, leaving one of order h^4.  One level
+    rule holds r -+ h, r -+ h/2 and r itself, so the difference and the
+    formula read the same rule and the same sphere sums.
     """
-    if h is None:
-        h = 1e-3 * r
-    # I at r -+ h and r -+ h/2 from one four-radius level rule
-    rr = np.array([r - h, r - 0.5 * h, r + 0.5 * h, r + h])
-    level = _rules(method, resolution)[0](model, rr)
-    i_lo, i_half_lo, i_half_hi, i_hi = _height(model, rr, level, _SphereFields(u, level))
+    rr = np.asarray(radii, dtype=float)
+    h = 1e-3 * rr if h is None else h
+    grid = np.concatenate([rr - h, rr - 0.5 * h, rr + 0.5 * h, rr + h, rr])
+    level = _rules(method, resolution)[0](model, grid)
+    fields = _SphereFields(u, level)
+    i_lo, i_half_lo, i_half_hi, i_hi, _ = np.split(_height(model, grid, level, fields), 5)
     diff = (4.0 * (i_half_hi - i_half_lo) / h - (i_hi - i_lo) / (2.0 * h)) / 3.0
-    rhs = i_prime_rhs(model, u, r, resolution, method)
-    return abs(diff - rhs) / (1.0 + abs(rhs))
+    rhs = np.split(_i_prime_rhs(model, grid, level, fields), 5)[-1]
+    return np.abs(diff - rhs) / (1.0 + np.abs(rhs))
 
 
 # -- curvature-weighted level integrals K_j --------------------------------------
-
-
-def level_defect(model: ModelShrinker, u: HoloPoly, r: float, j: int, resolution: int = 128) -> float:
-    """level_defect(r) = int_{b=r} S^j (|grad u|^2 - 2 |du/dnu|^2) / |grad b|."""
-    level = level_set_quadrature(model, [r], resolution)
-    fields = _SphereFields(u, level)
-    rho = level.rho.item()
-    # |du/dnu|^2 = |E|^2 / rho^2 on the level set
-    integral = level.integrate(fields.grad_sq) - 2.0 * level.integrate(fields.e_sq) / rho**2
-    return model.s_const**j * (r / rho) * integral.item()
 
 
 @dataclass(frozen=True)
@@ -369,14 +345,21 @@ class DefectReport:
 def check_defect_recursion(
     model: ModelShrinker, u: HoloPoly, r: float, jmax: int = 3, resolution: int = 128
 ) -> DefectReport:
-    """Measure |K_0| against the Dirichlet energy and verify the K_j recursion.
+    """Measure |K_0| against the Dirichlet energy and verify the K_j recursion at one radius r.
 
-    The recursion step compares K_j - (4/r^2) K_{j+1} with its bulk form
+    K_j = int_{b=r} S^j (|grad u|^2 - 2 |du/dnu|^2) / |grad b|.  The
+    recursion step compares K_j - (4/r^2) K_{j+1} with its bulk form
     int_{b<r} S^j (|grad u|^2 Laplacian(b) - 2 Re Hess_b(grad u, grad conj(u))),
     which follows from the first variation of the energy along S^j grad b.
+    That integrand is not a polynomial in the radius, so it is summed over
+    the radial nodes of one ball rule at r.
     """
-    # S is constant on every catalog model, so K_j = S^j K_0
-    k0 = level_defect(model, u, r, 0, resolution)
+    # |du/dnu|^2 = |E|^2 / rho^2 on the level set; S is constant on every catalog model, so K_j = S^j K_0
+    level = level_set_quadrature(model, [r], resolution)
+    level_fields = _SphereFields(u, level)
+    rho = level.rho.item()
+    integral = level.integrate(level_fields.grad_sq) - 2.0 * level.integrate(level_fields.e_sq) / rho**2
+    k0 = (r / rho) * integral.item()
     ks = [model.s_const**j * k0 for j in range(jmax + 2)]
     ball = ball_quadrature(model, [r], resolution)
     fields = _SphereFields(u, ball)
@@ -412,26 +395,27 @@ def check_defect_recursion(
 
 @dataclass(frozen=True)
 class RhoMuRecord:
-    rho: float
+    rho: np.ndarray
     mu: float
     passed: bool
 
 
-def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, r: float) -> RhoMuRecord:
-    """Ratio of level energies of the derivative pair (u, <grad u, grad f>).
+def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, radii) -> RhoMuRecord:
+    """Ratio of level energies of the derivative pair (u, <grad u, grad f>), one per radius of the 1-D grid.
 
     The derivative function is computed symbolically; the ratio is bounded by
     mu = e^{2p+6} d^2 with the volume-growth power p = n, after clamping d
-    below by 1 as the bound requires.
+    below by 1 as the bound requires, and `passed` holds when it is bounded on
+    the whole grid.
     """
     if u.is_zero():
         raise DomainError("rho is undefined for the zero function")
     mu = mu_constant(d, model.n)
-    level = level_set_moments(model, [r])
+    level = level_set_moments(model, radii)
     u1 = lie_derivative_nabla_f(model, u)
-    energy, derived = (level.integrate(_SphereFields(v, level).u_sq).item() for v in (u, u1))
+    energy, derived = (level.integrate(_SphereFields(v, level).u_sq) for v in (u, u1))
     ratio = derived / energy
-    return RhoMuRecord(rho=ratio, mu=mu, passed=ratio <= mu)
+    return RhoMuRecord(rho=ratio, mu=mu, passed=bool(np.all(ratio <= mu)))
 
 
 # -- monotonicity, calibration, doubling -------------------------------------------
@@ -534,16 +518,18 @@ def shell_energy_ledger(
     u: HoloPoly,
     d: float,
     R0: float | None = None,
-    config: FrequencyConfig | None = None,
+    resolution: int = 128,
     c_constant: float | None = None,
 ) -> ShellLedger:
     """Shell energies J_i = int_{r0 < b < lam^i r0} |u|^2 |grad b|^2 and their bound.
 
     lam = 1 + 2/d; the verified inequality is
     J3 <= (1 + lam^{n + 2(d + eps sqrt(mu))} + lam^{C - n}) (J2 - J1)
-    with C the constant measured by the defect recursion (zero on these models).
+    with eps = EPSILON and C the constant measured by the defect recursion
+    (zero on these models).  The shells are product rules at `resolution`:
+    their radial factor s^2/(4c + s^2) is not a polynomial, so there is no
+    closed route.
     """
-    config = config or FrequencyConfig()
     mu = mu_constant(d, model.n)
     r0 = R0 if R0 is not None else default_R0(model)
     d_eff = max(d, 1.0)
@@ -551,9 +537,9 @@ def shell_energy_ledger(
     radii = [r0 * lam**i for i in range(4)]
     model.require_regular(radii)
     if c_constant is None:
-        c_constant = check_defect_recursion(model, u, radii[3], 1, config.resolution).c_measured
+        c_constant = check_defect_recursion(model, u, radii[3], 1, resolution).c_measured
 
-    shells = [shell_quadrature(model, r0, radii[i], config.resolution) for i in (1, 2, 3)]
+    shells = [shell_quadrature(model, r0, radii[i], resolution) for i in (1, 2, 3)]
     fields = _SphereFields(u, shells[0])  # the three shells share their directions
 
     def shell(rule: ProductRule) -> float:
@@ -561,7 +547,7 @@ def shell_energy_ledger(
         return rule.integrate(fields.u_sq, s_sq / (4.0 * model.f_min + s_sq)).item()
 
     j1, j2, j3 = (shell(rule) for rule in shells)
-    exponent = model.n + 2.0 * (d_eff + config.epsilon * math.sqrt(mu))
+    exponent = model.n + 2.0 * (d_eff + EPSILON * math.sqrt(mu))
     log_term = exponent * math.log(lam)
     big = math.exp(log_term) if log_term < 700 else math.inf
     factor = 1.0 + big + lam ** (c_constant - model.n)

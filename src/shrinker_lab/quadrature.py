@@ -92,25 +92,11 @@ __all__ = [
     "level_set_moments",
     "ball_moments",
     "sphere_moment",
-    "unit_sphere_area",
-    "unit_ball_volume",
-    "volume_area",
-    "raw_level_area",
     "require_rule_work",
     "verify_volume_identity",
 ]
 
 # -- closed-form moments -----------------------------------------------------
-
-
-def unit_sphere_area(m: int) -> float:
-    """Area of the unit sphere S^{2m-1} in C^m."""
-    return 2.0 * math.pi**m / math.factorial(m - 1)
-
-
-def unit_ball_volume(m: int) -> float:
-    """Volume of the unit ball in C^m = R^{2m}."""
-    return math.pi**m / math.factorial(m)
 
 
 def sphere_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
@@ -442,27 +428,7 @@ def ball_moments(model: ModelShrinker, radii) -> MomentRule:
     return MomentRule(model.flat_m, _flat_grid(model, radii), model.compact_area, ball=True)
 
 
-# -- volumes, areas and the divergence identity -------------------------------
-
-
-def volume_area(model: ModelShrinker, r: float) -> tuple[float, float]:
-    """Closed-form V(r) = Vol({b < r}) and A(r) = V'(r).
-
-    A(r) is the coarea integral of 1/|grad b| over {b = r}, which differs
-    from the raw surface area whenever |grad b| < 1; see raw_level_area.
-    """
-    model.require_regular(r)
-    m = model.flat_m
-    rho_sq = r * r - 4.0 * model.f_min
-    vol = model.compact_area * unit_ball_volume(m) * rho_sq**m
-    area = model.compact_area * unit_ball_volume(m) * m * rho_sq ** (m - 1) * 2.0 * r
-    return vol, area
-
-
-def raw_level_area(model: ModelShrinker, r: float) -> float:
-    """Geometric surface area of {b = r}."""
-    rho = model.flat_radius(r)
-    return model.compact_area * unit_sphere_area(model.flat_m) * rho ** (2 * model.flat_m - 1)
+# -- the divergence identity -------------------------------------------------
 
 
 # digits of the decimal sums of verify_volume_identity: at m = 5 and r = 20 its

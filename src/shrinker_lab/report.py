@@ -192,8 +192,8 @@ def _frequency_sharp(model: ModelShrinker, method: str) -> float:
 
 
 def _i_prime(model: ModelShrinker) -> float:
-    cases = [(k, r) for k in (1, 2, 3) for r in (4.5, 6.0, 10.0, 20.0)]
-    return _worst(frequency.check_derivative_I(model, _z1_power(model, k), r) for k, r in cases)
+    radii = [4.5, 6.0, 10.0, 20.0]
+    return _worst(frequency.check_derivative_I(model, _z1_power(model, k), radii) for k in (1, 2, 3))
 
 
 def _dirichlet_gap(model: ModelShrinker) -> float:
@@ -201,9 +201,8 @@ def _dirichlet_gap(model: ModelShrinker) -> float:
     e1, e2 = (1,) + (0,) * (m - 1), (2,) + (0,) * (m - 1)
     gaps = []
     for u in (HoloPoly(m, {e1: 1.0}), HoloPoly(m, {e2: 1.0, (0,) * m: 0.5, e1: -0.75})):
-        for r in (4.5, 10.0):
-            rec = frequency.D_of_r(model, u, r, RESOLUTION, "quadrature")
-            gaps.append(abs(rec.bulk - rec.boundary) / max(abs(rec.bulk), 1e-300))
+        rec = frequency.D_of_r(model, u, [4.5, 10.0], RESOLUTION, "quadrature")
+        gaps.extend(np.abs(rec.bulk - rec.boundary) / np.maximum(np.abs(rec.bulk), 1e-300))
     return _worst(gaps)
 
 
@@ -229,12 +228,10 @@ def _rho_mu(model: ModelShrinker) -> float:
     excess = []
     for alpha in monomials(model.flat_m, 4, 1):
         d = sum(alpha)
-        u = HoloPoly.monomial(model.flat_m, alpha)
-        for r in (4.5, 8.0, 16.0):
-            rec = frequency.rho_mu(model, u, float(d), r)
-            excess.append(rec.rho - rec.mu)
-            if not model.sphere_factors:
-                excess.append(abs(rec.rho - d * d / 4.0) - 1e-8)
+        rec = frequency.rho_mu(model, HoloPoly.monomial(model.flat_m, alpha), float(d), [4.5, 8.0, 16.0])
+        excess.extend(rec.rho - rec.mu)
+        if not model.sphere_factors:
+            excess.extend(np.abs(rec.rho - d * d / 4.0) - 1e-8)
     return _worst(excess)
 
 

@@ -7,6 +7,10 @@ angle grid, and the directions times the radii s_i give the nodes, with
 weights W_i w_s / n_phi^m.  Every integrand is evaluated pointwise on that
 grid.  The package sums the same rule as products of 1-D sums over monomial
 pairs; the tests compare the two at low resolution.
+
+The closed volumes and areas of the level and sublevel sets close the
+module: they are the exact references of the rules' total masses and of
+the volume identity.
 """
 
 from __future__ import annotations
@@ -239,3 +243,33 @@ def random_polys(model, seed, count):
                 terms[alpha] = complex(rng.normal(), rng.normal())
         out.append(HoloPoly(model.flat_m, terms or {zero: 1.0}))
     return out
+
+
+def unit_sphere_area(m: int) -> float:
+    """Area of the unit sphere S^{2m-1} in C^m."""
+    return 2.0 * math.pi**m / math.factorial(m - 1)
+
+
+def unit_ball_volume(m: int) -> float:
+    """Volume of the unit ball in C^m = R^{2m}."""
+    return math.pi**m / math.factorial(m)
+
+
+def volume_area(model, r):
+    """Closed-form V(r) = Vol({b < r}) and A(r) = V'(r).
+
+    A(r) is the coarea integral of 1/|grad b| over {b = r}, which differs
+    from the raw surface area whenever |grad b| < 1; see raw_level_area.
+    """
+    model.require_regular(r)
+    m = model.flat_m
+    rho_sq = r * r - 4.0 * model.f_min
+    vol = model.compact_area * unit_ball_volume(m) * rho_sq**m
+    area = model.compact_area * unit_ball_volume(m) * m * rho_sq ** (m - 1) * 2.0 * r
+    return vol, area
+
+
+def raw_level_area(model, r):
+    """Geometric surface area of {b = r}."""
+    rho = model.flat_radius(r)
+    return model.compact_area * unit_sphere_area(model.flat_m) * rho ** (2 * model.flat_m - 1)

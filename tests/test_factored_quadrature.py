@@ -14,10 +14,8 @@ from shrinker_lab.forms import HoloForm, form_integral_identity_check, ricci_bou
 from shrinker_lab.frequency import (
     D_of_r,
     FrequencyConfig,
-    I_of_r,
     check_defect_recursion,
     frequency_profile,
-    level_defect,
     shell_energy_ledger,
 )
 from shrinker_lab.holopoly import HoloPoly, gradient, monomials
@@ -60,14 +58,20 @@ def model(request):
     return MODELS[request.param]
 
 
+def _I(model, u, r, resolution=128, method="closed"):
+    """I at the single radius r, read from a profile."""
+    config = FrequencyConfig(resolution=resolution, method=method)
+    return frequency_profile(model, u, 1.0, [r], config).I.item()
+
+
 def test_height_and_dirichlet_energy(model):
     u, res = _poly(model.flat_m), _resolution(model)
     for r in (4.5, 7.0):
-        assert _close(I_of_r(model, u, r, res, "quadrature"), brute_force.I_of_r(model, u, r, res))
-        rec = D_of_r(model, u, r, res, "quadrature")
+        assert _close(_I(model, u, r, res, "quadrature"), brute_force.I_of_r(model, u, r, res))
+        rec = D_of_r(model, u, [r], res, "quadrature")
         bulk, boundary = brute_force.D_of_r(model, u, r, res)
-        assert _close(rec.bulk, bulk)
-        assert _close(rec.boundary, boundary)
+        assert _close(rec.bulk.item(), bulk)
+        assert _close(rec.boundary.item(), boundary)
 
 
 def test_level_defect_and_recursion(model):
@@ -75,10 +79,10 @@ def test_level_defect_and_recursion(model):
     # K is a difference of two level integrals; on one flat variable it vanishes
     f, w = brute_force.on_level(model, u, r, res)
     scale = (r / model.flat_radius(r)) * float(np.sum(w * f["grad_sq"]))
+    rep = check_defect_recursion(model, u, r, 2, res)
     for j in (0, 2):
         expected = brute_force.level_defect(model, u, r, j, res)
-        assert _close(level_defect(model, u, r, j, res), expected, model.s_const**j * scale)
-    rep = check_defect_recursion(model, u, r, 2, res)
+        assert _close(rep.K[j], expected, model.s_const**j * scale)
     ks, dirichlet, residuals = brute_force.defect_recursion(model, u, r, 2, res)
     assert all(_close(a, b, model.s_const**j * scale) for j, (a, b) in enumerate(zip(rep.K, ks)))
     assert _close(rep.dirichlet, dirichlet)
@@ -89,7 +93,7 @@ def test_level_defect_and_recursion(model):
 
 def test_shell_energies(model):
     u, res = _poly(model.flat_m), _resolution(model)
-    rec = shell_energy_ledger(model, u, 3.0, 4.5, FrequencyConfig(resolution=res), c_constant=0.0)
+    rec = shell_energy_ledger(model, u, 3.0, 4.5, res, c_constant=0.0)
     for i, got in enumerate((rec.J1, rec.J2, rec.J3), start=1):
         assert _close(got, brute_force.shell_energy(model, u, 4.5, 4.5 * rec.lam**i, res))
 
@@ -123,12 +127,12 @@ def test_gaussian_m3_at_full_resolution_matches_closed_forms():
     model = gaussian(3)
     u = HoloPoly(3, {(1, 1, 1): 1.0, (2, 0, 0): -0.5j, (0, 0, 1): 2.0})
     for r in (3.0, 7.0):
-        closed = I_of_r(model, u, r, method="closed")
-        assert math.isclose(I_of_r(model, u, r, 256, "quadrature"), closed, rel_tol=TOL)
-        rec_c = D_of_r(model, u, r, method="closed")
-        rec_q = D_of_r(model, u, r, 256, "quadrature")
-        assert math.isclose(rec_q.bulk, rec_c.bulk, rel_tol=TOL)
-        assert math.isclose(rec_q.boundary, rec_c.boundary, rel_tol=TOL)
+        closed = _I(model, u, r, method="closed")
+        assert math.isclose(_I(model, u, r, 256, "quadrature"), closed, rel_tol=TOL)
+        rec_c = D_of_r(model, u, [r], method="closed")
+        rec_q = D_of_r(model, u, [r], 256, "quadrature")
+        assert math.isclose(rec_q.bulk.item(), rec_c.bulk.item(), rel_tol=TOL)
+        assert math.isclose(rec_q.boundary.item(), rec_c.boundary.item(), rel_tol=TOL)
 
 
 def _aliased_pairs(u, n_phi):

@@ -142,6 +142,14 @@ def test_over_budget_heat_runs_are_refused_before_the_grid(monkeypatch):
     fheat.require_heat_work(800, 20_000, False)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_tiny_radius_is_refused_before_any_step():
+    # X = 1e-300 overflows the backward-Euler matrix to inf, which no elimination may see
+    with pytest.raises(NumericError, match="^diagonal entry 0 is inf, not finite"):
+        timestep_oracle(np.square, 0.0, 1.0, N_grid=100, N_steps=10, X=1e-300)
+
+
 def test_heat_polynomial_family():
     assert HeatPolynomial.of_degree(2).terms == {(2, 0): 1.0, (0, 1): 2.0}
     for d in range(7):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,9 +15,7 @@ from shrinker_lab.models import cylinder, gaussian, product
 from shrinker_lab.frequency import (
     D_of_r,
     FrequencyConfig,
-    I_of_r,
     shell_energy_ledger,
-    level_defect,
     calibrate_constants,
     check_derivative_I,
     check_defect_recursion,
@@ -24,7 +23,6 @@ from shrinker_lab.frequency import (
     default_R0,
     doubling_and_three_circle,
     frequency_profile,
-    i_prime_rhs,
     mu_constant,
     rho_mu,
 )
@@ -38,32 +36,38 @@ Z = HoloPoly.monomial(1, (1,))
 W = HoloPoly.monomial(1, (1,))
 
 
+def _I(model, u, r, resolution=128, method="closed"):
+    """I at the single radius r, read from a profile."""
+    config = FrequencyConfig(resolution=resolution, method=method)
+    return frequency_profile(model, u, 1.0, [r], config).I.item()
+
+
 def test_I_closed_forms():
     for r in (1.0, 2.0, 7.5):
-        assert math.isclose(I_of_r(G1, Z, r), 2.0 * math.pi * r * r, rel_tol=1e-13)
-        assert math.isclose(I_of_r(G1, HoloPoly(1, {(0,): 1.0}), r), 2.0 * math.pi, rel_tol=1e-13)
+        assert math.isclose(_I(G1, Z, r), 2.0 * math.pi * r * r, rel_tol=1e-13)
+        assert math.isclose(_I(G1, HoloPoly(1, {(0,): 1.0}), r), 2.0 * math.pi, rel_tol=1e-13)
     for k in (1, 2, 3):
         for r in (4.5, 6.0, 10.0):
             rho = math.sqrt(r * r - 4.0)
             expected = 16.0 * math.pi**2 * rho ** (2 * k + 2) / r**4
-            assert math.isclose(I_of_r(CYL, HoloPoly.monomial(1, (k,)), r), expected, rel_tol=1e-12)
+            assert math.isclose(_I(CYL, HoloPoly.monomial(1, (k,)), r), expected, rel_tol=1e-12)
 
 
 def test_I_quadrature_matches_closed():
     u = HoloPoly(2, {(2, 1): 1.0 - 0.5j, (1, 0): 2.0, (0, 0): -1.0})
     for r in (2.0, 6.0):
-        closed = I_of_r(G2, u, r, method="closed")
-        quad = I_of_r(G2, u, r, 128, method="quadrature")
+        closed = _I(G2, u, r, method="closed")
+        quad = _I(G2, u, r, 128, method="quadrature")
         assert math.isclose(closed, quad, rel_tol=1e-12)
 
 
 def test_D_closed_forms():
     for r in (1.0, 2.0, 5.0):
-        rec = D_of_r(G1, Z, r)
-        assert math.isclose(rec.bulk, 2.0 * math.pi * r * r, rel_tol=1e-13)
-        assert math.isclose(rec.boundary, rec.bulk, rel_tol=1e-13)
-    rec = D_of_r(G1, HoloPoly(1, {(0,): 2.0}), 3.0)
-    assert rec.bulk == 0.0 and rec.boundary == 0.0
+        rec = D_of_r(G1, Z, [r])
+        assert math.isclose(rec.bulk.item(), 2.0 * math.pi * r * r, rel_tol=1e-13)
+        assert math.isclose(rec.boundary.item(), rec.bulk.item(), rel_tol=1e-13)
+    rec = D_of_r(G1, HoloPoly(1, {(0,): 2.0}), [3.0])
+    assert rec.bulk.item() == 0.0 and rec.boundary.item() == 0.0
 
 
 @pytest.mark.parametrize("model", [G1, G2, CYL])
@@ -73,8 +77,8 @@ def test_D_bulk_boundary_gap_quadrature(model):
         {(1,) + (0,) * (model.flat_m - 1): 1.0, (2,) + (0,) * (model.flat_m - 1): -0.5j},
     )
     for r in (4.5, 10.0):
-        rec = D_of_r(model, u, r, 256, method="quadrature")
-        assert abs(rec.bulk - rec.boundary) <= 1e-6 * abs(rec.bulk)
+        rec = D_of_r(model, u, [r], 256, method="quadrature")
+        assert abs(rec.bulk.item() - rec.boundary.item()) <= 1e-6 * abs(rec.bulk.item())
 
 
 def test_U_sharp_on_gaussian_monomials():
@@ -104,28 +108,29 @@ def test_U_cylinder_limit():
 
 
 def test_check_derivative_I_gaussian_exact():
-    assert check_derivative_I(G1, Z, 5.0) < 1e-10
+    assert check_derivative_I(G1, Z, [5.0]).item() < 1e-10
 
 
 def test_check_derivative_I_cylinder():
     for k in (1, 2, 3):
         u = HoloPoly.monomial(1, (k,))
         for r in (4.5, 6.0, 10.0, 20.0):
-            assert check_derivative_I(CYL, u, r) < 1e-5
+            assert check_derivative_I(CYL, u, [r]).item() < 1e-5
 
 
 def test_check_derivative_I_fourth_order():
     # h is large enough that the O(h^4) error stands above rounding at both steps
     u = HoloPoly.monomial(1, (2,))
-    res_h = check_derivative_I(CYL, u, 6.0, h=0.6)
-    res_h2 = check_derivative_I(CYL, u, 6.0, h=0.3)
+    res_h = check_derivative_I(CYL, u, [6.0], h=0.6).item()
+    res_h2 = check_derivative_I(CYL, u, [6.0], h=0.3).item()
     assert res_h / res_h2 > 12.0  # ratio ~16 for an O(h^4) difference; an O(h^2) one gives ~4
 
 
 def test_K_vanishes_on_one_flat_variable():
     # one complex variable: |grad u|^2 = 2 |du/dnu|^2 pointwise
-    assert abs(level_defect(G1, Z, 3.0, 0)) < 1e-12
-    assert abs(level_defect(CYL, HoloPoly(1, {(1,): 1.0, (3,): 2.0}), 6.0, 1, 256)) < 1e-7
+    assert abs(check_defect_recursion(G1, Z, 3.0).K[0]) < 1e-12
+    u = HoloPoly(1, {(1,): 1.0, (3,): 2.0})
+    assert abs(check_defect_recursion(CYL, u, 6.0, resolution=256).K[1]) < 1e-7
 
 
 def test_K_recursion_cylinder():
@@ -144,23 +149,23 @@ def test_K_recursion_gaussian_m2():
 
 def test_rho_mu_gaussian_exact():
     for d in (1, 2, 3, 4):
-        rec = rho_mu(G1, HoloPoly.monomial(1, (d,)), float(d), 5.0)
-        assert abs(rec.rho - d * d / 4.0) < 1e-8
+        rec = rho_mu(G1, HoloPoly.monomial(1, (d,)), float(d), [5.0])
+        assert abs(rec.rho.item() - d * d / 4.0) < 1e-8
         assert rec.passed
         assert rec.mu == mu_constant(d, G1.n)
 
 
 def test_rho_mu_constant_and_zero():
-    rec = rho_mu(G1, HoloPoly(1, {(0,): 3.0}), 1.0, 4.0)
-    assert rec.rho == 0.0 and rec.passed
+    rec = rho_mu(G1, HoloPoly(1, {(0,): 3.0}), 1.0, [4.0])
+    assert rec.rho.item() == 0.0 and rec.passed
     with pytest.raises(DomainError):
-        rho_mu(G1, HoloPoly.zero(1), 1.0, 4.0)
+        rho_mu(G1, HoloPoly.zero(1), 1.0, [4.0])
 
 
 def test_rho_mu_cylinder_margin():
-    rec = rho_mu(CYL, HoloPoly.monomial(1, (3,)), 3.0, 6.0)
+    rec = rho_mu(CYL, HoloPoly.monomial(1, (3,)), 3.0, [6.0])
     assert rec.passed
-    assert rec.mu / max(rec.rho, 1e-300) > 1e3
+    assert rec.mu / max(rec.rho.item(), 1e-300) > 1e3
 
 
 def test_profile_invariants_and_monotone_gaussian():
@@ -246,11 +251,18 @@ def test_config_validation():
     with pytest.raises(DomainError):
         FrequencyConfig(method="magic")
     # every public function that takes a method rejects a typo instead of running a route
-    for call in (I_of_r, D_of_r, i_prime_rhs, check_derivative_I):
+    for call in (D_of_r, check_derivative_I):
         with pytest.raises(DomainError, match="unknown evaluation method"):
-            call(G1, Z, 3.0, method="quadratur")
+            call(G1, Z, [3.0], method="quadratur")
     with pytest.raises(DomainError):
         FrequencyConfig(method="auto")
+
+
+def test_entry_points_refuse_a_bare_radius():
+    # a number is not a 1-D radius grid
+    for call in (partial(D_of_r, G1, Z), partial(check_derivative_I, G1, Z), partial(rho_mu, G1, Z, 1.0)):
+        with pytest.raises(ValueError):
+            call(3.0)
 
 
 def test_routes_stay_independent(monkeypatch):
@@ -262,15 +274,17 @@ def test_routes_stay_independent(monkeypatch):
 
     def run(method):
         config = quad if method == "quadrature" else FrequencyConfig()
-        rec = D_of_r(G2, u, 3.0, 64, method)
-        # one level and one ball rule over a grid, and the four-radius grid of the extrapolated difference
+        rec = D_of_r(G2, u, [3.0], 64, method)
+        # one level and one ball rule over a grid, and the five-radius grid of the extrapolated difference
         profile = frequency_profile(G2, u, 2.0, np.linspace(2.0, 9.0, 15), config)
-        check_derivative_I(G2, u, 4.5, resolution=64, method=method)
+        check_derivative_I(G2, u, [4.5], resolution=64, method=method)
+        rr = np.array([3.0])
+        level = frequency._rules(method, 64)[0](G2, rr)
         return [
-            I_of_r(G2, u, 3.0, 64, method),
-            rec.bulk,
-            rec.boundary,
-            i_prime_rhs(G2, u, 3.0, 64, method),
+            _I(G2, u, 3.0, 64, method),
+            *rec.bulk,
+            *rec.boundary,
+            *frequency._i_prime_rhs(G2, rr, level, frequency._SphereFields(u, level)),
             *frequency_profile(G2, u, 2.0, [2.0, 3.0], config).U,
             *profile.I,
             *profile.D,
@@ -280,7 +294,7 @@ def test_routes_stay_independent(monkeypatch):
         # the closed route reads no 1-D table of the collapsed coordinates
         patch.setattr(quadrature, "_collapsed_rule", crossed)
         closed = run("closed")
-        rho_mu(G2, u, 2.0, 3.0)
+        rho_mu(G2, u, 2.0, [3.0])
     with monkeypatch.context() as patch:
         # the quadrature route takes no closed-form moment
         patch.setattr(quadrature, "sphere_moment", crossed)
@@ -305,14 +319,27 @@ _GRID_MODELS = {
 @pytest.mark.parametrize("method", ["closed", "quadrature"])
 @pytest.mark.parametrize("name", sorted(_GRID_MODELS))
 def test_grid_profile_matches_one_radius_rules(name, method):
-    # one rule over 40 radii gives, at each radius, what a rule on that radius alone gives
+    # one rule over 40 radii gives, at each radius, what a rule on that radius alone gives, bit for bit
     model = _GRID_MODELS[name]
     u = _grid_poly(model.flat_m)
     radii = np.linspace(3.5, 40.0, 40)
-    profile = frequency_profile(model, u, 3.0, radii, FrequencyConfig(resolution=64, method=method))
-    for r, i_val, d_val in zip(radii, profile.I, profile.D):
-        assert math.isclose(i_val, I_of_r(model, u, r, 64, method), rel_tol=1e-13)
-        assert math.isclose(d_val, D_of_r(model, u, r, 64, method).bulk, rel_tol=1e-13)
+    config = FrequencyConfig(resolution=64, method=method)
+    profile = frequency_profile(model, u, 3.0, radii, config)
+    dirichlet = D_of_r(model, u, radii, 64, method)
+    derivative = check_derivative_I(model, u, radii, resolution=64, method=method)
+    assert derivative.shape == dirichlet.bulk.shape == dirichlet.boundary.shape == radii.shape
+    for i, r in enumerate(radii):
+        alone = frequency_profile(model, u, 3.0, [r], config)
+        assert (profile.I[i], profile.D[i]) == (alone.I.item(), alone.D.item())
+        rec = D_of_r(model, u, [r], 64, method)
+        assert (dirichlet.bulk[i], dirichlet.boundary[i]) == (rec.bulk.item(), rec.boundary.item())
+        assert derivative[i] == check_derivative_I(model, u, [r], resolution=64, method=method).item()
+    if method == "closed":  # rho_mu has the closed route only
+        ratios = rho_mu(model, u, 3.0, radii)
+        assert ratios.rho.shape == radii.shape
+        assert ratios.passed
+        for i, r in enumerate(radii):
+            assert ratios.rho[i] == rho_mu(model, u, 3.0, [r]).rho.item()
 
 
 @pytest.mark.parametrize("method", ["closed", "quadrature"])
@@ -345,13 +372,13 @@ def test_I_cylinder_quadrature_matches_closed():
     # compact-factor folding: the quadrature route reproduces the closed form
     u = HoloPoly(1, {(1,): 1.0, (2,): -0.5, (0,): 2.0j})
     for r in (4.5, 9.0):
-        closed = I_of_r(CYL, u, r, method="closed")
-        quad_val = I_of_r(CYL, u, r, 128, method="quadrature")
+        closed = _I(CYL, u, r, method="closed")
+        quad_val = _I(CYL, u, r, 128, method="quadrature")
         assert math.isclose(closed, quad_val, rel_tol=1e-12)
-        rec_c = D_of_r(CYL, u, r, method="closed")
-        rec_q = D_of_r(CYL, u, r, 128, method="quadrature")
-        assert math.isclose(rec_c.bulk, rec_q.bulk, rel_tol=1e-12)
-        assert math.isclose(rec_c.boundary, rec_q.boundary, rel_tol=1e-12)
+        rec_c = D_of_r(CYL, u, [r], method="closed")
+        rec_q = D_of_r(CYL, u, [r], 128, method="quadrature")
+        assert math.isclose(rec_c.bulk.item(), rec_q.bulk.item(), rel_tol=1e-12)
+        assert math.isclose(rec_c.boundary.item(), rec_q.boundary.item(), rel_tol=1e-12)
 
 
 def test_eta_segments_compose():
@@ -405,7 +432,7 @@ def test_energy_derivative_identity(model):
         for r in (6.0, 10.0):
             h = 1e-4 * r
             diff = (
-                D_of_r(model, u, r + h).bulk - D_of_r(model, u, r - h).bulk
+                D_of_r(model, u, [r + h]).bulk.item() - D_of_r(model, u, [r - h]).bulk.item()
             ) / (2.0 * h)
             rhs = _d_prime_rhs(model, u, r)
             assert abs(diff - rhs) / (1.0 + abs(rhs)) < 1e-6

@@ -333,3 +333,11 @@ def test_tridiagonal_refuses_non_finite_entry(which, index):
         entries[index] = bad
         with pytest.raises(NumericError, match=f"^{which} entry {index} is {bad}, not finite"):
             tridiagonal_eigenvalues(diag, off, 2)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_thomas_factor_refuses_nan_off_diagonal_entry(index):
+    diag, off = np.full(4, 4.0), np.full(3, 1.0)
+    off[index] = np.nan
+    with pytest.raises(NumericError, match=f"^off-diagonal entry {index} is nan, not finite"):
+        thomas_factor(diag, off)

@@ -16,18 +16,22 @@ from shrinker_lab.quadrature import (
     ball_quadrature,
     level_set_moments,
     level_set_quadrature,
-    raw_level_area,
     require_rule_work,
     shell_quadrature,
     sphere_moment,
-    unit_ball_volume,
-    unit_sphere_area,
     verify_volume_identity,
-    volume_area,
     weighted_space_quadrature,
 )
 
-from brute_force import evaluate, expand, simplex
+from brute_force import (
+    evaluate,
+    expand,
+    raw_level_area,
+    simplex,
+    unit_ball_volume,
+    unit_sphere_area,
+    volume_area,
+)
 
 
 def _total(rule):
