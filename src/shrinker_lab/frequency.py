@@ -50,6 +50,7 @@ from .quadrature import (
     ball_quadrature,
     level_set_moments,
     level_set_quadrature,
+    radius_grid,
     shell_quadrature,
 )
 
@@ -257,7 +258,7 @@ def frequency_profile(
 ) -> FrequencyProfile:
     """Evaluate I, D, U, eta and the monotone combination on a radius grid."""
     config = config or FrequencyConfig()
-    rr = np.asarray(radii, dtype=float)
+    rr = radius_grid(radii)
     if np.any(np.diff(rr) <= 0):
         raise DomainError("profile radii must be strictly increasing")
     mu = mu_constant(d, model.n)
@@ -320,7 +321,7 @@ def check_derivative_I(
     rule holds r -+ h, r -+ h/2 and r itself, so the difference and the
     formula read the same rule and the same sphere sums.
     """
-    rr = np.asarray(radii, dtype=float)
+    rr = radius_grid(radii)
     h = 1e-3 * rr if h is None else h
     grid = np.concatenate([rr - h, rr - 0.5 * h, rr + 0.5 * h, rr + h, rr])
     level = _rules(method, resolution)[0](model, grid)
@@ -441,7 +442,7 @@ def calibrate_constants(model: ModelShrinker, u: HoloPoly, d: float, pre_grid) -
     config = FrequencyConfig()
     mu = mu_constant(d, model.n)
     sig = config.sigma_eff
-    rr = np.asarray(pre_grid, dtype=float)
+    rr = radius_grid(pre_grid)
     h = 1e-5 * rr
     # one pass over the three shifted grids shares one set of sphere sums
     grids = np.concatenate([rr, rr + h, rr - h])

@@ -22,6 +22,7 @@ odd blocks and runs each Sturm and Newton pass on half the rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +52,18 @@ def discretize(X: float, N: int, shift: float = 0.0) -> DiscretizedOperator:
         raise NumericError(f"truncation radius X must be positive and finite, got {X!r}")
     if N < 16:
         raise NumericError(f"grid size N={N} is too small (need N >= 16)")
+    h = 2.0 * X / N
+    # The extreme entries, from X and N alone: the mass h w(x) runs from the
+    # outermost interior node |x| = X (N - 2) / N up to h, the stiffness up to
+    # 2/h, and no diagonal entry exceeds (2/h) over the least mass.
+    edge = X * (N - 2) / N
+    least_mass = h * math.exp(-0.25 * edge * edge)
+    if not (least_mass >= sys.float_info.min and 2.0 / h / least_mass < math.inf):
+        raise NumericError(
+            f"truncation radius X={X!r} puts the operator's entries past the float range at N={N}"
+        )
     # X (2i - N) / N: node N - i is the exact negative of node i
     x = X * np.arange(-N, N + 1, 2, dtype=float) / N
-    h = 2.0 * X / N
     w_mid = flat_weight(0.5 * (x[:-1] + x[1:]))
     w_node = flat_weight(x)
     # interior nodes x_1 .. x_{N-1}

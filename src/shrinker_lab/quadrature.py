@@ -64,7 +64,13 @@ a ball.  It reads no 1-D table and no n_phi, and ProductRule never calls
 sphere_moment nor divides by d + 2m.
 
 Every rule is float64; only the volume identity sums its masses in decimal.
-Each rule builder first checks its size against RULE_WORK_LIMIT.
+Each rule builder first checks its size against RULE_WORK_LIMIT.  The float64
+Gauss-Legendre tables, built once per order, come from Newton's method in
+theta, x = cos(theta), on the cosine series of P_n(cos theta), whose
+coefficients are positive (Swarztrauber, SIAM J. Sci. Comput. 24, 2002):
+each step is a few vectorized products over the nodes with x >= 0, and the
+other half is their mirror image.  The decimal tables refine them by Newton's
+method in x on the three-term recurrence.
 """
 
 from __future__ import annotations
@@ -92,6 +98,7 @@ __all__ = [
     "level_set_moments",
     "ball_moments",
     "sphere_moment",
+    "radius_grid",
     "require_rule_work",
     "verify_volume_identity",
 ]
@@ -125,35 +132,52 @@ def sphere_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
 RULE_WORK_LIMIT = 1_000_000
 
 
-def _legendre_newton(x: np.ndarray, n: int, tol) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1] by Newton's method from the guesses x.
-
-    The three-term recurrence runs alike on float64 and on Decimal object
-    arrays; the iteration stops after the first step of at most tol (cf. Hale
-    & Townsend, SIAM J. Sci. Comput. 35, 2013).
-    """
-
-    def legendre(x):
-        p_prev, p = np.ones_like(x), x
-        for k in range(1, n):
-            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-        return p, n * (x * p - p_prev) / (x * x - 1)
-
-    for _ in range(100):
-        p, dp = legendre(x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step), initial=0) <= tol:  # a 0-point table is empty
-            break
-    _, dp = legendre(x)
-    return x, 2 / ((1 - x * x) * dp * dp)
-
-
 @lru_cache(maxsize=None)
 def _gl_reference(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1] in float64, from cos(pi (k - 1/4) / (n + 1/2))."""
-    k = np.arange(n, 0, -1)
-    return _legendre_newton(np.cos(math.pi * (k - 0.25) / (n + 0.5)), n, 4 * np.finfo(float).eps)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] in float64, by Newton's method in theta.
+
+    With x = cos(theta), P_n(cos theta) = sum_m g_m g_{n-m} cos((n - 2m) theta)
+    with g_m = C(2m, m) / 4^m; the terms m and n - m share a frequency, so
+    the series has floor(n/2) + 1 positive coefficients (Swarztrauber, SIAM J.
+    Sci. Comput. 24, 2002).  Newton's method runs on the ceil(n/2) nodes with
+    x >= 0 from theta_k = pi (k - 1/4) / (n + 1/2), and stops after the first
+    step of at most 4 unit roundoffs; each step takes one cos and one sin of
+    the (nodes x frequencies) phase matrix, in one buffer.  A rounded phase
+    k theta would be off by up to n roundoffs, so the phases are formed from
+    theta cut to 52 - n.bit_length() bits, where every product is exact, and
+    the cut-off rest of theta enters to first order.  The weights are
+    2 / (dP_n/dtheta)^2, free of the cancellation in 1 - x^2 near +-1.  The
+    lower half mirrors the upper, so the table is symmetric bit for bit and
+    the centre node of an odd order is 0.
+    """
+    k = np.arange(1, n + 1)
+    g = np.cumprod(np.concatenate([[1.0], (2 * k - 1) / (2 * k)]))
+    m = np.arange(n // 2 + 1)
+    coef = 2 * g[m] * g[n - m]
+    if n % 2 == 0:
+        coef[-1] /= 2  # frequency 0 is a single term
+    freq = (n - 2 * m).astype(float)
+    sin_coefs = freq * coef
+    cos2_coefs = freq * sin_coefs
+    bits = 52 - n.bit_length()
+    theta = math.pi * (np.arange((n + 1) // 2, 0, -1) - 0.25) / (n + 0.5)
+    phase = np.empty((len(theta), len(freq)))
+    for _ in range(100):
+        head = np.ldexp(np.round(np.ldexp(theta, bits)), -bits)
+        tail = theta - head
+        # P_n, -P_n' and -P_n'' at head give P_n and -P_n' at head + tail to first order in tail
+        np.cos(np.multiply.outer(head, freq, out=phase), out=phase)
+        p, curvature = phase @ coef, phase @ cos2_coefs
+        slope = np.sin(np.multiply.outer(head, freq, out=phase), out=phase) @ sin_coefs
+        dp = slope + tail * curvature
+        step = (p - tail * slope) / dp
+        theta = theta + step
+        if np.max(np.abs(step), initial=0) <= 4 * np.finfo(float).eps:  # a 0-point table is empty
+            break
+    x, w = np.cos(theta), 2 / (dp * dp)
+    if n % 2:
+        x[0] = 0.0
+    return np.concatenate([-x[::-1][: n // 2], x]), np.concatenate([w[::-1][: n // 2], w])
 
 
 def _gl(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,8 +215,9 @@ def require_rule_work(m: int, resolution: int) -> None:
 
     The work is the n_u^(m-1) nodes of the level rule's simplex grid, the
     largest of any rule's (counted, though no rule builds it), plus n^2 for
-    the largest Gauss-Legendre order n = max(64, resolution): each Newton
-    step runs the n-term recurrence on n nodes.
+    the largest Gauss-Legendre order n = max(64, resolution), which bounds
+    the theta-Newton phase matrix of ceil(n/2) nodes by floor(n/2) + 1
+    frequencies that each step takes the cos and the sin of.
     """
     n_u, _ = _level_counts(m, resolution)
     work = n_u ** (m - 1) + max(64, resolution) ** 2
@@ -308,12 +333,17 @@ def _product_rule(rho, radii, radial_weights, power: int, m: int, n_u: int, n_ph
                        nodes=nodes, weights=weights, m=m, n_phi=n_phi)
 
 
-def _flat_grid(model: ModelShrinker, radii) -> np.ndarray:
-    """Flat radii (R,) of a 1-D grid of level radii; one regularity check covers the grid."""
+def radius_grid(radii) -> np.ndarray:
+    """radii as a float array (R,); ValueError unless it is a 1-D grid."""
     rr = np.asarray(radii, dtype=float)
     if rr.ndim != 1:
         raise ValueError(f"radii must be a 1-D grid, got shape {rr.shape}")
-    return model.flat_radius(rr)
+    return rr
+
+
+def _flat_grid(model: ModelShrinker, radii) -> np.ndarray:
+    """Flat radii (R,) of a 1-D grid of level radii; one regularity check covers the grid."""
+    return model.flat_radius(radius_grid(radii))
 
 
 def level_set_quadrature(model: ModelShrinker, radii, resolution: int) -> ProductRule:
@@ -440,14 +470,31 @@ _VOLUME_DIGITS = 42
 def _decimal_gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1] as Decimal object arrays at _VOLUME_DIGITS digits.
 
-    Newton's method refines the float64 table; it squares the seeds' error,
-    so a step below 1e-21 is the last.  The nodes are symmetric about 0, so
-    only the upper half (ascending) is refined.
+    Newton's method in x refines the float64 table, with P_n and its
+    derivative from the three-term recurrence, since Decimal has no
+    trigonometric functions (cf. Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013).  It squares the seeds' error, so a step below 1e-21 is the last.
+    The nodes are symmetric about 0, so only the upper half (ascending) is
+    refined.
     """
+
+    def legendre(x):
+        p_prev, p = np.ones_like(x), x
+        for k in range(1, n):
+            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        return p, n * (x * p - p_prev) / (x * x - 1)
+
     with decimal.localcontext() as context:
         context.prec = _VOLUME_DIGITS
-        seed = np.array([Decimal(v) for v in _gl_reference(n)[0][n // 2:]], dtype=object)
-        x, w = _legendre_newton(seed, n, Decimal("1e-21"))
+        x = np.array([Decimal(v) for v in _gl_reference(n)[0][n // 2:]], dtype=object)
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x = x - step
+            if np.max(np.abs(step), initial=0) <= Decimal("1e-21"):  # a 0-point table is empty
+                break
+        _, dp = legendre(x)
+        w = 2 / ((1 - x * x) * dp * dp)
         # negation rounds to the context's digits too
         return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
 

@@ -260,8 +260,14 @@ def test_config_validation():
 
 def test_entry_points_refuse_a_bare_radius():
     # a number is not a 1-D radius grid
-    for call in (partial(D_of_r, G1, Z), partial(check_derivative_I, G1, Z), partial(rho_mu, G1, Z, 1.0)):
-        with pytest.raises(ValueError):
+    for call in (
+        partial(D_of_r, G1, Z),
+        partial(check_derivative_I, G1, Z),
+        partial(rho_mu, G1, Z, 1.0),
+        partial(frequency_profile, G1, Z, 1.0),
+        partial(calibrate_constants, G1, Z, 1.0),
+    ):
+        with pytest.raises(ValueError, match="1-D grid"):
             call(3.0)
 
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
+import warnings
+
 import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab import eigensolve
+from shrinker_lab import eigensolve, oracle1d
 from shrinker_lab.eigensolve import thomas_factor, thomas_substitute, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
 from shrinker_lab.oracle1d import discretize, oracle_spectrum_1d
@@ -316,13 +319,34 @@ def test_discretize_refuses_non_finite_radius(X):
         discretize(X, 100)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_tiny_radius_is_refused_before_any_pass(monkeypatch):
-    # X = 1e-300 overflows the operator's entries to inf, which no pass may see
+    # X = 1e-300 would overflow the operator's entries to inf, which no pass may see
     monkeypatch.setattr(eigensolve, "_sturm_count", None)
     monkeypatch.setattr(eigensolve, "_newton_pass", None)
-    with pytest.raises(NumericError, match="^diagonal entry 0 is inf, not finite"):
+    with pytest.raises(NumericError, match="^truncation radius X=1e-300 "):
         oracle_spectrum_1d(X=1e-300, N=100, k_eigs=3)
+
+
+@pytest.mark.parametrize("X", [1e-300, 1e3, 1e200])
+def test_extreme_radius_is_refused_before_any_array(monkeypatch, X):
+    # 1/h^2 overflows at 1e-300; the edge weights underflow to 0 at 1e3 and X^2 overflows at 1e200
+    def no_weights(x):
+        raise AssertionError("discretize evaluated the weight on a grid")
+
+    monkeypatch.setattr(oracle1d, "flat_weight", no_weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^truncation radius X={re.escape(repr(X))} "):
+            discretize(X, 100)
+
+
+def test_largest_accepted_radius_builds_finite_entries():
+    # the scalar bound refuses only where an entry would leave the normal float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, N in ((53.0, 800), (50.0, 3200), (1e-150, 16)):
+            op = discretize(X, N)
+            assert np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.off)) and np.all(op.off != 0)
 
 
 @pytest.mark.parametrize("which,index", [("diagonal", 0), ("diagonal", 3), ("off-diagonal", 1)])

@@ -228,3 +228,48 @@ def test_over_budget_rules_are_refused_before_any_table(monkeypatch):
                 build(model, res)
     # the largest rules verify-all builds: m = 5 at resolution 256
     require_rule_work(5, 256)
+
+
+def _largest_resolution():
+    """The largest resolution require_rule_work accepts: m = 1, whose simplex grid is one node."""
+    resolution = 1
+    while True:
+        try:
+            require_rule_work(1, resolution + 1)
+        except NumericError:
+            return resolution
+        resolution += 1
+
+
+def _table_orders():
+    """Gauss-Legendre orders 0-16, 32, 64, 128, 256 and the ball's radial order at the largest resolution."""
+    return [*range(17), 32, 64, 128, 256, quadrature._ball_counts(1, _largest_resolution())[0]]
+
+
+def test_gauss_legendre_tables_are_symmetric_and_exact():
+    # the weighted-space rule builds the largest order of all
+    n_weighted = len(weighted_space_quadrature(gaussian(1), _largest_resolution()).radii)
+    for n in [*_table_orders(), n_weighted]:
+        x, w = quadrature._gl_reference(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+        # the lower half mirrors the upper bit for bit
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        if n % 2:
+            assert x[n // 2] == 0.0 and not np.signbit(x[n // 2])
+        # exact for x^(2k) up to degree 2n - 2
+        k = np.arange(n)
+        moments = w @ x[:, None] ** (2 * k)
+        np.testing.assert_allclose(moments, 2 / (2 * k + 1), rtol=2e-14, atol=0)
+
+
+def test_gauss_legendre_tables_match_the_decimal_refinement():
+    # _decimal_gl refines the table by Newton's method in x on the three-term recurrence,
+    # a route independent of the Fourier series of P_n; compare the halves with x >= 0
+    for n in _table_orders():
+        x, w = quadrature._gl_reference(n)
+        x_dec, w_dec = quadrature._decimal_gl(n)
+        upper = (n + 1) // 2
+        x_dec, w_dec = x_dec[n - upper:].astype(float), w_dec[n - upper:].astype(float)
+        assert np.max(np.abs(x[n // 2:] - x_dec), initial=0) <= 1e-15
+        np.testing.assert_allclose(w[n // 2:], w_dec, rtol=1e-12, atol=0)
