@@ -3,8 +3,8 @@ form counting and the verify-all harness.
 
 Configuration may come from flags or from a JSON document (--config); flags
 win on conflict.  Reports are JSON on stdout or at --out; frequency profiles
-default to CSV.  Exit codes: 0 success, 1 check failure, 2 usage or
-configuration error.
+default to CSV.  Exit codes: 0 success, 1 check failure or a closed stdout,
+2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -496,12 +497,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except ShrinkerLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the interpreter's
+        # final flush does not fail again, and exit 1 as on any EPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

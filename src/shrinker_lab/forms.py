@@ -242,10 +242,10 @@ def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCa
     """Complete (p,0)-form spectrum of the model up to lambda_max.
 
     Multiplicities count complex dimensions of eigenspaces.  The lines are the
-    t^p coefficient of the generating catalog (see the spectrum module), so
-    p = 0 gives the scalar catalog.  Raises NumericError, before any line is
-    built, when its work exceeds the catalogs' work limit or lambda_max is not
-    finite.
+    t^p coefficient of the Kunneth generating function (see the spectrum
+    module), so p = 0 gives the scalar catalog.  Raises NumericError, before
+    any row is built, when its work exceeds the catalogs' work limit or
+    lambda_max is not finite.
     """
     if p < 0 or p > model.m:
         raise DomainError(f"form degree p={p} outside 0..{model.m}")

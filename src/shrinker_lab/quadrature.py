@@ -474,8 +474,9 @@ def _decimal_gl(n: int) -> tuple[np.ndarray, np.ndarray]:
     derivative from the three-term recurrence, since Decimal has no
     trigonometric functions (cf. Hale & Townsend, SIAM J. Sci. Comput. 35,
     2013).  It squares the seeds' error, so a step below 1e-21 is the last.
-    The nodes are symmetric about 0, so only the upper half (ascending) is
-    refined.
+    The nodes are symmetric about 0, so only the upper half is refined and
+    the lower half mirrors it; nodes and weights are ascending in x, like
+    `_gl_reference`.
     """
 
     def legendre(x):
@@ -496,7 +497,7 @@ def _decimal_gl(n: int) -> tuple[np.ndarray, np.ndarray]:
         _, dp = legendre(x)
         w = 2 / ((1 - x * x) * dp * dp)
         # negation rounds to the context's digits too
-        return np.concatenate([-x[n % 2:], x]), np.concatenate([w[n % 2:], w])
+        return np.concatenate([-x[::-1][: n // 2], x]), np.concatenate([w[::-1][: n // 2], w])
 
 
 def verify_volume_identity(

@@ -1,19 +1,24 @@
 """Analytic spectra of the drift Laplacian and of the weighted Hodge Laplacian on (p,0)-forms.
 
-Eigenvalues are exact half-integers on every catalog model, so they are kept
-as fractions internally and only converted to floats at the reporting
-boundary.  Multiplicities are real multiplicities of real eigenfunctions:
-the degree-k Hermite stratum of a flat factor R^{2m} counts C(2m+k-1, 2m-1)
-and the sphere factor counts 2l+1 spherical harmonics at l(l+1)/2.
+Every catalog eigenvalue is a half-integer, so a catalog is one row of
+integer multiplicities indexed by k = 2 lambda; eigenvalues become fractions
+k/2 only in the returned lines and floats only at the reporting boundary.
+Multiplicities are real multiplicities of real eigenfunctions: the degree-k
+Hermite stratum of a flat factor R^{2m} counts C(2m+k-1, 2m-1) at k/2 and a
+sphere factor counts 2l+1 spherical harmonics at l(l+1)/2.
 
-Every catalog is one coefficient of a single generating catalog, with the form
-degree as a generating variable t (the Kunneth formula).  The flat factor C^m
-contributes sum_q t^q ((q/2, C(m, q)) * flat lines), since the weighted Hodge
-Laplacian acts on u dz^I as the scalar operator shifted by q/2, and each
-sphere factor multiplies that by (scalar lines + t (1,0) lines), its (1,0)
-eigenforms sharing the lines l >= 1 of the nonconstant spherical harmonics.
-The scalar catalog is the t^0 coefficient and the (p,0)-form catalog the t^p
-coefficient.
+Every catalog is one coefficient of a single generating function in x (for
+2 lambda) and the form degree t (the Kunneth formula).  On the flat factor C^m
+and s sphere factors it is
+
+    (1 + t x)^m (1 - x)^(-2m) (theta(x) + t (theta(x) - 1))^s,
+    theta(x) = sum_l (2l + 1) x^(l(l+1)),
+
+since the weighted Hodge Laplacian acts on u dz^I as the scalar operator
+shifted by |I|/2, and a sphere factor's (1,0) eigenforms share the lines
+l >= 1 of its nonconstant spherical harmonics.  The scalar catalog is the t^0
+coefficient and the (p,0)-form catalog the t^p coefficient, truncated at
+x^K with K = floor(2 (lambda_max + eps)).
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from .models import ModelShrinker
 
 _EPS = 1e-9
 
-# Bound on the lines built plus the line pairs convolved for one catalog, as
-# `_catalog_work` counts them for every form degree.  Building a catalog at the
-# bound takes under 1 s on a 2-core VM: 100,000 flat lines take 0.45 s, and the
-# cylinder's 94,000 units up to lambda = 1000 take 0.64 s.  Every horizon
-# verify-all uses (lambda <= 3) needs fewer than 40.  The cylinder's (1,0)
-# catalog at its largest accepted horizon, about 651, takes 0.63 s.
+# Bound on the terms `_catalog_work` counts for one catalog: the flat row's
+# entries plus the multiply-adds of every sphere convolution.  On a 2-core VM
+# the cylinder's catalog at the bound (lambda = 1384, 99,972 terms) builds in
+# about 0.01 s, and gaussian(1)'s (100,000 flat entries) in about 0.25 s, nearly
+# all of it spent making and checking its 100,000 Fraction lines.  Every
+# horizon verify-all uses (lambda <= 3) needs fewer than 100.
 CATALOG_WORK_LIMIT = 100_000
 
 
@@ -41,14 +46,9 @@ CATALOG_WORK_LIMIT = 100_000
 class SpectralLine:
     eigenvalue: Fraction
     multiplicity: int
-    generator_label: str
 
     def to_dict(self) -> dict:
-        return {
-            "eigenvalue": float(self.eigenvalue),
-            "multiplicity": self.multiplicity,
-            "label": self.generator_label,
-        }
+        return {"eigenvalue": float(self.eigenvalue), "multiplicity": self.multiplicity}
 
 
 @dataclass(frozen=True)
@@ -80,109 +80,65 @@ class SpectrumCatalog:
         }
 
 
-def _flat_lines(two_m: int, lambda_max: float) -> list[tuple[Fraction, int, str]]:
-    out = []
-    k = 0
-    while k / 2 <= lambda_max + _EPS:
-        out.append((Fraction(k, 2), math.comb(two_m + k - 1, two_m - 1), f"Hermite degree {k}"))
-        k += 1
-    return out
-
-
-def _sphere_lines(lambda_max: float) -> list[tuple[Fraction, int, str]]:
-    out = []
-    ell = 0
-    while ell * (ell + 1) / 2 <= lambda_max + _EPS:
-        out.append((Fraction(ell * (ell + 1), 2), 2 * ell + 1, f"spherical harmonic l={ell}"))
-        ell += 1
-    return out
-
-
-def _convolve(
-    a: list[tuple[Fraction, int, str]],
-    b: list[tuple[Fraction, int, str]],
-    lambda_max: float,
-) -> list[tuple[Fraction, int, str]]:
-    acc: dict[Fraction, tuple[int, list[str]]] = {}
-    for ev_a, mult_a, lab_a in a:
-        for ev_b, mult_b, lab_b in b:
-            ev = ev_a + ev_b
-            if float(ev) > lambda_max + _EPS:
-                continue
-            label = lab_b if lab_a == "" else (lab_a if lab_b == "" else f"{lab_a} * {lab_b}")
-            mult, labels = acc.get(ev, (0, []))
-            acc[ev] = (mult + mult_a * mult_b, labels + [label])
-    return [(ev, mult, "; ".join(labels)) for ev, (mult, labels) in sorted(acc.items())]
-
-
-def _window(model: ModelShrinker, p: int, done: int) -> range:
-    """Form degrees that can still reach t^p once `done` of the sphere factors are multiplied in."""
-    return range(max(0, p - model.sphere_factors + done), min(p, model.flat_m + done) + 1)
-
-
 def _catalog_work(model: ModelShrinker, lambda_max: float, p: int = 0) -> float:
-    """Upper bound on the lines built and line pairs convolved for the t^p catalog up to lambda_max.
+    """Terms `_catalog` builds for the t^p catalog up to lambda_max; inf when 2 lambda_max is not finite.
 
-    The flat factor has floor(2 lambda) + 1 lines, each convolved once with the
-    frame line of every degree q >= 1 in its window.  A sphere factor has one
-    line per l with l(l+1)/2 <= lambda, fewer than sqrt(2 lambda) + 1; for
-    p >= 1 it also has (1,0) lines, l >= 1, at most sqrt(2 lambda + 1/4) - 1/2
-    of them and none below lambda = 1.  Every eigenvalue is a half-integer and
-    a degree-q block starts at q/2, so it has at most floor(2 lambda) + 1 - q
-    lines; a convolution visits the product of its inputs' sizes and a merge,
-    made only when both blocks are non-empty, the sum of theirs.
+    The flat row has K + 1 entries.  Each sphere factor convolves one row of
+    K + 1 entries with theta per kept degree, and its term x^(l(l+1)) touches
+    K + 1 - l(l+1) of them; summed over l = 0..L, with L(L+1) <= K, that is
+    (L + 1)(K + 1) - L(L + 1)(L + 2)/3.  After `done` sphere factors the
+    kept degrees are those that can still reach t^p, p - s + done..p, within
+    the m + done that exist.
     """
-    steps = 2.0 * (lambda_max + _EPS)
-    lines, sphere = steps + 1.0, math.sqrt(max(steps, 0.0)) + 1.0
-    one = math.sqrt(steps + 0.25) - 0.5 if p and steps >= 2.0 else 0.0
-    blocks = {q: max(lines - q, 0.0) for q in _window(model, p, 0)}
-    work = lines * (1 + sum(1 for q in blocks if q))
-    for _ in range(model.sphere_factors):
-        work += sphere + one
-    for done in range(1, model.sphere_factors + 1):
-        for q in _window(model, p, done):
-            a, b = blocks.get(q, 0.0), blocks.get(q - 1, 0.0)
-            work += a * sphere + b * one + (a + b if a and b and one else 0.0)
-        blocks = {q: max(lines - q, 0.0) for q in _window(model, p, done)}
-    return work
+    steps = 2 * (lambda_max + _EPS)
+    if not math.isfinite(steps):
+        return math.inf
+    top = math.floor(steps)
+    if top < 0:
+        return 0
+    last = (math.isqrt(4 * top + 1) - 1) // 2
+    per_degree = (last + 1) * (top + 1) - last * (last + 1) * (last + 2) // 3
+    m, s = model.flat_m, model.sphere_factors
+    kept = sum(min(p, m + done) - max(0, p - s + done) + 1 for done in range(1, s + 1))
+    return top + 1 + kept * per_degree
 
 
 def _catalog(model: ModelShrinker, lambda_max: float, p: int = 0) -> SpectrumCatalog:
-    """The t^p coefficient of the generating catalog, complete up to lambda_max.
+    """The t^p coefficient of the generating function, complete up to lambda_max.
 
-    Only the degrees that can still reach t^p are kept, so the scalar catalog
-    (p = 0) convolves the flat lines with each sphere factor's lines and nothing
-    else.  Raises NumericError, before any line is built, when `_catalog_work`
-    exceeds CATALOG_WORK_LIMIT or lambda_max is not finite.
+    Row q holds the multiplicities of form degree q at k = 0..K.  A sphere
+    factor maps rows (a, b) of degrees (q, q - 1) to theta a + (theta - 1) b
+    = theta (a + b) - b.  Raises NumericError, before any row is built, when
+    `_catalog_work` exceeds CATALOG_WORK_LIMIT or lambda_max is not finite.
     """
     work = _catalog_work(model, lambda_max, p)
     if not work <= CATALOG_WORK_LIMIT:
+        count = f"{work:,}" if work < 10**15 else f"more than {10**15:,}"
         raise NumericError(
-            f"catalog up to lambda_max={lambda_max:g} needs about {work:.3g} lines and pairs, "
-            f"over the limit of {CATALOG_WORK_LIMIT:,}"
+            f"catalog up to lambda_max={lambda_max:g} needs {count} terms, over the limit of {CATALOG_WORK_LIMIT:,}"
         )
-    m = model.flat_m
-    flat = _flat_lines(2 * m, lambda_max)
-    blocks = {
-        q: _convolve([(Fraction(q, 2), math.comb(m, q), f"dz^({q} of {m})")], flat, lambda_max) if q else flat
-        for q in _window(model, p, 0)
+    size = max(math.floor(2 * (lambda_max + _EPS)) + 1, 0)
+    m, s = model.flat_m, model.sphere_factors
+    flat = [math.comb(2 * m + k - 1, 2 * m - 1) for k in range(size)]
+    # only the degrees that can still reach t^p are kept
+    rows = {
+        q: ([0] * q + [math.comb(m, q) * c for c in flat])[:size]
+        for q in range(max(0, p - s), min(p, m) + 1)
     }
-    for done in range(1, model.sphere_factors + 1):
-        scalar = _sphere_lines(lambda_max)
-        one = [
-            (ev, mult, f"sphere (1,0) eigenform l={ell}")
-            for ell, (ev, mult, _) in enumerate(scalar[1:] if p else [], start=1)
-        ]
+    theta = [(ell * (ell + 1), 2 * ell + 1) for ell in range(math.isqrt(size) + 1) if ell * (ell + 1) < size]
+    for done in range(1, s + 1):
         merged = {}
-        for q in _window(model, p, done):
-            a = _convolve(blocks.get(q, []), scalar, lambda_max)
-            b = _convolve(blocks.get(q - 1, []), one, lambda_max)
-            # convolving with the unit line merges the two blocks' equal eigenvalues
-            merged[q] = _convolve(a + b, [(Fraction(0), 1, "")], lambda_max) if a and b else a or b
-        blocks = merged
+        for q in range(max(0, p - s + done), min(p, m + done) + 1):
+            a, b = rows.get(q), rows.get(q - 1)
+            base = [x + y for x, y in zip(a, b)] if a and b else a or b
+            out = [0] * size
+            for shift, mult in theta:
+                out[shift:] = [o + mult * c for o, c in zip(out[shift:], base)]
+            merged[q] = [o - c for o, c in zip(out, b)] if b else out
+        rows = merged
     return SpectrumCatalog(
         model=model,
-        lines=tuple(SpectralLine(ev, mult, label) for ev, mult, label in blocks.get(p, [])),
+        lines=tuple(SpectralLine(Fraction(k, 2), mult) for k, mult in enumerate(rows.get(p, [])) if mult),
         lambda_max=float(lambda_max),
     )
 
@@ -190,7 +146,7 @@ def _catalog(model: ModelShrinker, lambda_max: float, p: int = 0) -> SpectrumCat
 def analytic_spectrum(model: ModelShrinker, lambda_max: float) -> SpectrumCatalog:
     """Complete catalog of drift-Laplacian eigenvalues up to lambda_max: the t^0 coefficient.
 
-    Raises NumericError, before any line is built, when `_catalog_work`
+    Raises NumericError, before any row is built, when `_catalog_work`
     exceeds CATALOG_WORK_LIMIT or lambda_max is not finite.
     """
     if lambda_max < 0:

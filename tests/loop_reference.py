@@ -27,9 +27,11 @@ level by level off a remainder that it rebuilds after each one.  It and the
 constructor, which validates the keys again, as the package's arithmetic
 did before its results skipped that step; the tests require equal terms.
 
-The package builds form spectra by convolving the scalar lines of the
-spectrum module; `form_spectrum` below keeps the separate (p,0) line
-generators and the merge loop they replaced.
+The package reads every spectral catalog off one integer row per form
+degree, a truncated product of the Kunneth generating function.  The
+reference below keeps the earlier route, which it shares no code with: lines
+of fractional eigenvalues from one generator per factor, convolved pair by
+pair in a dict, and the separate (p,0) line generators and their merge loop.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from shrinker_lab.holopoly import EigenDecomposition, HoloPoly
 from shrinker_lab.oracle1d import discretize
-from shrinker_lab.spectrum import _convolve, _flat_lines, _sphere_lines, analytic_spectrum
+from shrinker_lab.spectrum import analytic_spectrum
 
 _EPS = 1e-9
 
@@ -389,6 +391,37 @@ def decompose_by_catalog_walk(model, u, d, tol=1e-12):
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
 
+def _flat_lines(two_m, lambda_max):
+    """Hermite lines (k/2, C(2m + k - 1, 2m - 1)) of the flat factor R^{2m}."""
+    out = []
+    k = 0
+    while k / 2 <= lambda_max + _EPS:
+        out.append((Fraction(k, 2), math.comb(two_m + k - 1, two_m - 1)))
+        k += 1
+    return out
+
+
+def _sphere_lines(lambda_max):
+    """Spherical-harmonic lines (l(l+1)/2, 2l + 1) of one sphere factor."""
+    out = []
+    ell = 0
+    while ell * (ell + 1) / 2 <= lambda_max + _EPS:
+        out.append((Fraction(ell * (ell + 1), 2), 2 * ell + 1))
+        ell += 1
+    return out
+
+
+def _convolve(a, b, lambda_max):
+    """Lines of the product of two factors: eigenvalues add, multiplicities multiply."""
+    acc = {}
+    for ev_a, mult_a in a:
+        for ev_b, mult_b in b:
+            ev = ev_a + ev_b
+            if float(ev) <= lambda_max + _EPS:
+                acc[ev] = acc.get(ev, 0) + mult_a * mult_b
+    return sorted(acc.items())
+
+
 def _flat_form_lines(two_m, p, lambda_max):
     m = two_m // 2
     if p > m:
@@ -396,23 +429,13 @@ def _flat_form_lines(two_m, p, lambda_max):
     out = []
     k = 0
     while (k + p) / 2 <= lambda_max + _EPS:
-        mult = math.comb(m, p) * math.comb(two_m + k - 1, two_m - 1)
-        out.append((Fraction(k + p, 2), mult, f"degree {k} coefficients on dz^({p} of {m})"))
+        out.append((Fraction(k + p, 2), math.comb(m, p) * math.comb(two_m + k - 1, two_m - 1)))
         k += 1
     return out
 
 
-def _sphere_one_form_lines(lambda_max):
-    out = []
-    ell = 1
-    while ell * (ell + 1) / 2 <= lambda_max + _EPS:
-        out.append((Fraction(ell * (ell + 1), 2), 2 * ell + 1, f"sphere (1,0) eigenform l={ell}"))
-        ell += 1
-    return out
-
-
 def form_spectrum(model, p, lambda_max):
-    """(p,0)-form lines (eigenvalue, multiplicity, label) from their own generators.
+    """(p,0)-form lines (eigenvalue, multiplicity) from their own generators.
 
     Flat lines come from the closed multiplicity C(m, p) C(2m + k - 1, 2m - 1)
     at (k + p)/2; the cylinder's p = 1 lines merge its two blocks in a loop.
@@ -422,15 +445,37 @@ def form_spectrum(model, p, lambda_max):
     flat_scalar = _flat_lines(2, lambda_max)
     sphere_scalar = _sphere_lines(lambda_max)
     flat_one = _flat_form_lines(2, 1, lambda_max)
-    sphere_one = _sphere_one_form_lines(lambda_max)
+    sphere_one = sphere_scalar[1:]  # the (1,0) eigenforms share the lines l >= 1
     if p == 0:
         return _convolve(sphere_scalar, flat_scalar, lambda_max)
     if p == 2:
         return _convolve(sphere_one, flat_one, lambda_max)
     merged = {}
-    for ev, mult, label in _convolve(sphere_one, flat_scalar, lambda_max) + _convolve(
-        sphere_scalar, flat_one, lambda_max
-    ):
-        got = merged.get(ev, (0, []))
-        merged[ev] = (got[0] + mult, got[1] + [label])
-    return [(ev, mult, "; ".join(labels)) for ev, (mult, labels) in sorted(merged.items())]
+    for ev, mult in _convolve(sphere_one, flat_scalar, lambda_max) + _convolve(sphere_scalar, flat_one, lambda_max):
+        merged[ev] = merged.get(ev, 0) + mult
+    return sorted(merged.items())
+
+
+def catalog_terms(model, lambda_max, p=0):
+    """Terms of the t^p catalog's truncated Kunneth product, counted one sphere convolution at a time.
+
+    The flat row has K + 1 entries.  After each sphere factor a degree q is
+    kept when it comes from a kept degree by adding 0 or 1 and the factors
+    left can still carry it to p; each kept degree convolves a row of K + 1
+    entries with theta, whose term x^(l(l+1)) touches the K + 1 - l(l+1)
+    entries from l(l+1) on.
+    """
+    top = math.floor(2 * (lambda_max + _EPS))
+    if top < 0:
+        return 0
+    m, s = model.flat_m, model.sphere_factors
+    terms = top + 1
+    degrees = {q for q in range(m + 1) if q <= p <= q + s}
+    for done in range(1, s + 1):
+        degrees = {q + c for q in degrees for c in (0, 1) if q + c <= p <= q + c + s - done}
+        for _ in degrees:
+            ell = 0
+            while ell * (ell + 1) <= top:
+                terms += len(range(ell * (ell + 1), top + 1))
+                ell += 1
+    return terms

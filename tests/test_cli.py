@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import subprocess
+import sys
 import time
 
 import pytest
@@ -47,6 +49,19 @@ def test_spectrum_command(capsys):
     data = json.loads(capsys.readouterr().out)
     lines = [(l["eigenvalue"], l["multiplicity"]) for l in data["lines"]]
     assert lines == [(0.0, 1), (0.5, 2), (1.0, 3)]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 4 MB of JSON, far more than a pipe buffer: the reader closes after one line
+    argv = ["spectrum", "--model", "gaussian", "--m", "1", "--lambda-max", "20000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "shrinker_lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
 def test_dimension_command(capsys):

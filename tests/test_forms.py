@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import loop_reference as ref
@@ -201,20 +203,23 @@ def test_kernel_guard_refuses_before_enumerating(monkeypatch):
 
 
 def test_form_spectrum_guard_refuses_before_building(monkeypatch):
-    def no_lines(*args):
-        raise AssertionError("a line was built")
+    def no_rows(*args):
+        raise AssertionError("a row was built")
 
-    for name in ("_flat_lines", "_sphere_lines", "_convolve"):
-        monkeypatch.setattr(spectrum, name, no_lines)
-    # the cylinder's scalar catalog up to 2000 is about 2.6e5 lines and pairs
+    # every catalog row starts from the flat multiplicities C(2m + k - 1, 2m - 1)
+    monkeypatch.setattr(spectrum.math, "comb", no_rows)
+    # the cylinder's (1,0) catalog up to 2000 is 172,736 terms
     with pytest.raises(NumericError, match="lambda_max=2000"):
         form_spectrum(cylinder(), 1, 2000.0)
-    # its scalar catalog up to 1000 passes (about 9.4e4), but the form path's two
-    # blocks and their merge are about 1.9e5
-    with pytest.raises(NumericError, match="lambda_max=1000"):
-        form_spectrum(cylinder(), 1, 1000.0)
+    # up to 1400 it is 101,646, just over the limit
+    with pytest.raises(NumericError, match="lambda_max=1400"):
+        form_spectrum(cylinder(), 1, 1400.0)
     with pytest.raises(NumericError):
         form_spectrum(G2, 1, math.inf)
+    monkeypatch.undo()
+    # up to 1000 it is 61,686 terms and builds
+    assert spectrum._catalog_work(cylinder(), 1000.0, 1) == 61_686
+    assert form_spectrum(cylinder(), 1, 1000.0).lines[-1].eigenvalue == 1000
 
 
 @pytest.mark.parametrize(
@@ -222,29 +227,13 @@ def test_form_spectrum_guard_refuses_before_building(monkeypatch):
     [G1, G3, cylinder(), product([cylinder(), cylinder()])],
     ids=["gaussian_m1", "gaussian_m3", "cylinder", "cylinder_x_cylinder"],
 )
-def test_form_work_bounds_the_built_work(model, monkeypatch):
-    built = 0
-
-    def counted(fn, size):
-        def wrapper(*args):
-            nonlocal built
-            out = fn(*args)
-            built += size(args, out)
-            return out
-
-        return wrapper
-
-    for name in ("_flat_lines", "_sphere_lines"):
-        monkeypatch.setattr(spectrum, name, counted(getattr(spectrum, name), lambda args, out: len(out)))
-    monkeypatch.setattr(
-        spectrum, "_convolve", counted(spectrum._convolve, lambda args, out: len(args[0]) * len(args[1]))
-    )
+def test_form_work_bounds_the_built_work(model):
+    # the guard is the build's exact term count for every p
     for lambda_max in (0.0, 0.5, 1.0, 2.9, 10.25, 40.0):
         for p in range(model.m + 1):
-            built = 0
-            form_spectrum(model, p, lambda_max)
-            # the bound holds for every p and is reached within a factor 2
-            assert built <= spectrum._catalog_work(model, lambda_max, p) <= 2.0 * built + 4.0, (p, lambda_max)
+            assert spectrum._catalog_work(model, lambda_max, p) == ref.catalog_terms(model, lambda_max, p), (p, lambda_max)
+    # the flat row and three sphere convolutions of (1 + 3 x^2) on 6 entries
+    assert spectrum._catalog_work(product([cylinder(), cylinder(), G2]), 2.9, 5) == 36
 
 
 def test_integer_rank_basics():
@@ -279,7 +268,7 @@ def test_form_spectrum_matches_line_generators(model):
         for k in range(25):
             lam = k / 4
             got = [(l.eigenvalue, l.multiplicity) for l in form_spectrum(model, p, lam).lines]
-            want = [(ev, mult) for ev, mult, _ in ref.form_spectrum(model, p, lam)]
+            want = ref.form_spectrum(model, p, lam)
             assert got == want, (p, lam)
 
 
@@ -333,6 +322,54 @@ def test_form_count_on_products(model):
     for p in range(model.flat_m + 1):
         for mu in range(5):
             assert form_count_check(model, p, mu).passed, (p, mu)
+
+
+def _enumerated_lines(model, top):
+    """{(form degree, 2 lambda): multiplicity} for 2 lambda <= top, one eigenform family at a time.
+
+    A family is a flat Hermite degree k, a dz-subset size q, one l per sphere
+    factor and the sphere factors that carry their (1,0) form, which needs
+    l >= 1.  Its eigenvalue is (k + q + sum l(l+1))/2 and its multiplicity
+    C(2m + k - 1, 2m - 1) C(m, q) prod(2l + 1).
+    """
+    m, s = model.flat_m, model.sphere_factors
+    ells = [ell for ell in range(top + 1) if ell * (ell + 1) <= top]
+    lines = {}
+    for k in range(top + 1):
+        for q in range(m + 1):
+            for ls in itertools.product(ells, repeat=s):
+                two_ev = k + q + sum(ell * (ell + 1) for ell in ls)
+                if two_ev > top:
+                    continue
+                mult = math.comb(2 * m + k - 1, 2 * m - 1) * math.comb(m, q) * math.prod(2 * ell + 1 for ell in ls)
+                for carry in itertools.product((0, 1), repeat=s):
+                    if all(ell or not c for ell, c in zip(ls, carry)):
+                        key = (q + sum(carry), two_ev)
+                        lines[key] = lines.get(key, 0) + mult
+    return lines
+
+
+_BRUTE_PRODUCTS = {
+    "cylinder_x_cylinder": product([cylinder(), cylinder()]),
+    "cylinder_x_cylinder_x_gaussian_m2": product([cylinder(), cylinder(), G2]),
+    "cylinder_cubed": product([cylinder(), cylinder(), cylinder()]),
+}
+
+
+@pytest.mark.parametrize("model", _BRUTE_PRODUCTS.values(), ids=_BRUTE_PRODUCTS.keys())
+def test_product_form_spectrum_matches_eigenform_enumeration(model):
+    # every p and lambda_max = 0, 0.25, ..., 6, line by line
+    enumerated = _enumerated_lines(model, 12)
+    for p in range(model.m + 1):
+        for k in range(25):
+            lam = k / 4
+            got = [(l.eigenvalue, l.multiplicity) for l in form_spectrum(model, p, lam).lines]
+            want = [
+                (Fraction(two_ev, 2), mult)
+                for (deg, two_ev), mult in sorted(enumerated.items())
+                if deg == p and two_ev <= 2 * lam
+            ]
+            assert got == want, (p, lam)
 
 
 @pytest.mark.parametrize("model", _PRODUCTS.values(), ids=_PRODUCTS.keys())

@@ -265,11 +265,11 @@ def test_gauss_legendre_tables_are_symmetric_and_exact():
 
 def test_gauss_legendre_tables_match_the_decimal_refinement():
     # _decimal_gl refines the table by Newton's method in x on the three-term recurrence,
-    # a route independent of the Fourier series of P_n; compare the halves with x >= 0
+    # a route independent of the Fourier series of P_n; both tables are ascending
     for n in _table_orders():
         x, w = quadrature._gl_reference(n)
         x_dec, w_dec = quadrature._decimal_gl(n)
-        upper = (n + 1) // 2
-        x_dec, w_dec = x_dec[n - upper:].astype(float), w_dec[n - upper:].astype(float)
-        assert np.max(np.abs(x[n // 2:] - x_dec), initial=0) <= 1e-15
-        np.testing.assert_allclose(w[n // 2:], w_dec, rtol=1e-12, atol=0)
+        x_dec, w_dec = x_dec.astype(float), w_dec.astype(float)
+        assert np.all(np.diff(x_dec) > 0)
+        assert np.max(np.abs(x - x_dec), initial=0) <= 1e-15
+        np.testing.assert_allclose(w, w_dec, rtol=1e-12, atol=0)

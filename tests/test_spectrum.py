@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import loop_reference as ref
 from shrinker_lab import spectrum
 from shrinker_lab.errors import CompletenessError, DomainError, NumericError
 from shrinker_lab.oracle1d import oracle_spectrum_1d
@@ -82,24 +83,21 @@ _GUARD_MODELS = {
 }
 
 
-def _built_work(model, lambda_max):
-    """Lines built plus line pairs convolved, counted on the catalog's own factors."""
-    parts = [spectrum._flat_lines(2 * model.flat_m, lambda_max)] if model.flat_m else []
-    parts += [spectrum._sphere_lines(lambda_max) for _ in range(model.sphere_factors)]
-    work, lines = sum(len(part) for part in parts), parts[0]
-    for more in parts[1:]:
-        work += len(lines) * len(more)
-        lines = spectrum._convolve(lines, more, lambda_max)
-    return work
-
-
 @pytest.mark.parametrize("model", _GUARD_MODELS.values(), ids=_GUARD_MODELS.keys())
 def test_catalog_work_bounds_the_built_work(model):
-    for lambda_max in (0.0, 0.5, 1.0, 2.9, 3.0, 10.25, 40.0):
-        built = _built_work(model, lambda_max)
-        assert built <= _catalog_work(model, lambda_max) <= 2.0 * built + 4.0
+    # the guard is the build's exact term count
+    for lambda_max in (-1.0, 0.0, 0.5, 1.0, 2.9, 3.0, 10.25, 40.0):
+        assert _catalog_work(model, lambda_max) == ref.catalog_terms(model, lambda_max)
     # every horizon verify-all uses is far inside the limit
     assert _catalog_work(model, 3.0) < CATALOG_WORK_LIMIT / 1000
+
+
+def _no_row(monkeypatch):
+    # every catalog row starts from the flat multiplicities C(2m + k - 1, 2m - 1)
+    def refuse(*args):
+        raise AssertionError("a row was built past the guard")
+
+    monkeypatch.setattr(spectrum.math, "comb", refuse)
 
 
 @pytest.mark.parametrize(
@@ -112,14 +110,12 @@ def test_catalog_work_bounds_the_built_work(model):
         (product([cylinder(), cylinder()]), 1e3),
         (gaussian(1), math.inf),
         (gaussian(1), math.nan),
+        (gaussian(1), 1e300),
+        (cylinder(), 1e308),  # 2 lambda_max overflows
     ],
 )
 def test_oversized_catalog_is_refused_before_any_line(model, lambda_max, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a line was built past the guard")
-
-    for name in ("_flat_lines", "_sphere_lines", "_convolve"):
-        monkeypatch.setattr(spectrum, name, refuse)
+    _no_row(monkeypatch)
     with pytest.raises(NumericError, match="over the limit"):
         analytic_spectrum(model, lambda_max)
     with pytest.raises(NumericError, match="over the limit"):
@@ -127,13 +123,14 @@ def test_oversized_catalog_is_refused_before_any_line(model, lambda_max, monkeyp
 
 
 def test_catalog_just_inside_the_limit_passes_the_guard(monkeypatch):
-    lambda_max = (CATALOG_WORK_LIMIT - 2) / 2.0  # CATALOG_WORK_LIMIT - 1 flat lines
-    built = []
-    monkeypatch.setattr(spectrum, "_flat_lines", lambda two_m, lam: built.append(lam) or [])
-    analytic_spectrum(gaussian(1), lambda_max)
-    assert built == [lambda_max]
+    lambda_max = (CATALOG_WORK_LIMIT - 1) / 2.0  # CATALOG_WORK_LIMIT flat entries
+    assert _catalog_work(gaussian(1), lambda_max) == CATALOG_WORK_LIMIT
+    lines = analytic_spectrum(gaussian(1), lambda_max).lines
+    assert len(lines) == CATALOG_WORK_LIMIT
+    assert (lines[-1].eigenvalue, lines[-1].multiplicity) == (lambda_max, CATALOG_WORK_LIMIT)
+    _no_row(monkeypatch)
     with pytest.raises(NumericError):
-        analytic_spectrum(gaussian(1), lambda_max + 1.0)
+        analytic_spectrum(gaussian(1), lambda_max + 0.5)
 
 
 def test_dimension_bound_examples():
@@ -182,5 +179,5 @@ def test_oracle_convolution_matches_flat_r2_spectrum():
 def test_catalog_serialization():
     cat = analytic_spectrum(cylinder(), 1.5)
     data = cat.to_dict()
-    assert data["lines"][0] == {"eigenvalue": 0.0, "multiplicity": 1, "label": data["lines"][0]["label"]}
+    assert data["lines"][0] == {"eigenvalue": 0.0, "multiplicity": 1}
     assert all(a["eigenvalue"] < b["eigenvalue"] for a, b in zip(data["lines"], data["lines"][1:]))
