@@ -18,7 +18,6 @@ from .holopoly import (
     lie_derivative_nabla_f,
 )
 from .spectrum import (
-    SpectralLine,
     SpectrumCatalog,
     DimensionBoundResult,
     analytic_spectrum,

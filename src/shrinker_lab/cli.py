@@ -384,8 +384,8 @@ def _cmd_forms(args) -> int:
     payload = {"model": model.to_dict(), "p": p, "mu": mu, "ricci_norm": norm}
     if p >= 1:
         try:
-            payload["kernel_dim"] = forms.kernel_dimension(model, p, int(mu))
-            payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, int(mu)).to_dict()
+            payload["kernel_dim"] = forms.kernel_dimension(model, p, math.floor(mu))
+            payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, math.floor(mu)).to_dict()
         except NumericError as exc:  # the kernel size guard, raised before any block is built
             raise ConfigError(f"--m, --p and --mu (config /m, /p, /mu) are too large: {exc}") from exc
     rec_a = forms.form_count_check(model, p, mu, norm=norm)

@@ -241,7 +241,7 @@ def kernel_dimension(model: ModelShrinker, p: int, mu: int) -> int:
 def form_spectrum(model: ModelShrinker, p: int, lambda_max: float) -> SpectrumCatalog:
     """Complete (p,0)-form spectrum of the model up to lambda_max.
 
-    Multiplicities count complex dimensions of eigenspaces.  The lines are the
+    Multiplicities count complex dimensions of eigenspaces.  The row is the
     t^p coefficient of the Kunneth generating function (see the spectrum
     module), so p = 0 gives the scalar catalog.  Raises NumericError, before
     any row is built, when its work exceeds the catalogs' work limit or

@@ -101,21 +101,21 @@ def _z1_power(model: ModelShrinker, k: int) -> HoloPoly:
 
 
 def _catalog(model: ModelShrinker) -> float:
-    # line by line against the closed form, indexed by twice the eigenvalue: the flat
-    # lines (k/2, C(2m+k-1, 2m-1)) convolved with (l(l+1)/2, 2l+1) once per sphere factor
+    # the row against the closed form, entry k the multiplicity of k/2: the flat entries
+    # C(2m+k-1, 2m-1) convolved with 2l+1 at k = l(l+1) once per sphere factor, through l = 3
     n = 2 * model.flat_m
-    expected = [math.comb(n + k - 1, n - 1) for k in range(7)]
+    expected = [math.comb(n + k - 1, n - 1) for k in range(13)]
     for _ in range(model.sphere_factors):
         expected = [
-            sum(expected[k - ell * (ell + 1)] * (2 * ell + 1) for ell in range(3) if ell * (ell + 1) <= k)
-            for k in range(7)
+            sum(expected[k - ell * (ell + 1)] * (2 * ell + 1) for ell in range(4) if ell * (ell + 1) <= k)
+            for k in range(13)
         ]
-    got = [(2 * line.eigenvalue, line.multiplicity) for line in spectrum.analytic_spectrum(model, 3.0).lines]
-    return float(got != list(enumerate(expected)))
+    return float(spectrum.analytic_spectrum(model, 6.0).multiplicities != tuple(expected))
 
 
 def _first_eigenvalue(model: ModelShrinker) -> float:
-    return 0.5 - float(spectrum.analytic_spectrum(model, 2.0).first_nonzero().eigenvalue)
+    row = spectrum.analytic_spectrum(model, 2.0).multiplicities
+    return 0.5 - next(k for k in range(1, len(row)) if row[k]) / 2
 
 
 def _dimension_bound(model: ModelShrinker) -> float:
@@ -361,7 +361,7 @@ def _form_count() -> float:
 def _forms_sharpness() -> float:
     rec = forms.form_count_check(gaussian(1), 1, 0)
     cat = forms.form_spectrum(gaussian(1), 1, rec.horizon)
-    top = max(float(line.eigenvalue) for line in cat.lines)
+    top = max(k for k, mult in enumerate(cat.multiplicities) if mult) / 2
     return float(not (rec.passed and abs(top - rec.horizon) < 1e-12 and rec.dim == rec.count))
 
 

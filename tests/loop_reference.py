@@ -299,7 +299,7 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
     level does not converge within `max_iter` steps.
     """
     catalog = analytic_spectrum(model, d / 2.0)
-    levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
+    levels = sorted((k / 2 for k, mult in enumerate(catalog.multiplicities) if mult), reverse=True)
     parts = {}
     remainder = u
     scale = max(u.coeff_norm(), 1.0)
@@ -366,7 +366,7 @@ def decompose_by_catalog_walk(model, u, d, tol=1e-12):
     the part; the walk stops once the remainder is at or below that bound.
     """
     catalog = analytic_spectrum(model, d / 2.0)
-    levels = sorted((float(line.eigenvalue) for line in catalog.lines), reverse=True)
+    levels = sorted((k / 2 for k, mult in enumerate(catalog.multiplicities) if mult), reverse=True)
     parts = {}
     remainder = u
     scale = max(u.coeff_norm(), 1.0)

@@ -163,6 +163,18 @@ def test_forms_command(capsys):
     assert data["reduction_ledger"]["dim_forms"] == 12
 
 
+def test_forms_ledger_floors_a_negative_growth(capsys):
+    # growth -0.5 admits no form: the ledger is the one at -1, not the one at 0
+    reports = []
+    for mu in ("-0.5", "-1"):
+        assert main(["forms", "--model", "gaussian", "--m", "2", "--p", "1", "--mu", mu]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    half, whole = reports
+    assert half["reduction_ledger"]["dim_forms"] == half["dim_forms"] == 0
+    assert half["reduction_ledger"] == whole["reduction_ledger"]
+    assert half["kernel_dim"] == whole["kernel_dim"]
+
+
 def test_forms_command_beyond_the_whole_matrix(capsys):
     # the whole contraction matrix here is 1288 x 1260; its blocks are at most 4 x 6
     code = main(["forms", "--model", "gaussian", "--m", "4", "--p", "2", "--mu", "6"])

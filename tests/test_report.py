@@ -90,6 +90,22 @@ def test_catalog_row_passes_on_two_sphere_factors():
         assert result.status == "pass" and result.margin == 0.0, result
 
 
+def test_catalog_row_sees_the_l3_sphere_line(monkeypatch):
+    # one more harmonic at l = 3, where l(l+1)/2 = 6: entry k = 12 of the cylinder's row
+    build = report.spectrum.analytic_spectrum
+
+    def bumped(model, lambda_max):
+        cat = build(model, lambda_max)
+        row = list(cat.multiplicities)
+        if model == cylinder() and len(row) > 12:
+            row[12] += 1
+        return dataclasses.replace(cat, multiplicities=tuple(row))
+
+    monkeypatch.setattr(report.spectrum, "analytic_spectrum", bumped)
+    rep = report.verify_all([cylinder()])
+    assert [c.name for c in rep.checks if c.status != "pass"] == ["spectrum.catalog.cylinder"]
+
+
 def test_roundtrip_polynomials_match_a_per_draw_enumeration():
     # the monomials are enumerated once per model; the draws and their order stay those
     # of an enumeration per draw, so the row tests the same 100 polynomials

@@ -21,7 +21,7 @@ from shrinker_lab.spectrum import (
 
 
 def _lines(catalog):
-    return [(float(l.eigenvalue), l.multiplicity) for l in catalog.lines]
+    return [(line["eigenvalue"], line["multiplicity"]) for line in catalog.to_dict()["lines"]]
 
 
 def test_gaussian_r2_catalog():
@@ -32,9 +32,9 @@ def test_gaussian_r2_catalog():
 def test_gaussian_first_nonzero_multiplicity():
     for m in (1, 2, 3):
         cat = analytic_spectrum(gaussian(m), 1.0)
-        line = cat.first_nonzero()
-        assert float(line.eigenvalue) == 0.5
-        assert line.multiplicity == 2 * m
+        k, mult = next((k, mult) for k, mult in enumerate(cat.multiplicities) if k and mult)
+        assert k / 2 == 0.5
+        assert mult == 2 * m
 
 
 def test_cylinder_catalog_convolution():
@@ -47,11 +47,11 @@ def test_product_counts_match_brute_convolution():
     cat = analytic_spectrum(combo, 2.0)
     flat = analytic_spectrum(gaussian(2), 2.0)  # flat factors merge
     total = 0
-    for line in flat.lines:
+    for k, mult in enumerate(flat.multiplicities):
         for ell in range(3):
-            ev = float(line.eigenvalue) + ell * (ell + 1) / 2
+            ev = k / 2 + ell * (ell + 1) / 2
             if ev <= 2.0 + 1e-9:
-                total += line.multiplicity * (2 * ell + 1)
+                total += mult * (2 * ell + 1)
     assert count_eigenvalues(cat, 0.0, 2.0) == total
 
 
@@ -61,6 +61,27 @@ def test_count_examples():
     assert count_eigenvalues(cat, 0.5, 1.0) == 14  # 4 + 10
     cyl = analytic_spectrum(cylinder(), 0.5)
     assert count_eigenvalues(cyl, 0.5, 0.5) == 2
+
+
+_COUNT_MODELS = {
+    "gaussian_m1": gaussian(1),
+    "gaussian_m2": gaussian(2),
+    "cylinder": cylinder(),
+    "cylinder_x_gaussian": product([cylinder(), gaussian(1)]),
+}
+_ENDS = [k / 4 for k in range(-8, 13)]  # -2, -1.75, ..., 3
+
+
+@pytest.mark.parametrize("model", _COUNT_MODELS.values(), ids=_COUNT_MODELS.keys())
+def test_count_matches_the_summed_lines(model):
+    # every window [lo, hi] with ends on the quarter grid, negative and empty ones included
+    horizon = 3.0
+    cat = analytic_spectrum(model, horizon)
+    lines = _lines(cat)
+    for lo in _ENDS:
+        for hi in _ENDS:
+            want = sum(mult for ev, mult in lines if lo <= ev <= hi)
+            assert count_eigenvalues(cat, lo, hi) == want, (lo, hi)
 
 
 def test_count_completeness_guard():
@@ -125,9 +146,9 @@ def test_oversized_catalog_is_refused_before_any_line(model, lambda_max, monkeyp
 def test_catalog_just_inside_the_limit_passes_the_guard(monkeypatch):
     lambda_max = (CATALOG_WORK_LIMIT - 1) / 2.0  # CATALOG_WORK_LIMIT flat entries
     assert _catalog_work(gaussian(1), lambda_max) == CATALOG_WORK_LIMIT
-    lines = analytic_spectrum(gaussian(1), lambda_max).lines
+    lines = _lines(analytic_spectrum(gaussian(1), lambda_max))
     assert len(lines) == CATALOG_WORK_LIMIT
-    assert (lines[-1].eigenvalue, lines[-1].multiplicity) == (lambda_max, CATALOG_WORK_LIMIT)
+    assert lines[-1] == (lambda_max, CATALOG_WORK_LIMIT)
     _no_row(monkeypatch)
     with pytest.raises(NumericError):
         analytic_spectrum(gaussian(1), lambda_max + 0.5)
@@ -172,8 +193,8 @@ def test_oracle_convolution_matches_flat_r2_spectrum():
         assert abs(s - key) < 1e-5
         counts[key] = counts.get(key, 0) + 1
     cat = analytic_spectrum(gaussian(1), 1.5)
-    for line in cat.lines:
-        assert counts[float(line.eigenvalue)] == line.multiplicity
+    for ev, mult in _lines(cat):
+        assert counts[ev] == mult
 
 
 def test_catalog_serialization():
