@@ -1,10 +1,14 @@
 """Command-line interface: spectra, dimensions, frequency profiles, heat flow,
 form counting and the verify-all harness.
 
-Configuration may come from flags or from a JSON document (--config); flags
-win on conflict.  Reports are JSON on stdout or at --out; frequency profiles
-default to CSV.  Exit codes: 0 success, 1 check failure or a closed stdout,
-2 usage or configuration error.
+Each subcommand's settings are declared once, in `_OPTIONS`.  A setting comes
+from its flag, else from its entry in the JSON document given by --config, else
+from its default.  Its config path is /<dest>, the flag's name with - spelled _
+(/lambda_max), except /grid/rmin, /grid/rmax, /grid/n and verify-all's
+/model_choice; --model's entry elsewhere is a /model descriptor.  Reports are
+JSON on stdout or at --out; frequency profiles default to CSV.  Exit codes: 0
+success, 1 check failure or a closed stdout, 2 usage or configuration error,
+named by its flag and config path.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import os
 import re
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +30,68 @@ from .errors import ConfigError, NumericError, ShrinkerLabError
 from .holopoly import HoloPoly
 from .models import ModelShrinker, cylinder, gaussian
 
-_MU_MAX = 708
-# radii of one frequency profile: 25,000 take about 0.4 s from the CLI on a 2-core VM,
-# most of it in writing the rows
-_GRID_MAX = 25_000
-_FORMATS = ("csv", "json")
-_RICCI_NORMS = ("operator", "tensor")
-_VERIFY_MODELS = ("gaussian", "cylinder", "both")
+_LOG_MAX = math.log(sys.float_info.max)
+_MODEL_KINDS = ("gaussian", "cylinder")
 _VAR_ALIASES = {"z": 0, "w": 0, "x": 0}
 _TOKEN = re.compile(r"(?P<num>\d+\.\d*|\.\d+|\d+)|(?P<var>[a-zA-Z]\d*)(?:\^(?P<pow>\d+))?|(?P<mul>\*)")
+_ABSENT = object()
+
+
+class _Opt(NamedTuple):
+    """One setting of a subcommand: its flag, its config path, its default and its check.
+
+    `kind` is count (an integer in lo..hi), real (a finite number up to hi),
+    positive, nonnegative, choice, bool, literal (a polynomial or form, parsed by
+    the subcommand) or model (a --model kind, or a /model descriptor).  A default
+    of ... marks a setting the subcommand needs; None, one it works out itself.
+    """
+
+    flag: str
+    path: str
+    default: object
+    kind: str
+    lo: int = 1
+    hi: float = math.inf
+    choices: tuple[str, ...] = ()
+
+
+# --m comes first: a gaussian model is built with it
+_M = _Opt("--m", "/m", 2, "count")
+_MODEL = {"m": _M, "model": _Opt("--model", "/model", None, "model", choices=_MODEL_KINDS)}
+_OPTIONS: dict[str, dict[str, _Opt]] = {
+    "spectrum": {**_MODEL, "lambda_max": _Opt("--lambda-max", "/lambda_max", 3.0, "nonnegative")},
+    "dimension": {**_MODEL, "d": _Opt("--d", "/d", 1.0, "nonnegative")},
+    "frequency": {
+        **_MODEL,
+        "poly": _Opt("--poly", "/poly", ..., "literal"),
+        # the growth order defaults to the degree of the polynomial
+        "d": _Opt("--d", "/d", None, "nonnegative"),
+        "rmin": _Opt("--rmin", "/grid/rmin", ..., "real"),
+        "rmax": _Opt("--rmax", "/grid/rmax", ..., "real"),
+        # 25,000 radii take about 0.4 s from the CLI on a 2-core VM, most of it in writing the rows
+        "n": _Opt("--n", "/grid/n", 64, "count", hi=25_000),
+        "sigma": _Opt("--sigma", "/sigma", 0.5, "positive"),
+        "epsilon": _Opt("--epsilon", "/epsilon", 0.01, "positive"),
+        "format": _Opt("--format", "/format", "csv", "choice", choices=("csv", "json")),
+    },
+    "heatflow": {
+        "initial": _Opt("--initial", "/initial", ..., "literal"),
+        "s": _Opt("--s", "/s", 1.0, "positive"),
+        "n_grid": _Opt("--n-grid", "/n_grid", 800, "count", lo=16, hi=fheat.HEAT_GRID_LIMIT),
+        "n_steps": _Opt("--n-steps", "/n_steps", 200, "count"),
+        "extrapolate": _Opt("--extrapolate", "/extrapolate", False, "bool"),
+    },
+    "forms": {
+        **_MODEL,
+        # at most the model's complex dimension, which the subcommand checks
+        "p": _Opt("--p", "/p", 1, "count", lo=0),
+        # keeps e^(1 + mu) in the reduction ledger below the largest double
+        "mu": _Opt("--mu", "/mu", 2.0, "real", hi=708),
+        "form": _Opt("--form", "/form", None, "literal"),
+        "ricci_norm": _Opt("--ricci-norm", "/ricci_norm", "operator", "choice", choices=("operator", "tensor")),
+    },
+    "verify-all": {"m": _M, "model": _Opt("--model", "/model_choice", "both", "choice", choices=(*_MODEL_KINDS, "both"))},
+}
 
 
 def parse_poly_string(text: str, m: int | None = None) -> HoloPoly:
@@ -87,85 +145,109 @@ def parse_poly_string(text: str, m: int | None = None) -> HoloPoly:
 
 
 def _read_poly(flag: str, src, m: int) -> HoloPoly:
-    """A polynomial from a flag or config entry: a literal string or a JSON object."""
+    """A polynomial in m variables from a flag or config entry: a literal string or a JSON object."""
     try:
-        if isinstance(src, dict):
-            return HoloPoly.from_json_dict(src)
-        return parse_poly_string(str(src), m)
+        u = HoloPoly.from_json_dict(src) if isinstance(src, dict) else parse_poly_string(str(src), m)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # ValueError covers malformed JSON, ConfigError and DomainError
         raise ConfigError(f"{flag} is not a valid polynomial ({type(exc).__name__}: {exc})") from exc
+    if u.m != m:
+        raise ConfigError(f"{flag} has {u.m} variables, expected {m}")
+    return u
 
 
-def _read_form(flag: str, src) -> forms.HoloForm:
-    """A form from a flag or config entry: a JSON string or a JSON object."""
+def _read_form(flag: str, src, m: int) -> forms.HoloForm:
+    """A form in m variables from a flag or config entry: a JSON string or a JSON object."""
     try:
-        return forms.HoloForm.from_json_dict(json.loads(src) if isinstance(src, str) else src)
+        omega = forms.HoloForm.from_json_dict(json.loads(src) if isinstance(src, str) else src)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         # ValueError covers malformed JSON, ConfigError and DomainError
         raise ConfigError(f"{flag} is not a valid form ({type(exc).__name__}: {exc})") from exc
+    if omega.m != m:
+        raise ConfigError(f"{flag} uses {omega.m} variables, model carries {m} flat variables")
+    return omega
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None):
     if not path:
         return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ConfigError(f"config root must be an object (/)")
-    return data
 
 
-def _resolve_model(args, config: dict) -> ModelShrinker:
-    if "model" in config and getattr(args, "model", None) is None:
-        spec_dict = config["model"]
-        if not isinstance(spec_dict, dict):
-            raise ConfigError("config entry /model must be an object")
-        try:
-            return ModelShrinker.from_dict(spec_dict)
-        except ConfigError as exc:
-            raise ConfigError(f"config entry /model: {exc}") from exc
-    kind = getattr(args, "model", None) or "gaussian"
-    if kind == "gaussian":
-        return gaussian(_resolve_m(args, config))
-    if kind == "cylinder":
-        return cylinder()
-    raise ConfigError(f"unknown model kind {kind!r} (use gaussian or cylinder)")
+def _config_entry(config, path: str):
+    """The config entry at `path`, or _ABSENT; the root and every parent on the path must be objects."""
+    node, keys = config, path[1:].split("/")
+    for depth, key in enumerate(keys, 1):
+        if not isinstance(node, dict):
+            raise ConfigError(f"config entry /{'/'.join(keys[:depth - 1])} must be an object, got {node!r}")
+        node = node.get(key, _ABSENT if depth == len(keys) else {})
+    return node
 
 
-def _resolve_m(args, config: dict) -> int:
-    m = args.m if getattr(args, "m", None) is not None else config.get("m", 2)
-    return _count("--m (config /m)", m)
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each setting of args.command from its flag, else its config entry, else its default, checked."""
+    config = _load_config(args.config)
+    m_flag = getattr(args, "m", None) is not None
+    for dest, opt in _OPTIONS[args.command].items():
+        flag, entry = getattr(args, dest), _config_entry(config, opt.path)
+        value = flag if flag is not None else entry
+        if opt.kind == "model":
+            value = _model(args, flag, value, m_flag)
+        elif value is not _ABSENT:
+            value = _check(_label(args, dest), opt, value)
+        elif opt.default is ...:
+            raise ConfigError(f"{args.command} needs {_label(args, dest)}")
+        else:
+            value = opt.default
+        setattr(args, dest, value)
 
 
-def _count(flag: str, value, minimum: int = 1) -> int:
-    """An integer option that must be at least `minimum`."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{flag} must be an integer >= {minimum}, got {value!r}")
+def _label(args: argparse.Namespace, dest: str) -> str:
+    """How errors name a setting: its flag and its config path."""
+    opt = _OPTIONS[args.command][dest]
+    return f"{opt.flag} (config {opt.path})"
+
+
+def _check(label: str, opt: _Opt, value):
+    if opt.kind == "count":
+        if isinstance(value, bool) or not isinstance(value, int) or value < opt.lo:
+            raise ConfigError(f"{label} must be an integer >= {opt.lo}, got {value!r}")
+        if value > opt.hi:
+            raise ConfigError(f"{label} must be at most {opt.hi:,}, got {value!r}")
+    elif opt.kind in ("real", "positive", "nonnegative"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(f"{label} must be a finite number, got {value!r}")
+        if opt.kind == "positive" and value <= 0:
+            raise ConfigError(f"{label} must be positive, got {value!r}")
+        if opt.kind == "nonnegative" and value < 0:
+            raise ConfigError(f"{label} must be >= 0, got {value!r}")
+        if value > opt.hi:
+            raise ConfigError(f"{label} must be at most {opt.hi}, got {value!r}")
+        return float(value)
+    elif opt.kind == "choice" and value not in opt.choices:
+        raise ConfigError(f"{label} must be one of {', '.join(opt.choices)}, got {value!r}")
+    elif opt.kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{label} must be true or false, got {value!r}")
     return value
 
 
-def _finite(flag: str, value, positive: bool = False, nonnegative: bool = False) -> float:
-    """A real option that must be finite, > 0 when `positive` and >= 0 when `nonnegative`."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{flag} must be a finite number, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{flag} must be positive, got {value!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{flag} must be >= 0, got {value!r}")
-    return float(value)
-
-
-def _choice(flag: str, value, choices: tuple[str, ...]) -> str:
-    """An option that must be one of `choices`, as its flag's argparse choices are."""
-    if value not in choices:
-        raise ConfigError(f"{flag} must be one of {', '.join(choices)}, got {value!r}")
-    return value
+def _model(args: argparse.Namespace, kind: str | None, descriptor, m_flag: bool) -> ModelShrinker:
+    """--model with --m; else the /model descriptor, a gaussian one taking --m; else gaussian."""
+    if kind is not None or descriptor is _ABSENT:
+        return cylinder() if kind == "cylinder" else gaussian(args.m)
+    path = _OPTIONS[args.command]["model"].path
+    if m_flag and (not isinstance(descriptor, dict) or descriptor.get("kind") != "gaussian"):
+        raise ConfigError(f"{_label(args, 'm')} applies to a gaussian config entry {path} only, got {descriptor!r}")
+    try:
+        return ModelShrinker.from_dict({**descriptor, "m": args.m} if m_flag else descriptor)
+    except ConfigError as exc:
+        raise ConfigError(f"config entry {path}: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -185,81 +267,53 @@ def _json_dump(payload: dict) -> str:
 # -- subcommand bodies -----------------------------------------------------------
 
 
-def _cmd_spectrum(args) -> int:
-    config = _load_config(args.config)
-    model = _resolve_model(args, config)
-    lam_max = args.lambda_max if args.lambda_max is not None else config.get("lambda_max", 3.0)
-    flag = "--lambda-max (config /lambda_max)"
-    lam_max = _finite(flag, lam_max, nonnegative=True)
+def _cmd_spectrum(args: argparse.Namespace) -> int:
     try:
-        catalog = spectrum.analytic_spectrum(model, lam_max)
+        catalog = spectrum.analytic_spectrum(args.model, args.lambda_max)
     except NumericError as exc:  # the catalog size guard, raised before any line is built
-        raise ConfigError(f"{flag} is too large: {exc}") from exc
+        raise ConfigError(f"{_label(args, 'lambda_max')} is too large: {exc}") from exc
     _emit(_json_dump(catalog.to_dict()), args.out)
     return 0
 
 
-def _cmd_dimension(args) -> int:
-    config = _load_config(args.config)
-    model = _resolve_model(args, config)
-    d = args.d if args.d is not None else config.get("d", 1.0)
-    flag = "--d (config /d)"
-    d = _finite(flag, d, nonnegative=True)
+def _cmd_dimension(args: argparse.Namespace) -> int:
     try:
-        rec = spectrum.dimension_bound_check(model, d)
+        rec = spectrum.dimension_bound_check(args.model, args.d)
     except NumericError as exc:  # the catalog size guard, raised before any line is built
-        raise ConfigError(f"{flag} is too large: {exc}") from exc
-    payload = {"model": model.to_dict(), "d": d, **rec.to_dict()}
+        raise ConfigError(f"{_label(args, 'd')} is too large: {exc}") from exc
+    payload = {"model": args.model.to_dict(), "d": args.d, **rec.to_dict()}
     _emit(_json_dump(payload), args.out)
     return 0 if rec.passed else 1
 
 
-def _cmd_frequency(args) -> int:
-    config = _load_config(args.config)
-    model = _resolve_model(args, config)
-    poly_src = args.poly or config.get("poly")
-    if poly_src is None:
-        raise ConfigError("frequency needs a polynomial (--poly or config /poly)")
-    u = _read_poly("--poly (config /poly)", poly_src, model.flat_m)
-    if u.m != model.flat_m:
-        raise ConfigError(
-            f"polynomial has {u.m} variables, model carries {model.flat_m} (/poly)"
-        )
-    grid_cfg = config.get("grid", {})
-    rmin = args.rmin if args.rmin is not None else grid_cfg.get("rmin")
-    rmax = args.rmax if args.rmax is not None else grid_cfg.get("rmax")
-    n = _count("--n (config /grid/n)", args.n if args.n is not None else grid_cfg.get("n", 64))
-    if n > _GRID_MAX:
-        raise ConfigError(f"--n (config /grid/n) must be at most {_GRID_MAX:,}, got {n!r}")
-    if rmin is None or rmax is None:
-        raise ConfigError("frequency needs a radius grid (--rmin/--rmax or config /grid)")
-    rmin = _finite("--rmin (config /grid/rmin)", rmin)
-    rmax = _finite("--rmax (config /grid/rmax)", rmax)
+def _cmd_frequency(args: argparse.Namespace) -> int:
+    model, rmin, rmax = args.model, args.rmin, args.rmax
     if rmin >= rmax:
-        raise ConfigError(
-            f"--rmin (config /grid/rmin) must be below --rmax (config /grid/rmax), "
-            f"got {rmin!r} >= {rmax!r}"
-        )
+        raise ConfigError(f"{_label(args, 'rmin')} must be below {_label(args, 'rmax')}, got {rmin!r} >= {rmax!r}")
     if not model.is_regular(rmin):
         raise ConfigError(
-            f"--rmin (config /grid/rmin) must be a regular level, r^2 > 4 sup S = "
-            f"{4.0 * model.sup_S:g}, got {rmin!r}"
+            f"{_label(args, 'rmin')} must be a regular level, r^2 > 4 sup S = {4.0 * model.sup_S:g}, got {rmin!r}"
         )
-    # the ball integrals carry the flat radius to the power 2 degree + n
-    if (2 * max(u.degree, 0) + model.n) * math.log(model.flat_radius(rmax)) > math.log(sys.float_info.max):
+    # mu = e^(2n+6) max(d, 1)^2 and the ball integrals' flat radius^(2 degree + n) must be
+    # finite: the real dimension's share of each, which caps gaussians at m = 175, is checked
+    # before the polynomial is parsed (4.0 s for z1 at m = 10^7 on a 2-core VM)
+    log_radius = math.log(model.flat_radius(rmax))
+    if max(2 * model.n + 6, model.n * log_radius) > _LOG_MAX:
         raise ConfigError(
-            f"--poly (config /poly) of degree {u.degree} overflows a float at --rmax "
-            f"(config /grid/rmax) {rmax!r}: lower the degree or the radius"
+            f"{_label(args, 'm')}: real dimension {model.n} overflows a float in mu = e^(2n+6) d^2 or in "
+            f"the flat radius^n at {_label(args, 'rmax')} {rmax!r}: lower the dimension or the radius"
         )
-    sigma = args.sigma if args.sigma is not None else config.get("sigma", 0.5)
-    epsilon = args.epsilon if args.epsilon is not None else config.get("epsilon", 0.01)
-    freq_cfg = frequency.FrequencyConfig(
-        sigma=_finite("--sigma (config /sigma)", sigma, positive=True),
-        epsilon=_finite("--epsilon (config /epsilon)", epsilon, positive=True),
-    )
-    d = args.d if args.d is not None else max(u.degree, 0)
-    d = _finite("--d (growth order)", d, nonnegative=True)
-    radii = np.linspace(rmin, rmax, n)
+    u = _read_poly(_label(args, "poly"), args.poly, model.flat_m)
+    if (2 * max(u.degree, 0) + model.n) * log_radius > _LOG_MAX:
+        raise ConfigError(
+            f"{_label(args, 'poly')} of degree {u.degree} overflows a float at {_label(args, 'rmax')} "
+            f"{rmax!r}: lower the degree or the radius"
+        )
+    d = float(max(u.degree, 0)) if args.d is None else args.d
+    if 2 * model.n + 6 + 2 * math.log(max(d, 1.0)) > _LOG_MAX:
+        raise ConfigError(f"{_label(args, 'd')} {d!r} overflows mu = e^(2n+6) d^2 at real dimension n = {model.n}")
+    freq_cfg = frequency.FrequencyConfig(sigma=args.sigma, epsilon=args.epsilon)
+    radii = np.linspace(rmin, rmax, args.n)
     profile = frequency.frequency_profile(model, u, d, radii, freq_cfg)
     rows = profile.to_rows()
     # the degree guard bounds the radial power alone; the gradient's degree^2
@@ -267,11 +321,10 @@ def _cmd_frequency(args) -> int:
     overflow = next((row["r"] for row in rows if not all(map(math.isfinite, row.values()))), None)
     if overflow is not None:
         raise ConfigError(
-            f"--poly (config /poly) overflows a float at radius {overflow!r}: "
-            f"lower the degree, the coefficients or --rmax (config /grid/rmax)"
+            f"{_label(args, 'poly')} overflows a float at radius {overflow!r}: "
+            f"lower the degree, the coefficients or {_label(args, 'rmax')}"
         )
-    fmt = _choice("--format (config /format)", args.format or config.get("format", "csv"), _FORMATS)
-    if fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=["r", "I", "D", "U", "eta", "monotone_q"])
         writer.writeheader()
@@ -296,66 +349,51 @@ def _cmd_frequency(args) -> int:
     return 0
 
 
-def _cmd_heatflow(args) -> int:
-    config = _load_config(args.config)
-    initial = args.initial or config.get("initial")
-    if initial is None:
-        raise ConfigError("heatflow needs initial data (--initial or config /initial)")
-    flag = "--initial (config /initial)"
-    u = _read_poly(flag, initial, 1)
-    if u.m != 1:
-        raise ConfigError(f"{flag} must be a polynomial in one variable, got {u.m} variables")
+def _cmd_heatflow(args: argparse.Namespace) -> int:
+    flag = _label(args, "initial")
+    u = _read_poly(flag, args.initial, 1)
     if any(c.imag != 0.0 for c in u.terms.values()):
         raise ConfigError(f"{flag} must have real coefficients")
     coeffs = np.zeros(max(u.degree, 0) + 1)
     for (k,), c in u.terms.items():
         coeffs[k] = c.real
-    s1 = args.s if args.s is not None else config.get("s", 1.0)
-    s1 = _finite("--s (config /s)", s1, positive=True)
-    n_grid = args.n_grid if args.n_grid is not None else config.get("n_grid", 800)
-    n_grid = _count("--n-grid (config /n_grid)", n_grid, minimum=16)
-    n_steps = args.n_steps if args.n_steps is not None else config.get("n_steps", 200)
-    n_steps = _count("--n-steps (config /n_steps)", n_steps)
     try:
-        fheat.require_heat_work(n_grid, n_steps, args.extrapolate)
-    except NumericError as exc:  # the heat work budget, checked before the grid is built
-        flag = "--n-grid (config /n_grid)" if n_grid > fheat.HEAT_GRID_LIMIT else "--n-steps (config /n_steps)"
-        raise ConfigError(f"{flag} is too large: {exc}") from exc
-    sol = fheat.project_to_eigenbasis(coeffs)
-    x, numeric = fheat.timestep_oracle(
-        lambda xs: np.polynomial.polynomial.polyval(xs, coeffs),
-        0.0,
-        s1,
-        N_grid=n_grid,
-        N_steps=n_steps,
-        extrapolate=args.extrapolate,
-    )
-    series = fheat.evolve_series(sol, s1, x)
-    err = fheat.weighted_l2_distance(numeric, series, x=x)
+        fheat.require_heat_work(args.n_grid, args.n_steps, args.extrapolate)
+    except NumericError as exc:  # the heat work budget; --n-grid is already held to the grid limit
+        raise ConfigError(f"{_label(args, 'n_steps')} is too large: {exc}") from exc
+    # a high degree carries the coefficients or the L2 gap past the float range;
+    # such a run is refused below, so its overflows are not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = fheat.project_to_eigenbasis(coeffs)
+        x, numeric = fheat.timestep_oracle(
+            lambda xs: np.polynomial.polynomial.polyval(xs, coeffs),
+            0.0,
+            args.s,
+            N_grid=args.n_grid,
+            N_steps=args.n_steps,
+            extrapolate=args.extrapolate,
+        )
+        series = fheat.evolve_series(sol, args.s, x)
+        err = fheat.weighted_l2_distance(numeric, series, x=x)
+    if not all(map(math.isfinite, [err, *sol.coefficients.values()])):
+        raise ConfigError(f"{flag} overflows a float: lower its degree or its coefficients")
     payload = {
-        "initial": initial,
-        "s": s1,
+        "initial": args.initial,
+        "s": args.s,
         "coefficients": {str(lam): a for lam, a in sorted(sol.coefficients.items())},
         "l2_error_series_vs_oracle": err,
-        "n_grid": n_grid,
-        "n_steps": n_steps,
-        "extrapolate": bool(args.extrapolate),
+        "n_grid": args.n_grid,
+        "n_steps": args.n_steps,
+        "extrapolate": args.extrapolate,
     }
     _emit(_json_dump(payload), args.out)
     return 0
 
 
-def _cmd_forms(args) -> int:
-    config = _load_config(args.config)
-    model = _resolve_model(args, config)
-    form_src = args.form or config.get("form")
-    if form_src is not None:
-        flag = "--form (config /form)"
-        omega = _read_form(flag, form_src)
-        if omega.m != model.flat_m:
-            raise ConfigError(
-                f"{flag} uses {omega.m} variables, model carries {model.flat_m} flat variables"
-            )
+def _cmd_forms(args: argparse.Namespace) -> int:
+    model = args.model
+    if args.form is not None:
+        omega = _read_form(_label(args, "form"), args.form, model.flat_m)
         contracted = forms.interior_product(model, omega) if omega.p >= 1 else None
         in_kernel = contracted is not None and contracted.is_zero(
             1e-12 * max(omega.coeff_norm(), 1.0)
@@ -372,46 +410,34 @@ def _cmd_forms(args) -> int:
             payload["kernel_integral"] = forms.form_integral_identity_check(model, omega)
         _emit(_json_dump(payload), args.out)
         return 0
-    p = args.p if args.p is not None else config.get("p", 1)
-    if isinstance(p, bool) or not isinstance(p, int) or not 0 <= p <= model.m:
-        raise ConfigError(f"--p (config /p) must be an integer in 0..{model.m}, got {p!r}")
-    mu = _finite("--mu (config /mu)", args.mu if args.mu is not None else config.get("mu", 2))
-    # keeps e^(1 + mu) in the reduction ledger below the largest double
-    if mu > _MU_MAX:
-        raise ConfigError(f"--mu (config /mu) must be a finite number <= {_MU_MAX}, got {mu!r}")
-    norm = args.ricci_norm or config.get("ricci_norm", "operator")
-    norm = _choice("--ricci-norm (config /ricci_norm)", norm, _RICCI_NORMS)
-    payload = {"model": model.to_dict(), "p": p, "mu": mu, "ricci_norm": norm}
+    p, mu = args.p, args.mu
+    if p > model.m:
+        raise ConfigError(f"{_label(args, 'p')} must be an integer in 0..{model.m}, got {p!r}")
+    payload = {"model": model.to_dict(), "p": p, "mu": mu, "ricci_norm": args.ricci_norm}
     if p >= 1:
         try:
             payload["kernel_dim"] = forms.kernel_dimension(model, p, math.floor(mu))
             payload["reduction_ledger"] = forms.form_reduction_ledger(model, p, math.floor(mu)).to_dict()
         except NumericError as exc:  # the kernel size guard, raised before any block is built
-            raise ConfigError(f"--m, --p and --mu (config /m, /p, /mu) are too large: {exc}") from exc
-    rec_a = forms.form_count_check(model, p, mu, norm=norm)
+            raise ConfigError(
+                f"{_label(args, 'm')}, {_label(args, 'p')} and {_label(args, 'mu')} are too large: {exc}"
+            ) from exc
+    rec_a = forms.form_count_check(model, p, mu, norm=args.ricci_norm)
     payload["count_bound"] = rec_a.to_dict()
     payload["dim_forms"] = forms.dim_O_forms(model, p, mu)
     _emit(_json_dump(payload), args.out)
     return 0 if rec_a.passed else 1
 
 
-def _cmd_verify_all(args) -> int:
-    config = _load_config(args.config)
-    choice = args.model or config.get("model_choice", "both")
-    choice = _choice("--model (config /model_choice)", choice, _VERIFY_MODELS)
-    m = _resolve_m(args, config)
-    if choice == "both":
-        models = [gaussian(m), cylinder()]
-    elif choice == "gaussian":
-        models = [gaussian(m)]
-    else:
-        models = [cylinder()]
+def _cmd_verify_all(args: argparse.Namespace) -> int:
+    kinds = _MODEL_KINDS if args.model == "both" else (args.model,)
+    models = [cylinder() if kind == "cylinder" else gaussian(args.m) for kind in kinds]
     for model in models:
         try:
             quadrature.require_rule_work(model.flat_m, report.RESOLUTION)
         except NumericError as exc:  # the rule work budget, checked before any check runs
-            raise ConfigError(f"--m (config /m) is too large: {exc}") from exc
-    echo = {"model_choice": choice, "m": m}
+            raise ConfigError(f"{_label(args, 'm')} is too large: {exc}") from exc
+    echo = {"model_choice": args.model, "m": args.m}
     rep = report.verify_all(models, config_echo=echo)
     for check in rep.checks:
         line = f"[{check.status.upper():4s}] {check.name} ({check.runtime_ms} ms)"
@@ -429,6 +455,15 @@ def _cmd_verify_all(args) -> int:
 
 # -- parser ------------------------------------------------------------------------
 
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "analytic drift-Laplacian catalog"),
+    "dimension": (_cmd_dimension, "growth dimension bound check"),
+    "frequency": (_cmd_frequency, "frequency profile over a radius grid"),
+    "heatflow": (_cmd_heatflow, "series vs time-stepped drift heat flow"),
+    "forms": (_cmd_forms, "holomorphic form counting and kernels"),
+    "verify-all": (_cmd_verify_all, "run the complete verification suite"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -436,60 +471,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="numerical verification lab for model gradient Kahler shrinkers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON configuration file")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        if model:
-            p.add_argument("--model", choices=["gaussian", "cylinder"], help="model kind")
-            p.add_argument("--m", type=int, help="complex dimension of the flat model")
-
-    p_spec = sub.add_parser("spectrum", help="analytic drift-Laplacian catalog")
-    common(p_spec)
-    p_spec.add_argument("--lambda-max", dest="lambda_max", type=float)
-    p_spec.set_defaults(fn=_cmd_spectrum)
-
-    p_dim = sub.add_parser("dimension", help="growth dimension bound check")
-    common(p_dim)
-    p_dim.add_argument("--d", type=float)
-    p_dim.set_defaults(fn=_cmd_dimension)
-
-    p_freq = sub.add_parser("frequency", help="frequency profile over a radius grid")
-    common(p_freq)
-    p_freq.add_argument("--poly", help='polynomial literal, e.g. "w^2" or JSON')
-    p_freq.add_argument("--d", type=float, help="growth order (defaults to the degree)")
-    p_freq.add_argument("--rmin", type=float)
-    p_freq.add_argument("--rmax", type=float)
-    p_freq.add_argument("--n", type=int)
-    p_freq.add_argument("--sigma", type=float)
-    p_freq.add_argument("--epsilon", type=float)
-    p_freq.add_argument("--format", choices=_FORMATS)
-    p_freq.set_defaults(fn=_cmd_frequency)
-
-    p_heat = sub.add_parser("heatflow", help="series vs time-stepped drift heat flow")
-    common(p_heat, model=False)
-    p_heat.add_argument("--initial", help='1-D polynomial initial data, e.g. "x^2"')
-    p_heat.add_argument("--s", type=float)
-    p_heat.add_argument("--n-grid", dest="n_grid", type=int)
-    p_heat.add_argument("--n-steps", dest="n_steps", type=int)
-    p_heat.add_argument("--extrapolate", action="store_true")
-    p_heat.set_defaults(fn=_cmd_heatflow)
-
-    p_forms = sub.add_parser("forms", help="holomorphic form counting and kernels")
-    common(p_forms)
-    p_forms.add_argument("--p", type=int)
-    p_forms.add_argument("--mu", type=float)
-    p_forms.add_argument("--form", help="JSON form literal to analyze instead of counting")
-    p_forms.add_argument("--ricci-norm", dest="ricci_norm", choices=_RICCI_NORMS)
-    p_forms.set_defaults(fn=_cmd_forms)
-
-    p_all = sub.add_parser("verify-all", help="run the complete verification suite")
-    p_all.add_argument("--config", help="JSON configuration file")
-    p_all.add_argument("--out", help="write the JSON report to this path")
-    p_all.add_argument("--model", choices=_VERIFY_MODELS)
-    p_all.add_argument("--m", type=int)
-    p_all.set_defaults(fn=_cmd_verify_all)
-
+        for dest, opt in _OPTIONS[command].items():
+            if opt.kind == "bool":
+                kwargs = {"action": "store_true", "default": None}
+            elif opt.choices:
+                kwargs = {"choices": opt.choices}
+            else:
+                kwargs = {"type": {"count": int, "literal": str}.get(opt.kind, float)}
+            p.add_argument(opt.flag, dest=dest, help=f"config {opt.path}", **kwargs)
     return parser
 
 
@@ -497,7 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        status = args.fn(args)
+        _resolve(args)
+        status = _COMMANDS[args.command][0](args)
         sys.stdout.flush()
         return status
     except ConfigError as exc:

@@ -8,10 +8,11 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
-from shrinker_lab.cli import main, parse_poly_string
+from shrinker_lab.cli import _OPTIONS, main, parse_poly_string
 from shrinker_lab.errors import ConfigError
 
 
@@ -445,6 +446,23 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         # inside the degree guard, the gradient's 150^2 carries D past the float range at r = 10.5
         (["frequency", "--model", "cylinder", "--poly", "w^150", "--rmin", "5", "--rmax", "10.5", "--n", "3"],
          None, ["--poly", "/poly", "10.5"]),
+        (_FREQ[:5], {"grid": 5}, ["/grid"]),
+        (["spectrum"], [1], ["config entry /"]),
+        (_HEAT, {"extrapolate": "yes"}, ["--extrapolate", "/extrapolate"]),
+        # x^140's L2 gap and x^250's coefficients pass the float range
+        (["heatflow", "--initial", "x^140"], None, ["--initial", "/initial"]),
+        (["heatflow", "--initial", "x^250"], None, ["--initial", "/initial"]),
+        # n = 600 alone carries mu and the radius power past the float range: --m is at fault, not --poly
+        (["frequency", "--m", "300", "--poly", "z1", "--rmin", "5", "--rmax", "6"], None, ["--m", "/m"]),
+        (["frequency", "--m", "100", "--poly", "z1", "--rmin", "5", "--rmax", "40"], None, ["--m", "/m", "--rmax"]),
+        # flat radii <= 1 keep the radius power finite; mu does not, and z1 is never parsed
+        (["frequency", "--m", "100000000", "--poly", "z1", "--rmin", "0.5", "--rmax", "1"], None, ["--m", "/m"]),
+        (["frequency", "--m", "100000000", "--poly", "z1", "--rmin", "1", "--rmax", "2"], None, ["--m", "/m"]),
+        (["frequency", "--model", "cylinder", "--poly", "z1", "--rmin", "2.1", "--rmax", "5", "--d", "1e308"], None,
+         ["--d", "/d"]),
+        # mu = e^706 d^2 with d the degree 10: --d is at fault though not given
+        (["frequency", "--m", "175", "--poly", "z1^10", "--rmin", "3", "--rmax", "3.5", "--n", "2"], None, ["--d", "/d"]),
+        (["spectrum", "--m", "3"], {"model": {"kind": "cylinder"}}, ["--m", "/model"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
@@ -458,7 +476,10 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "form-m-string", "form-p-fraction", "form-config-index-float", "form-config-alpha-string",
         "verify-all-rule-guard", "heatflow-steps-guard", "heatflow-grid-guard",
         "frequency-grid-guard", "frequency-grid-config-guard", "frequency-degree-guard",
-        "frequency-overflow",
+        "frequency-overflow", "grid-not-object", "config-root-list", "extrapolate-config-not-bool",
+        "initial-l2-overflow", "initial-coefficient-overflow", "frequency-dimension-guard",
+        "frequency-dimension-share", "frequency-flat-radius-guard", "frequency-dimension-cap",
+        "frequency-mu-guard", "frequency-mu-from-degree", "m-flag-on-cylinder-descriptor",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
@@ -491,3 +512,108 @@ def test_heatflow_initial_from_config_object(tmp_path, capsys):
     assert code == 0
     data = json.loads(capsys.readouterr().out)
     assert data["coefficients"] == {"0.0": 2.0, "1.0": 1.0}
+
+
+def test_heatflow_overflow_is_refused_without_a_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["heatflow", "--initial", "x^250"]) == 2
+    assert "--initial" in capsys.readouterr().err
+
+
+def _run(argv, config, tmp_path, capsys) -> str:
+    """The stdout of one successful run, without verify-all's timings."""
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 0, err
+    if argv[0] == "verify-all":
+        report = json.loads(out)
+        for check in report["checks"]:
+            del check["runtime_ms"]
+        return json.dumps(report)
+    return out
+
+
+def test_m_flag_wins_over_a_gaussian_descriptor(tmp_path, capsys):
+    by_flag = _run(["spectrum", "--m", "3"], None, tmp_path, capsys)
+    assert _run(["spectrum", "--m", "3"], {"model": {"kind": "gaussian", "m": 2}}, tmp_path, capsys) == by_flag
+
+
+# the settings each subcommand is run with, as flag values: what it needs, kept small
+_BASE = {
+    "spectrum": {"lambda_max": "1"},
+    "dimension": {},
+    "frequency": {"poly": "z", "rmin": "5", "rmax": "6", "n": "2", "format": "json"},
+    "heatflow": {"initial": "x^2", "n_grid": "100", "n_steps": "20"},
+    "forms": {"p": "1", "mu": "2"},
+    "verify-all": {"model": "gaussian", "m": "1"},
+}
+_SYZYGY = {
+    "p": 1,
+    "m": 2,
+    "coeffs": [
+        {"index": [1], "terms": [{"alpha": [0, 1], "re": 1.0, "im": 0.0}]},
+        {"index": [2], "terms": [{"alpha": [1, 0], "re": -1.0, "im": 0.0}]},
+    ],
+}
+# per setting: a flag value (None for a bare flag), the same value as a config entry, and another entry
+_SAMPLES = {
+    ("spectrum", "m"): ("1", 1, 2),
+    ("spectrum", "model"): ("cylinder", {"kind": "cylinder"}, {"kind": "gaussian", "m": 1}),
+    ("spectrum", "lambda_max"): ("2", 2, 1),
+    ("dimension", "m"): ("1", 1, 3),
+    ("dimension", "model"): ("cylinder", {"kind": "cylinder"}, {"kind": "gaussian", "m": 3}),
+    ("dimension", "d"): ("2", 2, 3),
+    ("frequency", "m"): ("1", 1, 3),
+    ("frequency", "model"): ("cylinder", {"kind": "cylinder"}, {"kind": "gaussian", "m": 1}),
+    ("frequency", "poly"): ("z^2", {"m": 2, "terms": [{"alpha": [2, 0], "re": 1.0}]}, "z^3"),
+    ("frequency", "d"): ("3", 3, 4),
+    ("frequency", "rmin"): ("5.5", 5.5, 5.25),
+    ("frequency", "rmax"): ("7", 7, 8),
+    ("frequency", "n"): ("3", 3, 4),
+    ("frequency", "sigma"): ("0.25", 0.25, 0.75),
+    ("frequency", "epsilon"): ("0.02", 0.02, 0.03),
+    ("frequency", "format"): ("csv", "csv", "json"),
+    ("heatflow", "initial"): ("x^3", "x^3", "x^4"),
+    ("heatflow", "s"): ("0.5", 0.5, 2),
+    ("heatflow", "n_grid"): ("200", 200, 300),
+    ("heatflow", "n_steps"): ("40", 40, 50),
+    ("heatflow", "extrapolate"): (None, True, False),
+    ("forms", "m"): ("3", 3, 1),
+    ("forms", "model"): ("cylinder", {"kind": "cylinder"}, {"kind": "gaussian", "m": 1}),
+    ("forms", "p"): ("2", 2, 0),
+    ("forms", "mu"): ("3", 3, 1),
+    ("forms", "form"): (json.dumps(_SYZYGY), _SYZYGY, {**_SYZYGY, "coeffs": _SYZYGY["coeffs"][:1]}),
+    ("forms", "ricci_norm"): ("tensor", "tensor", "operator"),
+    ("verify-all", "m"): ("1", 1, 2),
+    ("verify-all", "model"): ("cylinder", "cylinder", "gaussian"),
+}
+
+
+def test_samples_cover_every_setting():
+    assert set(_SAMPLES) == {(command, dest) for command, table in _OPTIONS.items() for dest in table}
+
+
+@pytest.mark.parametrize("command, dest", list(_SAMPLES), ids=[f"{c}-{d}" for c, d in _SAMPLES])
+def test_flag_and_config_entry_agree_and_the_flag_wins(command, dest, tmp_path, capsys):
+    table = _OPTIONS[command]
+    flag_value, entry, other = _SAMPLES[command, dest]
+    argv = [command] + [arg for d, v in _BASE[command].items() if d != dest for arg in (table[d].flag, v)]
+    flag = [table[dest].flag] + ([] if flag_value is None else [flag_value])
+
+    def config(value):
+        *parents, key = table[dest].path[1:].split("/")
+        tree = {key: value}
+        for parent in reversed(parents):
+            tree = {parent: tree}
+        return tree
+
+    by_flag = _run(argv + flag, None, tmp_path, capsys)
+    assert _run(argv, config(entry), tmp_path, capsys) == by_flag
+    assert _run(argv + flag, config(other), tmp_path, capsys) == by_flag
+    # the other entry alone changes the output, so the last comparison could fail
+    assert _run(argv, config(other), tmp_path, capsys) != by_flag
