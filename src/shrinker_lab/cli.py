@@ -260,8 +260,8 @@ def _emit(text: str, out_path: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _json_dump(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _json_dump(payload: dict, allow_nan: bool = True) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=allow_nan)
 
 
 # -- subcommand bodies -----------------------------------------------------------
@@ -354,7 +354,12 @@ def _cmd_heatflow(args: argparse.Namespace) -> int:
     u = _read_poly(flag, args.initial, 1)
     if any(c.imag != 0.0 for c in u.terms.values()):
         raise ConfigError(f"{flag} must have real coefficients")
-    coeffs = np.zeros(max(u.degree, 0) + 1)
+    degree = max(u.degree, 0)
+    try:  # the build stops at p_266, the first basis polynomial past the float range
+        fheat.monic_basis(degree)
+    except NumericError as exc:
+        raise ConfigError(f"{flag} of degree {degree} is too high: {exc}") from exc
+    coeffs = np.zeros(degree + 1)
     for (k,), c in u.terms.items():
         coeffs[k] = c.real
     try:
@@ -375,12 +380,12 @@ def _cmd_heatflow(args: argparse.Namespace) -> int:
         )
         series = fheat.evolve_series(sol, args.s, x)
         err = fheat.weighted_l2_distance(numeric, series, x=x)
-    if not all(map(math.isfinite, [err, *sol.coefficients.values()])):
+    if not all(map(math.isfinite, [err, *sol.coefficients])):
         raise ConfigError(f"{flag} overflows a float: lower its degree or its coefficients")
     payload = {
         "initial": args.initial,
         "s": args.s,
-        "coefficients": {str(lam): a for lam, a in sorted(sol.coefficients.items())},
+        "coefficients": {str(k / 2): a for k, a in reversed(sol.terms())},
         "l2_error_series_vs_oracle": err,
         "n_grid": args.n_grid,
         "n_steps": args.n_steps,
@@ -393,7 +398,8 @@ def _cmd_heatflow(args: argparse.Namespace) -> int:
 def _cmd_forms(args: argparse.Namespace) -> int:
     model = args.model
     if args.form is not None:
-        omega = _read_form(_label(args, "form"), args.form, model.flat_m)
+        flag = _label(args, "form")
+        omega = _read_form(flag, args.form, model.flat_m)
         contracted = forms.interior_product(model, omega) if omega.p >= 1 else None
         in_kernel = contracted is not None and contracted.is_zero(
             1e-12 * max(omega.coeff_norm(), 1.0)
@@ -407,8 +413,19 @@ def _cmd_forms(args: argparse.Namespace) -> int:
             "in_contraction_kernel": in_kernel,
         }
         if in_kernel:
-            payload["kernel_integral"] = forms.form_integral_identity_check(model, omega)
-        _emit(_json_dump(payload), args.out)
+            try:
+                forms.require_weighted_range(omega)
+            except NumericError as exc:  # the degree guard, raised before the weighted rule is built
+                raise ConfigError(f"{flag} overflows a float: {exc}") from exc
+            # below the degree guard the coefficients can still pass the float range;
+            # such a form is refused below, so its overflows are not warned about
+            with np.errstate(over="ignore", invalid="ignore"):
+                payload["kernel_integral"] = forms.form_integral_identity_check(model, omega)
+        try:
+            text = _json_dump(payload, allow_nan=False)
+        except ValueError as exc:  # json's refusal of NaN and Infinity
+            raise ConfigError(f"{flag} overflows a float: lower its degree or its coefficients") from exc
+        _emit(text, args.out)
         return 0
     p, mu = args.p, args.mu
     if p > model.m:

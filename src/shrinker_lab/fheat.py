@@ -2,9 +2,12 @@
 
 The weight e^{-x^2/4} has a monic polynomial eigenbasis p_k (p_0 = 1,
 p_1 = x, p_{k+1} = x p_k - 2k p_{k-1}) with  p_k'' - (x/2) p_k' = -(k/2) p_k
-and squared norm 2^{k+1} k! sqrt(pi).  Initial data are polynomials, so their
-expansion in this basis is finite and exact.  Series solutions evolve each
-coefficient by e^{-k s / 2}; the backward-Euler oracle advances the
+and squared norm 2^{k+1} k! sqrt(pi).  Eigenvalues are half-integers, so, as in
+spectral catalogs, a series is one row indexed by k = 2 lambda and the eternal
+transform keys its components by 2 lambda.  Each call builds p_0..p_K in one
+run of the recurrence, which stops at its first non-finite row, p_266.  Initial
+data are polynomials, so their expansion in this basis is finite and exact.
+Series solutions evolve entry k by e^{-k s / 2}; the backward-Euler oracle advances the
 discretized operator of the oracle1d module instead and is compared against
 the series in the weighted L^2 norm.  Its step matrix M + ds K is factored
 once per run, and each step solves by the summation factors of the
@@ -34,20 +37,21 @@ from .eigensolve import thomas_factor, thomas_substitute
 # -- the monic eigenbasis ------------------------------------------------------
 
 
-def hermite_monic(k: int) -> np.ndarray:
-    """Ascending coefficients of the k-th monic eigenpolynomial."""
-    if k < 0:
-        raise DomainError("basis index must be nonnegative")
-    p_prev = np.array([1.0])
-    if k == 0:
-        return p_prev
-    p = np.array([0.0, 1.0])
-    for j in range(1, k):
-        p_next = np.zeros(j + 2)
-        p_next[1:] = p
-        p_next[: j] -= 2.0 * j * p_prev
-        p_prev, p = p, p_next
-    return p
+def monic_basis(K: int) -> list[np.ndarray]:
+    """Ascending coefficients of p_0..p_K, from one run of the recurrence.
+
+    Raises NumericError at the first row with a non-finite coefficient, p_266.
+    """
+    basis = [np.array([1.0]), np.array([0.0, 1.0])]
+    with np.errstate(over="ignore"):
+        for j in range(1, K):
+            p = np.zeros(j + 2)
+            p[1:] = basis[j]
+            p[:j] -= 2.0 * j * basis[j - 1]
+            if not np.isfinite(p).all():
+                raise NumericError(f"basis polynomial p_{j + 1} overflows a float")
+            basis.append(p)
+    return basis[: K + 1]
 
 
 def hermite_norm_sq(k: int) -> float:
@@ -71,15 +75,16 @@ def drift_apply_1d(coeffs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HeatSolution:
-    """Finite eigen-expansion sum_k a_k e^{-k s/2} p_k(x) in the monic basis."""
+    """Finite eigen-expansion sum_k a_k e^{-k s/2} p_k(x); `coefficients` is the row of the a_k."""
 
-    coefficients: dict[float, float]
+    coefficients: np.ndarray
+
+    def terms(self) -> list[tuple[int, float]]:
+        """The nonzero entries (k, a_k), k descending: the order every sum over the series takes."""
+        return [(k, a) for k, a in reversed(list(enumerate(self.coefficients))) if a != 0.0]
 
     def norm_sq(self, s: float = 0.0) -> float:
-        return sum(
-            a * a * math.exp(-2.0 * lam * s) * hermite_norm_sq(round(2 * lam))
-            for lam, a in self.coefficients.items()
-        )
+        return sum(a * a * math.exp(-k * s) * hermite_norm_sq(k) for k, a in self.terms())
 
 
 def project_to_eigenbasis(u0: np.ndarray) -> HeatSolution:
@@ -87,17 +92,18 @@ def project_to_eigenbasis(u0: np.ndarray) -> HeatSolution:
 
     The reduction runs top-down against the monic basis and is exact: the
     leading coefficient of the remainder is the weight of its top basis
-    polynomial.
+    polynomial; remainder entries below 1e-300 are left at weight 0.  Raises
+    NumericError when the basis up to the data's length overflows.
     """
-    coeffs: dict[float, float] = {}
     rem = np.array(u0, dtype=float)
+    basis = monic_basis(rem.size - 1)
+    coeffs = np.zeros(rem.size)
     for k in range(rem.size - 1, -1, -1):
         a = rem[k]
         if abs(a) < 1e-300:
             continue
-        coeffs[k / 2] = a
-        pk = hermite_monic(k)
-        rem[: pk.size] -= a * pk
+        coeffs[k] = a
+        rem[: k + 1] -= a * basis[k]
     return HeatSolution(coefficients=coeffs)
 
 
@@ -105,9 +111,9 @@ def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
     """Evaluate the series solution at drift-time s and positions x."""
     xs = np.asarray(x, dtype=float)
     acc = np.zeros_like(xs, dtype=float)
-    for lam, a in sol.coefficients.items():
-        pk = hermite_monic(round(2 * lam))
-        acc = acc + a * math.exp(-lam * s) * np.polynomial.polynomial.polyval(xs, pk)
+    basis = monic_basis(len(sol.coefficients) - 1)
+    for k, a in sol.terms():
+        acc = acc + a * math.exp(-(k / 2) * s) * np.polynomial.polynomial.polyval(xs, basis[k])
     if acc.ndim == 0:
         return float(acc)
     return acc
@@ -229,39 +235,33 @@ class HeatPolynomial:
         return max((abs(v) for v in res.values()), default=0.0)
 
 
-def transform_to_eternal(u: HeatPolynomial) -> dict[float, np.ndarray]:
+def transform_to_eternal(u: HeatPolynomial) -> dict[int, np.ndarray]:
     """Pull an ancient caloric polynomial back along the soliton flow.
 
     Substituting x -> x e^{-s/2}, t -> -e^{-s} groups the terms by decay rate
-    lambda = j/2 + k; the result maps lambda to the ascending x-coefficients
-    of the e^{-lambda s} component.
+    lambda = j/2 + k; the result maps 2 lambda = j + 2k to the 2 lambda + 1
+    ascending x-coefficients of the e^{-lambda s} component.
     """
-    parts: dict[float, np.ndarray] = {}
+    parts: dict[int, np.ndarray] = {}
     for (j, k), c in u.terms.items():
-        lam = j / 2 + k
-        arr = parts.get(lam)
-        if arr is None or arr.size < j + 1:
-            grown = np.zeros(j + 1)
-            if arr is not None:
-                grown[: arr.size] = arr
-            parts[lam] = arr = grown
+        arr = parts.get(j + 2 * k)
+        if arr is None:
+            arr = parts[j + 2 * k] = np.zeros(j + 2 * k + 1)
         arr[j] += c * (-1.0) ** k
-    return {lam: arr for lam, arr in parts.items() if np.any(arr != 0.0)}
+    return {two_lam: arr for two_lam, arr in parts.items() if np.any(arr != 0.0)}
 
 
-def eternal_to_caloric(parts: dict[float, np.ndarray]) -> HeatPolynomial:
-    """Inverse of transform_to_eternal; requires half-integer decay rates."""
+def eternal_to_caloric(parts: dict[int, np.ndarray]) -> HeatPolynomial:
+    """Inverse of transform_to_eternal; x^j at 2 lambda needs 2 lambda - j = 2k with k >= 0."""
     terms: dict[tuple[int, int], float] = {}
-    for lam, arr in parts.items():
+    for two_lam, arr in parts.items():
         for j, c in enumerate(arr):
             if c == 0.0:
                 continue
-            k_exact = lam - j / 2
-            k = round(k_exact)
-            if abs(k_exact - k) > 1e-12 or k < 0:
-                raise DomainError(
-                    f"component (lambda={lam}, x^{j}) does not come from a caloric polynomial"
-                )
+            rest = two_lam - j
+            if rest < 0 or rest % 2:
+                raise DomainError(f"x^{j} at 2 lambda={two_lam} does not come from a caloric polynomial")
+            k = rest // 2
             terms[(j, k)] = terms.get((j, k), 0.0) + c * (-1.0) ** k
     return HeatPolynomial(terms)
 
@@ -276,5 +276,5 @@ def ancient_transform_check(u: HeatPolynomial) -> float:
     """
     if u.caloric_residual() > 1e-12:
         raise DomainError("input polynomial does not solve the heat equation")
-    residuals = (drift_apply_1d(arr) + lam * arr for lam, arr in transform_to_eternal(u).items())
+    residuals = (drift_apply_1d(arr) + two_lam / 2 * arr for two_lam, arr in transform_to_eternal(u).items())
     return max((float(np.abs(r).max()) for r in residuals), default=0.0)

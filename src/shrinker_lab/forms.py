@@ -25,6 +25,7 @@ are dropped.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -34,7 +35,7 @@ from .errors import DomainError, NumericError
 from .holopoly import HoloPoly, _literal_int, dim_O_d
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
-from .quadrature import weighted_space_quadrature
+from .quadrature import WEIGHTED_RADIUS_MAX, weighted_space_quadrature
 from .ratlinalg import integer_rank
 from .spectrum import SpectrumCatalog, _catalog, count_eigenvalues
 
@@ -318,6 +319,22 @@ def one_form_spectrum_oracle(X: float = 12.0, N: int = 800, k_eigs: int = 6) -> 
     return oracle_spectrum_1d(X=X, N=N, k_eigs=k_eigs, shift=0.5)
 
 
+def require_weighted_range(omega: HoloForm) -> None:
+    """Raise NumericError when the weighted rule's top radial power s^(2 mu) passes the float range.
+
+    The rule's radial nodes reach WEIGHTED_RADIUS_MAX = 42 and |omega|^2
+    carries s^(2 mu), which stays finite up to mu = 94.  On gaussian(2) the
+    kernel form z1^N z2 dz1 - z1^(N+1) dz2 gave a finite integral at N = 93,
+    Infinity at N = 94 and NaN at N = 400, and the rule's power table for
+    N = 10^8 asked for 11.9 GiB.
+    """
+    if 2 * omega.mu * math.log(WEIGHTED_RADIUS_MAX) > math.log(sys.float_info.max):
+        raise NumericError(
+            f"|omega|^2 of degree {2 * omega.mu} passes the float range on the weighted rule's radii up to "
+            f"{WEIGHTED_RADIUS_MAX:g}"
+        )
+
+
 def form_integral_identity_check(
     model: ModelShrinker,
     omega: HoloForm,
@@ -328,12 +345,14 @@ def form_integral_identity_check(
 
     Evaluates int |omega|^2 (f - n/2 - mu - 2 p Lambda) e^{-f} dv by
     quadrature, raises if the precondition i_X omega = 0 fails, and raises if
-    the value is positive beyond 1e-8 relative to the weighted norm.
+    the value is positive beyond 1e-8 relative to the weighted norm.  Raises
+    NumericError, before the rule is built, when `require_weighted_range` does.
     """
     _check_model_form(model, omega)
     contracted = interior_product(model, omega)
     if not contracted.is_zero(1e-12 * max(omega.coeff_norm(), 1.0)):
         raise DomainError("form is not in the kernel of the contraction map")
+    require_weighted_range(omega)
     lam = Lambda if Lambda is not None else ricci_bound(model)
     mu = omega.mu
     rule = weighted_space_quadrature(model, resolution)

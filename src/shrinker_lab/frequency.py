@@ -468,6 +468,15 @@ class DoublingRecord:
     passed: bool
 
 
+def _below_scaled(x: float, log_scale: float, value: float) -> bool:
+    """x <= e^log_scale * value, decided in logs, so e^log_scale may pass the float range."""
+    if value > 0:
+        return x <= 0 or math.log(x) <= log_scale + math.log(value)
+    if value == 0:
+        return x <= 0
+    return x < 0 and math.log(-x) >= log_scale + math.log(-value)
+
+
 def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingRecord]:
     """Evaluate the doubling and three-circle inequalities at grid radii rho, 2rho, 4rho."""
     rr = profile.radii
@@ -484,9 +493,14 @@ def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingR
         lhs = math.log(i2 / i1)
         grow = config.C1 / (sig * rho**sig)
         boost = math.exp(grow) if grow < 700 else math.inf
-        rhs = boost * math.log(i4 / i2) + (
-            config.C2 * math.sqrt(profile.mu) * math.log(2.0) / sig
-        ) * ((2 * rho) ** (-sig) - (4 * rho) ** (-sig)) * boost
+        shrink = (2 * rho) ** (-sig) - (4 * rho) ** (-sig)
+        tail = config.C2 * math.sqrt(profile.mu) * math.log(2.0) / sig * shrink
+        rhs = boost * math.log(i4 / i2) + tail * boost
+        # rhs is e^grow (log(i4/i2) + tail): once e^grow passes the float range, compare in logs
+        if grow < 700:
+            circle_ok = lhs <= rhs + 1e-12
+        else:
+            circle_ok = _below_scaled(lhs - 1e-12, grow, math.log(i4 / i2) + tail)
         rec = DoublingRecord(
             rho=float(rho),
             doubling_log2_ratio=log2_ratio,
@@ -495,7 +509,7 @@ def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingR
             three_circle_lhs=lhs,
             three_circle_rhs=rhs,
             three_circle_margin=rhs - lhs,
-            passed=(log2_ratio <= log2_bound + 1e-12) and (lhs <= rhs + 1e-12),
+            passed=(log2_ratio <= log2_bound + 1e-12) and circle_ok,
         )
         out.append(rec)
     return out
@@ -510,7 +524,7 @@ class ShellLedger:
     J2: float
     J3: float
     lam: float
-    bound_factor: float
+    log_bound_factor: float
     passed: bool
 
 
@@ -529,7 +543,9 @@ def shell_energy_ledger(
     with eps = EPSILON and C the constant measured by the defect recursion
     (zero on these models).  The shells are product rules at `resolution`:
     their radial factor s^2/(4c + s^2) is not a polynomial, so there is no
-    closed route.
+    closed route.  The record keeps the factor's log; where the factor passes
+    the float range, log J3 - log(J2 - J1) is compared with it, the relative
+    slack 1e-9 kept as log1p(1e-9).
     """
     mu = mu_constant(d, model.n)
     r0 = R0 if R0 is not None else default_R0(model)
@@ -552,5 +568,12 @@ def shell_energy_ledger(
     log_term = exponent * math.log(lam)
     big = math.exp(log_term) if log_term < 700 else math.inf
     factor = 1.0 + big + lam ** (c_constant - model.n)
-    passed = j3 <= factor * (j2 - j1) * (1.0 + 1e-9) if math.isfinite(factor) else True
-    return ShellLedger(J1=j1, J2=j2, J3=j3, lam=lam, bound_factor=factor, passed=passed)
+    # the log-sum-exp of the factor's three terms, finite where the factor is not
+    logs = (0.0, log_term, (c_constant - model.n) * math.log(lam))
+    top = max(logs)
+    log_factor = top + math.log(sum(math.exp(v - top) for v in logs))
+    if math.isfinite(factor):
+        passed = j3 <= factor * (j2 - j1) * (1.0 + 1e-9)
+    else:
+        passed = _below_scaled(j3, log_factor + math.log1p(1e-9), j2 - j1)
+    return ShellLedger(J1=j1, J2=j2, J3=j3, lam=lam, log_bound_factor=log_factor, passed=passed)

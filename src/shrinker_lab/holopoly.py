@@ -5,7 +5,8 @@ coefficients.  They model holomorphic functions of polynomial growth on the
 flat factor of a model shrinker: the growth order of a polynomial equals its
 total degree, and the Lie derivative along the soliton vector field acts
 diagonally on monomials with eigenvalue ``|alpha| / 2``.  Its eigenparts are
-therefore the homogeneous parts, split by degree without a spectral catalog.
+therefore the homogeneous parts, split by degree without a spectral catalog
+and keyed by the degree k = 2 lambda, as catalogs index their eigenvalues.
 
 The public constructor ``HoloPoly(m, terms)`` validates every multi-index
 (length m, no negative exponent) and coerces keys to integer tuples and
@@ -206,9 +207,9 @@ def lie_derivative_nabla_f(model, u: HoloPoly) -> HoloPoly:
 
 @dataclass
 class EigenDecomposition:
-    """Splitting of a polynomial into eigenparts of the drift Lie derivative."""
+    """Splitting of a polynomial into eigenparts of the drift Lie derivative, keyed by k = 2 lambda."""
 
-    parts: dict[float, HoloPoly]
+    parts: dict[int, HoloPoly]
     residual_norm: float
 
     def reconstruct(self, m: int) -> HoloPoly:
@@ -233,12 +234,12 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
     """Split u into eigenfunctions of the drift Lie derivative.
 
     The drift derivative is half the Euler operator, so z^alpha is an
-    eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at lam is
-    its homogeneous part of degree 2 lam; no spectral catalog is needed.  The
+    eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at k/2 is
+    its homogeneous part of degree k; no spectral catalog is needed.  The
     terms above DECOMPOSE_TOL times the coefficient scale are grouped by
-    degree in one pass, and the group of degree k > 0, pruned, is the part at
-    k/2, in descending order.  The terms no part takes form the constant
-    (eigenvalue 0) part, unless all of them are at or below the tolerance.
+    degree in one pass, and the group of degree k > 0, pruned, is the part
+    keyed k, in descending order.  The terms no part takes form the constant
+    part, keyed 0, unless all of them are at or below the tolerance.
     The parts keep u's coefficients unchanged, so u minus their sum is the
     terms no part keeps, and the residual is the largest of their moduli.
     """
@@ -255,14 +256,12 @@ def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
     for alpha, c in u.terms.items():
         if abs(c) > tol:
             by_degree.setdefault(sum(alpha), {})[alpha] = c
-    parts = {
-        k / 2: HoloPoly._derived(u.m, by_degree[k]) for k in sorted(by_degree, reverse=True) if k > 0
-    }
+    parts = {k: HoloPoly._derived(u.m, by_degree[k]) for k in sorted(by_degree, reverse=True) if k > 0}
     taken = {alpha for part in parts.values() for alpha in part.terms}
     remainder = {a: c for a, c in u.terms.items() if a not in taken}
     if any(abs(c) > tol for c in remainder.values()):
-        parts[0.0] = HoloPoly._derived(u.m, remainder)
-    kept = parts[0.0].terms if 0.0 in parts else {}
+        parts[0] = HoloPoly._derived(u.m, remainder)
+    kept = parts[0].terms if 0 in parts else {}
     residual = max((abs(c) for a, c in remainder.items() if a not in kept), default=0.0)
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
@@ -295,10 +294,5 @@ def dim_O_d(model, d: float) -> int:
 
 
 def growth_eigenvalue_consistency(decomp: EigenDecomposition) -> bool:
-    """Each eigenpart must have degree <= twice its eigenvalue."""
-    for lam, part in decomp.parts.items():
-        if part.is_zero():
-            continue
-        if part.degree > 2.0 * lam + 1e-9:
-            return False
-    return True
+    """Each eigenpart, keyed by k = 2 lambda, must have degree <= k."""
+    return all(part.degree <= k for k, part in decomp.parts.items())

@@ -167,9 +167,9 @@ def _decomposition_growth(model: ModelShrinker) -> float:
         dec = holopoly.decompose_by_eigenvalue(model, u, 6.0)
         if not holopoly.growth_eigenvalue_consistency(dec):
             ok = False
-        for lam, part in dec.parts.items():
+        for k, part in dec.parts.items():
             op = holopoly.lie_derivative_nabla_f(model, part)
-            if (op - part.scale(lam)).coeff_norm() > 1e-10 * max(1.0, part.coeff_norm()):
+            if (op - part.scale(k / 2)).coeff_norm() > 1e-10 * max(1.0, part.coeff_norm()):
                 ok = False
     return float(not ok)
 

@@ -16,6 +16,12 @@ by element to a relative 1e-12 instead.  The
 contraction kernel is ranked here as one whole sparse matrix, by exact
 elimination over the rationals.
 
+The package builds the heat eigenbasis p_0..p_K in one run of its
+recurrence and keeps a series as one row indexed by k = 2 lambda.
+`heat_series` is the earlier route: weights keyed by float lambda, each basis
+polynomial rebuilt from p_0.  Its sums run in the same order, so the tests
+require equal bits.
+
 The package reads each eigenpart of a polynomial off as a homogeneous part;
 `decompose_by_eigenvalue` below finds it by power iteration on the drift
 derivative.  Every catalog eigenvalue is a half-integer, so a kept term's
@@ -229,6 +235,37 @@ def timestep_oracle(u0, s0, s1, N_grid=800, N_steps=200, X=12.0, extrapolate=Fal
     full = np.zeros_like(x)
     full[1:-1] = u
     return x, full
+
+
+def hermite_monic(k):
+    """The k-th monic eigenpolynomial, its recurrence restarted from p_0 as the package once did."""
+    p_prev = np.array([1.0])
+    if k == 0:
+        return p_prev
+    p = np.array([0.0, 1.0])
+    for j in range(1, k):
+        p_next = np.zeros(j + 2)
+        p_next[1:] = p
+        p_next[:j] -= 2.0 * j * p_prev
+        p_prev, p = p, p_next
+    return p
+
+
+def heat_series(u0, s, x):
+    """Eigen-weights keyed by float lambda, and the series at (s, x), one basis rebuild per weight."""
+    weights = {}
+    rem = np.array(u0, dtype=float)
+    for k in range(rem.size - 1, -1, -1):
+        a = rem[k]
+        if abs(a) < 1e-300:
+            continue
+        weights[k / 2] = a
+        pk = hermite_monic(k)
+        rem[: pk.size] -= a * pk
+    acc = np.zeros_like(np.asarray(x, dtype=float))
+    for lam, a in weights.items():
+        acc = acc + a * math.exp(-lam * s) * np.polynomial.polynomial.polyval(x, hermite_monic(round(2 * lam)))
+    return weights, acc
 
 
 def _monomial_form_basis(m, p, mu):

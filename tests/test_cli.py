@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -55,13 +56,13 @@ def test_spectrum_command(capsys):
 def test_closed_stdout_exits_1_without_a_traceback():
     # about 4 MB of JSON, far more than a pipe buffer: the reader closes after one line
     argv = ["spectrum", "--model", "gaussian", "--m", "1", "--lambda-max", "20000"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "shrinker_lab.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    stderr = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 1
     assert "Traceback" not in stderr and "Exception ignored" not in stderr, stderr
 
 
@@ -384,6 +385,20 @@ _FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rm
 _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
 
 
+def _kernel_form(n: int, c: float = 1.0) -> str:
+    """c (z1^n z2 dz1 - z1^(n+1) dz2), in the contraction kernel on gaussian(2)."""
+    return json.dumps(
+        {
+            "p": 1,
+            "m": 2,
+            "coeffs": [
+                {"index": [1], "terms": [{"alpha": [n, 1], "re": c}]},
+                {"index": [2], "terms": [{"alpha": [n + 1, 0], "re": -c}]},
+            ],
+        }
+    )
+
+
 @pytest.mark.parametrize(
     "argv, entries, names",
     [
@@ -463,6 +478,14 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         # mu = e^706 d^2 with d the degree 10: --d is at fault though not given
         (["frequency", "--m", "175", "--poly", "z1^10", "--rmin", "3", "--rmax", "3.5", "--n", "2"], None, ["--d", "/d"]),
         (["spectrum", "--m", "3"], {"model": {"kind": "cylinder"}}, ["--m", "/model"]),
+        # p_266 is the first basis polynomial past the float range: refused before any array is sized
+        (["heatflow", "--initial", "x^3000"], None, ["--initial", "/initial", "p_266"]),
+        (["heatflow", "--initial", "x^1000000000"], None, ["--initial", "/initial", "p_266"]),
+        # |omega|^2 carries s^(2 mu) on radii up to 42: refused before the weighted rule is built
+        (_FORMS_G2 + ["--form", _kernel_form(400)], None, ["--form", "/form", "weighted rule"]),
+        (_FORMS_G2 + ["--form", _kernel_form(10**8)], None, ["--form", "/form", "weighted rule"]),
+        # inside the degree guard, a coefficient of 1e300 carries the kernel integral past the float range
+        (_FORMS_G2 + ["--form", _kernel_form(1, 1e300)], None, ["--form", "/form"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
@@ -480,6 +503,8 @@ _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
         "initial-l2-overflow", "initial-coefficient-overflow", "frequency-dimension-guard",
         "frequency-dimension-share", "frequency-flat-radius-guard", "frequency-dimension-cap",
         "frequency-mu-guard", "frequency-mu-from-degree", "m-flag-on-cylinder-descriptor",
+        "initial-degree-3000", "initial-degree-1e9", "form-degree-400", "form-degree-1e8",
+        "form-coefficient-overflow",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
@@ -494,6 +519,15 @@ def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert all(name in err for name in names), err
+
+
+def test_kernel_integral_at_the_form_degree_bound(capsys):
+    # mu = 94 keeps 42^(2 mu) finite: the integral prints, finite and with no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(_FORMS_G2 + ["--form", _kernel_form(93)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["mu"] == 94 and -math.inf < data["kernel_integral"] < 0
 
 
 def test_high_degree_poly_inside_the_float_range(capsys):

@@ -4,6 +4,8 @@ caloric transform."""
 from __future__ import annotations
 
 import math
+import time
+import warnings
 
 import loop_reference as ref
 import numpy as np
@@ -19,8 +21,8 @@ from shrinker_lab.fheat import (
     drift_apply_1d,
     eternal_to_caloric,
     evolve_series,
-    hermite_monic,
     hermite_norm_sq,
+    monic_basis,
     project_to_eigenbasis,
     timestep_oracle,
     transform_to_eternal,
@@ -29,49 +31,97 @@ from shrinker_lab.fheat import (
 
 
 def test_basis_polynomials():
-    assert list(hermite_monic(2)) == [-2.0, 0.0, 1.0]
-    assert list(hermite_monic(3)) == [0.0, -6.0, 0.0, 1.0]
-    assert list(hermite_monic(4)) == [12.0, 0.0, -12.0, 0.0, 1.0]
+    basis = monic_basis(4)
+    assert [list(p) for p in basis[:2]] == [[1.0], [0.0, 1.0]]
+    assert list(basis[2]) == [-2.0, 0.0, 1.0]
+    assert list(basis[3]) == [0.0, -6.0, 0.0, 1.0]
+    assert list(basis[4]) == [12.0, 0.0, -12.0, 0.0, 1.0]
+    assert monic_basis(0) == basis[:1] and monic_basis(-1) == []
 
 
 def test_basis_eigen_relation_exact():
-    for k in range(9):
-        pk = hermite_monic(k)
+    for k, pk in enumerate(monic_basis(8)):
         residual = drift_apply_1d(pk) + (k / 2.0) * pk
         assert np.abs(residual).max() == 0.0
+
+
+def test_basis_equals_the_restarted_recurrence_bit_for_bit():
+    basis = monic_basis(265)
+    assert len(basis) == 266
+    for k in (*range(40), 100, 200, 264, 265):
+        assert basis[k].tobytes() == ref.hermite_monic(k).tobytes()
+
+
+def test_basis_stops_at_its_first_non_finite_row():
+    # p_265 is finite and p_266 is not, so any larger build stops after 266 rows
+    assert np.isfinite(monic_basis(265)[-1]).all()
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(ref.hermite_monic(266)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for K in (266, 3000, 10**9):
+            t0 = time.perf_counter()
+            with pytest.raises(NumericError, match="p_266 overflows"):
+                monic_basis(K)
+            assert time.perf_counter() - t0 < 1.0
+        with pytest.raises(NumericError, match="p_266 overflows"):
+            project_to_eigenbasis(np.eye(1, 267, 266)[0])
 
 
 def test_basis_orthogonality_and_norms():
     x, w = np.polynomial.legendre.leggauss(400)
     x, w = 20.0 * x, 20.0 * w * np.exp(-0.25 * (20.0 * x) ** 2)
+    basis = monic_basis(4)
     for j in range(5):
         for k in range(5):
-            pj = np.polynomial.polynomial.polyval(x, hermite_monic(j))
-            pk = np.polynomial.polynomial.polyval(x, hermite_monic(k))
+            pj = np.polynomial.polynomial.polyval(x, basis[j])
+            pk = np.polynomial.polynomial.polyval(x, basis[k])
             val = float(np.sum(w * pj * pk))
             expected = hermite_norm_sq(k) if j == k else 0.0
             assert abs(val - expected) < 1e-9 * max(1.0, hermite_norm_sq(k))
 
 
 def test_projection_x_squared():
+    # entry k weighs p_k at eigenvalue k/2: x^2 = p_2 + 2 p_0
     sol = project_to_eigenbasis(np.array([0.0, 0.0, 1.0]))
-    assert sol.coefficients == {0.0: 2.0, 1.0: 1.0}
+    assert list(sol.coefficients) == [2.0, 0.0, 1.0]
+    assert sol.terms() == [(2, 1.0), (0, 2.0)]
 
 
 def test_projection_x_cubed_parity():
     sol = project_to_eigenbasis(np.array([0.0, 0.0, 0.0, 1.0]))
-    assert sol.coefficients == {0.5: 6.0, 1.5: 1.0}
+    assert list(sol.coefficients) == [0.0, 6.0, 0.0, 1.0]
 
 
 def test_projection_single_eigenfunction():
-    sol = project_to_eigenbasis(hermite_monic(3))
-    assert sol.coefficients == {1.5: 1.0}
+    sol = project_to_eigenbasis(monic_basis(3)[3])
+    assert list(sol.coefficients) == [0.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("degree", [0, 1, 5, 20, 60, 140, 265])
+def test_series_equals_the_float_keyed_route_bit_for_bit(degree):
+    # the same sums in the same order, descending k with entries below 1e-300 skipped
+    rng = np.random.default_rng(degree)
+    u0 = rng.normal(size=degree + 1) * (rng.uniform(size=degree + 1) < 0.7)
+    u0[0] = 1e-301
+    x = np.linspace(-3.0, 3.0, 11)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights, want = ref.heat_series(u0, 0.75, x)
+        sol = project_to_eigenbasis(u0)
+        got = evolve_series(sol, 0.75, x)
+        if degree <= 170:  # k! passes the float range from k = 171 on
+            terms = (a * a * math.exp(-2.0 * lam * 0.75) * hermite_norm_sq(round(2 * lam)) for lam, a in weights.items())
+            norm = sum(terms)
+            assert repr(sol.norm_sq(0.75)) == repr(norm)
+    # repr: a degree-265 remainder carries NaN weights, on both routes alike
+    assert repr([(k / 2, a) for k, a in sol.terms()]) == repr(list(weights.items()))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_evolve_series_examples():
-    sol = HeatSolution(coefficients={1.0: 1.0})
+    sol = HeatSolution(coefficients=np.array([0.0, 0.0, 1.0]))
     assert evolve_series(sol, math.log(2.0), 1.0) == pytest.approx(-0.5)
-    const = HeatSolution(coefficients={0.0: 3.0})
+    const = HeatSolution(coefficients=np.array([3.0]))
     for s in (0.0, 1.0, 5.0):
         assert evolve_series(const, s, 0.7) == 3.0
     u0 = project_to_eigenbasis(np.array([0.0, 0.0, 1.0]))
@@ -156,16 +206,28 @@ def test_heat_polynomial_family():
 
 def test_transform_examples():
     # x^2 + 2t maps to e^{-s} (x^2 - 2)
+    # parts are keyed by 2 lambda
     parts = transform_to_eternal(HeatPolynomial({(2, 0): 1.0, (0, 1): 2.0}))
-    assert set(parts) == {1.0}
-    assert list(parts[1.0]) == [-2.0, 0.0, 1.0]
+    assert set(parts) == {2}
+    assert list(parts[2]) == [-2.0, 0.0, 1.0]
     # x maps to e^{-s/2} x
     parts = transform_to_eternal(HeatPolynomial({(1, 0): 1.0}))
-    assert set(parts) == {0.5}
-    assert list(parts[0.5]) == [0.0, 1.0]
+    assert set(parts) == {1}
+    assert list(parts[1]) == [0.0, 1.0]
     # constants stay put
     parts = transform_to_eternal(HeatPolynomial({(0, 0): 1.0}))
-    assert set(parts) == {0.0}
+    assert set(parts) == {0}
+    # each part holds the 2 lambda + 1 coefficients its key allows: t maps to -e^{-s}
+    parts = transform_to_eternal(HeatPolynomial({(0, 1): 1.0}))
+    assert list(parts[2]) == [-1.0, 0.0, 0.0]
+
+
+def test_inverse_transform_checks_parity_and_sign_exactly():
+    assert eternal_to_caloric({3: np.array([0.0, 2.0, 0.0, 1.0])}).terms == {(1, 1): -2.0, (3, 0): 1.0}
+    # x^0 at 2 lambda = 1 needs t^(1/2); x^2 at 2 lambda = 0 needs t^(-1); a half-integer key is no 2 lambda
+    for parts in ({1: np.array([1.0])}, {0: np.array([0.0, 0.0, 1.0])}, {1.5: np.array([0.0, 1.0])}):
+        with pytest.raises(DomainError, match="caloric"):
+            eternal_to_caloric(parts)
 
 
 def test_transform_residual_zero_for_caloric():
@@ -199,7 +261,7 @@ def test_transform_growth_bookkeeping():
     for d in range(1, 6):
         hp = HeatPolynomial.of_degree(d)
         parts = transform_to_eternal(hp)
-        assert max(parts) <= d / 2.0 + 1e-12
+        assert max(parts) <= d
 
 
 def test_energy_decay():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import partial
 
@@ -238,6 +239,68 @@ def test_j_ledger_models():
     assert rec.passed and rec.lam == 3.0
     const = shell_energy_ledger(G2, HoloPoly(2, {(0, 0): 1.0}), 1.0)
     assert const.passed  # shell volumes satisfy the same comparison
+
+
+class _ScaledShell:
+    """A shell rule whose integrals are multiplied by `scale`, in Python floats: a J mutant."""
+
+    def __init__(self, rule, scale):
+        self.rule, self.scale = rule, scale
+
+    def __getattr__(self, name):
+        return getattr(self.rule, name)
+
+    def integrate(self, *args):
+        return np.array(self.rule.integrate(*args).item() * self.scale)
+
+
+def _scale_shell(monkeypatch, which: int, scale: float) -> None:
+    """Scale J_which (1, 2 or 3) of the next ledger: its shells are built in that order."""
+    built = []
+
+    def shell_quadrature(*args):
+        built.append(quadrature.shell_quadrature(*args))
+        return _ScaledShell(built[-1], scale) if len(built) == which else built[-1]
+
+    monkeypatch.setattr(frequency, "shell_quadrature", shell_quadrature)
+
+
+_LEDGER_MODELS = {"gaussian_m2": G2, "gaussian_m4": gaussian(4), "cylinder_x_cylinder": product([CYL, CYL])}
+
+
+@pytest.mark.parametrize("model", _LEDGER_MODELS.values(), ids=_LEDGER_MODELS.keys())
+def test_j_ledger_compares_past_the_float_range(model, monkeypatch):
+    # on gaussian(4) and cylinder x cylinder the factor passes the float range, its log does not
+    u = HoloPoly.monomial(model.flat_m, (1,) + (0,) * (model.flat_m - 1))
+    rec = shell_energy_ledger(model, u, 1.0, 6.0, c_constant=0.0)
+    assert rec.passed and math.isfinite(rec.log_bound_factor)
+    assert (rec.log_bound_factor > 700) == (model.n == 8)
+    # J3 x 1e300, and J1 x 1e6 past J2, each fail the comparison
+    _scale_shell(monkeypatch, 3, 1e300)
+    assert not shell_energy_ledger(model, u, 1.0, 6.0, c_constant=0.0).passed
+    _scale_shell(monkeypatch, 1, 1e6)
+    mutant = shell_energy_ledger(model, u, 1.0, 6.0, c_constant=0.0)
+    assert mutant.J1 > mutant.J2 and not mutant.passed
+
+
+def test_below_scaled_decides_in_logs():
+    # x <= e^800 * value, with e^800 past the float range
+    assert frequency._below_scaled(1e300, 800.0, 1e-10)
+    assert not frequency._below_scaled(1e300, 800.0, 1e-200)
+    assert frequency._below_scaled(0.0, 800.0, 0.0) and not frequency._below_scaled(1e-300, 800.0, 0.0)
+    assert frequency._below_scaled(-1e300, 800.0, -1e-200)
+    assert not frequency._below_scaled(-1e300, 800.0, -1e-10) and not frequency._below_scaled(1.0, 800.0, -1e-10)
+
+
+def test_three_circle_compares_past_the_float_range():
+    # C1 = 2000 makes e^grow pass the float range at rho = 8; log(i4/i2) < 0 but the tail keeps
+    # e^grow (log(i4/i2) + tail) positive and far above lhs = 1
+    prof = frequency_profile(G1, Z, 1.0, [8.0, 16.0, 32.0], FrequencyConfig(C1=2000.0))
+    prof = dataclasses.replace(prof, I=np.array([1.0, math.e, 0.9 * math.e]))
+    (rec,) = doubling_and_three_circle(prof, [8.0])
+    assert rec.three_circle_lhs == 1.0 and rec.passed
+    (rec,) = doubling_and_three_circle(dataclasses.replace(prof, I=np.array([1.0, math.e, 1e-30 * math.e])), [8.0])
+    assert not rec.passed
 
 
 def test_j_ledger_regularity():

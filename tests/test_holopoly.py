@@ -14,6 +14,7 @@ from shrinker_lab.errors import DomainError
 from shrinker_lab.holopoly import (
     DECOMPOSE_TOL,
     PRUNE_REL,
+    EigenDecomposition,
     HoloPoly,
     decompose_by_eigenvalue,
     dim_O_d,
@@ -131,10 +132,11 @@ def test_decompose_example_1_z_z2():
     model = gaussian(1)
     u = HoloPoly(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0})
     dec = decompose_by_eigenvalue(model, u, 2.0)
-    assert set(dec.parts) == {0.0, 0.5, 1.0}
-    assert (dec.parts[0.0] - HoloPoly(1, {(0,): 1.0})).coeff_norm() < 1e-12
-    assert (dec.parts[0.5] - HoloPoly.monomial(1, (1,))).coeff_norm() < 1e-12
-    assert (dec.parts[1.0] - HoloPoly.monomial(1, (2,))).coeff_norm() < 1e-12
+    # parts are keyed by k = 2 lambda, the degree
+    assert set(dec.parts) == {0, 1, 2}
+    assert (dec.parts[0] - HoloPoly(1, {(0,): 1.0})).coeff_norm() < 1e-12
+    assert (dec.parts[1] - HoloPoly.monomial(1, (1,))).coeff_norm() < 1e-12
+    assert (dec.parts[2] - HoloPoly.monomial(1, (2,))).coeff_norm() < 1e-12
     assert dec.residual_norm < 1e-12
 
 
@@ -142,7 +144,7 @@ def test_decompose_eigenfunction_is_single_part():
     model = gaussian(2)
     u = HoloPoly.monomial(2, (1, 1))
     dec = decompose_by_eigenvalue(model, u, 2.0)
-    assert list(dec.parts) == [1.0]
+    assert list(dec.parts) == [2]
 
 
 def test_decompose_zero():
@@ -165,8 +167,8 @@ def test_decompose_round_trip_random():
         err = (dec.reconstruct(2) - u).coeff_norm()
         assert err < 1e-10 * max(1.0, u.coeff_norm())
         assert growth_eigenvalue_consistency(dec)
-        for lam, part in dec.parts.items():
-            residual = lie_derivative_nabla_f(model, part) - part.scale(lam)
+        for k, part in dec.parts.items():
+            residual = lie_derivative_nabla_f(model, part) - part.scale(k / 2)
             assert residual.coeff_norm() < 1e-10 * max(1.0, part.coeff_norm())
 
 
@@ -175,6 +177,13 @@ def test_decompose_on_cylinder():
     u = HoloPoly(1, {(0,): 2.0, (2,): -1.0, (3,): 0.5})
     dec = decompose_by_eigenvalue(model, u, 4.0)
     assert (dec.reconstruct(1) - u).coeff_norm() < 1e-12
+
+
+def test_growth_consistency_compares_integers():
+    # a part keyed k may have degree k and no more, with no slack either way
+    z2 = HoloPoly.monomial(1, (2,))
+    assert growth_eigenvalue_consistency(EigenDecomposition(parts={2: z2, 0: HoloPoly.zero(1)}, residual_norm=0.0))
+    assert not growth_eigenvalue_consistency(EigenDecomposition(parts={1: z2}, residual_norm=0.0))
 
 
 def test_decompose_degree_guard():
@@ -188,10 +197,10 @@ def test_decompose_needs_no_catalog(monkeypatch):
 
     monkeypatch.setattr(spectrum, "analytic_spectrum", refuse)
     dec = decompose_by_eigenvalue(cylinder(), HoloPoly(1, {(0,): 1.0, (3,): 0.5}), 4.0)
-    assert list(dec.parts) == [1.5, 0.0]
+    assert list(dec.parts) == [3, 0]
     u = HoloPoly(2, {(0, 0): 1.0, (1, 0): 2.0, (2, 1): -1.0j})
     dec = decompose_by_eigenvalue(gaussian(2), u, 3.0)
-    assert list(dec.parts) == [1.5, 0.5, 0.0]
+    assert list(dec.parts) == [3, 1, 0]
     assert dec.residual_norm == 0.0
 
 
@@ -199,9 +208,9 @@ def test_decompose_at_a_huge_growth_bound():
     # a catalog up to d/2 = 5e5 would be refused as too large; two terms split by degree
     u = HoloPoly(1, {(3,): 1.0, (1,): 2.0})
     dec = decompose_by_eigenvalue(gaussian(1), u, 1e6)
-    assert list(dec.parts) == [1.5, 0.5]
-    assert dec.parts[1.5].terms == {(3,): 1.0}
-    assert dec.parts[0.5].terms == {(1,): 2.0}
+    assert list(dec.parts) == [3, 1]
+    assert dec.parts[3].terms == {(3,): 1.0}
+    assert dec.parts[1].terms == {(1,): 2.0}
     assert dec.residual_norm == 0.0
 
 
@@ -220,9 +229,9 @@ def test_decompose_high_degree_top_two(d):
     # power iteration contracts the degree-(d-1) part by (d-1)/d per step: too slowly
     with pytest.raises(RuntimeError):
         ref.decompose_by_eigenvalue(gaussian(1), u, float(d))
-    assert list(dec.parts) == [d / 2, (d - 1) / 2]
-    assert dec.parts[d / 2].terms == {(d,): 1.0}
-    assert dec.parts[(d - 1) / 2].terms == {(d - 1,): 1.0}
+    assert list(dec.parts) == [d, d - 1]
+    assert dec.parts[d].terms == {(d,): 1.0}
+    assert dec.parts[d - 1].terms == {(d - 1,): 1.0}
     assert dec.residual_norm == 0.0
 
 
@@ -233,9 +242,9 @@ def test_decompose_degree_10_is_homogeneous_split():
     )
     dec = decompose_by_eigenvalue(gaussian(2), u, 10.0)
     homogeneous = homogeneous_parts(u)
-    assert sorted(dec.parts) == sorted(k / 2 for k in homogeneous)
-    for lam, part in dec.parts.items():
-        assert part.terms == homogeneous[int(2 * lam)].terms
+    assert sorted(dec.parts) == sorted(homogeneous)
+    for k, part in dec.parts.items():
+        assert part.terms == homogeneous[k].terms
     assert dec.residual_norm == 0.0
 
 
@@ -255,9 +264,10 @@ def test_decompose_matches_power_iteration(model, seed, count):
     for u in _random_polys(model, seed, count):
         dec = decompose_by_eigenvalue(model, u, 6.0)
         want = ref.decompose_by_eigenvalue(model, u, 6.0)
-        assert list(dec.parts) == list(want.parts)
-        for lam, part in want.parts.items():
-            assert list(dec.parts[lam].terms.items()) == list(part.terms.items())
+        # the reference keys its parts by float lambda, the package by k = 2 lambda
+        assert [k / 2 for k in dec.parts] == list(want.parts)
+        for k, part in dec.parts.items():
+            assert list(part.terms.items()) == list(want.parts[k / 2].terms.items())
         assert dec.residual_norm == want.residual_norm
 
 
@@ -287,9 +297,9 @@ def test_decompose_matches_catalog_walk(model, d):
         u = _edge_poly(model.flat_m, rng)
         dec = decompose_by_eigenvalue(model, u, d)
         want = ref.decompose_by_catalog_walk(model, u, d)
-        assert list(dec.parts) == list(want.parts)
-        for lam, part in want.parts.items():
-            assert repr(list(dec.parts[lam].terms.items())) == repr(list(part.terms.items()))
+        assert [k / 2 for k in dec.parts] == list(want.parts)
+        for k, part in dec.parts.items():
+            assert repr(list(part.terms.items())) == repr(list(want.parts[k / 2].terms.items()))
         assert repr(dec.residual_norm) == repr(want.residual_norm)
 
 
@@ -297,12 +307,12 @@ def test_decompose_edge_terms_stay_in_remainder():
     # the degree-1 term sits at the tolerance, so it is no part of its own
     u = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0})
     dec = decompose_by_eigenvalue(gaussian(1), u, 2.0)
-    assert list(dec.parts) == [1.0, 0.0]
-    assert dec.parts[0.0].terms == {(1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0}
+    assert list(dec.parts) == [2, 0]
+    assert dec.parts[0].terms == {(1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0}
     assert dec.residual_norm == ref.decompose_by_catalog_walk(gaussian(1), u, 2.0).residual_norm == 0.0
     small = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL})
     dec = decompose_by_eigenvalue(gaussian(1), small, 2.0)
-    assert list(dec.parts) == [1.0]
+    assert list(dec.parts) == [2]
     assert dec.residual_norm == 4.0 * DECOMPOSE_TOL
 
 
