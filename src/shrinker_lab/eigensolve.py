@@ -12,17 +12,15 @@ even and an odd block of half the order (Cantoni & Butler, Linear Algebra
 Appl. 13, 1976); each eigenvalue is found on its own block, so every pass
 runs on half the rows.  Any other matrix is solved whole.
 
-Implicit heat stepping solves one constant tridiagonal matrix many times.
-`thomas_factor` does the elimination once and `thomas_substitute` solves each
-right-hand side by the closed form of the first-order recurrences of the
-forward and back substitution: with the summation factor Q_i, the running
-product of the multipliers, z_i = r_i + a_i z_{i-1} is
-z_i = Q_i sum_{j <= i} r_j / Q_j (Graham, Knuth & Patashnik, Concrete
-Mathematics, 2.2).  Q and 1/Q are kept within 2^±500 by cutting the rows into
-equal blocks, each with its own Q; one cumulative sum along the blocks
-evaluates every block's sums, and a loop over the blocks carries each one's
-end into the next.  The sums hold the same terms as the textbook loop in a
-different order, so solutions agree with it to rounding, not bit for bit.
+Implicit heat stepping solves one constant tridiagonal matrix at every step;
+`implicit_steps` eliminates it once and runs every step of a run on buffers
+allocated once.  Each solve is two first-order recurrences, and with the
+summation factor Q_i, the running product of the multipliers,
+z_i = r_i + a_i z_{i-1} is z_i = Q_i sum_{j <= i} r_j / Q_j (Graham, Knuth &
+Patashnik, Concrete Mathematics, 2.2): one cumulative sum.  Equal row blocks,
+each with its own Q and a carry from the one before, keep Q and 1/Q within
+2^±500.  The sums hold the textbook loop's terms in another order, so results
+agree with it to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -43,24 +41,8 @@ _ULPS = 4
 _EPS = sys.float_info.epsilon
 # a zero pivot is replaced by this one
 _TINY_PIVOT = 1e-300
-# every running product of multipliers in a scan block, and its inverse, stays within 2^±_BLOCK_BITS
+# every running product of multipliers in a block, and its inverse, stays within 2^±_BLOCK_BITS
 _BLOCK_BITS = 500
-
-
-@dataclass(frozen=True)
-class _SumBlocks:
-    """Summation factors of the recurrence z_i = r_i + a_i z_{i-1}, in B blocks of L rows.
-
-    With Q the product of the multipliers of the rows after the start of a
-    block, up to row t (1 at the start), inv_q[b, t] = 1 / Q and
-    out[b, t] = Q times the scale its row's result takes.  gains[b - 1] is the
-    multiplier of block b's first row times Q at the end of block b - 1: it
-    carries the sum of block b - 1 into block b.
-    """
-
-    inv_q: np.ndarray
-    out: np.ndarray
-    gains: list[float]
 
 
 def _sturm_count(diag: list[float], e2: list[float], x: float) -> int:
@@ -264,44 +246,90 @@ def _merge(even: _SturmBlock, odd: _SturmBlock, k: int) -> np.ndarray:
     return np.array(sorted(high + low))
 
 
-def thomas_factor(diag: np.ndarray, off: np.ndarray) -> tuple[_SumBlocks, _SumBlocks]:
-    """Eliminate the symmetric tridiagonal matrix (diag, off) once.
+def implicit_steps(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, u0: np.ndarray, steps: int) -> np.ndarray:
+    """(A^-1 diag(mass))^steps u0, `steps` backward-Euler steps with the symmetric tridiagonal A = (diag, off).
 
-    Returns (forward, backward) for `thomas_substitute`.  With the pivots
-    d_i, the eliminated diagonal entries, and the multipliers
-    c_i = off[i] / d_i the matrix is L D L^T, L unit lower bidiagonal with
-    subdiagonal c.  forward holds the summation factors of
-    z_i = r_i - c_{i-1} z_{i-1}, scaled to return y_i = z_i / d_i; backward
-    those of x_i = y_i - c_i x_{i+1}, read from the last row up.  Both use one
-    block length (see `_block_length`) and depend on the matrix alone, so
-    every right-hand side reuses them.
+    A = L D L^T is eliminated once (`_eliminate`).  With c_i = off[i] / d_i,
+    z_i = r_i - c_{i-1} z_{i-1} solves L z = r and x_i = z_i / d_i - c_i x_{i+1}
+    solves D L^T x = z, each a cumulative sum by its summation factor Q over
+    equal row blocks (`_block_length`, `_carry`).  One buffer holds the rows
+    after a zero padding, so the back recurrence runs on the same blocks
+    reversed.  Between steps it holds x / Q_b: a step multiplies by
+    Q_b mass / Q_f, sums, multiplies by Q_f / (d Q_b) and sums the buffer
+    reversed, and x is formed after the last step.
 
-    For a strictly diagonally dominant matrix every |c_i| < 1, so each term
-    r_j Q_i / Q_j of a solution entry carries a product of multipliers below
-    1 in magnitude, as in the textbook loop, and the sums do not amplify
-    rounding.  The backward-Euler matrix M + ds K is such a matrix: K is a
-    Dirichlet Laplacian and M a positive mass.  A non-finite entry raises
-    NumericError, naming its index, before any elimination.
+    For a strictly diagonally dominant A, as M + ds K is, every |c_i| < 1, so
+    the sums do not amplify rounding.  A step whose closing sum is not finite
+    is done again from the state scaled by a power of two, exact for every
+    entry within 2^1000 of the largest, and the result is scaled back.  A zero
+    pivot or a non-finite entry of diag or off raises NumericError before any
+    step.  steps must be at least 1.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
     _require_finite(diag, off)
-    diag, off = diag.tolist(), off.tolist()
-    n = len(diag)
+    pivots, a = _eliminate(diag.tolist(), off.tolist())
+    n = diag.size
+    length = _block_length(a)
+    blocks = -(-n // length)
+    size = blocks * length
+    pad = size - n
+    q_f, gains_f = _summation_factors(np.concatenate((np.ones(pad + 1), a)), length)
+    q_b, gains_b = _summation_factors(np.concatenate(([1.0], a[::-1], np.ones(pad))), length)
+    q_b = q_b[::-1]
+    first = np.concatenate((np.zeros(pad), mass)) / q_f
+    later = first * q_b
+    back = np.concatenate((np.zeros(pad), 1.0 / pivots)) * q_f / q_b
+    # two buffers, each with its forward and reversed block views: a step reads the state from
+    # one and writes the next into the other, so an overflowing step can start again
+    buffers = [(buf, buf.reshape(blocks, length), buf[::-1].reshape(blocks, length)) for buf in np.zeros((2, size))]
+    buffers[0][0][pad:] = u0
+    carries = np.zeros((blocks - 1, 1))
+    exponent = 0
+
+    def advance(state, factor, out, rows, reversed_rows) -> bool:
+        np.multiply(state, factor, out=out)
+        np.add.accumulate(rows, axis=1, out=rows)
+        if blocks > 1:
+            _carry(rows, gains_f, carries)
+        out *= back
+        np.add.accumulate(reversed_rows, axis=1, out=reversed_rows)
+        if blocks > 1:
+            _carry(reversed_rows, gains_b, carries)
+        return math.isfinite(out[0])
+
+    # an overflowing sum is caught by the closing-sum check, which steps again
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            (state, _, _), target = buffers
+            factor = later if step else first
+            if not advance(state, factor, *target):
+                # a scale of 0 or less: the state is not finite, or too small to be the cause, and no scale mends it
+                _, scale = math.frexp(float(np.max(np.abs(state))))
+                if scale > 0:
+                    np.ldexp(state, -scale, out=state)
+                    exponent += scale
+                    advance(state, factor, *target)
+            buffers.reverse()
+        x = buffers[0][0][pad:] * q_b[pad:]
+        return np.ldexp(x, exponent) if exponent else x
+
+
+def _eliminate(diag: list[float], off: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The pivots d_i of (diag, off) and the multipliers -c_i = -off[i] / d_i; NumericError at a zero pivot."""
     denom = diag[0]
     if denom == 0.0:
         raise NumericError("zero pivot in tridiagonal solve")
     pivots = [denom]
     mults = []
-    for i in range(1, n):
-        mults.append(off[i - 1] / denom)
-        denom = diag[i] - off[i - 1] * mults[-1]
+    for d, e in zip(diag[1:], off):
+        c = e / denom
+        denom = d - e * c
         if denom == 0.0:
-            raise NumericError(f"zero pivot in tridiagonal solve at row {i}")
+            raise NumericError(f"zero pivot in tridiagonal solve at row {len(pivots)}")
+        mults.append(c)
         pivots.append(denom)
-    a = -np.array(mults)
-    length = _block_length(a)
-    return _sum_blocks(a, length, 1.0 / np.array(pivots)), _sum_blocks(a[::-1], length, 1.0)
+    return np.array(pivots), -np.array(mults)
 
 
 def _block_length(a: np.ndarray) -> int:
@@ -326,71 +354,24 @@ def _block_length(a: np.ndarray) -> int:
     return -(-n // blocks)
 
 
-def _sum_blocks(a: np.ndarray, length: int, scale: float | np.ndarray) -> _SumBlocks:
-    """Summation factors of z_i = r_i + a_i z_{i-1} (a_0 unused) in blocks of `length` rows.
+def _summation_factors(mult: np.ndarray, length: int) -> tuple[np.ndarray, list[float]]:
+    """Q and the carry gains of z_i = r_i + mult_i z_{i-1} in blocks of `length` rows; mult is overwritten.
 
-    Row i of the result is multiplied by scale, a number or one per row.
+    Q is the running product of the multipliers after the start of a block
+    (1 there).  gains[b - 1], the multiplier of block b's first row times Q
+    at the end of block b - 1, carries the sum of block b - 1 into block b.
     """
-    n = a.size + 1
-    mult = np.ones((-(-n // length), length))
-    mult.ravel()[1:n] = a
+    mult = mult.reshape(-1, length)
     lead = mult[:, 0].copy()
     mult[:, 0] = 1.0
     q = np.cumprod(mult, axis=1)
-    out = q.copy()
-    out.ravel()[:n] *= scale
-    return _SumBlocks(inv_q=1.0 / q, out=out, gains=(lead[1:] * q[:-1, -1]).tolist())
+    return q.ravel(), (lead[1:] * q[:-1, -1]).tolist()
 
 
-def _block_scan(blocks: _SumBlocks, r: np.ndarray) -> np.ndarray:
-    """z_i = r_i + a_i z_{i-1} for every i, by the summation factors in `blocks`.
-
-    Within block b, z_t = Q_t (k_b + sum_{j <= t} r_j / Q_j), where the carry
-    k_b is the block's leading multiplier times z at the end of block b - 1.
-    When some r_j / Q_j overflows, the last block's closing sum is not
-    finite; the scan then runs again on r scaled by a power of two, which is
-    exact for every entry within 2^1000 of the largest, and scales the result
-    back.
-    """
-    z, closing = _block_scan_once(blocks, r)
-    if math.isfinite(closing):
-        return z
-    _, exponent = math.frexp(float(np.max(np.abs(r))))
-    if exponent <= 0:  # r is not finite, or too small to be the cause: no scale mends it
-        return z
-    z, _ = _block_scan_once(blocks, np.ldexp(r, -exponent))
-    return np.ldexp(z, exponent)
-
-
-def _block_scan_once(blocks: _SumBlocks, r: np.ndarray) -> tuple[np.ndarray, float]:
-    """The block scan of r and its last block's closing sum, finite iff every block sum is."""
-    n = r.size
-    s = np.zeros(blocks.out.shape)
-    flat = s.ravel()
-    np.multiply(r, blocks.inv_q.ravel()[:n], out=flat[:n])
-    np.add.accumulate(s, axis=1, out=s)
-    sums = s[:, -1].tolist()
+def _carry(rows: np.ndarray, gains: list[float], carries: np.ndarray) -> None:
+    """Add to block b of rows, b >= 1, gains[b - 1] times the closing sum of block b - 1 with its carry."""
     carry = 0.0
-    if blocks.gains:
-        carries = [carry]
-        for gain, total in zip(blocks.gains, sums):
-            carry = gain * (total + carry)
-            carries.append(carry)
-        s += np.array(carries)[:, None]
-    s *= blocks.out
-    return flat[:n], sums[-1] + carry
-
-
-def thomas_substitute(factor: tuple[_SumBlocks, _SumBlocks], rhs: np.ndarray) -> np.ndarray:
-    """Solve the factored tridiagonal system for one right-hand side.
-
-    Forward, z_i = rhs_i - c_{i-1} z_{i-1} solves L z = rhs, and y = z / d;
-    back, x_i = y_i - c_i x_{i+1} solves L^T x = y.  Each recurrence runs as
-    one block scan: a multiply by 1/Q, a cumulative sum along the blocks, a
-    loop that carries each block's end into the next, and a multiply by Q.
-    """
-    forward, backward = factor
-    # an overflowing block sum is caught by the finite check of _block_scan, which solves again
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _block_scan(forward, np.asarray(rhs, dtype=float))
-        return _block_scan(backward, y[::-1])[::-1]
+    for b, (gain, total) in enumerate(zip(gains, rows[:-1, -1].tolist())):
+        carry = gain * (total + carry)
+        carries[b] = carry
+    rows[1:] += carries

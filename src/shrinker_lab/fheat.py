@@ -9,12 +9,11 @@ run of the recurrence, which stops at its first non-finite row, p_266.  Initial
 data are polynomials, so their expansion in this basis is finite and exact.
 Series solutions evolve entry k by e^{-k s / 2}; the backward-Euler oracle advances the
 discretized operator of the oracle1d module instead and is compared against
-the series in the weighted L^2 norm.  Its step matrix M + ds K is factored
-once per run, and each step solves by the summation factors of the
-elimination's recurrences, one cumulative sum per recurrence over equal row
-blocks (see eigensolve), which matches a fresh per-step elimination to
-rounding.  A run is refused before its grid is built when its grid or its
-row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
+the series in the weighted L^2 norm.  A run is one call of
+eigensolve.implicit_steps, which eliminates M + ds K once and takes each step
+as two cumulative sums on a state kept in summation-factor scale, equal to a
+fresh per-step elimination to rounding.  A run is refused before its grid is
+built when its grid or its row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
 
 Heat polynomials (polynomial solutions of the plain heat equation) transform
 to eternal drift-heat solutions through the soliton flow x -> x e^{-s/2},
@@ -32,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError, NumericError
 from .oracle1d import discretize, flat_weight
-from .eigensolve import thomas_factor, thomas_substitute
+from .eigensolve import implicit_steps
 
 # -- the monic eigenbasis ------------------------------------------------------
 
@@ -84,7 +83,22 @@ class HeatSolution:
         return [(k, a) for k, a in reversed(list(enumerate(self.coefficients))) if a != 0.0]
 
     def norm_sq(self, s: float = 0.0) -> float:
-        return sum(a * a * math.exp(-k * s) * hermite_norm_sq(k) for k, a in self.terms())
+        """sum_k a_k^2 e^{-k s} |p_k|^2, the squared weighted L^2 norm at drift-time s.
+
+        From k = 171 on k! passes the float range, so those terms are taken in
+        logs, and one past the float range raises NumericError naming k.
+        """
+        return sum(_norm_term(k, a, s) for k, a in self.terms())
+
+
+def _norm_term(k: int, a: float, s: float) -> float:
+    if k <= 170:
+        return a * a * math.exp(-k * s) * hermite_norm_sq(k)
+    log_norm_sq = (k + 1) * math.log(2.0) + math.lgamma(k + 1) + 0.5 * math.log(math.pi)
+    try:
+        return math.exp(2.0 * math.log(abs(a)) - k * s + log_norm_sq)
+    except OverflowError:
+        raise NumericError(f"the squared norm's term k={k} is past the float range") from None
 
 
 def project_to_eigenbasis(u0: np.ndarray) -> HeatSolution:
@@ -122,15 +136,16 @@ def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
 # -- time-stepping oracle --------------------------------------------------------
 
 # Bound on the row-steps `require_heat_work` counts.  On a 2-core VM a
-# backward-Euler step costs about 17 us of numpy calls plus 19 ns per grid
-# row, so the estimate charges every step _STEP_ROWS rows on top of its grid.
-# Near the bound the slowest accepted runs, grids of 400 to 800 with 36,000 to
-# 28,000 steps, take 1.1 s at a 31 MB peak; N_grid = HEAT_GRID_LIMIT with 495
-# steps takes 0.7 s at a 57 MB peak.  The largest run in use, (1600, 400)
+# backward-Euler step costs about 5 us of numpy calls plus 8 ns per grid row,
+# up to 15 us more for the carries of several row blocks, so the estimate
+# charges every step _STEP_ROWS rows on top of its grid.  Near the bound the
+# slowest accepted runs, grids of 400 to 800 with 35,700 to 27,700 steps, take
+# 0.9-1.3 s at a 31 MB peak from the command line, and N_grid = HEAT_GRID_LIMIT
+# with 495 steps 0.6-0.9 s at 55 MB.  The largest run in use, (1600, 400)
 # extrapolated, needs 1,560,000.
 HEAT_WORK_LIMIT = 50_000_000
 _STEP_ROWS = 1_000
-# Bound on N_grid: discretize and thomas_factor hold arrays and Python lists of N_grid floats.
+# Bound on N_grid: discretize and implicit_steps hold arrays and Python lists of N_grid floats.
 HEAT_GRID_LIMIT = 100_000
 
 
@@ -180,12 +195,7 @@ def timestep_oracle(
 
     def run(steps: int) -> np.ndarray:
         ds = (s1 - s0) / steps
-        # the matrix M + ds K is the same at every step: eliminate it once
-        factor = thomas_factor(op.weight + ds * stiff_diag, ds * stiff_off)
-        u = vals0
-        for _ in range(steps):
-            u = thomas_substitute(factor, op.weight * u)
-        return u
+        return implicit_steps(op.weight + ds * stiff_diag, ds * stiff_off, op.weight, vals0, steps)
 
     u = run(N_steps)
     if extrapolate:

@@ -35,6 +35,7 @@ so they take one radius and no method.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 
@@ -468,6 +469,9 @@ class DoublingRecord:
     passed: bool
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
 def _below_scaled(x: float, log_scale: float, value: float) -> bool:
     """x <= e^log_scale * value, decided in logs, so e^log_scale may pass the float range."""
     if value > 0:
@@ -492,15 +496,18 @@ def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingR
         log2_bound = 2.0 * (profile.d + config.epsilon * math.sqrt(profile.mu))
         lhs = math.log(i2 / i1)
         grow = config.C1 / (sig * rho**sig)
-        boost = math.exp(grow) if grow < 700 else math.inf
         shrink = (2 * rho) ** (-sig) - (4 * rho) ** (-sig)
         tail = config.C2 * math.sqrt(profile.mu) * math.log(2.0) / sig * shrink
-        rhs = boost * math.log(i4 / i2) + tail * boost
         # rhs is e^grow (log(i4/i2) + tail): once e^grow passes the float range, compare in logs
+        # and store rhs held within the float range, so it and the margin keep their signs
         if grow < 700:
+            boost = math.exp(grow)
+            rhs = boost * math.log(i4 / i2) + tail * boost
             circle_ok = lhs <= rhs + 1e-12
         else:
-            circle_ok = _below_scaled(lhs - 1e-12, grow, math.log(i4 / i2) + tail)
+            value = math.log(i4 / i2) + tail
+            circle_ok = _below_scaled(lhs - 1e-12, grow, value)
+            rhs = math.copysign(math.exp(min(grow + math.log(abs(value)), _LOG_FLOAT_MAX)), value) if value else 0.0
         rec = DoublingRecord(
             rho=float(rho),
             doubling_log2_ratio=log2_ratio,

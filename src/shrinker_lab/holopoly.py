@@ -79,9 +79,14 @@ class HoloPoly:
         Adding 0.0 turns a -0.0 imaginary part into +0.0, as the public
         constructor's accumulation does, so both routes store equal bits.
         """
+        return cls._as_is(m, _prune({a: 0.0 + c for a, c in terms.items() if c != 0}))
+
+    @classmethod
+    def _as_is(cls, m: int, terms: dict[tuple[int, ...], complex]) -> "HoloPoly":
+        """A polynomial holding terms that are valid, nonzero and pruned already, as they are."""
         poly = object.__new__(cls)
         object.__setattr__(poly, "m", m)
-        object.__setattr__(poly, "terms", _prune({a: 0.0 + c for a, c in terms.items() if c != 0}))
+        object.__setattr__(poly, "terms", terms)
         return poly
 
     # -- constructors ------------------------------------------------------
@@ -213,17 +218,13 @@ class EigenDecomposition:
     residual_norm: float
 
     def reconstruct(self, m: int) -> HoloPoly:
-        """The sum of the parts, merged into one dict and pruned once.
+        """The sum of the parts: their terms, merged into one dict.
 
-        The parts of a decomposition have disjoint supports, so one prune
-        against the largest term drops exactly what adding them one at a
-        time would drop.
+        The parts of a decomposition hold terms of one polynomial, unchanged
+        and on disjoint supports, so no sum is formed and none falls below
+        that polynomial's prune floor: the merge needs no prune.
         """
-        total: dict[tuple[int, ...], complex] = {}
-        for part in self.parts.values():
-            for alpha, c in part.terms.items():
-                total[alpha] = total.get(alpha, 0.0) + c
-        return HoloPoly._derived(m, total)
+        return HoloPoly._as_is(m, {a: c for part in self.parts.values() for a, c in part.terms.items()})
 
 
 # Terms of the remainder at or below this times the coefficient scale are dropped.

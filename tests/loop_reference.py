@@ -1,17 +1,18 @@
 """Element-by-element reference loops for the discrete oracles and eigenparts.
 
 The package runs its Sturm counts and Newton passes on Python floats,
-factors the backward-Euler matrix once per run, solves each step by summation
-factors, one cumulative sum per recurrence over equal row blocks, and ranks
-the contraction kernel one block per support size.  The loops below index
-numpy arrays one element at a time and redo the elimination at every step.
+eliminates the backward-Euler matrix once per run and advances every step in
+one kernel, two cumulative sums over equal row blocks on a state kept in
+summation-factor scale, and ranks the contraction kernel one block per
+support size.  The loops below index numpy arrays one element at a time and
+redo the elimination at every step.
 `tridiagonal_eigenvalues` is the package's algorithm written as such a loop:
 it folds a matrix equal to its reversal into its even and odd blocks,
 isolates each eigenvalue by Sturm counts and refines it by safeguarded
 Newton, and keeps its counts in a list that it scans for each bracket
 instead of a dict.  Its passes do the same floating-point operations in the
 same order, so the tests require equal spectra, not close ones.  The block sums hold the
-substitution's terms in another order, so heat stepping is matched element
+substitutions' terms in another order, so heat stepping is matched element
 by element to a relative 1e-12 instead.  The
 contraction kernel is ranked here as one whole sparse matrix, by exact
 elimination over the rationals.

@@ -268,3 +268,18 @@ def test_energy_decay():
     sol = project_to_eigenbasis(np.array([1.0, 2.0, -1.0, 0.5]))
     values = [sol.norm_sq(s) for s in np.linspace(0.0, 4.0, 17)]
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("k", [200, 265])
+def test_norm_past_the_factorial_range_is_taken_in_logs(k):
+    # k! is past the float range from k = 171 on; a weight of about |p_k|^-1
+    # keeps the term near 1, which the sum of logs returns
+    log_norm_sq = (k + 1) * math.log(2.0) + math.lgamma(k + 1) + 0.5 * math.log(math.pi)
+    a = math.exp(-0.5 * log_norm_sq)
+    sol = HeatSolution(coefficients=np.eye(1, k + 1, k)[0] * a)
+    for s in (0.0, 0.01):
+        want = math.exp(2.0 * math.log(a) - k * s + log_norm_sq)
+        assert sol.norm_sq(s) == pytest.approx(want, rel=1e-12)
+    # a unit weight leaves the float range: refused, naming k
+    with pytest.raises(NumericError, match=f"term k={k} "):
+        HeatSolution(coefficients=np.eye(1, k + 1, k)[0]).norm_sq()

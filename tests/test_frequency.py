@@ -299,8 +299,11 @@ def test_three_circle_compares_past_the_float_range():
     prof = dataclasses.replace(prof, I=np.array([1.0, math.e, 0.9 * math.e]))
     (rec,) = doubling_and_three_circle(prof, [8.0])
     assert rec.three_circle_lhs == 1.0 and rec.passed
+    # the stored rhs and margin are finite, never NaN, and carry the verdict's sign
+    assert 0 < rec.three_circle_rhs < math.inf and 0 < rec.three_circle_margin < math.inf
     (rec,) = doubling_and_three_circle(dataclasses.replace(prof, I=np.array([1.0, math.e, 1e-30 * math.e])), [8.0])
     assert not rec.passed
+    assert -math.inf < rec.three_circle_rhs < 0 and -math.inf < rec.three_circle_margin < 0
 
 
 def test_j_ledger_regularity():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from shrinker_lab import eigensolve, oracle1d
-from shrinker_lab.eigensolve import thomas_factor, thomas_substitute, tridiagonal_eigenvalues
+from shrinker_lab.eigensolve import implicit_steps, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
 from shrinker_lab.oracle1d import discretize, oracle_spectrum_1d
 
@@ -48,6 +48,17 @@ def test_jacobi_against_bisection():
     assert np.abs(np.sort(dense) - np.sort(tri)).max() < 1e-9
 
 
+def _solve(diag, off, rhs):
+    """One backward-Euler step of the kernel with unit mass: the solve of (diag, off) x = rhs."""
+    return implicit_steps(diag, off, np.ones(len(diag)), rhs, 1)
+
+
+def _blocks(diag, off):
+    """The number of row blocks the kernel cuts the matrix (diag, off) into."""
+    _, mults = eigensolve._eliminate(list(diag), list(off))
+    return -(-len(diag) // eigensolve._block_length(mults))
+
+
 def test_thomas_solve():
     rng = np.random.default_rng(0)
     n = 50
@@ -55,26 +66,21 @@ def test_thomas_solve():
     off = rng.uniform(size=n - 1)
     x_true = rng.normal(size=n)
     a = ref.dense(diag, off)
-    factor = thomas_factor(diag, off)
     for _ in range(3):
-        x = np.array(thomas_substitute(factor, (a @ x_true).tolist()))
+        x = _solve(diag, off, (a @ x_true).tolist())
         assert np.abs(x - x_true).max() < 1e-10
         x_true = rng.normal(size=n)
 
 
 def test_thomas_scan_matches_dense_solve_on_heat_matrix():
     # the backward-Euler matrix M + ds K; its weights span about 16 orders of magnitude
-    op = discretize(12.0, 1600)
-    ds = 1.0 / 400
-    diag = op.weight + ds * op.diag * op.weight
-    off = ds * op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
-    factor = thomas_factor(diag, off)
+    op, diag, off = _heat_matrix(1600, 400)
     xs = op.grid[1:-1]
     a = ref.dense(diag, off)
     quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
     for u in (np.ones_like(xs), xs**2, quartic):
         rhs = op.weight * u
-        got = thomas_substitute(factor, rhs)
+        got = _solve(diag, off, rhs)
         want = np.linalg.solve(a, rhs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -85,9 +91,8 @@ def test_thomas_scan_small_orders(n):
     diag = np.array([4.0, 5.0, 3.0])[:n]
     off = np.array([1.0, -2.0])[: n - 1]
     rhs = np.array([1.0, -2.0, 0.5])[:n]
-    factor = thomas_factor(diag, off)
-    assert factor[0].out.shape == factor[1].out.shape == (1, n)
-    got = thomas_substitute(factor, rhs)
+    assert _blocks(diag, off) == 1
+    got = _solve(diag, off, rhs)
     want = np.linalg.solve(ref.dense(diag, off), rhs)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -104,27 +109,63 @@ def test_thomas_scan_in_many_blocks_matches_dense_solve():
     # at ds = 1/20000 the multipliers are small: the running products leave
     # 2^-500 within about a hundred rows, so the rows split into many blocks
     op, diag, off = _heat_matrix(800, 20000)
-    factor = thomas_factor(diag, off)
-    assert factor[0].out.shape[0] >= 3 and factor[1].out.shape[0] >= 3
+    assert _blocks(diag, off) >= 3
     xs = op.grid[1:-1]
     a = ref.dense(diag, off)
     quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
     for u in (np.ones_like(xs), xs**2, quartic):
         rhs = op.weight * u
-        got = thomas_substitute(factor, rhs)
+        got = _solve(diag, off, rhs)
         want = np.linalg.solve(a, rhs)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 20000), (1600, 400)])
+def test_steps_match_successive_dense_solves(n_grid, n_steps):
+    # k steps carry the state between steps in summation-factor scale; the
+    # result is that of k solves of M + ds K, each on M times the last
+    op, diag, off = _heat_matrix(n_grid, n_steps)
+    assert _blocks(diag, off) >= 2
+    xs = op.grid[1:-1]
+    a = ref.dense(diag, off)
+    u0 = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
+    want = u0
+    for k in range(1, 6):
+        want = np.linalg.solve(a, op.weight * want)
+        got = implicit_steps(diag, off, op.weight, u0, k)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 @pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (800, 20000)])
 def test_thomas_scan_scales_exactly_by_powers_of_two(n_grid, n_steps):
-    # r 2^900 overflows r / Q; the scan solves again on r scaled down by a
+    # r 2^900 overflows r / Q; the step is done again on r scaled down by a
     # power of two, so the result is the unscaled one times 2^900 bit for bit
     op, diag, off = _heat_matrix(n_grid, n_steps)
-    factor = thomas_factor(diag, off)
     rhs = op.weight * np.random.default_rng(3).normal(size=diag.size)
-    big = thomas_substitute(factor, rhs * 2.0**900)
-    assert np.array_equal(big, thomas_substitute(factor, rhs) * 2.0**900)
+    big = _solve(diag, off, rhs * 2.0**900)
+    assert np.array_equal(big, _solve(diag, off, rhs) * 2.0**900)
+    # a spike on the first row overflows only the back recurrence's last sums; its
+    # solution decays into subnormal floats, which a scaled step rounds differently
+    spike = np.eye(1, diag.size)[0]
+    plain, big = _solve(diag, off, spike), _solve(diag, off, spike * 2.0**900)
+    normal = np.abs(plain) >= np.finfo(float).tiny
+    assert np.array_equal(big[normal], plain[normal] * 2.0**900)
+
+
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (1600, 400)])
+def test_steps_from_a_scaled_start_scale_exactly(n_grid, n_steps, monkeypatch):
+    # u0 2^900 overflows the first step's sums, which it takes again on the
+    # state scaled down by a power of two; the later steps run at that scale
+    # and the result is scaled back, so it is the plain run's times 2^900
+    op, diag, off = _heat_matrix(n_grid, n_steps)
+    u0 = np.random.default_rng(4).normal(size=diag.size)
+    plain = implicit_steps(diag, off, op.weight, u0, 50)
+    rescales = []
+    frexp = eigensolve.math.frexp
+    monkeypatch.setattr(eigensolve.math, "frexp", lambda x: rescales.append(x) or frexp(x))
+    big = implicit_steps(diag, off, op.weight, u0 * 2.0**900, 50)
+    assert len(rescales) == 1
+    assert np.array_equal(big, plain * 2.0**900)
 
 
 def test_thomas_scan_zero_off_diagonal():
@@ -132,9 +173,8 @@ def test_thomas_scan_zero_off_diagonal():
     diag = np.array([4.0, 5.0, 3.0, 6.0, 2.0])
     off = np.array([1.0, 0.0, -2.0, 1.0])
     rhs = np.array([1.0, -2.0, 0.5, 3.0, -1.0])
-    factor = thomas_factor(diag, off)
-    assert factor[0].out.shape == (5, 1)
-    got = thomas_substitute(factor, rhs)
+    assert _blocks(diag, off) == 5
+    got = _solve(diag, off, rhs)
     want = np.linalg.solve(ref.dense(diag, off), rhs)
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -145,20 +185,19 @@ def test_thomas_scan_non_dominant_multipliers():
     n = 1000
     c = np.where(np.arange(n - 1) % 2 == 0, 4.0, 0.125)
     diag = np.concatenate(([1.0], 1.0 + c * c))
-    factor = thomas_factor(diag, c)
-    assert factor[0].out.shape[0] >= 2
+    assert _blocks(diag, c) >= 2
     x_true = np.random.default_rng(5).normal(size=n)
     rhs = ref.dense(diag, c) @ x_true
-    got = thomas_substitute(factor, rhs)
+    got = _solve(diag, c, rhs)
     assert np.abs(got - x_true).max() <= 1e-12 * np.abs(x_true).max()
 
 
 def test_thomas_order_one_and_zero_pivot():
-    assert thomas_substitute(thomas_factor(np.array([2.0]), np.array([])), [3.0]) == [1.5]
+    assert _solve(np.array([2.0]), np.array([]), [3.0]) == [1.5]
     with pytest.raises(NumericError):
-        thomas_factor(np.array([0.0, 1.0]), np.array([1.0]))
+        _solve(np.array([0.0, 1.0]), np.array([1.0]), [1.0, 1.0])
     with pytest.raises(NumericError):
-        thomas_factor(np.array([1.0, 1.0]), np.array([1.0]))
+        _solve(np.array([1.0, 1.0]), np.array([1.0]), [1.0, 1.0])
 
 
 @pytest.mark.parametrize("n", [800, 1600, 3200])
@@ -364,4 +403,4 @@ def test_thomas_factor_refuses_nan_off_diagonal_entry(index):
     diag, off = np.full(4, 4.0), np.full(3, 1.0)
     off[index] = np.nan
     with pytest.raises(NumericError, match=f"^off-diagonal entry {index} is nan, not finite"):
-        thomas_factor(diag, off)
+        _solve(diag, off, np.ones(4))
