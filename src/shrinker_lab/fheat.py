@@ -7,13 +7,14 @@ spectral catalogs, a series is one row indexed by k = 2 lambda and the eternal
 transform keys its components by 2 lambda.  Each call builds p_0..p_K in one
 run of the recurrence, which stops at its first non-finite row, p_266.  Initial
 data are polynomials, so their expansion in this basis is finite and exact.
-Series solutions evolve entry k by e^{-k s / 2}; the backward-Euler oracle advances the
-discretized operator of the oracle1d module instead and is compared against
-the series in the weighted L^2 norm.  A run is one call of
-eigensolve.implicit_steps, which eliminates M + ds K once and takes each step
-as two cumulative sums on a state kept in summation-factor scale, equal to a
-fresh per-step elimination to rounding.  A run is refused before its grid is
-built when its grid or its row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
+Series solutions evolve entry k by e^{-k s / 2}; the backward-Euler oracle
+instead steps the stiffness K and lumped mass M that oracle1d.discretize builds
+on [-12, 12], with no symmetric reduction, and is compared against the series
+in the weighted L^2 norm.  A run is one call of eigensolve.implicit_steps,
+which eliminates M + ds K once and takes each step as two cumulative sums on a
+state kept in summation-factor scale, equal to a fresh per-step elimination to
+rounding.  A run is refused before its grid is built when its grid or its
+row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
 
 Heat polynomials (polynomial solutions of the plain heat equation) transform
 to eternal drift-heat solutions through the soliton flow x -> x e^{-s/2},
@@ -171,7 +172,6 @@ def timestep_oracle(
     s1: float,
     N_grid: int = 800,
     N_steps: int = 200,
-    X: float = 12.0,
     extrapolate: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward-Euler evolution of the discretized drift heat equation.
@@ -186,16 +186,13 @@ def timestep_oracle(
     if s1 <= s0:
         raise DomainError(f"need s1 > s0, got [{s0}, {s1}]")
     require_heat_work(N_grid, N_steps, extrapolate)
-    op = discretize(X, N_grid)
+    op = discretize(N_grid)
     x = op.grid
     vals0 = np.asarray(u0(x[1:-1]), dtype=float)
 
-    stiff_diag = op.diag * op.weight  # undo the mass normalization: A = M^{1/2} B M^{1/2}
-    stiff_off = op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
-
     def run(steps: int) -> np.ndarray:
         ds = (s1 - s0) / steps
-        return implicit_steps(op.weight + ds * stiff_diag, ds * stiff_off, op.weight, vals0, steps)
+        return implicit_steps(op.mass + ds * op.stiff_diag, ds * op.stiff_off, op.mass, vals0, steps)
 
     u = run(N_steps)
     if extrapolate:

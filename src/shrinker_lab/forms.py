@@ -309,14 +309,14 @@ def form_count_check(
     )
 
 
-def one_form_spectrum_oracle(X: float = 12.0, N: int = 800, k_eigs: int = 6) -> np.ndarray:
+def one_form_spectrum_oracle(N: int = 800, k_eigs: int = 6) -> np.ndarray:
     """Discretized 1-form spectrum on the flat line: componentwise shift by 1/2.
 
     On the flat model the weighted Hodge Laplacian acts on each 1-form
     component as the scalar drift operator plus one half, so the oracle
     discretizes that shifted operator directly.
     """
-    return oracle_spectrum_1d(X=X, N=N, k_eigs=k_eigs, shift=0.5)
+    return oracle_spectrum_1d(N=N, k_eigs=k_eigs, shift=0.5)
 
 
 def require_weighted_range(omega: HoloForm) -> None:

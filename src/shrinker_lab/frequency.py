@@ -369,16 +369,15 @@ def check_defect_recursion(
     c_measured = abs(ks[0]) / dirichlet if dirichlet > 0 else 0.0
     c = model.f_min
     n_flat = 2 * model.flat_m
-    # b and its derivatives depend on the radius alone, so direction sums of
-    # |grad u|^2 and |E|^2 per radial node carry the whole integrand; the one
-    # ball of the grid has the nodes rho s_i and the weights rho^power W_i
+    # b and its derivatives depend on the radius alone, so the integrand is
+    # |grad u|^2 (Laplacian(b) - 2/b) + |E|^2 (2/b - 8c/b^3) / s^2, each field's
+    # direction sums times a radial factor at the one ball's nodes s
     s = ball.rho * ball.radii
-    grad_sq = np.polynomial.polynomial.polyval(s, fields.grad_sq)
-    normal_sq = np.polynomial.polynomial.polyval(s, fields.e_sq) / s**2
-    b_val = np.sqrt(4.0 * c + s**2)
-    lap_b = 4.0 * c / b_val**3 + (n_flat - 1) / b_val
-    hess = (4.0 * c / b_val**3) * normal_sq + (grad_sq - normal_sq) / b_val
-    bulk = float(np.sum(ball.rho**ball.power * ball.radial_weights * (grad_sq * lap_b - 2.0 * hess)))
+    b = np.sqrt(4.0 * c + s**2)
+    lap_b = 4.0 * c / b**3 + (n_flat - 1) / b
+    bulk = (
+        ball.integrate(fields.grad_sq, lap_b - 2.0 / b) + ball.integrate(fields.e_sq, (2.0 / b - 8.0 * c / b**3) / s**2)
+    ).item()
     residuals = []
     for j in range(jmax + 1):
         lhs = ks[j] - (4.0 / r**2) * ks[j + 1]
@@ -498,16 +497,11 @@ def doubling_and_three_circle(profile: FrequencyProfile, rhos) -> list[DoublingR
         grow = config.C1 / (sig * rho**sig)
         shrink = (2 * rho) ** (-sig) - (4 * rho) ** (-sig)
         tail = config.C2 * math.sqrt(profile.mu) * math.log(2.0) / sig * shrink
-        # rhs is e^grow (log(i4/i2) + tail): once e^grow passes the float range, compare in logs
+        # rhs is e^grow (log(i4/i2) + tail), which may pass the float range: compare in logs
         # and store rhs held within the float range, so it and the margin keep their signs
-        if grow < 700:
-            boost = math.exp(grow)
-            rhs = boost * math.log(i4 / i2) + tail * boost
-            circle_ok = lhs <= rhs + 1e-12
-        else:
-            value = math.log(i4 / i2) + tail
-            circle_ok = _below_scaled(lhs - 1e-12, grow, value)
-            rhs = math.copysign(math.exp(min(grow + math.log(abs(value)), _LOG_FLOAT_MAX)), value) if value else 0.0
+        value = math.log(i4 / i2) + tail
+        circle_ok = _below_scaled(lhs - 1e-12, grow, value)
+        rhs = math.copysign(math.exp(min(grow + math.log(abs(value)), _LOG_FLOAT_MAX)), value) if value else 0.0
         rec = DoublingRecord(
             rho=float(rho),
             doubling_log2_ratio=log2_ratio,
@@ -550,9 +544,9 @@ def shell_energy_ledger(
     with eps = EPSILON and C the constant measured by the defect recursion
     (zero on these models).  The shells are product rules at `resolution`:
     their radial factor s^2/(4c + s^2) is not a polynomial, so there is no
-    closed route.  The record keeps the factor's log; where the factor passes
-    the float range, log J3 - log(J2 - J1) is compared with it, the relative
-    slack 1e-9 kept as log1p(1e-9).
+    closed route.  The record keeps the factor's log, and log J3 - log(J2 - J1)
+    is compared with it, so the factor may pass the float range; the relative
+    slack 1e-9 is kept as log1p(1e-9).
     """
     mu = mu_constant(d, model.n)
     r0 = R0 if R0 is not None else default_R0(model)
@@ -573,14 +567,9 @@ def shell_energy_ledger(
     j1, j2, j3 = (shell(rule) for rule in shells)
     exponent = model.n + 2.0 * (d_eff + EPSILON * math.sqrt(mu))
     log_term = exponent * math.log(lam)
-    big = math.exp(log_term) if log_term < 700 else math.inf
-    factor = 1.0 + big + lam ** (c_constant - model.n)
-    # the log-sum-exp of the factor's three terms, finite where the factor is not
+    # the log-sum-exp of the factor's three terms, finite where the factor itself is not
     logs = (0.0, log_term, (c_constant - model.n) * math.log(lam))
     top = max(logs)
     log_factor = top + math.log(sum(math.exp(v - top) for v in logs))
-    if math.isfinite(factor):
-        passed = j3 <= factor * (j2 - j1) * (1.0 + 1e-9)
-    else:
-        passed = _below_scaled(j3, log_factor + math.log1p(1e-9), j2 - j1)
+    passed = _below_scaled(j3, log_factor + math.log1p(1e-9), j2 - j1)
     return ShellLedger(J1=j1, J2=j2, J3=j3, lam=lam, log_bound_factor=log_factor, passed=passed)

@@ -151,12 +151,7 @@ class HoloPoly:
         return HoloPoly._derived(self.m, merged)
 
     def __sub__(self, other: "HoloPoly") -> "HoloPoly":
-        if self.m != other.m:
-            raise DomainError(f"variable counts differ: {self.m} vs {other.m}")
-        merged = dict(self.terms)
-        for alpha, c in other.terms.items():
-            merged[alpha] = merged.get(alpha, 0.0) + -1.0 * c
-        return HoloPoly._derived(self.m, merged)
+        return self + other.scale(-1.0)
 
     def scale(self, factor: complex) -> "HoloPoly":
         return HoloPoly._derived(self.m, {a: factor * c for a, c in self.terms.items()})

@@ -282,7 +282,7 @@ def _k_lemma(model: ModelShrinker) -> tuple[float, str]:
 
 
 def _oracle_1d() -> float:
-    ev = oracle1d.oracle_spectrum_1d(X=12.0, N=800, k_eigs=5)
+    ev = oracle1d.oracle_spectrum_1d(N=800, k_eigs=5)
     return float(np.abs(ev - np.array([0.0, 0.5, 1.0, 1.5, 2.0])).max())
 
 

@@ -187,9 +187,8 @@ def tridiagonal_eigenvalues(diag, off, k):
     return np.array(sorted(taken[0] + taken[1]))
 
 
-def oracle_spectrum_1d(X=12.0, N=800, k_eigs=5, shift=0.0):
-    op = discretize(X, N, shift=shift)
-    return tridiagonal_eigenvalues(op.diag, op.off, k_eigs)
+def oracle_spectrum_1d(N=800, k_eigs=5, shift=0.0):
+    return tridiagonal_eigenvalues(*discretize(N).reduced(shift), k_eigs)
 
 
 def thomas_solve(diag, off, rhs):
@@ -213,21 +212,19 @@ def thomas_solve(diag, off, rhs):
     return x
 
 
-def timestep_oracle(u0, s0, s1, N_grid=800, N_steps=200, X=12.0, extrapolate=False):
+def timestep_oracle(u0, s0, s1, N_grid=800, N_steps=200, extrapolate=False):
     """Backward Euler with a full tridiagonal solve at every step."""
-    op = discretize(X, N_grid)
+    op = discretize(N_grid)
     x = op.grid
     vals0 = np.asarray(u0(x[1:-1]), dtype=float)
-    stiff_diag = op.diag * op.weight
-    stiff_off = op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
 
     def run(steps):
         ds = (s1 - s0) / steps
-        diag = op.weight + ds * stiff_diag
-        off = ds * stiff_off
+        diag = op.mass + ds * op.stiff_diag
+        off = ds * op.stiff_off
         u = vals0.copy()
         for _ in range(steps):
-            u = thomas_solve(diag, off, op.weight * u)
+            u = thomas_solve(diag, off, op.mass * u)
         return u
 
     u = run(N_steps)

@@ -35,7 +35,7 @@ def test_acceptance_01_spectrum():
         for k, mult in enumerate(cat.multiplicities):
             if mult != math.comb(2 * m + k - 1, 2 * m - 1):
                 ok = False
-    ev = oracle1d.oracle_spectrum_1d(X=12.0, N=800, k_eigs=5)
+    ev = oracle1d.oracle_spectrum_1d(N=800, k_eigs=5)
     err = float(np.abs(ev - np.array([0.0, 0.5, 1.0, 1.5, 2.0])).max())
     ok = ok and err < 1e-6
     elapsed = time.perf_counter() - t0

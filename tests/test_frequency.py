@@ -306,6 +306,22 @@ def test_three_circle_compares_past_the_float_range():
     assert -math.inf < rec.three_circle_rhs < 0 and -math.inf < rec.three_circle_margin < 0
 
 
+def test_three_circle_below_the_float_limit_matches_the_float_formula():
+    # C1 = 699 sigma 8^sigma makes grow = 699 at rho = 8: e^grow is still a float, so the verdict
+    # and rhs, both taken in logs, must agree with e^grow (log(i4/i2) + tail) computed directly
+    config = FrequencyConfig(C1=699.0 * 0.5 * 8.0**0.5)
+    prof = frequency_profile(G1, Z, 1.0, [8.0, 16.0, 32.0], config)
+    grow = config.C1 / (0.5 * 8.0**0.5)
+    tail = config.C2 * math.sqrt(prof.mu) * math.log(2.0) / 0.5 * (16.0**-0.5 - 32.0**-0.5)
+    for ratio, passes in ((0.9, True), (1e-30, False)):
+        prof = dataclasses.replace(prof, I=np.array([1.0, math.e, ratio * math.e]))
+        (rec,) = doubling_and_three_circle(prof, [8.0])
+        want = math.exp(grow) * (math.log(ratio) + tail)
+        assert rec.three_circle_lhs == 1.0
+        assert rec.passed is passes and (1.0 <= want + 1e-12) is passes
+        assert abs(rec.three_circle_rhs - want) <= 1e-12 * abs(want)
+
+
 def test_j_ledger_regularity():
     with pytest.raises(RegularityError):
         shell_energy_ledger(CYL, W, 2.0, R0=1.0)

@@ -2,21 +2,21 @@
 
 from __future__ import annotations
 
-import re
 import warnings
 
 import loop_reference as ref
 import numpy as np
 import pytest
 
-from shrinker_lab import eigensolve, oracle1d
+from shrinker_lab import eigensolve
 from shrinker_lab.eigensolve import implicit_steps, tridiagonal_eigenvalues
 from shrinker_lab.errors import NumericError
+from shrinker_lab.fheat import HEAT_GRID_LIMIT
 from shrinker_lab.oracle1d import discretize, oracle_spectrum_1d
 
 
 def test_oracle_matches_half_integers():
-    ev = oracle_spectrum_1d(X=12.0, N=800, k_eigs=5)
+    ev = oracle_spectrum_1d(N=800, k_eigs=5)
     target = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     assert np.abs(ev - target).max() < 1e-6
 
@@ -25,26 +25,35 @@ def test_oracle_convergence_at_least_quadratic():
     target = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
     errs = []
     for n in (100, 200, 400):
-        ev = oracle_spectrum_1d(X=12.0, N=n, k_eigs=5)
+        ev = oracle_spectrum_1d(N=n, k_eigs=5)
         errs.append(np.abs(ev - target).max())
     assert errs[1] <= errs[0] / 4.0 * 1.05
     assert errs[2] <= errs[1] / 4.0 * 1.05
 
 
 def test_operator_matrix_symmetric_psd():
-    op = discretize(10.0, 80)
-    a = ref.dense(op.diag, op.off)
+    diag, off = discretize(80).reduced()
+    a = ref.dense(diag, off)
     assert np.abs(a - a.T).max() < 1e-12 * np.abs(a).max()
-    ev = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
+    ev = tridiagonal_eigenvalues(diag, off, diag.size)
     assert ev.min() > -1e-8
     assert np.linalg.eigvalsh(a).min() > -1e-8
 
 
+def test_reduction_scales_back_to_the_stiffness():
+    # diag(sqrt(mass)) M^{-1/2} K M^{-1/2} diag(sqrt(mass)) is K again, to rounding
+    op = discretize(80)
+    root = np.sqrt(op.mass)
+    back = root[:, None] * ref.dense(*op.reduced()) * root[None, :]
+    stiffness = ref.dense(op.stiff_diag, op.stiff_off)
+    assert np.abs(back - stiffness).max() <= 1e-14 * np.abs(stiffness).max()
+
+
 def test_jacobi_against_bisection():
     # the dense symmetric eigensolver cross-checks the Sturm-count and Newton path
-    op = discretize(10.0, 60)
-    dense = np.linalg.eigvalsh(ref.dense(op.diag, op.off))
-    tri = tridiagonal_eigenvalues(op.diag, op.off, op.diag.size)
+    diag, off = discretize(60).reduced()
+    dense = np.linalg.eigvalsh(ref.dense(diag, off))
+    tri = tridiagonal_eigenvalues(diag, off, diag.size)
     assert np.abs(np.sort(dense) - np.sort(tri)).max() < 1e-9
 
 
@@ -79,7 +88,7 @@ def test_thomas_scan_matches_dense_solve_on_heat_matrix():
     a = ref.dense(diag, off)
     quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
     for u in (np.ones_like(xs), xs**2, quartic):
-        rhs = op.weight * u
+        rhs = op.mass * u
         got = _solve(diag, off, rhs)
         want = np.linalg.solve(a, rhs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -98,11 +107,9 @@ def test_thomas_scan_small_orders(n):
 
 
 def _heat_matrix(n_grid, n_steps):
-    op = discretize(12.0, n_grid)
+    op = discretize(n_grid)
     ds = 1.0 / n_steps
-    diag = op.weight + ds * op.diag * op.weight
-    off = ds * op.off * np.sqrt(op.weight[:-1] * op.weight[1:])
-    return op, diag, off
+    return op, op.mass + ds * op.stiff_diag, ds * op.stiff_off
 
 
 def test_thomas_scan_in_many_blocks_matches_dense_solve():
@@ -114,7 +121,7 @@ def test_thomas_scan_in_many_blocks_matches_dense_solve():
     a = ref.dense(diag, off)
     quartic = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
     for u in (np.ones_like(xs), xs**2, quartic):
-        rhs = op.weight * u
+        rhs = op.mass * u
         got = _solve(diag, off, rhs)
         want = np.linalg.solve(a, rhs)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
@@ -131,8 +138,8 @@ def test_steps_match_successive_dense_solves(n_grid, n_steps):
     u0 = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
     want = u0
     for k in range(1, 6):
-        want = np.linalg.solve(a, op.weight * want)
-        got = implicit_steps(diag, off, op.weight, u0, k)
+        want = np.linalg.solve(a, op.mass * want)
+        got = implicit_steps(diag, off, op.mass, u0, k)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
@@ -141,7 +148,7 @@ def test_thomas_scan_scales_exactly_by_powers_of_two(n_grid, n_steps):
     # r 2^900 overflows r / Q; the step is done again on r scaled down by a
     # power of two, so the result is the unscaled one times 2^900 bit for bit
     op, diag, off = _heat_matrix(n_grid, n_steps)
-    rhs = op.weight * np.random.default_rng(3).normal(size=diag.size)
+    rhs = op.mass * np.random.default_rng(3).normal(size=diag.size)
     big = _solve(diag, off, rhs * 2.0**900)
     assert np.array_equal(big, _solve(diag, off, rhs) * 2.0**900)
     # a spike on the first row overflows only the back recurrence's last sums; its
@@ -159,11 +166,11 @@ def test_steps_from_a_scaled_start_scale_exactly(n_grid, n_steps, monkeypatch):
     # and the result is scaled back, so it is the plain run's times 2^900
     op, diag, off = _heat_matrix(n_grid, n_steps)
     u0 = np.random.default_rng(4).normal(size=diag.size)
-    plain = implicit_steps(diag, off, op.weight, u0, 50)
+    plain = implicit_steps(diag, off, op.mass, u0, 50)
     rescales = []
     frexp = eigensolve.math.frexp
     monkeypatch.setattr(eigensolve.math, "frexp", lambda x: rescales.append(x) or frexp(x))
-    big = implicit_steps(diag, off, op.weight, u0 * 2.0**900, 50)
+    big = implicit_steps(diag, off, op.mass, u0 * 2.0**900, 50)
     assert len(rescales) == 1
     assert np.array_equal(big, plain * 2.0**900)
 
@@ -203,39 +210,40 @@ def test_thomas_order_one_and_zero_pivot():
 @pytest.mark.parametrize("n", [800, 1600, 3200])
 def test_oracle_bit_equal_to_element_loop(n):
     for shift in (0.0, 0.5):
-        got = oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
-        want = ref.oracle_spectrum_1d(X=12.0, N=n, k_eigs=6, shift=shift)
+        got = oracle_spectrum_1d(N=n, k_eigs=6, shift=shift)
+        want = ref.oracle_spectrum_1d(N=n, k_eigs=6, shift=shift)
         assert np.array_equal(got, want)
 
 
 def test_oracle_ladder_converges_through_3200():
     # the eigenvalues converge to rounding, so the grid error keeps falling past N = 1600
     target = np.arange(5) / 2.0
-    errs = [np.abs(oracle_spectrum_1d(X=12.0, N=n, k_eigs=5) - target).max() for n in (800, 1600, 3200)]
+    errs = [np.abs(oracle_spectrum_1d(N=n, k_eigs=5) - target).max() for n in (800, 1600, 3200)]
     assert errs[0] > errs[1] > errs[2]
 
 
 @pytest.mark.parametrize("n", [16, 17, 800, 801])
 def test_operator_is_exactly_persymmetric(n):
     # the grid is antisymmetric bit for bit and the coupling a commutative pair product
+    op = discretize(n)
+    assert np.array_equal(op.grid, -op.grid[::-1])
     for shift in (0.0, 0.5):
-        op = discretize(12.0, n, shift=shift)
-        assert np.array_equal(op.grid, -op.grid[::-1])
-        assert np.array_equal(op.diag, op.diag[::-1])
-        assert np.array_equal(op.off, op.off[::-1])
+        diag, off = op.reduced(shift)
+        assert np.array_equal(diag, diag[::-1])
+        assert np.array_equal(off, off[::-1])
 
 
 def test_oracle_matches_dense_eigensolver_to_rounding():
     # N = 400 leaves an odd order, folded at a centre node; N = 401 an even one, at a centre pair
     for n in (400, 401):
-        op = discretize(12.0, n)
-        want = np.linalg.eigvalsh(ref.dense(op.diag, op.off))[:6]
-        assert np.abs(tridiagonal_eigenvalues(op.diag, op.off, 6) - want).max() < 1e-12
+        diag, off = discretize(n).reduced()
+        want = np.linalg.eigvalsh(ref.dense(diag, off))[:6]
+        assert np.abs(tridiagonal_eigenvalues(diag, off, 6) - want).max() < 1e-12
 
 
 def test_folded_eigenvalue_does_not_depend_on_k():
-    op = discretize(12.0, 800)
-    assert np.array_equal(tridiagonal_eigenvalues(op.diag, op.off, 3), tridiagonal_eigenvalues(op.diag, op.off, 6)[:3])
+    diag, off = discretize(800).reduced()
+    assert np.array_equal(tridiagonal_eigenvalues(diag, off, 3), tridiagonal_eigenvalues(diag, off, 6)[:3])
 
 
 def test_passes_per_call(monkeypatch):
@@ -249,17 +257,16 @@ def test_passes_per_call(monkeypatch):
             return inner(diag, e2, x)
 
         monkeypatch.setattr(eigensolve, name, counted)
-    op = discretize(12.0, 3200)
-    tridiagonal_eigenvalues(op.diag, op.off, 6)
+    tridiagonal_eigenvalues(*discretize(3200).reduced(), 6)
     assert rows["_newton_pass"] > 0
     assert rows["_sturm_count"] + rows["_newton_pass"] <= 120_000
 
 
 def test_stall_guard_raises(monkeypatch):
     monkeypatch.setattr(eigensolve, "MAX_BISECTIONS", 3)
-    op = discretize(12.0, 400)
+    diag, off = discretize(400).reduced()
     with pytest.raises(NumericError, match="did not converge in 3 passes"):
-        tridiagonal_eigenvalues(op.diag, op.off, 1)
+        tridiagonal_eigenvalues(diag, off, 1)
 
 
 def _span(diag, off):
@@ -339,53 +346,27 @@ def test_random_tridiagonals_every_eigenvalue():
 
 
 def test_shifted_operator():
-    ev = oracle_spectrum_1d(X=12.0, N=400, k_eigs=3, shift=0.5)
+    ev = oracle_spectrum_1d(N=400, k_eigs=3, shift=0.5)
     assert np.allclose(ev, [0.5, 1.0, 1.5], atol=1e-5)
 
 
 def test_validation_errors():
     with pytest.raises(NumericError):
-        oracle_spectrum_1d(X=12.0, N=800, k_eigs=400)
+        oracle_spectrum_1d(N=800, k_eigs=400)
     with pytest.raises(NumericError):
-        discretize(-1.0, 100)
-    with pytest.raises(NumericError):
-        discretize(10.0, 8)
+        discretize(8)
 
 
-@pytest.mark.parametrize("X", [float("nan"), float("inf")])
-def test_discretize_refuses_non_finite_radius(X):
-    with pytest.raises(NumericError, match="truncation radius X"):
-        discretize(X, 100)
-
-
-def test_tiny_radius_is_refused_before_any_pass(monkeypatch):
-    # X = 1e-300 would overflow the operator's entries to inf, which no pass may see
-    monkeypatch.setattr(eigensolve, "_sturm_count", None)
-    monkeypatch.setattr(eigensolve, "_newton_pass", None)
-    with pytest.raises(NumericError, match="^truncation radius X=1e-300 "):
-        oracle_spectrum_1d(X=1e-300, N=100, k_eigs=3)
-
-
-@pytest.mark.parametrize("X", [1e-300, 1e3, 1e200])
-def test_extreme_radius_is_refused_before_any_array(monkeypatch, X):
-    # 1/h^2 overflows at 1e-300; the edge weights underflow to 0 at 1e3 and X^2 overflows at 1e200
-    def no_weights(x):
-        raise AssertionError("discretize evaluated the weight on a grid")
-
-    monkeypatch.setattr(oracle1d, "flat_weight", no_weights)
+def test_every_grid_builds_finite_entries():
+    # at X = 12 the weight is about 2e-16 at the ends: from the least grid to the
+    # largest heat grid no entry overflows, underflows to zero or warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=f"^truncation radius X={re.escape(repr(X))} "):
-            discretize(X, 100)
-
-
-def test_largest_accepted_radius_builds_finite_entries():
-    # the scalar bound refuses only where an entry would leave the normal float range
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for X, N in ((53.0, 800), (50.0, 3200), (1e-150, 16)):
-            op = discretize(X, N)
-            assert np.all(np.isfinite(op.diag)) and np.all(np.isfinite(op.off)) and np.all(op.off != 0)
+        for n in (16, 17, 800, 801, HEAT_GRID_LIMIT):
+            op = discretize(n)
+            for entries in (op.stiff_diag, op.stiff_off):
+                assert np.all(np.isfinite(entries)) and np.all(entries != 0)
+            assert np.all(op.mass > 0)
 
 
 @pytest.mark.parametrize("which,index", [("diagonal", 0), ("diagonal", 3), ("off-diagonal", 1)])

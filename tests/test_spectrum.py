@@ -185,7 +185,7 @@ def test_dimension_bound_strict_above_linear_for_m_ge_2():
 
 def test_oracle_convolution_matches_flat_r2_spectrum():
     # the 1-D oracle spectrum convolved with itself reproduces the R^2 catalog
-    ev_1d = oracle_spectrum_1d(X=12.0, N=400, k_eigs=4)
+    ev_1d = oracle_spectrum_1d(N=400, k_eigs=4)
     sums = sorted(a + b for a in ev_1d for b in ev_1d)
     counts: dict[float, int] = {}
     for s in sums:
