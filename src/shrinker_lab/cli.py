@@ -304,6 +304,8 @@ def _cmd_frequency(args: argparse.Namespace) -> int:
             f"the flat radius^n at {_label(args, 'rmax')} {rmax!r}: lower the dimension or the radius"
         )
     u = _read_poly(_label(args, "poly"), args.poly, model.flat_m)
+    if u.is_zero():
+        raise ConfigError(f"{_label(args, 'poly')} is the zero polynomial, whose frequency U = D/I is undefined")
     if (2 * max(u.degree, 0) + model.n) * log_radius > _LOG_MAX:
         raise ConfigError(
             f"{_label(args, 'poly')} of degree {u.degree} overflows a float at {_label(args, 'rmax')} "

@@ -356,9 +356,8 @@ def form_integral_identity_check(
     lam = Lambda if Lambda is not None else ricci_bound(model)
     mu = omega.mu
     rule = weighted_space_quadrature(model, resolution)
-    coeffs = list(omega.coeffs.values())
     # |omega|^2 = 2^p sum_I |u_I|^2: each dz factor contributes |dz|^2 = 2
-    norms = 2.0**omega.p * rule.sphere_integrals(coeffs, coeffs)
+    norms = 2.0**omega.p * np.trace(rule.gram(list(omega.coeffs.values()))).real
     f_vals = model.f_min + 0.25 * rule.radii**2
     value = rule.integrate(norms, f_vals - model.n / 2.0 - mu - 2.0 * omega.p * lam).item()
     scale = rule.integrate(norms).item() * (model.n / 2.0 + mu + 2.0 * omega.p * lam)

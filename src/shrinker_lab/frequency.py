@@ -108,9 +108,10 @@ class _SphereFields:
     Each field attribute is a coefficient array c with
     sum_k w_k F(s theta_k) = sum_d c_d s^d, for F one of |u|^2, |grad u|^2,
     |E|^2 and Re(conj(u) E), where E = sum_j z_j du/dz_j = u.euler().  Each
-    is a sum over monomial pairs (the rule's sphere_integrals), formed only
-    for the fields read.  The direction sums do not depend on the radius, so
-    one instance serves every radius of the rule's grid.
+    is read off a Gram of the rule's `gram`, formed when first read: |u|^2
+    off that of u, |E|^2 and Re(conj(u) E) off that of (u, E), |grad u|^2
+    off that of the partials.  The direction sums do not depend on the
+    radius, so one instance serves every radius of the rule's grid.
     """
 
     def __init__(self, u: HoloPoly, rule: _Rule):
@@ -118,26 +119,20 @@ class _SphereFields:
         self.rule = rule
 
     @cached_property
-    def _e(self) -> HoloPoly:
-        return self.u.euler()
-
-    @cached_property
     def u_sq(self) -> np.ndarray:
-        return self.rule.sphere_integrals([self.u], [self.u])
+        return self.rule.gram([self.u])[0, 0].real
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
         # |grad u|^2 = 2 sum_j |du/dz_j|^2
-        grad = gradient(self.u)
-        return 2.0 * self.rule.sphere_integrals(grad, grad)
+        return 2.0 * np.trace(self.rule.gram(gradient(self.u))).real
 
     @cached_property
-    def e_sq(self) -> np.ndarray:
-        return self.rule.sphere_integrals([self._e], [self._e])
+    def _with_e(self) -> np.ndarray:
+        return self.rule.gram([self.u, self.u.euler()]).real
 
-    @cached_property
-    def u_e(self) -> np.ndarray:
-        return self.rule.sphere_integrals([self._e], [self.u])
+    e_sq = property(lambda self: self._with_e[1, 1])
+    u_e = property(lambda self: self._with_e[1, 0])
 
 
 def _rules(method: str, resolution: int):
@@ -237,17 +232,8 @@ class FrequencyProfile:
     mu: float
 
     def to_rows(self) -> list[dict]:
-        return [
-            {
-                "r": float(self.radii[i]),
-                "I": float(self.I[i]),
-                "D": float(self.D[i]),
-                "U": float(self.U[i]),
-                "eta": float(self.eta[i]),
-                "monotone_q": float(self.monotone_q[i]),
-            }
-            for i in range(self.radii.size)
-        ]
+        columns = zip(self.radii, self.I, self.D, self.U, self.eta, self.monotone_q)
+        return [dict(zip(("r", "I", "D", "U", "eta", "monotone_q"), map(float, row))) for row in columns]
 
 
 def frequency_profile(
@@ -270,17 +256,8 @@ def frequency_profile(
     eta_vals = np.cumsum(eta_integral(rr, config, mu, lo=np.concatenate(([0.0], rr[:-1]))))
     damping = np.exp(-config.C1 / (sig * rr**sig))
     q = u_vals * damping + eta_vals
-    return FrequencyProfile(
-        d=d,
-        radii=rr,
-        I=i_vals,
-        D=d_vals,
-        U=u_vals,
-        eta=eta_vals,
-        monotone_q=q,
-        config=config,
-        mu=mu,
-    )
+    return FrequencyProfile(d=d, radii=rr, I=i_vals, D=d_vals, U=u_vals, eta=eta_vals, monotone_q=q,
+                            config=config, mu=mu)
 
 
 def _height_and_energy(
@@ -413,9 +390,8 @@ def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, radii) -> RhoMuRecord:
         raise DomainError("rho is undefined for the zero function")
     mu = mu_constant(d, model.n)
     level = level_set_moments(model, radii)
-    u1 = lie_derivative_nabla_f(model, u)
-    energy, derived = (level.integrate(_SphereFields(v, level).u_sq) for v in (u, u1))
-    ratio = derived / energy
+    gram = level.gram([u, lie_derivative_nabla_f(model, u)]).real
+    ratio = level.integrate(gram[1, 1]) / level.integrate(gram[0, 0])
     return RhoMuRecord(rho=ratio, mu=mu, passed=bool(np.all(ratio <= mu)))
 
 

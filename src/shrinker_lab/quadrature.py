@@ -51,17 +51,20 @@ coordinate, and zero otherwise.  In collapsed coordinates that product is
 prod_c x_c^{k_c/2} (1 - x_c)^{(k_{c+1} + ... + k_m)/2} for k = alpha + beta,
 so its simplex sum, Jacobian included, is a product of m - 1 one-dimensional
 Gauss-Legendre sums (sum factorization; Orszag, J. Comput. Phys. 37, 1980).
-The rule applied to a(z) conj(b(z)) is therefore a sum over the matching
-monomial pairs of a and b, each such a product times s_i^{|alpha| + |beta|}.
-This is the same sum over the same nodes, taken in another order.  The
-aliased pairs alpha != beta are summed, not assumed to vanish as the
-closed-form route assumes, so the quadrature route stays independent of it.
+A rule's `gram(polys)` applies its direction factor to every p_i conj(p_j)
+at once as a sum over the matching monomial pairs, grouped by exponent mod
+n_phi, each pair such a product times s^{|alpha| + |beta|}: the same sum
+over the same nodes, taken in another order.  The aliased pairs alpha !=
+beta are summed, not assumed to vanish as the closed-form route assumes, so
+the quadrature route stays independent of it.  `integrate` applies the
+radial rule to a real entry of that Gram, one value per radius.
 
-`MomentRule`, the closed-form counterpart of a level-set or ball rule, keeps
-only the pairs alpha = beta with their exact sphere moments and integrates
-s^(d + 2m - 1) radially in closed form, as A sum_d c_d rho^(d+2m)/(d+2m) on
-a ball.  It reads no 1-D table and no n_phi, and ProductRule never calls
-sphere_moment nor divides by d + 2m.
+`MomentRule`, the closed-form counterpart of a level-set or ball rule, has
+the same `gram` / `integrate` pair: its Gram keeps only the pairs alpha =
+beta with their exact sphere moments, and it integrates s^(d + 2m - 1)
+radially in closed form, as A sum_d c_d rho^(d+2m)/(d+2m) on a ball.  It
+reads no 1-D table and no n_phi, and ProductRule never calls sphere_moment
+nor divides by d + 2m.
 
 Every rule is float64; only the volume identity sums its masses in decimal.
 Each rule builder first checks its size against RULE_WORK_LIMIT.  The float64
@@ -271,27 +274,21 @@ class ProductRule:
     m: int
     n_phi: int
 
-    def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
-        """Coefficients c with sum_d c_d s^d = Re sum_k w_k sum_i a_i(s theta_k) conj(b_i(s theta_k)).
+    def gram(self, polys: Sequence[HoloPoly]) -> np.ndarray:
+        """Gram coefficients G (n, n, D): sum_d G[i, j, d] s^d = sum_k w_k p_i(s theta_k) conj(p_j(s theta_k)).
 
-        ``a`` and ``b`` are equally long sequences of polynomials, paired
-        componentwise, as for the components of a gradient.  The terms are
-        matched by their exponents mod n_phi, and each matching pair
-        (alpha, beta) adds Re(c_alpha conj(d_beta)) times the simplex sum of
-        |z|^(alpha + beta) to c_{|alpha| + |beta|}.  Pairs with alpha != beta
-        that alias on the angle grid are summed too.  Each simplex sum is the
-        torus volume times the sphere measure's 2^(1-m) times, per collapsed
-        coordinate c, sum_i w_i x_i^(k_c/2) (1 - x_i)^((k_{c+1} + ... + k_m)/2
-        + m - 1 - c), the Jacobian's power included; these 1-D sums come from
-        one table over the powers of sqrt(x) and sqrt(1 - x).
+        The terms of the n polynomials are paired by their exponents mod n_phi
+        (`_matched_pairs`), aliased pairs alpha != beta included, and each
+        pair (alpha, beta) of terms of p_i and p_j adds c_alpha conj(c_beta)
+        times the simplex sum of |z|^(alpha + beta) to G[i, j, |alpha| +
+        |beta|].  The simplex sums factor per collapsed coordinate, the
+        Jacobian's power included (module docstring), into 1-D sums read from
+        one table over the powers of sqrt(x) and sqrt(1 - x).  The closed
+        route shares only the `HoloPoly` terms (with the `gradient` and
+        `euler` its callers pair) and `_grid_sum` in `integrate`.
         """
-        comp_a, alpha, coef_a = _term_table(a, self.m)
-        comp_b, beta, coef_b = _term_table(b, self.m)
-        match = (comp_a[:, None] == comp_b[None, :]) & np.all(
-            (alpha[:, None, :] - beta[None, :, :]) % self.n_phi == 0, axis=-1
-        )
-        i, j = np.nonzero(match)
-        powers = alpha[i] + beta[j]
+        comps, exps, coefs, i, j = _matched_pairs(polys, self.m, self.n_phi)
+        powers = exps[i] + exps[j]
         sums = np.full(len(powers), (2 * math.pi) ** self.m / 2 ** (self.m - 1))
         if self.m > 1:
             # the powers of sqrt(x_c) and of sqrt(1 - x_c), Jacobian included, for c < m
@@ -303,11 +300,12 @@ class ProductRule:
             grid = root_x[:, :, None] * root_rest[:, None, :]
             table = (self.weights @ grid.reshape(len(grid), -1)).reshape(grid.shape[1:])
             sums *= table[heads, tails].prod(axis=1)
-        pair_coefs = (coef_a[i] * coef_b[j].conj()).real
-        return np.bincount(powers.sum(axis=1), weights=pair_coefs * sums, minlength=1)
+        gram = np.zeros((len(polys), len(polys), 2 * exps.sum(axis=1).max(initial=0) + 1), dtype=complex)
+        np.add.at(gram, (comps[i], comps[j], powers.sum(axis=1)), coefs[i] * coefs[j].conj() * sums)
+        return gram
 
     def integrate(self, coeffs: np.ndarray, radial=1.0) -> np.ndarray:
-        """The rule at each rho applied to sum_d c_d s^d, c from sphere_integrals: shape (R,).
+        """The rule at each rho applied to sum_d c_d s^d, c an entry of `gram`: shape (R,).
 
         ``radial``, a factor per radial node s_i, multiplies the integrand of
         a single rule.  The radial sum factors per degree: with the moments
@@ -318,13 +316,26 @@ class ProductRule:
         return _grid_sum(self.rho, self.power, coeffs * moments)
 
 
-def _term_table(polys: Sequence[HoloPoly], m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Component index (T,), exponents (T, m) and coefficients (T,) of the terms of polys."""
-    terms = [(k, alpha, c) for k, poly in enumerate(polys) for alpha, c in poly.terms.items()]
-    comps = np.array([k for k, _, _ in terms], dtype=int)
-    exps = np.array([alpha for _, alpha, _ in terms], dtype=int).reshape(-1, m)
-    coefs = np.array([c for _, _, c in terms], dtype=complex)
-    return comps, exps, coefs
+def _matched_pairs(polys: Sequence[HoloPoly], m: int, n_phi: int):
+    """The terms of polys and the pairs of them whose exponents agree mod n_phi.
+
+    Returns the polynomial index (T,), exponents (T, m) and coefficients (T,)
+    of the terms, then the term indices i and j of the pairs, by i and then
+    by j.  One pass groups the terms by their reduced exponent; each term
+    pairs with the members of its group, so the work is the matched pairs.
+    """
+    groups, terms = {}, []
+    for k, poly in enumerate(polys):
+        for alpha, c in poly.terms.items():
+            group = groups.setdefault(tuple(a % n_phi for a in alpha), [])
+            group.append(len(terms))
+            terms.append((k, alpha, c, group))
+    comps = np.array([t[0] for t in terms], dtype=int)
+    exps = np.array([t[1] for t in terms], dtype=int).reshape(-1, m)
+    coefs = np.array([t[2] for t in terms], dtype=complex)
+    i = np.repeat(np.arange(len(terms)), [len(t[3]) for t in terms])
+    j = np.array([s for t in terms for s in t[3]], dtype=int)
+    return comps, exps, coefs, i, j
 
 
 def _product_rule(rho, radii, radial_weights, power: int, m: int, n_u: int, n_phi: int) -> ProductRule:
@@ -422,20 +433,28 @@ class MomentRule:
     area: float
     ball: bool
 
-    def sphere_integrals(self, a: Sequence[HoloPoly], b: Sequence[HoloPoly]) -> np.ndarray:
-        """Coefficients c with sum_d c_d s^d = Re int_{S^(2m-1)} sum_i a_i(s theta) conj(b_i(s theta)).
+    def gram(self, polys: Sequence[HoloPoly]) -> np.ndarray:
+        """Gram coefficients G (n, n, D): sum_d G[i, j, d] s^d = int_{S^(2m-1)} p_i(s theta) conj(p_j(s theta)).
 
-        Only the pairs alpha = beta survive the torus action; each adds
-        Re(c_alpha conj(d_alpha)) times the unit-sphere moment of |z^alpha|^2
-        to c_{2|alpha|}.
+        Only the pairs alpha = beta survive the torus action, so a pass of its
+        own groups the terms by their exact exponent, and each pair of terms
+        of p_i and p_j in a group adds c_alpha conj(c_beta) times the
+        unit-sphere moment of |z^alpha|^2 to G[i, j, 2|alpha|].  The
+        quadrature route shares only the `HoloPoly` terms (with the
+        `gradient` and `euler` its callers pair) and `_grid_sum`.
         """
-        coeffs = [0.0] * (2 * max((sum(alpha) for p in a for alpha in p.terms), default=0) + 1)
-        for p, q in zip(a, b):
-            for alpha, c in p.terms.items():
-                d = q.terms.get(alpha)
-                if d is not None:
-                    coeffs[2 * sum(alpha)] += (c * d.conjugate()).real * sphere_moment(self.m, alpha, 1.0)
-        return np.array(coeffs)
+        groups = {}
+        for k, poly in enumerate(polys):
+            for alpha, c in poly.terms.items():
+                groups.setdefault(alpha, []).append((k, c))
+        n, size = len(polys), 2 * max(map(sum, groups), default=0) + 1
+        gram = [0j] * (n * n * size)
+        for alpha, terms in groups.items():
+            moment = sphere_moment(self.m, alpha, 1.0)
+            for i, c in terms:
+                for j, d in terms:
+                    gram[(i * n + j) * size + 2 * sum(alpha)] += c * d.conjugate() * moment
+        return np.array(gram).reshape(n, n, size)
 
     def integrate(self, coeffs: np.ndarray) -> np.ndarray:
         """area sum_d c_d int s^(d+2m-1) at each rho: at s = rho (level) or over [0, rho] (ball); shape (R,).

@@ -136,23 +136,22 @@ def expand(rule):
     return nodes.reshape(-1, dirs.shape[1]), weights.ravel()
 
 
-def sphere_integrals(rule, a, b):
-    """Direction sums of sum_i a_i conj(b_i) by degree, from the parts on the flat direction grid.
+def gram(rule, polys):
+    """Gram coefficients (n, n, D) of polys by degree, from their homogeneous parts on the flat direction grid.
 
-    The Gram matrix G_kl = sum_theta w_theta a_k(theta) conj(b_l(theta)) of
-    the homogeneous parts enters whole, so aliased pairs are summed by the
-    grid itself.
+    The Gram matrix sum_theta w_theta a_k(theta) conj(b_l(theta)) of the
+    parts of each pair (a, b) of polys enters whole, so aliased pairs are
+    summed by the grid itself.
     """
     dirs, weights = directions(rule)
-    top_a = max(max(p.degree for p in a), 0)
-    top_b = max(max(p.degree for p in b), 0)
-    coeffs = np.zeros(top_a + top_b + 1)
-    for poly_a, poly_b in zip(a, b):
-        parts_a = evaluate_parts(poly_a, dirs, range(top_a + 1))
-        parts_b = evaluate_parts(poly_b, dirs, range(top_b + 1))
-        gram = ((parts_a * weights) @ parts_b.conj().T).real
-        np.add.at(coeffs, np.add.outer(np.arange(top_a + 1), np.arange(top_b + 1)), gram)
-    return coeffs
+    top = max(max(p.degree for p in polys), 0)
+    parts = [evaluate_parts(p, dirs, range(top + 1)) for p in polys]
+    degrees = np.add.outer(np.arange(top + 1), np.arange(top + 1))
+    out = np.zeros((len(polys), len(polys), 2 * top + 1), dtype=complex)
+    for i, a in enumerate(parts):
+        for j, b in enumerate(parts):
+            np.add.at(out[i, j], degrees, (a * weights) @ b.conj().T)
+    return out
 
 
 def fields(u, nodes):

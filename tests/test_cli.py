@@ -383,6 +383,7 @@ def test_forms_counts_a_product_config(tmp_path, capsys):
 
 _FREQ_G1 = ["frequency", "--model", "gaussian", "--m", "1", "--rmin", "5", "--rmax", "6", "--n", "2"]
 _FORMS_G2 = ["forms", "--model", "gaussian", "--m", "2"]
+_FREQ_CYL = ["frequency", "--model", "cylinder", "--rmin", "5", "--rmax", "9", "--n", "3"]
 
 
 def _kernel_form(n: int, c: float = 1.0) -> str:
@@ -486,6 +487,10 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         (_FORMS_G2 + ["--form", _kernel_form(10**8)], None, ["--form", "/form", "weighted rule"]),
         # inside the degree guard, a coefficient of 1e300 carries the kernel integral past the float range
         (_FORMS_G2 + ["--form", _kernel_form(1, 1e300)], None, ["--form", "/form"]),
+        # the zero polynomial has I = 0 and no frequency: refused before any rule is built
+        (_FREQ_CYL + ["--poly", "w - w"], None, ["--poly", "/poly", "zero polynomial"]),
+        (_FREQ_CYL + ["--poly", "0"], None, ["--poly", "/poly", "zero polynomial"]),
+        (_FREQ_CYL, {"poly": {"m": 1, "terms": []}}, ["--poly", "/poly", "zero polynomial"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
@@ -504,7 +509,7 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         "frequency-dimension-share", "frequency-flat-radius-guard", "frequency-dimension-cap",
         "frequency-mu-guard", "frequency-mu-from-degree", "m-flag-on-cylinder-descriptor",
         "initial-degree-3000", "initial-degree-1e9", "form-degree-400", "form-degree-1e8",
-        "form-coefficient-overflow",
+        "form-coefficient-overflow", "poly-cancelled-to-zero", "poly-zero-constant", "poly-config-without-terms",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

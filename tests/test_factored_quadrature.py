@@ -20,7 +20,7 @@ from shrinker_lab.frequency import (
 )
 from shrinker_lab.holopoly import HoloPoly, gradient, monomials
 from shrinker_lab.models import cylinder, gaussian, product
-from shrinker_lab.quadrature import ball_quadrature, level_set_quadrature
+from shrinker_lab.quadrature import ball_moments, ball_quadrature, level_set_moments, level_set_quadrature
 from shrinker_lab.report import _frequency_sharp
 
 MODELS = {
@@ -145,26 +145,35 @@ def _aliased_pairs(u, n_phi):
     ]
 
 
+def _hermitian_gap(gram):
+    """Largest |G[j, i, d] - conj(G[i, j, d])|."""
+    return np.max(np.abs(gram - gram.transpose(1, 0, 2).conj()))
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-@pytest.mark.parametrize("n_phi", [2, 3])
+@pytest.mark.parametrize("n_phi", [1, 2, 3, 4])
 def test_aliased_pairs_match_the_flat_grid(m, n_phi):
-    # a degree-5 polynomial on angle grids of 2 or 3 points: z^alpha conj(z)^beta
-    # with alpha != beta sums to a nonzero value on the grid whenever alpha = beta mod n_phi
+    # a degree-5 polynomial on angle grids of 1 to 4 points: z^alpha conj(z)^beta with
+    # alpha != beta sums to a nonzero value on the grid whenever alpha = beta mod n_phi;
+    # at n_phi = 1 every term falls into one group
     rng = np.random.default_rng(100 * m + n_phi)
     u = HoloPoly(m, {alpha: complex(*rng.normal(size=2)) for alpha in monomials(m, 5)})
-    v = u.euler()
     assert _aliased_pairs(u, n_phi)
     model = gaussian(m)
-    for rule in (level_set_quadrature(model, [3.0], 32), ball_quadrature(model, [3.0], 32)):
+    closed = (level_set_moments(model, [3.0]), ball_moments(model, [3.0]))
+    for rule, exact in zip((level_set_quadrature(model, [3.0], 32), ball_quadrature(model, [3.0], 32)), closed):
         coarse = dataclasses.replace(rule, n_phi=n_phi)
-        for a, b in (([u], [u]), ([v], [u]), (gradient(u), gradient(u))):
-            got = coarse.sphere_integrals(a, b)
-            want = brute_force.sphere_integrals(coarse, a, b)
+        for polys in ([u, u.euler()], gradient(u)):
+            got = coarse.gram(polys)
+            want = brute_force.gram(coarse, polys)
             assert got.shape == want.shape
+            # every entry, off the diagonal and imaginary parts included
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             # on the rule's own grid only alpha = beta pairs match: the aliased ones count
-            unaliased = rule.sphere_integrals(a, b)
+            unaliased = rule.gram(polys)
             assert np.max(np.abs(got - unaliased)) > 1e-3 * np.max(np.abs(want))
+            for gram in (got, unaliased, exact.gram(polys)):
+                assert _hermitian_gap(gram) <= 1e-15 * np.max(np.abs(gram))
 
 
 def test_profile_memory_stays_off_the_simplex_grid():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -400,6 +401,24 @@ def test_form_integral_identity_value():
     assert math.isclose(val, -256.0 * math.pi**2, rel_tol=1e-8)
     val2 = form_integral_identity_check(G2, SYZ.scale(2.0))
     assert math.isclose(val2, 4.0 * val, rel_tol=1e-10)
+
+
+def test_form_integral_memory_follows_the_matched_pairs():
+    # g (z2 dz1 - z1 dz2) with g every monomial of degree <= 40: 1,722 terms.  A dense
+    # terms x terms x m match of the weighted rule's pairs would hold 47 MB of int64 alone;
+    # grouped by exponent mod n_phi, the pairs are a few per term
+    g = [alpha for k in range(41) for alpha in monomials(2, k)]
+    omega = HoloForm(1, 2, {(0,): HoloPoly(2, {(a, b + 1): 1.0 for a, b in g}),
+                            (1,): HoloPoly(2, {(a + 1, b): -1.0 for a, b in g})})
+    tracemalloc.start()
+    try:
+        value = form_integral_identity_check(G2, omega)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    # the value of the dense match
+    assert math.isclose(value, -1.0812298077359331e77, rel_tol=1e-12)
 
 
 def test_form_integral_rejects_non_kernel():

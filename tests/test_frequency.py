@@ -379,8 +379,10 @@ def test_routes_stay_independent(monkeypatch):
         ]
 
     with monkeypatch.context() as patch:
-        # the closed route reads no 1-D table of the collapsed coordinates
+        # the closed route reads no 1-D table of the collapsed coordinates and pairs its terms
+        # without the quadrature route's grouping
         patch.setattr(quadrature, "_collapsed_rule", crossed)
+        patch.setattr(quadrature, "_matched_pairs", crossed)
         closed = run("closed")
         rho_mu(G2, u, 2.0, [3.0])
     with monkeypatch.context() as patch:
@@ -435,8 +437,8 @@ def test_irregular_grid_radius_is_named_before_any_sphere_sum(monkeypatch, metho
     def no_sums(*args):
         raise AssertionError("a sphere sum was formed")
 
-    monkeypatch.setattr(quadrature.ProductRule, "sphere_integrals", no_sums)
-    monkeypatch.setattr(quadrature.MomentRule, "sphere_integrals", no_sums)
+    monkeypatch.setattr(quadrature.ProductRule, "gram", no_sums)
+    monkeypatch.setattr(quadrature.MomentRule, "gram", no_sums)
     u = HoloPoly.monomial(1, (2,))
     config = FrequencyConfig(resolution=64, method=method)
     # r^2 = 4 is the cylinder's critical level; the rest of the grid is regular
