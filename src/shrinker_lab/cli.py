@@ -373,7 +373,7 @@ def _cmd_heatflow(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         sol = fheat.project_to_eigenbasis(coeffs)
         x, numeric = fheat.timestep_oracle(
-            lambda xs: np.polynomial.polynomial.polyval(xs, coeffs),
+            lambda xs: np.polyval(coeffs[::-1], xs),
             0.0,
             args.s,
             N_grid=args.n_grid,

@@ -62,7 +62,9 @@ def hermite_norm_sq(k: int) -> float:
 def drift_apply_1d(coeffs: np.ndarray) -> np.ndarray:
     """Apply u -> u'' - (x/2) u' on ascending polynomial coefficients."""
     c = np.asarray(coeffs, dtype=float)
-    second = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
+    k = np.arange(2, c.size)
+    # (c_k k)(k - 1), rounded twice in the order numpy's polyder takes
+    second = c[2:] * k * (k - 1) if c.size > 2 else np.zeros(1)
     euler = 0.5 * c * np.arange(c.size)
     out = np.zeros(max(second.size, euler.size))
     out[: second.size] += second
@@ -128,7 +130,7 @@ def evolve_series(sol: HeatSolution, s: float, x) -> np.ndarray | float:
     acc = np.zeros_like(xs, dtype=float)
     basis = monic_basis(len(sol.coefficients) - 1)
     for k, a in sol.terms():
-        acc = acc + a * math.exp(-(k / 2) * s) * np.polynomial.polynomial.polyval(xs, basis[k])
+        acc = acc + a * math.exp(-(k / 2) * s) * np.polyval(basis[k][::-1], xs)
     if acc.ndim == 0:
         return float(acc)
     return acc

@@ -12,6 +12,7 @@ report is sorted by name, so its output is deterministic for a configuration.
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -137,19 +138,16 @@ def _random_polys(model: ModelShrinker, seed: int, count: int):
 
     Each monomial of degree 1..6, then the constant, is kept with
     probability 0.6 and a complex normal coefficient; the monomials are
-    enumerated once for all draws.  `random()` and `standard_normal()` draw
-    the same streams as `uniform()` and `normal()` at their defaults, and the
-    keys are valid by construction, so the terms skip the constructor's checks.
+    enumerated once for all draws.  The stream is the standard library's
+    `random.Random(seed)`: `random()` for each keep test, then `gauss()` for
+    the real and the imaginary part.  The keys are valid by construction, so
+    the terms skip the constructor's checks.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     zero = (0,) * model.flat_m
     support = [*monomials(model.flat_m, 6, 1), zero]
     for _ in range(count):
-        terms = {
-            alpha: complex(rng.standard_normal(), rng.standard_normal())
-            for alpha in support
-            if rng.random() < 0.6
-        }
+        terms = {alpha: complex(rng.gauss(), rng.gauss()) for alpha in support if rng.random() < 0.6}
         yield HoloPoly._derived(model.flat_m, terms or {zero: 1.0 + 0.0j})
 
 
@@ -212,10 +210,11 @@ def _volume_identity(model: ModelShrinker) -> float:
 
 
 def _normalization(model: ModelShrinker) -> float:
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
+    m = model.flat_m
     errors = []
     for _ in range(50):
-        z = rng.normal(size=model.flat_m) + 1j * rng.normal(size=model.flat_m)
+        z = np.array([rng.gauss() for _ in range(m)]) + 1j * np.array([rng.gauss() for _ in range(m)])
         rec = geometry_at(model, 2.0 * z)
         errors.append(abs(rec.S + rec.grad_f_sq - rec.f))
         if rec.b * rec.b > 4.0 * model.sup_S:
@@ -325,7 +324,7 @@ def _forms_eigen_law() -> float:
 
 
 def _forms_nilpotent() -> float:
-    rng = np.random.default_rng(9)
+    rng = random.Random(9)
     model = gaussian(3)
     ok = True
     for _ in range(10):
@@ -334,7 +333,7 @@ def _forms_nilpotent() -> float:
             terms = {}
             for alpha in monomials(3, 3, 1):
                 if rng.random() < 0.3:
-                    terms[alpha] = complex(rng.standard_normal(), rng.standard_normal())
+                    terms[alpha] = complex(rng.gauss(), rng.gauss())
             if terms:
                 coeffs[idx] = HoloPoly._derived(3, terms)
         if not coeffs:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -232,14 +233,14 @@ def form_integral(model, omega, shift, resolution):
 
 def random_polys(model, seed, count):
     """The report's random polynomials, enumerating the monomials again for every draw."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     zero = (0,) * model.flat_m
     out = []
     for _ in range(count):
         terms = {}
         for alpha in [*monomials(model.flat_m, 6, 1), zero]:
-            if rng.uniform() < 0.6:
-                terms[alpha] = complex(rng.normal(), rng.normal())
+            if rng.random() < 0.6:
+                terms[alpha] = complex(rng.gauss(), rng.gauss())
         out.append(HoloPoly(model.flat_m, terms or {zero: 1.0}))
     return out
 

@@ -118,6 +118,30 @@ def test_series_equals_the_float_keyed_route_bit_for_bit(degree):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 265])
+def test_core_horner_sums_equal_numpy_polynomial_bit_for_bit(degree):
+    # np.polyval on reversed coefficients runs numpy.polynomial's Horner recurrence, and
+    # (c_k k)(k - 1) rounds as polyder does; past p_170 some terms overflow, alike on both
+    poly = np.polynomial.polynomial
+    c = np.random.default_rng(degree).normal(size=degree + 1)
+    sol = HeatSolution(coefficients=c)
+    basis = monic_basis(degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (np.linspace(-3.0, 3.0, 13), np.array(0.7), -1.3):
+            want = np.zeros_like(np.asarray(x, dtype=float))
+            for k, a in sol.terms():
+                want = want + a * math.exp(-(k / 2) * 0.75) * poly.polyval(np.asarray(x, dtype=float), basis[k])
+            got = evolve_series(sol, 0.75, x)
+            assert type(got) is (np.ndarray if np.ndim(x) else float)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    second = poly.polyder(c, 2) if c.size > 2 else np.zeros(1)
+    euler = 0.5 * c * np.arange(c.size)
+    want = np.zeros(max(second.size, euler.size))
+    want[: second.size] += second
+    want[: euler.size] -= euler
+    assert drift_apply_1d(c).tobytes() == want.tobytes()
+
+
 def test_evolve_series_examples():
     sol = HeatSolution(coefficients=np.array([0.0, 0.0, 1.0]))
     assert evolve_series(sol, math.log(2.0), 1.0) == pytest.approx(-0.5)

@@ -335,7 +335,7 @@ def _one_pass_cases():
 
 
 def test_one_pass_reconstruct_and_residual_equal_checked_sums():
-    # the parts are merged into one dict and pruned once, and the residual is read off
+    # the parts are merged into one dict with no prune, and the residual is read off
     # the terms no part keeps; both equal adding and subtracting one part at a time
     for model, u, d in _one_pass_cases():
         dec = decompose_by_eigenvalue(model, u, d)

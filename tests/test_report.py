@@ -82,6 +82,52 @@ def test_import_leaves_scipy_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_verify_all_and_heatflow_load_neither_numpy_random_nor_polynomial():
+    # the seeded draws come from the standard library and the heat series from core Horner sums
+    code = (
+        "import contextlib, io, sys\n"
+        "from shrinker_lab import cli, report\n"
+        "report.verify_all()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    cli.main(['heatflow', '--initial', 'x^2'])\n"
+        "print(sorted(n for n in sys.modules if n.startswith(('numpy.random', 'numpy.polynomial'))))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# the first roundtrip draw on gaussian(2): (alpha, real part, imaginary part) as float hex
+FIRST_ROUNDTRIP_DRAW = [
+    ((0, 1), "-0x1.ce6bb62a406b2p-8", "-0x1.5dbe5cd836117p+0"),
+    ((0, 2), "-0x1.0e6d463c3ed63p-1", "-0x1.5ac03a76b19dfp+0"),
+    ((0, 3), "0x1.688fdc46afd26p+0", "0x1.eba0420105320p-2"),
+    ((0, 4), "0x1.9705e2ef43b29p-1", "-0x1.a7158a4abf55bp+0"),
+    ((0, 5), "-0x1.4f12539a32acbp-2", "0x1.11d35dc7b736ep-1"),
+    ((1, 0), "-0x1.e5c3d75bc15b6p+0", "0x1.f97a4ed20abfep-3"),
+    ((1, 1), "-0x1.cc04b76998289p+0", "-0x1.2662997561878p-2"),
+    ((1, 2), "0x1.a66210e718a94p+0", "-0x1.e83ed8ec143d6p-1"),
+    ((1, 3), "-0x1.b36dd04b04660p-2", "0x1.b942ad5c9db88p-1"),
+    ((1, 5), "-0x1.fb4deafc79c5fp-1", "-0x1.f62147ed311d8p-3"),
+    ((2, 0), "-0x1.0352fc225cb22p+1", "0x1.21a30ce4944e6p+0"),
+    ((2, 1), "0x1.a9398416972eep+0", "0x1.1c4294b8c7df0p-2"),
+    ((2, 4), "0x1.0ccd46aa9010ap-1", "0x1.3c5a45acd14cep-1"),
+    ((3, 0), "-0x1.0319316c49e05p-1", "0x1.75ae8788a1ecap-1"),
+    ((3, 1), "0x1.e810b92dbc49bp-3", "0x1.f6bc878dbe2aap-2"),
+    ((3, 2), "0x1.42b67cf86e944p-3", "0x1.15e7dfe1a3e73p-2"),
+    ((4, 0), "0x1.e0fec8cc0711bp-2", "-0x1.c1c89e1da2ef8p-2"),
+    ((4, 1), "0x1.03ee8f12fea61p-7", "0x1.ebede2dbd54d0p-3"),
+    ((5, 0), "-0x1.f43d0bd3c3fbdp-2", "-0x1.e68bba465666bp-1"),
+    ((5, 1), "-0x1.b8a9bc165e304p-1", "0x1.b90a831181a28p-2"),
+    ((6, 0), "0x1.6f52908ab9c49p+1", "-0x1.66e005d94b6fdp-2"),
+]
+
+
+def test_roundtrip_stream_is_pinned():
+    u = next(report._random_polys(gaussian(2), 20240811, 1))
+    assert [(a, c.real.hex(), c.imag.hex()) for a, c in u.terms.items()] == FIRST_ROUNDTRIP_DRAW
+
+
 def test_catalog_row_passes_on_two_sphere_factors():
     # the reference convolves the flat lines with one sphere line set per sphere factor
     row = next(c for c in report.CHECKS if c.name == "spectrum.catalog")
