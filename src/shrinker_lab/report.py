@@ -139,15 +139,18 @@ def _random_polys(model: ModelShrinker, seed: int, count: int):
     Each monomial of degree 1..6, then the constant, is kept with
     probability 0.6 and a complex normal coefficient; the monomials are
     enumerated once for all draws.  The stream is the standard library's
-    `random.Random(seed)`: `random()` for each keep test, then `gauss()` for
-    the real and the imaginary part.  The keys are valid by construction, so
-    the terms skip the constructor's checks.
+    `random.Random(seed)`: `random()` for each keep test, then `gauss(0, 1)`
+    for the real and the imaginary part.  Python keeps `random()`'s sequence
+    for an int seed, but promises nothing for `gauss()` (its algorithm, or the
+    second value it caches); `test_roundtrip_stream_is_pinned` holds those
+    draws.  The keys are valid by construction, so the terms skip the
+    constructor's checks.
     """
     rng = random.Random(seed)
     zero = (0,) * model.flat_m
     support = [*monomials(model.flat_m, 6, 1), zero]
     for _ in range(count):
-        terms = {alpha: complex(rng.gauss(), rng.gauss()) for alpha in support if rng.random() < 0.6}
+        terms = {alpha: complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for alpha in support if rng.random() < 0.6}
         yield HoloPoly._derived(model.flat_m, terms or {zero: 1.0 + 0.0j})
 
 
@@ -214,7 +217,8 @@ def _normalization(model: ModelShrinker) -> float:
     m = model.flat_m
     errors = []
     for _ in range(50):
-        z = np.array([rng.gauss() for _ in range(m)]) + 1j * np.array([rng.gauss() for _ in range(m)])
+        re_part = [rng.gauss(0.0, 1.0) for _ in range(m)]
+        z = np.array(re_part) + 1j * np.array([rng.gauss(0.0, 1.0) for _ in range(m)])
         rec = geometry_at(model, 2.0 * z)
         errors.append(abs(rec.S + rec.grad_f_sq - rec.f))
         if rec.b * rec.b > 4.0 * model.sup_S:
@@ -333,7 +337,7 @@ def _forms_nilpotent() -> float:
             terms = {}
             for alpha in monomials(3, 3, 1):
                 if rng.random() < 0.3:
-                    terms[alpha] = complex(rng.gauss(), rng.gauss())
+                    terms[alpha] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
             if terms:
                 coeffs[idx] = HoloPoly._derived(3, terms)
         if not coeffs:

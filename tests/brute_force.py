@@ -240,7 +240,7 @@ def random_polys(model, seed, count):
         terms = {}
         for alpha in [*monomials(model.flat_m, 6, 1), zero]:
             if rng.random() < 0.6:
-                terms[alpha] = complex(rng.gauss(), rng.gauss())
+                terms[alpha] = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
         out.append(HoloPoly(model.flat_m, terms or {zero: 1.0}))
     return out
 

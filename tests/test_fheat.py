@@ -98,43 +98,33 @@ def test_projection_single_eigenfunction():
     assert list(sol.coefficients) == [0.0, 0.0, 0.0, 1.0]
 
 
-@pytest.mark.parametrize("degree", [0, 1, 5, 20, 60, 140, 265])
+@pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 60, 100, 140, 265])
 def test_series_equals_the_float_keyed_route_bit_for_bit(degree):
-    # the same sums in the same order, descending k with entries below 1e-300 skipped
+    # the same sums in the same order, descending k with entries below 1e-300 skipped; the
+    # reference evaluates with numpy.polynomial's polyval, the series with core np.polyval
     rng = np.random.default_rng(degree)
     u0 = rng.normal(size=degree + 1) * (rng.uniform(size=degree + 1) < 0.7)
     u0[0] = 1e-301
-    x = np.linspace(-3.0, 3.0, 11)
     with np.errstate(over="ignore", invalid="ignore"):
-        weights, want = ref.heat_series(u0, 0.75, x)
         sol = project_to_eigenbasis(u0)
-        got = evolve_series(sol, 0.75, x)
+        for x in (np.linspace(-3.0, 3.0, 11), np.array(0.7), -1.3):
+            weights, want = ref.heat_series(u0, 0.75, x)
+            got = evolve_series(sol, 0.75, x)
+            assert type(got) is (np.ndarray if np.ndim(x) else float)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
         if degree <= 170:  # k! passes the float range from k = 171 on
             terms = (a * a * math.exp(-2.0 * lam * 0.75) * hermite_norm_sq(round(2 * lam)) for lam, a in weights.items())
             norm = sum(terms)
             assert repr(sol.norm_sq(0.75)) == repr(norm)
     # repr: a degree-265 remainder carries NaN weights, on both routes alike
     assert repr([(k / 2, a) for k, a in sol.terms()]) == repr(list(weights.items()))
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 5, 20, 100, 265])
-def test_core_horner_sums_equal_numpy_polynomial_bit_for_bit(degree):
-    # np.polyval on reversed coefficients runs numpy.polynomial's Horner recurrence, and
-    # (c_k k)(k - 1) rounds as polyder does; past p_170 some terms overflow, alike on both
-    poly = np.polynomial.polynomial
+def test_drift_apply_1d_rounds_as_polyder(degree):
+    # (c_k k)(k - 1) rounds as numpy.polynomial's polyder does; past p_170 some terms overflow, alike
     c = np.random.default_rng(degree).normal(size=degree + 1)
-    sol = HeatSolution(coefficients=c)
-    basis = monic_basis(degree)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x in (np.linspace(-3.0, 3.0, 13), np.array(0.7), -1.3):
-            want = np.zeros_like(np.asarray(x, dtype=float))
-            for k, a in sol.terms():
-                want = want + a * math.exp(-(k / 2) * 0.75) * poly.polyval(np.asarray(x, dtype=float), basis[k])
-            got = evolve_series(sol, 0.75, x)
-            assert type(got) is (np.ndarray if np.ndim(x) else float)
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-    second = poly.polyder(c, 2) if c.size > 2 else np.zeros(1)
+    second = np.polynomial.polynomial.polyder(c, 2) if c.size > 2 else np.zeros(1)
     euler = 0.5 * c * np.arange(c.size)
     want = np.zeros(max(second.size, euler.size))
     want[: second.size] += second
