@@ -8,6 +8,9 @@ discretized oracles -- and cross-checks every displayed identity and bound
 at desk scale.
 """
 
+# declared before the submodules are imported: report reads it
+__version__ = "0.1.0"
+
 from .models import ModelShrinker, GeometryRecord, cylinder, gaussian, geometry_at, product
 from .holopoly import (
     EigenDecomposition,
@@ -68,5 +71,3 @@ from .forms import (
 )
 from .oracle1d import DiscretizedOperator, oracle_spectrum_1d
 from .report import CheckResult, VerificationReport, verify_all
-
-__version__ = "0.1.0"

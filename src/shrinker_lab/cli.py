@@ -402,7 +402,7 @@ def _cmd_forms(args: argparse.Namespace) -> int:
     if args.form is not None:
         flag = _label(args, "form")
         omega = _read_form(flag, args.form, model.flat_m)
-        contracted = forms.interior_product(model, omega) if omega.p >= 1 else None
+        contracted = forms.interior_product(omega) if omega.p >= 1 else None
         in_kernel = contracted is not None and contracted.is_zero(
             1e-12 * max(omega.coeff_norm(), 1.0)
         )
@@ -410,7 +410,7 @@ def _cmd_forms(args: argparse.Namespace) -> int:
             "model": model.to_dict(),
             "form": omega.to_json_dict(),
             "mu": omega.mu,
-            "hodge_action": forms.f_hodge_laplacian(model, omega).to_json_dict(),
+            "hodge_action": forms.f_hodge_laplacian(omega).to_json_dict(),
             "interior_product": contracted.to_json_dict() if contracted is not None else None,
             "in_contraction_kernel": in_kernel,
         }

@@ -9,7 +9,10 @@ The weighted Hodge Laplacian acts on holomorphic forms through the flow
 derivative alone (the plain Hodge Laplacian annihilates them), computed here
 via the two contraction pieces i_X d + d i_X with X the soliton field; on
 monomial forms it is diagonal with eigenvalue (|alpha| + p)/2, which the
-tests assert rather than assume.  Form spectra follow the Kunneth formula
+tests assert rather than assume.  The contraction, d and the weighted Hodge
+Laplacian act on the flat factor alone, so they read no model; a form meets
+a model only in `form_integral_identity_check`, whose weighted rule refuses
+a coefficient whose variable count is not the model's.  Form spectra follow the Kunneth formula
 with the form degree as a generating variable t: the (p,0) catalog is the t^p
 coefficient of  sum_q t^q ((q/2, C(m, q)) * flat lines)  times
 (scalar lines + t (1,0) lines) for each sphere factor, which the spectrum
@@ -135,13 +138,6 @@ class HoloForm:
         }
 
 
-def _check_model_form(model: ModelShrinker, omega: HoloForm) -> None:
-    if omega.m != model.flat_m:
-        raise DomainError(
-            f"form uses {omega.m} variables but the model carries {model.flat_m} flat variables"
-        )
-
-
 def exterior_derivative(omega: HoloForm) -> HoloForm:
     """Holomorphic exterior derivative: d(u dz^I) = sum_j du/dz_j dz^j ^ dz^I."""
     out: dict[tuple[int, ...], HoloPoly] = {}
@@ -159,9 +155,8 @@ def exterior_derivative(omega: HoloForm) -> HoloForm:
     return HoloForm._derived(omega.p + 1, omega.m, out)
 
 
-def interior_product(model: ModelShrinker, omega: HoloForm) -> HoloForm:
+def interior_product(omega: HoloForm) -> HoloForm:
     """Contraction with the soliton field: dz^j picks up z_j/2."""
-    _check_model_form(model, omega)
     if omega.p < 1:
         raise DomainError("interior product needs form degree p >= 1")
     out: dict[tuple[int, ...], HoloPoly] = {}
@@ -173,14 +168,13 @@ def interior_product(model: ModelShrinker, omega: HoloForm) -> HoloForm:
     return HoloForm._derived(omega.p - 1, omega.m, out)
 
 
-def f_hodge_laplacian(model: ModelShrinker, omega: HoloForm) -> HoloForm:
+def f_hodge_laplacian(omega: HoloForm) -> HoloForm:
     """Weighted Hodge Laplacian on a holomorphic form: i_X d + d i_X."""
-    _check_model_form(model, omega)
     total = HoloForm._derived(omega.p, omega.m, {})
     if omega.p < omega.m:  # d omega vanishes identically at top degree
-        total = total + interior_product(model, exterior_derivative(omega))
+        total = total + interior_product(exterior_derivative(omega))
     if omega.p >= 1:
-        total = total + exterior_derivative(interior_product(model, omega))
+        total = total + exterior_derivative(interior_product(omega))
     return total
 
 
@@ -346,10 +340,11 @@ def form_integral_identity_check(
     Evaluates int |omega|^2 (f - n/2 - mu - 2 p Lambda) e^{-f} dv by
     quadrature, raises if the precondition i_X omega = 0 fails, and raises if
     the value is positive beyond 1e-8 relative to the weighted norm.  Raises
-    NumericError, before the rule is built, when `require_weighted_range` does.
+    NumericError, before the rule is built, when `require_weighted_range` does,
+    and DomainError, from the rule's `gram`, when omega's variable count is
+    not the model's flat count.
     """
-    _check_model_form(model, omega)
-    contracted = interior_product(model, omega)
+    contracted = interior_product(omega)
     if not contracted.is_zero(1e-12 * max(omega.coeff_norm(), 1.0)):
         raise DomainError("form is not in the kernel of the contraction map")
     require_weighted_range(omega)

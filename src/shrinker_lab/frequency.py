@@ -26,10 +26,12 @@ in the rule, which `_rules` picks from `method`: "closed", the default,
 takes the MomentRule of exact sphere moments and closed radial integrals,
 and "quadrature" the product rules, which also sum the aliased monomial
 pairs and take their radial moments from Gauss-Legendre nodes.  Any other
-`method` (also in FrequencyConfig) raises DomainError.  The defect
-recursion and the shell ledger integrate radial factors that are not
-polynomials in the radius over product rules with their own radial nodes,
-so they take one radius and no method.
+`method` (also in FrequencyConfig) raises DomainError.  So does each
+rule's `gram`, on either route, for a polynomial whose variable count is
+not the model's flat count.  The defect recursion and the shell ledger
+integrate radial factors that are not polynomials in the radius over
+product rules with their own radial nodes, so they take one radius and no
+method.
 """
 
 from __future__ import annotations
@@ -315,35 +317,34 @@ def check_derivative_I(
 
 @dataclass(frozen=True)
 class DefectReport:
-    K: list[float]
+    K0: float
     dirichlet: float
     c_measured: float
-    recursion_residuals: list[float]
+    residual: float
 
 
-def check_defect_recursion(
-    model: ModelShrinker, u: HoloPoly, r: float, jmax: int = 3, resolution: int = 128
-) -> DefectReport:
+def check_defect_recursion(model: ModelShrinker, u: HoloPoly, r: float, resolution: int = 128) -> DefectReport:
     """Measure |K_0| against the Dirichlet energy and verify the K_j recursion at one radius r.
 
     K_j = int_{b=r} S^j (|grad u|^2 - 2 |du/dnu|^2) / |grad b|.  The
     recursion step compares K_j - (4/r^2) K_{j+1} with its bulk form
     int_{b<r} S^j (|grad u|^2 Laplacian(b) - 2 Re Hess_b(grad u, grad conj(u))),
     which follows from the first variation of the energy along S^j grad b.
-    That integrand is not a polynomial in the radius, so it is summed over
-    the radial nodes of one ball rule at r.
+    S is constant on every catalog model, so K_j = S^j K_0 and the step at j
+    is S^j times the step at j = 0: the report keeps K_0 and the residual of
+    that one step.  Its bulk integrand is not a polynomial in the radius, so
+    it is summed over the radial nodes of one ball rule at r.
     """
-    # |du/dnu|^2 = |E|^2 / rho^2 on the level set; S is constant on every catalog model, so K_j = S^j K_0
+    # |du/dnu|^2 = |E|^2 / rho^2 on the level set
     level = level_set_quadrature(model, [r], resolution)
     level_fields = _SphereFields(u, level)
     rho = level.rho.item()
     integral = level.integrate(level_fields.grad_sq) - 2.0 * level.integrate(level_fields.e_sq) / rho**2
     k0 = (r / rho) * integral.item()
-    ks = [model.s_const**j * k0 for j in range(jmax + 2)]
     ball = ball_quadrature(model, [r], resolution)
     fields = _SphereFields(u, ball)
     dirichlet = ball.integrate(fields.grad_sq).item()
-    c_measured = abs(ks[0]) / dirichlet if dirichlet > 0 else 0.0
+    c_measured = abs(k0) / dirichlet if dirichlet > 0 else 0.0
     c = model.f_min
     n_flat = 2 * model.flat_m
     # b and its derivatives depend on the radius alone, so the integrand is
@@ -355,17 +356,8 @@ def check_defect_recursion(
     bulk = (
         ball.integrate(fields.grad_sq, lap_b - 2.0 / b) + ball.integrate(fields.e_sq, (2.0 / b - 8.0 * c / b**3) / s**2)
     ).item()
-    residuals = []
-    for j in range(jmax + 1):
-        lhs = ks[j] - (4.0 / r**2) * ks[j + 1]
-        rhs = model.s_const**j * bulk
-        residuals.append(abs(lhs - rhs) / (1.0 + abs(lhs)))
-    return DefectReport(
-        K=ks[: jmax + 1],
-        dirichlet=dirichlet,
-        c_measured=c_measured,
-        recursion_residuals=residuals,
-    )
+    lhs = k0 - (4.0 / r**2) * (model.s_const * k0)
+    return DefectReport(K0=k0, dirichlet=dirichlet, c_measured=c_measured, residual=abs(lhs - bulk) / (1.0 + abs(lhs)))
 
 
 # -- Dirichlet-quotient ratio -----------------------------------------------------
@@ -390,7 +382,7 @@ def rho_mu(model: ModelShrinker, u: HoloPoly, d: float, radii) -> RhoMuRecord:
         raise DomainError("rho is undefined for the zero function")
     mu = mu_constant(d, model.n)
     level = level_set_moments(model, radii)
-    gram = level.gram([u, lie_derivative_nabla_f(model, u)]).real
+    gram = level.gram([u, lie_derivative_nabla_f(u)]).real
     ratio = level.integrate(gram[1, 1]) / level.integrate(gram[0, 0])
     return RhoMuRecord(rho=ratio, mu=mu, passed=bool(np.all(ratio <= mu)))
 
@@ -531,7 +523,7 @@ def shell_energy_ledger(
     radii = [r0 * lam**i for i in range(4)]
     model.require_regular(radii)
     if c_constant is None:
-        c_constant = check_defect_recursion(model, u, radii[3], 1, resolution).c_measured
+        c_constant = check_defect_recursion(model, u, radii[3], resolution).c_measured
 
     shells = [shell_quadrature(model, r0, radii[i], resolution) for i in (1, 2, 3)]
     fields = _SphereFields(u, shells[0])  # the three shells share their directions

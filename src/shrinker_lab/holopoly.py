@@ -7,6 +7,11 @@ total degree, and the Lie derivative along the soliton vector field acts
 diagonally on monomials with eigenvalue ``|alpha| / 2``.  Its eigenparts are
 therefore the homogeneous parts, split by degree without a spectral catalog
 and keyed by the degree k = 2 lambda, as catalogs index their eigenvalues.
+The constants, of eigenvalue 0, are the part keyed 0 like any other degree;
+a term at or below the decomposition's tolerance belongs to no part.  Both
+operators act on the flat factor alone, so neither reads a model; a
+polynomial meets a model's sphere in the rules of the quadrature module,
+which check its variable count.
 
 The public constructor ``HoloPoly(m, terms)`` validates every multi-index
 (length m, no negative exponent) and coerces keys to integer tuples and
@@ -189,18 +194,15 @@ def gradient(u: HoloPoly) -> tuple[HoloPoly, ...]:
     return u._gradient
 
 
-def lie_derivative_nabla_f(model, u: HoloPoly) -> HoloPoly:
+def lie_derivative_nabla_f(u: HoloPoly) -> HoloPoly:
     """Derivative of u along the soliton vector field: sum_j (z_j/2) du/dz_j.
 
     On flat factors the potential gradient is half the position field, so the
     operator is half the Euler operator and monomials are eigenvectors with
     eigenvalue |alpha|/2.  Holomorphic functions on compact factors are
-    constant, so u may only involve the model's flat variables.
+    constant, so the operator acts on the flat variables alone and reads no
+    model.
     """
-    if u.m != model.flat_m:
-        raise DomainError(
-            f"polynomial has {u.m} variables but the model has {model.flat_m} flat variables"
-        )
     # one pass: halving after the integer degree is exact, as in euler().scale(0.5)
     return HoloPoly._derived(u.m, {a: c * sum(a) * 0.5 for a, c in u.terms.items()})
 
@@ -226,39 +228,32 @@ class EigenDecomposition:
 DECOMPOSE_TOL = 1e-12
 
 
-def decompose_by_eigenvalue(model, u: HoloPoly, d: float) -> EigenDecomposition:
+def decompose_by_eigenvalue(u: HoloPoly, d: float) -> EigenDecomposition:
     """Split u into eigenfunctions of the drift Lie derivative.
 
     The drift derivative is half the Euler operator, so z^alpha is an
     eigenfunction with eigenvalue |alpha|/2 and the eigenpart of u at k/2 is
     its homogeneous part of degree k; no spectral catalog is needed.  The
     terms above DECOMPOSE_TOL times the coefficient scale are grouped by
-    degree in one pass, and the group of degree k > 0, pruned, is the part
-    keyed k, in descending order.  The terms no part takes form the constant
-    part, keyed 0, unless all of them are at or below the tolerance.
-    The parts keep u's coefficients unchanged, so u minus their sum is the
-    terms no part keeps, and the residual is the largest of their moduli.
+    degree in one pass, and the group of degree k, pruned, is the part keyed
+    k, in descending order; the constants form the part keyed 0 like any
+    other degree.  The parts keep u's coefficients unchanged, so u minus
+    their sum is the terms at or below the tolerance, and the residual is
+    the largest of their moduli.
     """
     if not d >= 0:
         raise DomainError(f"growth bound d must be a nonnegative number, got {d}")
     if u.degree > d:
         raise DomainError(f"degree {u.degree} exceeds growth bound d={d}")
-    if u.m != model.flat_m:
-        raise DomainError(
-            f"polynomial has {u.m} variables but the model has {model.flat_m} flat variables"
-        )
     tol = DECOMPOSE_TOL * max(u.coeff_norm(), 1.0)
     by_degree: dict[int, dict[tuple[int, ...], complex]] = {}
+    residual = 0.0
     for alpha, c in u.terms.items():
         if abs(c) > tol:
             by_degree.setdefault(sum(alpha), {})[alpha] = c
-    parts = {k: HoloPoly._derived(u.m, by_degree[k]) for k in sorted(by_degree, reverse=True) if k > 0}
-    taken = {alpha for part in parts.values() for alpha in part.terms}
-    remainder = {a: c for a, c in u.terms.items() if a not in taken}
-    if any(abs(c) > tol for c in remainder.values()):
-        parts[0] = HoloPoly._derived(u.m, remainder)
-    kept = parts[0].terms if 0 in parts else {}
-    residual = max((abs(c) for a, c in remainder.items() if a not in kept), default=0.0)
+        else:
+            residual = max(residual, abs(c))
+    parts = {k: HoloPoly._derived(u.m, by_degree[k]) for k in sorted(by_degree, reverse=True)}
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
 

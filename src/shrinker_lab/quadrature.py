@@ -87,7 +87,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import DomainError, NumericError
 from .holopoly import HoloPoly
 from .models import ModelShrinker
 
@@ -109,18 +109,16 @@ __all__ = [
 # -- closed-form moments -----------------------------------------------------
 
 
-def sphere_moment(m: int, alpha: tuple[int, ...], radius: float) -> float:
-    """Integral of |z^alpha|^2 over the radius-R sphere in C^m.
+def sphere_moment(m: int, alpha: tuple[int, ...]) -> float:
+    """Integral of |z^alpha|^2 over the unit sphere in C^m; R^(2|alpha| + 2m - 1) times it on radius R.
 
     Monomial pairs z^alpha conj(z)^beta with alpha != beta integrate to zero
     by the torus action, so these diagonal moments determine every |u|^2
     level integral.
     """
-    k = sum(alpha)
     # the factorials are divided as integers: each alone may pass the float range
-    ratio = math.prod(math.factorial(a) for a in alpha) / math.factorial(k + m - 1)
-    angular = 2.0 ** (1 - m) * (2.0 * math.pi) ** m * ratio
-    return radius ** (2 * k + 2 * m - 1) * angular
+    ratio = math.prod(math.factorial(a) for a in alpha) / math.factorial(sum(alpha) + m - 1)
+    return 2.0 ** (1 - m) * (2.0 * math.pi) ** m * ratio
 
 
 # -- Gauss-Legendre tables ----------------------------------------------------
@@ -220,8 +218,11 @@ def require_rule_work(m: int, resolution: int) -> None:
     largest of any rule's (counted, though no rule builds it), plus n^2 for
     the largest Gauss-Legendre order n = max(64, resolution), which bounds
     the theta-Newton phase matrix of ceil(n/2) nodes by floor(n/2) + 1
-    frequencies that each step takes the cos and the sin of.
+    frequencies that each step takes the cos and the sin of.  A resolution
+    below 1 raises ValueError.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be a positive integer")
     n_u, _ = _level_counts(m, resolution)
     work = n_u ** (m - 1) + max(64, resolution) ** 2
     if work > RULE_WORK_LIMIT:
@@ -232,6 +233,11 @@ def require_rule_work(m: int, resolution: int) -> None:
 
 
 # -- product rules -------------------------------------------------------------
+
+
+def _variable_count_error(poly: HoloPoly, m: int) -> DomainError:
+    """Both gram passes raise this for a polynomial whose variable count is not the rule's m."""
+    return DomainError(f"polynomial has {poly.m} variables but the model has {m} flat variables")
 
 
 def _grid_sum(rho: np.ndarray, power: int, coeffs: np.ndarray) -> np.ndarray:
@@ -285,7 +291,7 @@ class ProductRule:
         Jacobian's power included (module docstring), into 1-D sums read from
         one table over the powers of sqrt(x) and sqrt(1 - x).  The closed
         route shares only the `HoloPoly` terms (with the `gradient` and
-        `euler` its callers pair) and `_grid_sum` in `integrate`.
+        `euler` its callers pair), `_variable_count_error` and `_grid_sum`.
         """
         comps, exps, coefs, i, j = _matched_pairs(polys, self.m, self.n_phi)
         powers = exps[i] + exps[j]
@@ -326,6 +332,8 @@ def _matched_pairs(polys: Sequence[HoloPoly], m: int, n_phi: int):
     """
     groups, terms = {}, []
     for k, poly in enumerate(polys):
+        if poly.m != m:
+            raise _variable_count_error(poly, m)
         for alpha, c in poly.terms.items():
             group = groups.setdefault(tuple(a % n_phi for a in alpha), [])
             group.append(len(terms))
@@ -360,8 +368,6 @@ def _flat_grid(model: ModelShrinker, radii) -> np.ndarray:
 def level_set_quadrature(model: ModelShrinker, radii, resolution: int) -> ProductRule:
     """Quadrature on the level sets {b = r}, r in radii: the unit sphere dilated to each flat radius."""
     rho = _flat_grid(model, radii)
-    if resolution < 1:
-        raise ValueError("resolution must be a positive integer")
     m = model.flat_m
     require_rule_work(m, resolution)
     unit = np.ones(1)
@@ -441,16 +447,19 @@ class MomentRule:
         of p_i and p_j in a group adds c_alpha conj(c_beta) times the
         unit-sphere moment of |z^alpha|^2 to G[i, j, 2|alpha|].  The
         quadrature route shares only the `HoloPoly` terms (with the
-        `gradient` and `euler` its callers pair) and `_grid_sum`.
+        `gradient` and `euler` its callers pair), `_variable_count_error` and
+        `_grid_sum`.
         """
         groups = {}
         for k, poly in enumerate(polys):
+            if poly.m != self.m:
+                raise _variable_count_error(poly, self.m)
             for alpha, c in poly.terms.items():
                 groups.setdefault(alpha, []).append((k, c))
         n, size = len(polys), 2 * max(map(sum, groups), default=0) + 1
         gram = [0j] * (n * n * size)
         for alpha, terms in groups.items():
-            moment = sphere_moment(self.m, alpha, 1.0)
+            moment = sphere_moment(self.m, alpha)
             for i, c in terms:
                 for j, d in terms:
                     gram[(i * n + j) * size + 2 * sum(alpha)] += c * d.conjugate() * moment

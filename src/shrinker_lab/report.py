@@ -22,11 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import fheat, forms, frequency, holopoly, oracle1d, quadrature, spectrum
+from . import __version__, fheat, forms, frequency, holopoly, oracle1d, quadrature, spectrum
 from .holopoly import HoloPoly, monomials
 from .models import ModelShrinker, cylinder, gaussian, geometry_at
-
-__version__ = "0.1.0"
 
 # the largest resolution the per-model rows build quadrature rules at
 RESOLUTION = 256
@@ -157,7 +155,7 @@ def _random_polys(model: ModelShrinker, seed: int, count: int):
 def _decomposition(model: ModelShrinker) -> float:
     errors = []
     for u in _random_polys(model, 20240811, 100):
-        recon = holopoly.decompose_by_eigenvalue(model, u, 6.0).reconstruct(model.flat_m)
+        recon = holopoly.decompose_by_eigenvalue(u, 6.0).reconstruct(model.flat_m)
         errors.append((recon - u).coeff_norm() / max(u.coeff_norm(), 1.0))
     return _worst(errors)
 
@@ -165,11 +163,11 @@ def _decomposition(model: ModelShrinker) -> float:
 def _decomposition_growth(model: ModelShrinker) -> float:
     ok = True
     for u in _random_polys(model, 77, 25):
-        dec = holopoly.decompose_by_eigenvalue(model, u, 6.0)
+        dec = holopoly.decompose_by_eigenvalue(u, 6.0)
         if not holopoly.growth_eigenvalue_consistency(dec):
             ok = False
         for k, part in dec.parts.items():
-            op = holopoly.lie_derivative_nabla_f(model, part)
+            op = holopoly.lie_derivative_nabla_f(part)
             if (op - part.scale(k / 2)).coeff_norm() > 1e-10 * max(1.0, part.coeff_norm()):
                 ok = False
     return float(not ok)
@@ -272,13 +270,13 @@ def _j_ledger(model: ModelShrinker) -> float:
 def _k_lemma(model: ModelShrinker) -> tuple[float, str]:
     m = model.flat_m
     u = HoloPoly(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * (m - 1) + (2,): 0.5})
-    recs = [frequency.check_defect_recursion(model, u, r, 2, RESOLUTION) for r in (6.0, 10.0)]
+    recs = [frequency.check_defect_recursion(model, u, r, RESOLUTION) for r in (6.0, 10.0)]
     detail = ""
     if m == 1:
         # one complex variable: |grad u|^2 = 2 |du/dnu|^2 pointwise, so every K_j and,
         # by the recursion, its bulk form vanish; the residual compares two roundings
         detail = "vacuous on one flat variable: K_j and its bulk form vanish, both sides are rounding"
-    return _worst(res for rec in recs for res in rec.recursion_residuals), detail
+    return _worst(rec.residual for rec in recs), detail
 
 
 # -- global measures --------------------------------------------------------------
@@ -314,14 +312,13 @@ def _heat_energy_decay() -> float:
 def _forms_eigen_law() -> float:
     ok = True
     for m in (1, 2, 3):
-        model = gaussian(m)
         for p in range(0, m + 1):
             for idx in combinations(range(m), p):
                 for deg in range(0, 7):
                     alpha = [0] * m
                     alpha[deg % m] = deg
                     om = forms.HoloForm.monomial(m, alpha, idx)
-                    got = forms.f_hodge_laplacian(model, om)
+                    got = forms.f_hodge_laplacian(om)
                     if (got - om.scale((deg + p) / 2.0)).coeff_norm() > 1e-14:
                         ok = False
     return float(not ok)
@@ -329,7 +326,6 @@ def _forms_eigen_law() -> float:
 
 def _forms_nilpotent() -> float:
     rng = random.Random(9)
-    model = gaussian(3)
     ok = True
     for _ in range(10):
         coeffs = {}
@@ -343,7 +339,7 @@ def _forms_nilpotent() -> float:
         if not coeffs:
             continue
         om = forms.HoloForm(2, 3, coeffs)
-        twice = forms.interior_product(model, forms.interior_product(model, om))
+        twice = forms.interior_product(forms.interior_product(om))
         if not twice.is_zero(1e-12 * max(om.coeff_norm(), 1.0)):
             ok = False
     return float(not ok)

@@ -330,8 +330,10 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
 
     At the largest catalog eigenvalue lam <= d/2 left, u_{k+1} = L u_k / lam
     converges geometrically (ratio lam_{s-1}/lam_s) to the top eigenpart,
-    which is subtracted before the next level.  Raises RuntimeError when a
-    level does not converge within `max_iter` steps.
+    which is subtracted before the next level.  L vanishes on constants,
+    so the level 0 is read off directly: the constant term, when it is
+    above tol times the coefficient scale.  Raises RuntimeError when a level
+    does not converge within `max_iter` steps.
     """
     catalog = analytic_spectrum(model, d / 2.0)
     levels = sorted((k / 2 for k, mult in enumerate(catalog.multiplicities) if mult), reverse=True)
@@ -342,6 +344,9 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
         if remainder.is_zero(tol * scale):
             break
         if lam == 0.0:
+            part = HoloPoly(u.m, {a: c for a, c in remainder.terms.items() if sum(a) == 0 and abs(c) > tol * scale})
+            if not part.is_zero():
+                parts[lam] = part
             break
         # the stop margin sits two orders below the pruning threshold: the
         # iterate still carries foreign components of about delta / (1 - ratio)
@@ -360,8 +365,6 @@ def decompose_by_eigenvalue(model, u, d, tol=1e-12, max_iter=200):
         if not part.is_zero():
             parts[lam] = part
             remainder = remainder - part
-    if not remainder.is_zero(tol * scale):
-        parts[0.0] = remainder
     residual = (u - sum(parts.values(), HoloPoly.zero(u.m))).coeff_norm()
     return EigenDecomposition(parts=parts, residual_norm=residual)
 
@@ -396,9 +399,10 @@ def checked_partial(u, j):
 def decompose_by_catalog_walk(model, u, d, tol=1e-12):
     """Eigenparts level by level, subtracting each part from a remainder.
 
-    At each catalog eigenvalue lam <= d/2, in descending order, the terms of
-    the remainder of degree 2 lam above tol times the coefficient scale form
-    the part; the walk stops once the remainder is at or below that bound.
+    At each catalog eigenvalue lam <= d/2, in descending order, 0 included,
+    the terms of the remainder of degree 2 lam above tol times the
+    coefficient scale form the part; the walk stops once the remainder is at
+    or below that bound.
     """
     catalog = analytic_spectrum(model, d / 2.0)
     levels = sorted((k / 2 for k, mult in enumerate(catalog.multiplicities) if mult), reverse=True)
@@ -408,8 +412,6 @@ def decompose_by_catalog_walk(model, u, d, tol=1e-12):
     for lam in levels:
         if remainder.is_zero(tol * scale):
             break
-        if lam == 0.0:
-            break
         part = HoloPoly(
             u.m,
             {a: c for a, c in remainder.terms.items() if sum(a) == 2.0 * lam and abs(c) > tol * scale},
@@ -417,8 +419,6 @@ def decompose_by_catalog_walk(model, u, d, tol=1e-12):
         if not part.is_zero():
             parts[lam] = part
             remainder = checked_difference(remainder, part)
-    if not remainder.is_zero(tol * scale):
-        parts[0.0] = remainder
     total = HoloPoly.zero(u.m)
     for part in parts.values():
         total = checked_sum(total, part)

@@ -79,16 +79,17 @@ def test_level_defect_and_recursion(model):
     # K is a difference of two level integrals; on one flat variable it vanishes
     f, w = brute_force.on_level(model, u, r, res)
     scale = (r / model.flat_radius(r)) * float(np.sum(w * f["grad_sq"]))
-    rep = check_defect_recursion(model, u, r, 2, res)
+    rep = check_defect_recursion(model, u, r, res)
+    # K_j = S^j K_0 on every catalog model
     for j in (0, 2):
         expected = brute_force.level_defect(model, u, r, j, res)
-        assert _close(rep.K[j], expected, model.s_const**j * scale)
-    ks, dirichlet, residuals = brute_force.defect_recursion(model, u, r, 2, res)
-    assert all(_close(a, b, model.s_const**j * scale) for j, (a, b) in enumerate(zip(rep.K, ks)))
+        assert _close(model.s_const**j * rep.K0, expected, model.s_const**j * scale)
+    ks, dirichlet, residuals = brute_force.defect_recursion(model, u, r, 1, res)
+    assert _close(rep.K0, ks[0], scale)
+    assert _close(model.s_const * rep.K0, ks[1], model.s_const * scale)
     assert _close(rep.dirichlet, dirichlet)
-    for j, (a, b) in enumerate(zip(rep.recursion_residuals, residuals)):
-        # a residual divides a difference of integrals of size S^j scale by 1 + |K_j|
-        assert abs(a - b) <= TOL * max(1.0, model.s_const**j * scale / (1.0 + abs(ks[j])))
+    # the residual divides a difference of integrals of size scale by 1 + |K_0|
+    assert abs(rep.residual - residuals[0]) <= TOL * max(1.0, scale / (1.0 + abs(ks[0])))
 
 
 def test_shell_energies(model):

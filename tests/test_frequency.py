@@ -11,6 +11,7 @@ import pytest
 
 from shrinker_lab import frequency, quadrature
 from shrinker_lab.errors import DomainError, RegularityError
+from shrinker_lab.forms import HoloForm, form_integral_identity_check
 from shrinker_lab.holopoly import HoloPoly
 from shrinker_lab.models import cylinder, gaussian, product
 from shrinker_lab.frequency import (
@@ -129,22 +130,22 @@ def test_check_derivative_I_fourth_order():
 
 def test_K_vanishes_on_one_flat_variable():
     # one complex variable: |grad u|^2 = 2 |du/dnu|^2 pointwise
-    assert abs(check_defect_recursion(G1, Z, 3.0).K[0]) < 1e-12
+    assert abs(check_defect_recursion(G1, Z, 3.0).K0) < 1e-12
     u = HoloPoly(1, {(1,): 1.0, (3,): 2.0})
-    assert abs(check_defect_recursion(CYL, u, 6.0, resolution=256).K[1]) < 1e-7
+    assert abs(CYL.s_const * check_defect_recursion(CYL, u, 6.0, resolution=256).K0) < 1e-7
 
 
 def test_K_recursion_cylinder():
-    rep = check_defect_recursion(CYL, W, 6.0, 2, 256)
-    assert all(res < 1e-5 for res in rep.recursion_residuals)
+    rep = check_defect_recursion(CYL, W, 6.0, 256)
+    assert rep.residual < 1e-5
     assert rep.c_measured < 1e-12
 
 
 def test_K_recursion_gaussian_m2():
     u = HoloPoly.monomial(2, (1, 0))
-    rep = check_defect_recursion(G2, u, 5.0, 2, 256)
-    assert rep.K[0] > 0.0  # genuine angular defect on two flat variables
-    assert all(res < 1e-5 for res in rep.recursion_residuals)
+    rep = check_defect_recursion(G2, u, 5.0, 256)
+    assert rep.K0 > 0.0  # genuine angular defect on two flat variables
+    assert rep.residual < 1e-5
     assert rep.c_measured <= 1.0
 
 
@@ -351,6 +352,35 @@ def test_entry_points_refuse_a_bare_radius():
     ):
         with pytest.raises(ValueError, match="1-D grid"):
             call(3.0)
+
+
+_WRONG_COUNT_CALLS = {
+    "frequency_profile_closed": lambda model, u: frequency_profile(model, u, 1.0, [5.0, 8.0]),
+    "frequency_profile_quadrature": lambda model, u: frequency_profile(
+        model, u, 1.0, [5.0, 8.0], FrequencyConfig(resolution=64, method="quadrature")
+    ),
+    "D_of_r_closed": lambda model, u: D_of_r(model, u, [5.0]),
+    "D_of_r_quadrature": lambda model, u: D_of_r(model, u, [5.0], 64, "quadrature"),
+    "check_derivative_I_closed": lambda model, u: check_derivative_I(model, u, [5.0]),
+    "check_derivative_I_quadrature": lambda model, u: check_derivative_I(
+        model, u, [5.0], resolution=64, method="quadrature"
+    ),
+    "check_defect_recursion": lambda model, u: check_defect_recursion(model, u, 5.0, 64),
+    "rho_mu": lambda model, u: rho_mu(model, u, 1.0, [5.0]),
+    # the kernel form u (z2 dz1 - z1 dz2)
+    "form_integral_identity_check": lambda model, u: form_integral_identity_check(
+        model, HoloForm(1, u.m, {(0,): u.mul_variable(1), (1,): u.mul_variable(0).scale(-1.0)}), resolution=64
+    ),
+}
+
+
+@pytest.mark.parametrize("model, m", [(G2, 3), (gaussian(3), 2)], ids=["3_on_gaussian2", "2_on_gaussian3"])
+@pytest.mark.parametrize("call", _WRONG_COUNT_CALLS.values(), ids=_WRONG_COUNT_CALLS.keys())
+def test_wrong_variable_count_is_refused_naming_both_counts(call, model, m):
+    # each rule's gram compares a polynomial's variable count with the model's flat count, on both routes
+    u = HoloPoly(m, {(1,) + (0,) * (m - 1): 1.0, (0,) * m: 0.5})
+    with pytest.raises(DomainError, match=f"has {m} variables but the model has {model.flat_m} flat variables"):
+        call(model, u)
 
 
 def test_routes_stay_independent(monkeypatch):

@@ -73,22 +73,20 @@ def test_pruning_invariant():
 
 
 def test_lie_derivative_monomials():
-    model = gaussian(2)
     for alpha in [(1, 0), (2, 3), (0, 5)]:
         u = HoloPoly.monomial(2, alpha)
-        lu = lie_derivative_nabla_f(model, u)
+        lu = lie_derivative_nabla_f(u)
         assert (lu - u.scale(sum(alpha) / 2.0)).coeff_norm() == 0.0
     const = HoloPoly(2, {(0, 0): 3.0})
-    assert lie_derivative_nabla_f(model, const).is_zero()
+    assert lie_derivative_nabla_f(const).is_zero()
 
 
 def test_lie_derivative_diagonal_up_to_degree_8():
     # the flow derivative is diagonal on every monomial with |alpha| <= 8
     for m in (1, 2, 3):
-        model = gaussian(m)
         for alpha in monomials(m, 8):
             u = HoloPoly.monomial(m, alpha, 1.0 - 0.5j)
-            lu = lie_derivative_nabla_f(model, u)
+            lu = lie_derivative_nabla_f(u)
             assert (lu - u.scale(sum(alpha) / 2.0)).coeff_norm() == 0.0
 
 
@@ -102,16 +100,14 @@ def test_monomials_order_and_degree_window():
 
 
 def test_lie_derivative_linearity_example():
-    model = gaussian(2)
     u = HoloPoly(2, {(2, 0): 1.0, (0, 1): 1.0})
-    lu = lie_derivative_nabla_f(model, u)
+    lu = lie_derivative_nabla_f(u)
     expected = HoloPoly(2, {(2, 0): 1.0, (0, 1): 0.5})
     assert (lu - expected).coeff_norm() == 0.0
 
 
 def test_lie_derivative_against_finite_differences():
     # flow derivative along grad f compared with (u(z + h grad f) - u(z - h grad f)) / 2h
-    model = gaussian(2)
     u = HoloPoly(2, {(2, 1): 1.5 - 0.5j, (0, 2): 2.0j, (1, 0): -1.0})
     rng = np.random.default_rng(4)
     z = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -119,19 +115,13 @@ def test_lie_derivative_against_finite_differences():
     plus = evaluate(u, z * (1.0 + 0.5 * h))
     minus = evaluate(u, z * (1.0 - 0.5 * h))
     numeric = (plus - minus) / (2.0 * h)
-    symbolic = evaluate(lie_derivative_nabla_f(model, u), z)
+    symbolic = evaluate(lie_derivative_nabla_f(u), z)
     assert abs(numeric - symbolic) < 1e-6 * max(1.0, abs(symbolic))
 
 
-def test_lie_derivative_variable_count_guard():
-    with pytest.raises(DomainError):
-        lie_derivative_nabla_f(gaussian(2), HoloPoly.monomial(1, (1,)))
-
-
 def test_decompose_example_1_z_z2():
-    model = gaussian(1)
     u = HoloPoly(1, {(0,): 1.0, (1,): 1.0, (2,): 1.0})
-    dec = decompose_by_eigenvalue(model, u, 2.0)
+    dec = decompose_by_eigenvalue(u, 2.0)
     # parts are keyed by k = 2 lambda, the degree
     assert set(dec.parts) == {0, 1, 2}
     assert (dec.parts[0] - HoloPoly(1, {(0,): 1.0})).coeff_norm() < 1e-12
@@ -141,21 +131,19 @@ def test_decompose_example_1_z_z2():
 
 
 def test_decompose_eigenfunction_is_single_part():
-    model = gaussian(2)
     u = HoloPoly.monomial(2, (1, 1))
-    dec = decompose_by_eigenvalue(model, u, 2.0)
+    dec = decompose_by_eigenvalue(u, 2.0)
     assert list(dec.parts) == [2]
 
 
 def test_decompose_zero():
-    dec = decompose_by_eigenvalue(gaussian(1), HoloPoly.zero(1), 3.0)
+    dec = decompose_by_eigenvalue(HoloPoly.zero(1), 3.0)
     assert dec.parts == {}
     assert dec.residual_norm == 0.0
 
 
 def test_decompose_round_trip_random():
     rng = np.random.default_rng(1234)
-    model = gaussian(2)
     for _ in range(40):
         terms = {}
         for a1 in range(0, 7):
@@ -163,19 +151,18 @@ def test_decompose_round_trip_random():
                 if rng.uniform() < 0.5:
                     terms[(a1, a2)] = complex(rng.normal(), rng.normal())
         u = HoloPoly(2, terms or {(0, 0): 1.0})
-        dec = decompose_by_eigenvalue(model, u, 6.0)
+        dec = decompose_by_eigenvalue(u, 6.0)
         err = (dec.reconstruct(2) - u).coeff_norm()
         assert err < 1e-10 * max(1.0, u.coeff_norm())
         assert growth_eigenvalue_consistency(dec)
         for k, part in dec.parts.items():
-            residual = lie_derivative_nabla_f(model, part) - part.scale(k / 2)
+            residual = lie_derivative_nabla_f(part) - part.scale(k / 2)
             assert residual.coeff_norm() < 1e-10 * max(1.0, part.coeff_norm())
 
 
 def test_decompose_on_cylinder():
-    model = cylinder()
     u = HoloPoly(1, {(0,): 2.0, (2,): -1.0, (3,): 0.5})
-    dec = decompose_by_eigenvalue(model, u, 4.0)
+    dec = decompose_by_eigenvalue(u, 4.0)
     assert (dec.reconstruct(1) - u).coeff_norm() < 1e-12
 
 
@@ -188,7 +175,7 @@ def test_growth_consistency_compares_integers():
 
 def test_decompose_degree_guard():
     with pytest.raises(DomainError):
-        decompose_by_eigenvalue(gaussian(1), HoloPoly.monomial(1, (4,)), 3.0)
+        decompose_by_eigenvalue(HoloPoly.monomial(1, (4,)), 3.0)
 
 
 def test_decompose_needs_no_catalog(monkeypatch):
@@ -196,10 +183,10 @@ def test_decompose_needs_no_catalog(monkeypatch):
         raise AssertionError("the decomposition built a spectral catalog")
 
     monkeypatch.setattr(spectrum, "analytic_spectrum", refuse)
-    dec = decompose_by_eigenvalue(cylinder(), HoloPoly(1, {(0,): 1.0, (3,): 0.5}), 4.0)
+    dec = decompose_by_eigenvalue(HoloPoly(1, {(0,): 1.0, (3,): 0.5}), 4.0)
     assert list(dec.parts) == [3, 0]
     u = HoloPoly(2, {(0, 0): 1.0, (1, 0): 2.0, (2, 1): -1.0j})
-    dec = decompose_by_eigenvalue(gaussian(2), u, 3.0)
+    dec = decompose_by_eigenvalue(u, 3.0)
     assert list(dec.parts) == [3, 1, 0]
     assert dec.residual_norm == 0.0
 
@@ -207,7 +194,7 @@ def test_decompose_needs_no_catalog(monkeypatch):
 def test_decompose_at_a_huge_growth_bound():
     # a catalog up to d/2 = 5e5 would be refused as too large; two terms split by degree
     u = HoloPoly(1, {(3,): 1.0, (1,): 2.0})
-    dec = decompose_by_eigenvalue(gaussian(1), u, 1e6)
+    dec = decompose_by_eigenvalue(u, 1e6)
     assert list(dec.parts) == [3, 1]
     assert dec.parts[3].terms == {(3,): 1.0}
     assert dec.parts[1].terms == {(1,): 2.0}
@@ -217,15 +204,15 @@ def test_decompose_at_a_huge_growth_bound():
 @pytest.mark.parametrize("d", [-0.5, math.nan])
 def test_decompose_refuses_a_bad_growth_bound(d):
     with pytest.raises(DomainError, match="growth bound"):
-        decompose_by_eigenvalue(gaussian(1), HoloPoly.zero(1), d)
+        decompose_by_eigenvalue(HoloPoly.zero(1), d)
     with pytest.raises(DomainError, match="growth bound"):
-        decompose_by_eigenvalue(gaussian(1), HoloPoly.monomial(1, (1,)), d)
+        decompose_by_eigenvalue(HoloPoly.monomial(1, (1,)), d)
 
 
 @pytest.mark.parametrize("d", [8, 10, 12])
 def test_decompose_high_degree_top_two(d):
     u = HoloPoly(1, {(d,): 1.0, (d - 1,): 1.0})
-    dec = decompose_by_eigenvalue(gaussian(1), u, float(d))
+    dec = decompose_by_eigenvalue(u, float(d))
     # power iteration contracts the degree-(d-1) part by (d-1)/d per step: too slowly
     with pytest.raises(RuntimeError):
         ref.decompose_by_eigenvalue(gaussian(1), u, float(d))
@@ -240,7 +227,7 @@ def test_decompose_degree_10_is_homogeneous_split():
     u = HoloPoly(
         2, {a: complex(rng.normal(), rng.normal()) for a in monomials(2, 10) if rng.uniform() < 0.6}
     )
-    dec = decompose_by_eigenvalue(gaussian(2), u, 10.0)
+    dec = decompose_by_eigenvalue(u, 10.0)
     homogeneous = homogeneous_parts(u)
     assert sorted(dec.parts) == sorted(homogeneous)
     for k, part in dec.parts.items():
@@ -262,7 +249,7 @@ _REFERENCE_MODELS = {
 def test_decompose_matches_power_iteration(model, seed, count):
     # the report's two seeds draw as many polynomials as its decomposition checks do
     for u in _random_polys(model, seed, count):
-        dec = decompose_by_eigenvalue(model, u, 6.0)
+        dec = decompose_by_eigenvalue(u, 6.0)
         want = ref.decompose_by_eigenvalue(model, u, 6.0)
         # the reference keys its parts by float lambda, the package by k = 2 lambda
         assert [k / 2 for k in dec.parts] == list(want.parts)
@@ -295,7 +282,7 @@ def test_decompose_matches_catalog_walk(model, d):
     rng = np.random.default_rng(9090 + model.flat_m + model.sphere_factors)
     for _ in range(30):
         u = _edge_poly(model.flat_m, rng)
-        dec = decompose_by_eigenvalue(model, u, d)
+        dec = decompose_by_eigenvalue(u, d)
         want = ref.decompose_by_catalog_walk(model, u, d)
         assert [k / 2 for k in dec.parts] == list(want.parts)
         for k, part in dec.parts.items():
@@ -304,16 +291,27 @@ def test_decompose_matches_catalog_walk(model, d):
 
 
 def test_decompose_edge_terms_stay_in_remainder():
-    # the degree-1 term sits at the tolerance, so it is no part of its own
+    # the degree-1 term sits at the tolerance, so it is no part of its own and no part of the constants
     u = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0})
-    dec = decompose_by_eigenvalue(gaussian(1), u, 2.0)
+    dec = decompose_by_eigenvalue(u, 2.0)
     assert list(dec.parts) == [2, 0]
-    assert dec.parts[0].terms == {(1,): 4.0 * DECOMPOSE_TOL, (0,): 1.0}
-    assert dec.residual_norm == ref.decompose_by_catalog_walk(gaussian(1), u, 2.0).residual_norm == 0.0
+    assert dec.parts[0].terms == {(0,): 1.0}
+    assert dec.residual_norm == ref.decompose_by_catalog_walk(gaussian(1), u, 2.0).residual_norm == 4.0 * DECOMPOSE_TOL
+    assert growth_eigenvalue_consistency(dec)
     small = HoloPoly(1, {(2,): 4.0, (1,): 4.0 * DECOMPOSE_TOL})
-    dec = decompose_by_eigenvalue(gaussian(1), small, 2.0)
+    dec = decompose_by_eigenvalue(small, 2.0)
     assert list(dec.parts) == [2]
     assert dec.residual_norm == 4.0 * DECOMPOSE_TOL
+
+
+@pytest.mark.parametrize("model", _REFERENCE_MODELS.values(), ids=_REFERENCE_MODELS.keys())
+def test_decompose_edge_polys_are_growth_consistent(model):
+    # terms at or below the tolerance, of any degree, join no part: each part keyed k is of degree k
+    rng = np.random.default_rng(9090 + model.flat_m + model.sphere_factors)
+    for _ in range(30):
+        dec = decompose_by_eigenvalue(_edge_poly(model.flat_m, rng), 7.5)
+        assert growth_eigenvalue_consistency(dec)
+        assert all(part.degree == k for k, part in dec.parts.items())
 
 
 def _checked_reconstruct(parts, m):
@@ -328,25 +326,25 @@ def _one_pass_cases():
     for model in (gaussian(2), cylinder(), gaussian(3)):
         for seed, count in ((20240811, 100), (77, 25)):
             for u in _random_polys(model, seed, count):
-                yield model, u, 6.0
+                yield u, 6.0
         rng = np.random.default_rng(9090 + model.flat_m + model.sphere_factors)
         for _ in range(30):
-            yield model, _edge_poly(model.flat_m, rng), 7.5
+            yield _edge_poly(model.flat_m, rng), 7.5
 
 
 def test_one_pass_reconstruct_and_residual_equal_checked_sums():
     # the parts are merged into one dict with no prune, and the residual is read off
     # the terms no part keeps; both equal adding and subtracting one part at a time
-    for model, u, d in _one_pass_cases():
-        dec = decompose_by_eigenvalue(model, u, d)
+    for u, d in _one_pass_cases():
+        dec = decompose_by_eigenvalue(u, d)
         total = _checked_reconstruct(dec.parts, u.m)
         assert _bits(dec.reconstruct(u.m)) == _bits(total)
         assert repr(dec.residual_norm) == repr(ref.checked_difference(u, total).coeff_norm())
 
 
 def test_lie_derivative_is_half_euler_term_for_term():
-    for model, u, _ in _one_pass_cases():
-        assert _bits(lie_derivative_nabla_f(model, u)) == _bits(u.euler().scale(0.5))
+    for u, _ in _one_pass_cases():
+        assert _bits(lie_derivative_nabla_f(u)) == _bits(u.euler().scale(0.5))
 
 
 @pytest.mark.parametrize(

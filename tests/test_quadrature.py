@@ -97,7 +97,7 @@ def test_raw_area_differs_from_coarea_area():
 
 def test_sphere_moment_of_high_degree():
     # 400! / 401! = 1/401, though 400! alone passes the float range
-    assert math.isclose(sphere_moment(2, (400, 0), 1.0), 2.0 * math.pi**2 / 401, rel_tol=1e-14)
+    assert math.isclose(sphere_moment(2, (400, 0)), 2.0 * math.pi**2 / 401, rel_tol=1e-14)
 
 
 def test_sphere_moment_against_quadrature():
@@ -106,7 +106,8 @@ def test_sphere_moment_against_quadrature():
     for alpha in [(0, 0), (1, 0), (2, 1), (3, 2)]:
         u = HoloPoly.monomial(2, alpha)
         num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
-        assert math.isclose(num, sphere_moment(2, alpha, 2.5), rel_tol=1e-12)
+        # the unit-sphere moment scales by R^(2|alpha| + 2m - 1) on the sphere of flat radius R
+        assert math.isclose(num, 2.5 ** (2 * sum(alpha) + 3) * sphere_moment(2, alpha), rel_tol=1e-12)
 
 
 def test_ball_moment_against_quadrature():
@@ -206,7 +207,16 @@ def test_sphere_moment_m3_against_quadrature():
         for alpha in alphas:
             u = HoloPoly.monomial(m, alpha)
             num = float(np.sum(weights * np.abs(evaluate(u, nodes)) ** 2))
-            assert math.isclose(num, sphere_moment(m, alpha, 2.0), rel_tol=1e-11)
+            assert math.isclose(num, 2.0 ** (2 * sum(alpha) + 2 * m - 1) * sphere_moment(m, alpha), rel_tol=1e-11)
+
+
+_BUILDERS = {
+    "level_set_quadrature": lambda model, res: level_set_quadrature(model, [3.0], res),
+    "ball_quadrature": lambda model, res: ball_quadrature(model, [3.0], res),
+    "shell_quadrature": lambda model, res: shell_quadrature(model, 3.0, 4.0, res),
+    "weighted_space_quadrature": lambda model, res: weighted_space_quadrature(model, res),
+    "verify_volume_identity": lambda model, res: verify_volume_identity(model, (3.0,), res),
+}
 
 
 def test_over_budget_rules_are_refused_before_any_table(monkeypatch):
@@ -214,20 +224,21 @@ def test_over_budget_rules_are_refused_before_any_table(monkeypatch):
         raise AssertionError("a Gauss-Legendre table was built")
 
     monkeypatch.setattr(quadrature, "_gl_reference", no_table)
-    builders = [
-        lambda model, res: level_set_quadrature(model, [3.0], res),
-        lambda model, res: ball_quadrature(model, [3.0], res),
-        lambda model, res: shell_quadrature(model, 3.0, 4.0, res),
-        lambda model, res: weighted_space_quadrature(model, res),
-        lambda model, res: verify_volume_identity(model, (3.0,), res),
-    ]
     # 16^5 simplex nodes at m = 6, and a 10^7-point radial table at m = 1
     for model, res in ((gaussian(6), 256), (gaussian(1), 10**7)):
-        for build in builders:
+        for build in _BUILDERS.values():
             with pytest.raises(NumericError, match="over the limit"):
                 build(model, res)
     # the largest rules verify-all builds: m = 5 at resolution 256
     require_rule_work(5, 256)
+
+
+@pytest.mark.parametrize("resolution", [0, -5])
+@pytest.mark.parametrize("build", _BUILDERS.values(), ids=_BUILDERS.keys())
+def test_rule_builders_refuse_a_resolution_below_one(build, resolution):
+    # require_rule_work, which every builder calls, refuses it
+    with pytest.raises(ValueError, match="resolution must be a positive integer"):
+        build(gaussian(2), resolution)
 
 
 def _largest_resolution():
