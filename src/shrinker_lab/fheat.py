@@ -10,10 +10,12 @@ data are polynomials, so their expansion in this basis is finite and exact.
 Series solutions evolve entry k by e^{-k s / 2}; the backward-Euler oracle
 instead steps the stiffness K and lumped mass M that oracle1d.discretize builds
 on [-12, 12], with no symmetric reduction, and is compared against the series
-in the weighted L^2 norm.  A run is one call of eigensolve.implicit_steps,
-which eliminates M + ds K once and takes each step as two cumulative sums on a
-state kept in summation-factor scale, equal to a fresh per-step elimination to
-rounding.  A run is refused before its grid is built when its grid or its
+in the weighted L^2 norm.  A run is one call of eigensolve.implicit_steps.
+M + ds K equals its own reversal, so it folds the datum into its even and
+odd parts and steps each nonzero one on its half of the rows; it eliminates
+each half once and takes each step as two cumulative sums on a state kept in
+summation-factor scale, equal to a fresh per-step elimination to rounding.
+A run is refused before its grid is built when its grid or its
 row-steps exceed HEAT_GRID_LIMIT or HEAT_WORK_LIMIT.
 
 Heat polynomials (polynomial solutions of the plain heat equation) transform

@@ -38,7 +38,7 @@ from .errors import DomainError, NumericError
 from .holopoly import HoloPoly, _literal_int, dim_O_d
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
-from .quadrature import WEIGHTED_RADIUS_MAX, weighted_space_quadrature
+from .quadrature import WEIGHTED_RADIUS_MAX, _variable_count_error, weighted_space_quadrature
 from .ratlinalg import integer_rank
 from .spectrum import SpectrumCatalog, _catalog, count_eigenvalues
 
@@ -340,10 +340,13 @@ def form_integral_identity_check(
     Evaluates int |omega|^2 (f - n/2 - mu - 2 p Lambda) e^{-f} dv by
     quadrature, raises if the precondition i_X omega = 0 fails, and raises if
     the value is positive beyond 1e-8 relative to the weighted norm.  Raises
-    NumericError, before the rule is built, when `require_weighted_range` does,
-    and DomainError, from the rule's `gram`, when omega's variable count is
-    not the model's flat count.
+    DomainError when omega's variable count is not the model's flat count,
+    and NumericError when `require_weighted_range` does, both before the rule
+    is built; a form with no coefficients reaches no `gram` to compare the
+    counts.
     """
+    if omega.m != model.flat_m:
+        raise _variable_count_error(omega, model.flat_m)
     contracted = interior_product(omega)
     if not contracted.is_zero(1e-12 * max(omega.coeff_norm(), 1.0)):
         raise DomainError("form is not in the kernel of the contraction map")

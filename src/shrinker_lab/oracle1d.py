@@ -18,9 +18,12 @@ The weight is even, and the operator keeps that symmetry exactly: node i is
 X (2i - N) / N, so node N - i is its exact negative, every weight is
 evaluated at mirrored abscissae to the same bits, and each reduced
 off-diagonal entry multiplies its two mass factors as one commutative pair.
-The reduced matrix equals its own reversal bit for bit, so the eigensolver
-folds it into its even and odd blocks and runs each Sturm and Newton pass on
-half the rows.
+The reduced matrix, and the stiffness, mass and backward-Euler matrix
+M + ds K alike, equal their own reversals bit for bit.  So the eigensolver
+folds the reduced matrix into its even and odd blocks and runs each Sturm
+and Newton pass on half the rows, and heat stepping steps the even and odd
+parts of a datum on the two halves of M + ds K, an even datum such as x^2
+on one half alone.
 """
 
 from __future__ import annotations

@@ -96,11 +96,14 @@ def block_eigenvalue(diag, e2, lo, hi, span, seen, j):
     """Eigenvalue j of (diag, e2): isolate by `sturm_count`, refine by Newton on `newton_pass`.
 
     Every (x, count) evaluated on this matrix is kept in `seen`; eigenvalue j
-    bisects the tightest bracket they make until it holds eigenvalue j alone,
-    then takes Newton steps x - 1/S that stay inside the bracket and bisects
-    otherwise.  It stops when the step or the bracket is within 4 ulps of x
-    plus eps times the span; a bracket that gets there first returns its
-    midpoint.
+    shrinks the tightest bracket they make until it holds eigenvalue j alone.
+    While count(b) > j + 1 its passes alternate, starting with the first,
+    between the point where the count interpolated linearly between a and b
+    reaches j + 1, when it lies strictly between a and the midpoint, and the
+    midpoint; otherwise every point is the midpoint.  It then takes Newton
+    steps x - 1/S that stay inside the bracket and bisects otherwise.  It
+    stops when the step or the bracket is within 4 ulps of x plus eps times
+    the span; a bracket that gets there first returns its midpoint.
     """
     eps = np.finfo(float).eps
     ulps, max_passes = 4, 200
@@ -110,8 +113,14 @@ def block_eigenvalue(diag, e2, lo, hi, span, seen, j):
             a, count_a = x, c
         if c > j and x < b:
             b, count_b = x, c
-    x = 0.5 * (a + b)
-    for _ in range(max_passes):
+    x = None
+    for i in range(max_passes):
+        if x is None:
+            x = 0.5 * (a + b)
+            if i % 2 == 0 and count_b > j + 1:
+                point = a + (b - a) * (j + 1 - count_a) / (count_b - count_a)
+                if a < point < x:
+                    x = point
         tol = eps * (ulps * abs(x) + span)
         if b - a <= tol:
             return 0.5 * (a + b)
@@ -132,7 +141,7 @@ def block_eigenvalue(diag, e2, lo, hi, span, seen, j):
                     return x - step
                 x = x - step
                 continue
-        x = 0.5 * (a + b)
+        x = None
     raise RuntimeError(f"eigenvalue {j} did not converge in {max_passes} passes")
 
 

@@ -425,6 +425,13 @@ def test_form_integral_rejects_non_kernel():
         form_integral_identity_check(G2, om)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_form_integral_refuses_a_wrong_variable_count_with_no_coefficients(m):
+    # the zero form reaches no rule's gram; its count is compared before any rule is built
+    with pytest.raises(DomainError, match=f"has {m} variables but the model has 2 flat variables"):
+        form_integral_identity_check(G2, HoloForm(1, m, {}))
+
+
 def test_form_reduction_examples():
     rec = form_reduction_ledger(G2, 1, 2)
     assert (rec.dim_forms, rec.dim_funcs_shifted, rec.kernel_dims) == (12, 10, (3,))

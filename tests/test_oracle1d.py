@@ -63,9 +63,16 @@ def _solve(diag, off, rhs):
 
 
 def _blocks(diag, off):
-    """The number of row blocks the kernel cuts the matrix (diag, off) into."""
-    _, mults = eigensolve._eliminate(list(diag), list(off))
-    return -(-len(diag) // eigensolve._block_length(mults))
+    """The number of row blocks the kernel cuts each row of its state into, with unit mass.
+
+    A matrix equal to its reversal is stepped as its two halves, which share
+    one block length.
+    """
+    halves = [(diag, off)]
+    if diag.size > 1 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
+        halves = [half[:2] for half in eigensolve._fold_system(diag, off, np.ones(diag.size))]
+    mults = [eigensolve._eliminate(list(d), list(o))[1] for d, o in halves]
+    return -(-halves[0][0].size // eigensolve._block_length(mults))
 
 
 def test_thomas_solve():
@@ -130,9 +137,11 @@ def test_thomas_scan_in_many_blocks_matches_dense_solve():
 @pytest.mark.parametrize("n_grid,n_steps", [(800, 20000), (1600, 400)])
 def test_steps_match_successive_dense_solves(n_grid, n_steps):
     # k steps carry the state between steps in summation-factor scale; the
-    # result is that of k solves of M + ds K, each on M times the last
+    # result is that of k solves of M + ds K, each on M times the last.  The
+    # halves of the persymmetric M + ds K take 4 blocks each at ds = 1/20000,
+    # and fit one at (1600, 400), where the whole matrix took 2
     op, diag, off = _heat_matrix(n_grid, n_steps)
-    assert _blocks(diag, off) >= 2
+    assert _blocks(diag, off) == (4 if n_steps == 20000 else 1)
     xs = op.grid[1:-1]
     a = ref.dense(diag, off)
     u0 = np.polynomial.polynomial.polyval(xs, [0.3, -1.0, 0.5, 0.2, -0.1])
@@ -141,6 +150,103 @@ def test_steps_match_successive_dense_solves(n_grid, n_steps):
         want = np.linalg.solve(a, op.mass * want)
         got = implicit_steps(diag, off, op.mass, u0, k)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
+_DATA = {
+    "even": [1.0, 0.0, -0.5, 0.0, 0.1],
+    "odd": [0.0, -1.0, 0.0, 1.0],
+    "general": [0.3, -1.0, 0.5, 0.2, -0.1],
+}
+
+
+@pytest.mark.parametrize("datum", _DATA)
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (801, 200), (800, 20000), (801, 20000)])
+def test_folded_steps_match_successive_dense_solves(n_grid, n_steps, datum, monkeypatch):
+    # N = 800 leaves an odd order, folded at a centre node, and N = 801 an even
+    # one, at a centre pair.  An even or odd datum steps one half, and each node
+    # matches the dense solves to 1e-12 of its value; an odd datum vanishes at a
+    # centre node exactly, where the dense solves leave rounding.  A general
+    # datum steps both halves and adds them back, which cancels where a node is
+    # small and its mirror large: each node matches to 1e-12 of the larger of
+    # the pair (at (800, 200) the node x = 1.29 of step 4, -9.3e-5, is 2.3e-12
+    # off relative to its own value)
+    op, diag, off = _heat_matrix(n_grid, n_steps)
+    xs = op.grid[1:-1]
+    n = xs.size
+    a = ref.dense(diag, off)
+    u0 = np.polynomial.polynomial.polyval(xs, _DATA[datum])
+    nodes = np.ones(n, dtype=bool)
+    if datum == "odd" and n % 2:
+        nodes[n // 2] = False
+    carries = []
+    carry = eigensolve._carry
+    monkeypatch.setattr(eigensolve, "_carry", lambda *args: carries.append(args) or carry(*args))
+    want = u0
+    for k in range(1, 6):
+        want = np.linalg.solve(a, op.mass * want)
+        got = implicit_steps(diag, off, op.mass, u0, k)
+        scale = np.abs(want)
+        if datum == "general":
+            scale = np.maximum(scale, scale[::-1])
+        assert np.all(np.abs(got - want)[nodes] <= 1e-12 * scale[nodes])
+        assert np.all(got[~nodes] == 0.0)
+    # at ds = 1/20000 each half still takes several blocks and carries between them
+    assert bool(carries) == (n_steps == 20000)
+
+
+def _stepped_rows(monkeypatch, diag, off, mass, u0):
+    """The rows `_eliminate` eliminates and the padded rows of each state row stepped, in one run."""
+    eliminated, stepped = [], []
+    eliminate, factors = eigensolve._eliminate, eigensolve._summation_factors
+    monkeypatch.setattr(eigensolve, "_eliminate", lambda d, o: eliminated.append(len(d)) or eliminate(d, o))
+    # two summation factors, forward and back, per row of the state
+    monkeypatch.setattr(
+        eigensolve, "_summation_factors", lambda mult, length: stepped.append(mult.size) or factors(mult, length)
+    )
+    implicit_steps(diag, off, mass, u0, 3)
+    return eliminated, stepped[::2]
+
+
+@pytest.mark.parametrize("n_grid", [800, 801])
+def test_only_the_nonzero_halves_are_stepped(n_grid, monkeypatch):
+    # both halves are eliminated, so a singular one is refused whatever the datum;
+    # a half whose datum is exactly zero gets no row of the state
+    op, diag, off = _heat_matrix(n_grid, 200)
+    n = diag.size
+    xs = op.grid[1:-1]
+    for datum, rows in (("even", [(n + 1) // 2]), ("odd", [n // 2]), ("general", [(n + 1) // 2] * 2)):
+        u0 = np.polynomial.polynomial.polyval(xs, _DATA[datum])
+        eliminated, stepped = _stepped_rows(monkeypatch, diag, off, op.mass, u0)
+        assert eliminated == [(n + 1) // 2, n // 2]
+        assert stepped == rows
+    # a zero datum steps the even half, to zero
+    assert _stepped_rows(monkeypatch, diag, off, op.mass, np.zeros(n))[1] == [(n + 1) // 2]
+    assert not implicit_steps(diag, off, op.mass, np.zeros(n), 3).any()
+
+
+def test_a_matrix_that_is_not_its_reversal_is_stepped_whole(monkeypatch):
+    op, diag, off = _heat_matrix(800, 200)
+    n = diag.size
+    u0 = op.grid[1:-1] ** 2
+    perturbed = diag.copy()
+    perturbed[3] *= 1.0 + 1e-15
+    assert _stepped_rows(monkeypatch, perturbed, off, op.mass, u0) == ([n], [n])
+    want = u0
+    a = ref.dense(perturbed, off)
+    for _ in range(3):
+        want = np.linalg.solve(a, op.mass * want)
+    got = implicit_steps(perturbed, off, op.mass, u0, 3)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    # so is one whose mass alone is not
+    mass = op.mass.copy()
+    mass[-1] *= 2.0
+    assert _stepped_rows(monkeypatch, diag, off, mass, u0)[1] == [n]
+
+
+def test_steps_of_an_even_datum_are_exactly_even():
+    op, diag, off = _heat_matrix(801, 200)
+    got = implicit_steps(diag, off, op.mass, op.grid[1:-1] ** 2, 20)
+    assert np.array_equal(got, got[::-1])
 
 
 @pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (800, 20000)])
@@ -159,11 +265,12 @@ def test_thomas_scan_scales_exactly_by_powers_of_two(n_grid, n_steps):
     assert np.array_equal(big[normal], plain[normal] * 2.0**900)
 
 
-@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (1600, 400)])
+@pytest.mark.parametrize("n_grid,n_steps", [(800, 200), (801, 200), (1600, 400)])
 def test_steps_from_a_scaled_start_scale_exactly(n_grid, n_steps, monkeypatch):
     # u0 2^900 overflows the first step's sums, which it takes again on the
     # state scaled down by a power of two; the later steps run at that scale
-    # and the result is scaled back, so it is the plain run's times 2^900
+    # and the result is scaled back, so it is the plain run's times 2^900.
+    # A general datum steps both halves, and one rescale serves both
     op, diag, off = _heat_matrix(n_grid, n_steps)
     u0 = np.random.default_rng(4).normal(size=diag.size)
     plain = implicit_steps(diag, off, op.mass, u0, 50)
@@ -259,7 +366,11 @@ def test_passes_per_call(monkeypatch):
         monkeypatch.setattr(eigensolve, name, counted)
     tridiagonal_eigenvalues(*discretize(3200).reduced(), 6)
     assert rows["_newton_pass"] > 0
-    assert rows["_sturm_count"] + rows["_newton_pass"] <= 120_000
+    # interpolating the count leaves the Gershgorin top in a few passes: 17,595 Sturm
+    # rows (11 passes on the 1,600-row blocks) and 71,980 rows in all; bisecting down
+    # from the top took 57,583 and 116,765
+    assert rows["_sturm_count"] <= 12 * 1600
+    assert rows["_sturm_count"] + rows["_newton_pass"] <= 75_000
 
 
 def test_stall_guard_raises(monkeypatch):
@@ -267,6 +378,23 @@ def test_stall_guard_raises(monkeypatch):
     diag, off = discretize(400).reduced()
     with pytest.raises(NumericError, match="did not converge in 3 passes"):
         tridiagonal_eigenvalues(diag, off, 1)
+
+
+def test_a_multiple_eigenvalue_costs_at_most_twice_the_bisections(monkeypatch):
+    # 333 uncoupled blocks [[1000, 700, 0], [700, 1000, 700], [0, 700, 1000]], the
+    # first coupled by 699 so that the matrix is not its reversal: 1000 - 700 sqrt(2)
+    # is a 332-fold eigenvalue, and no bracket isolates it.  Interpolating the
+    # count alone creeps up from the Gershgorin end, -400, and stalls; a bisection
+    # every other pass halves the bracket down to its width floor in 104 passes
+    off = np.tile([700.0, 700.0, 0.0], 333)[:-1]
+    off[0] = 699.0
+    diag = np.full(999, 1000.0)
+    passes = []
+    count = eigensolve._sturm_count
+    monkeypatch.setattr(eigensolve, "_sturm_count", lambda *args: passes.append(args[2]) or count(*args))
+    got = tridiagonal_eigenvalues(diag, off, 1)
+    assert abs(got[0] - (1000.0 - 700.0 * np.sqrt(2.0))) <= 1e-12 * _span(diag, off)
+    assert len(passes) <= 2 * 53 < eigensolve.MAX_BISECTIONS
 
 
 def _span(diag, off):
@@ -377,6 +505,14 @@ def test_tridiagonal_refuses_non_finite_entry(which, index):
         entries[index] = bad
         with pytest.raises(NumericError, match=f"^{which} entry {index} is {bad}, not finite"):
             tridiagonal_eigenvalues(diag, off, 2)
+
+
+@pytest.mark.parametrize("sizes", [(4, 5, 5), (3, 4, 5), (3, 5, 4), (3, 5, 6)])
+def test_steps_refuse_mismatched_sizes(sizes):
+    # a persymmetric matrix folds u0 by its own length: a longer or shorter one is refused, not folded
+    off, mass, u0 = (np.ones(size) for size in sizes)
+    with pytest.raises(NumericError, match="expected 3, 4 and 4"):
+        implicit_steps(np.full(4, 4.0), off, mass, u0, 1)
 
 
 @pytest.mark.parametrize("index", [0, 2])
