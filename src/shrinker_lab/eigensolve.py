@@ -13,12 +13,16 @@ and two passes always at least halve the bracket: a bracket that never
 isolates its eigenvalue, a multiple one, reaches the width floor in at most
 twice bisection's 52 or so passes, within MAX_BISECTIONS.
 
-A matrix equal to its own reversal (persymmetric), as the flat-line operator
-and its backward-Euler matrix are, splits exactly into an even and an odd
-block of half the order (Cantoni & Butler, Linear Algebra Appl. 13, 1976).
-Each eigenvalue is found on its own block, so every pass runs on half the
-rows, and heat stepping steps the even and odd parts of its datum on their
-own halves, skipping a part that is zero.  Any other matrix is solved whole.
+A tridiagonal A and a diagonal mass M that each equal their own reversal
+(persymmetric), as the flat-line operator and its backward-Euler step do,
+split exactly into an even and an odd half of half the order (Cantoni &
+Butler, Linear Algebra Appl. 13, 1976).  One fold, `_fold`, serves both
+kernels: each half is a pencil whose weights are M's, save that an odd
+order's centre node weighs half its mass.  The spectrum folds A with unit
+mass, so the centre weight is 1/2, and finds each eigenvalue on its own
+half, on half the rows; heat stepping folds A with its mass and steps the
+even and odd parts of its datum on their own halves, skipping a part that
+is zero.  Any other pencil is solved whole.
 
 Implicit heat stepping solves one constant tridiagonal matrix at every step;
 `implicit_steps` eliminates it once and runs every step of a run on buffers
@@ -186,12 +190,15 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
 
     Isolate by Sturm counts, refine by safeguarded Newton (Barth, Martin &
     Wilkinson, Numer. Math. 9, 1967; Demmel, Applied Numerical Linear
-    Algebra, 5.3); see `_SturmBlock.eigenvalue` and `_split`.  A matrix
-    equal to its own reversal, diag and off alike, is folded into its even
-    and odd blocks (`_fold`), and each eigenvalue is found on its own block
-    alone, on half the rows; `_merge` takes the k smallest of the two.  Both
-    blocks take the Gershgorin bounds of the whole matrix, which hold their
-    spectra too.
+    Algebra, 5.3); see `_SturmBlock.eigenvalue` and `_split`.  The matrix
+    is folded with unit mass by `_fold`, the fold heat stepping uses.  A
+    matrix equal to its own reversal, diag and off alike, gives an even and
+    an odd half, each a pencil (A, W) with W = 1 save 1/2 at an odd order's
+    centre node; its block is W^-1/2 A W^-1/2, with diagonal d / w and
+    squared couplings o^2 / (w_i w_i+1), exact since w is 1 or 1/2.  Each
+    eigenvalue is found on its own block alone, on half the rows; `_merge`
+    takes the k smallest of the two.  Both blocks take the Gershgorin bounds
+    of the whole matrix, which hold their spectra too.
 
     Eigenvalue j is converged when the Newton step or the bracket is within
     _ULPS ulps of it plus eps times the Gershgorin span.  A bracket that
@@ -215,15 +222,15 @@ def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.nda
     lo = float(np.min(diag - radius))
     hi = float(np.max(diag + radius))
     span = max(hi - lo, 1.0)
-    if n > 1 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
-        even, odd = _fold(diag, off)
-        return _merge(
-            _SturmBlock(*even, lo, hi, span, name="even-block eigenvalue"),
-            _SturmBlock(*odd, lo, hi, span, name="odd-block eigenvalue"),
-            k,
-        )
-    block = _SturmBlock(diag.tolist(), [0.0] + (off * off).tolist(), lo, hi, span)
-    return np.array([block.eigenvalue(j) for j in range(k)])
+    halves = _fold(diag, off, np.ones(n))
+    names = ("even-block eigenvalue", "odd-block eigenvalue") if len(halves) == 2 else ("eigenvalue",)
+    blocks = [
+        _SturmBlock((d / w).tolist(), [0.0] + (o * o / (w[:-1] * w[1:])).tolist(), lo, hi, span, name)
+        for (d, o, w), name in zip(halves, names)
+    ]
+    if len(blocks) == 2:
+        return _merge(*blocks, k)
+    return np.array([blocks[0].eigenvalue(j) for j in range(k)])
 
 
 def _require_finite(diag: np.ndarray, off: np.ndarray) -> None:
@@ -232,30 +239,6 @@ def _require_finite(diag: np.ndarray, off: np.ndarray) -> None:
         bad = np.flatnonzero(~np.isfinite(entries))
         if bad.size:
             raise NumericError(f"{label} entry {bad[0]} is {entries[bad[0]]}, not finite")
-
-
-def _fold(diag: np.ndarray, off: np.ndarray) -> tuple[tuple[list[float], list[float]], ...]:
-    """The (diag, e2) of the even and odd blocks of a persymmetric tridiagonal matrix.
-
-    A symmetric matrix equal to its reversal maps vectors with v_i = v_{n-1-i}
-    to such vectors, and those with v_i = -v_{n-1-i} likewise, so its spectrum
-    is that of its action on each, read off its first ceil(n/2) and
-    floor(n/2) rows (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  On an
-    even order the centre pair's coupling c folds onto the last diagonal
-    entry as d + c and d - c.  On an odd order the centre node m enters the
-    even block, where it sees row m - 1 twice: its coupling, symmetrized,
-    squares to 2 c^2; the odd block vanishes there and ends at row m - 1.
-    """
-    m = diag.size // 2
-    half_e2 = [0.0] + (off[: m - 1] * off[: m - 1]).tolist()
-    centre = float(off[m - 1])
-    if diag.size % 2:
-        return (diag[: m + 1].tolist(), half_e2 + [2.0 * (centre * centre)]), (diag[:m].tolist(), half_e2)
-    even_d = diag[:m].tolist()
-    odd_d = list(even_d)
-    even_d[-1] += centre
-    odd_d[-1] -= centre
-    return (even_d, half_e2), (odd_d, half_e2)
 
 
 def _merge(even: _SturmBlock, odd: _SturmBlock, k: int) -> np.ndarray:
@@ -285,13 +268,13 @@ def implicit_steps(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, u0: np.n
     When diag, off and mass each equal their own reversal, A and diag(mass)
     map mirror-symmetric vectors to mirror-symmetric ones, and antisymmetric
     ones likewise: u0 splits into its even and odd parts, each is stepped on
-    its half of the rows (`_fold_system`), and the two are added back.  A
-    part that is exactly zero is not stepped, as an even datum's odd part is
-    not.  Any other A is stepped whole, as the one row of the state.  Steps
-    run in `_stacked_steps`.  Sizes that do not match, a zero pivot or a
-    non-finite entry of diag or off raise NumericError before any step; a
-    zero pivot in either half does, stepped or not, since A is then
-    singular.  steps must be at least 1.
+    its half of the rows (`_fold`, the fold the spectrum uses), and the two
+    are added back.  A part that is exactly zero is not stepped, as an even
+    datum's odd part is not.  Any other A is stepped whole, as the one row
+    of the state.  Steps run in `_stacked_steps`.  Sizes that do not match,
+    a step count below 1, a zero pivot or a non-finite entry of diag or off
+    raise NumericError before any step; a zero pivot in either half does,
+    stepped or not, since A is then singular.
     """
     diag = np.asarray(diag, dtype=float)
     off = np.asarray(off, dtype=float)
@@ -303,11 +286,14 @@ def implicit_steps(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, u0: np.n
             f"off, mass and u0 have sizes {off.size}, {mass.size} and {u0.size}; expected {n - 1}, {n} and {n}"
         )
     _require_finite(diag, off)
-    if n == 1 or not all(np.array_equal(v, v[::-1]) for v in (diag, off, mass)):
+    if steps < 1:
+        raise NumericError(f"steps must be at least 1, got {steps}")
+    halves = _fold(diag, off, mass)
+    if len(halves) == 1:
         return _stacked_steps([(diag, off, mass, u0)], steps)[0]
     m = n // 2
     half = 0.5 * u0
-    even, odd = _fold_system(diag, off, mass)
+    even, odd = halves
     x_even, x_odd = _stacked_steps([(*even, (half + half[::-1])[: n - m]), (*odd, (half - half[::-1])[:m])], steps)
     u = np.empty(n)
     u[:m] = x_even[:m] + x_odd
@@ -317,30 +303,37 @@ def implicit_steps(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, u0: np.n
     return u
 
 
-def _fold_system(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The (diag, off, mass) of the even and odd halves of a persymmetric backward-Euler step.
+def _fold(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The pencil (diag, off, mass) whole, or its even and odd halves when it equals its own reversal.
 
-    On the first ceil(n/2) rows a mirror-symmetric solution v of A v = M r
-    solves the same rows with the centre folded in, as in `_fold`: on an even
-    order the centre pair's coupling c adds to the last diagonal entry, and
-    on an odd order the centre node m sees row m - 1 twice, as 2c.  Halving
-    that row, diagonal and mass alike, makes its coupling c again, so the
-    half is symmetric with no scaling of the state, and exactly.  An
-    antisymmetric solution, on the first floor(n/2) rows, subtracts c on an
-    even order and vanishes at the centre node on an odd one.
+    A symmetric tridiagonal A = (diag, off) and a diagonal M = diag(mass),
+    each equal to its reversal, map vectors with v_i = v_{n-1-i} to such
+    vectors, and those with v_i = -v_{n-1-i} likewise, so A v = lambda M v
+    and A x = M r split into their actions on each, read off the first
+    ceil(n/2) and floor(n/2) rows (Cantoni & Butler, Linear Algebra Appl. 13,
+    1976).  On an even order the centre pair's coupling c adds to the last
+    diagonal entry of the even half and subtracts from the odd half's.  On an
+    odd order the centre node m sees row m - 1 twice in the even half, as 2c;
+    halving that row, diagonal and mass alike, makes its coupling c again, so
+    the half is a symmetric pencil whose centre weight is half its mass, with
+    no scaling of the state, and exactly.  The odd half vanishes at the
+    centre node and ends at row m - 1.  Order 1, and any pencil that is not
+    its own reversal, is returned whole, as the one entry of the list.
     """
     n = diag.size
+    if n == 1 or not all(np.array_equal(v, v[::-1]) for v in (diag, off, mass)):
+        return [(diag, off, mass)]
     m = n // 2
     centre = off[m - 1]
     if n % 2:
         even_diag, even_mass = diag[: m + 1].copy(), mass[: m + 1].copy()
         even_diag[m] *= 0.5
         even_mass[m] *= 0.5
-        return (even_diag, off[:m], even_mass), (diag[:m], off[: m - 1], mass[:m])
+        return [(even_diag, off[:m], even_mass), (diag[:m], off[: m - 1], mass[:m])]
     even_diag, odd_diag = diag[:m].copy(), diag[:m].copy()
     even_diag[-1] += centre
     odd_diag[-1] -= centre
-    return (even_diag, off[: m - 1], mass[:m]), (odd_diag, off[: m - 1], mass[:m])
+    return [(even_diag, off[: m - 1], mass[:m]), (odd_diag, off[: m - 1], mass[:m])]
 
 
 def _stacked_steps(systems: list[tuple[np.ndarray, ...]], steps: int) -> list[np.ndarray]:

@@ -184,11 +184,14 @@ def timestep_oracle(
     Returns the full grid and the solution samples at s1 (Dirichlet zeros at
     the truncation boundary).  extrapolate=True combines runs at N_steps and
     N_steps/2 to cancel the leading first-order time error while every
-    individual step remains an implicit backward step.  Raises NumericError,
-    before the grid is built, when `require_heat_work` refuses the run.
+    individual step remains an implicit backward step.  Raises DomainError
+    when s1 <= s0 or N_steps < 1, and NumericError when `require_heat_work`
+    refuses the run, each before the grid is built.
     """
     if s1 <= s0:
         raise DomainError(f"need s1 > s0, got [{s0}, {s1}]")
+    if N_steps < 1:
+        raise DomainError(f"need at least 1 step, got N_steps={N_steps}")
     require_heat_work(N_grid, N_steps, extrapolate)
     op = discretize(N_grid)
     x = op.grid

@@ -14,15 +14,17 @@ polynomial meets a model's sphere in the rules of the quadrature module,
 which check its variable count.
 
 The public constructor ``HoloPoly(m, terms)`` validates every multi-index
-(length m, no negative exponent) and coerces keys to integer tuples and
-coefficients to complex.  Results of HoloPoly's own arithmetic have valid
-keys by construction, so they are only pruned: zero coefficients and those
-below PRUNE_REL times the largest one are dropped, by the same rule.  Each
-result is merged into one dict and pruned once: the drift derivative is one
-pass over the terms, a decomposition is reconstructed from one merge of its
-parts, and the decomposition reads its residual off the terms no part keeps
-instead of subtracting the parts again.  The gradient of a polynomial is
-built once and kept on the instance.
+(length m, no negative exponent) and every coefficient (finite: a NaN or an
+infinity would set the pruning floor and drop every other term), and
+coerces keys to integer tuples and coefficients to complex.  Results of
+HoloPoly's own arithmetic have valid keys by construction, so they are only
+pruned: zero coefficients and those below PRUNE_REL times the largest one
+are dropped, by the same rule.  Each result is merged into one dict and
+pruned once: the drift derivative is one pass over the terms, a
+decomposition is reconstructed from one merge of its parts, and the
+decomposition reads its residual off the terms no part keeps instead of
+subtracting the parts again.  The gradient of a polynomial is built once
+and kept on the instance.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ def _normalize_terms(m: int, terms: Mapping[tuple[int, ...], complex]) -> dict[t
             raise DomainError(f"multi-index {alpha} has a negative exponent")
         c = complex(coef)
         if c != 0:
-            cleaned[alpha] = cleaned.get(alpha, 0.0) + c
+            c = cleaned.get(alpha, 0.0) + c
+            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+                raise DomainError(f"multi-index {alpha} has the coefficient {c}, which is not finite")
+            cleaned[alpha] = c
     return _prune(cleaned)
 
 

@@ -491,6 +491,14 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         (_FREQ_CYL + ["--poly", "w - w"], None, ["--poly", "/poly", "zero polynomial"]),
         (_FREQ_CYL + ["--poly", "0"], None, ["--poly", "/poly", "zero polynomial"]),
         (_FREQ_CYL, {"poly": {"m": 1, "terms": []}}, ["--poly", "/poly", "zero polynomial"]),
+        # a NaN or infinite coefficient would make the pruning floor drop every other term
+        (["heatflow", "--initial", '{"m":1,"terms":[{"alpha":[2],"re":NaN},{"alpha":[1],"re":1}]}'], None,
+         ["--initial", "/initial", "(2,)", "not finite"]),
+        (_FORMS_G2 + ["--form", '{"p":1,"m":2,"coeffs":[{"index":[1],"terms":[{"alpha":[1,0],"re":NaN}]}]}'], None,
+         ["--form", "/form", "(1, 0)", "not finite"]),
+        (_FREQ_CYL + ["--poly", '{"m":1,"terms":[{"alpha":[2],"re":Infinity},{"alpha":[1],"re":1}]}'], None,
+         ["--poly", "/poly", "(2,)", "not finite"]),
+        (_FREQ_CYL + ["--poly", "9" * 400 + " w"], None, ["--poly", "/poly", "(1,)", "not finite"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
@@ -510,6 +518,7 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         "frequency-mu-guard", "frequency-mu-from-degree", "m-flag-on-cylinder-descriptor",
         "initial-degree-3000", "initial-degree-1e9", "form-degree-400", "form-degree-1e8",
         "form-coefficient-overflow", "poly-cancelled-to-zero", "poly-zero-constant", "poly-config-without-terms",
+        "initial-nan-coefficient", "form-nan-coefficient", "poly-infinite-coefficient", "poly-overflowing-literal",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

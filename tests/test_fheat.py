@@ -187,6 +187,16 @@ def test_timestep_oracle_validation():
         timestep_oracle(lambda xs: xs, 1.0, 0.5)
 
 
+@pytest.mark.parametrize("n_steps", [0, -5])
+def test_timestep_oracle_refuses_fewer_than_one_step(n_steps, monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(fheat, "discretize", no_grid)
+    with pytest.raises(DomainError, match=f"at least 1 step, got N_steps={n_steps}"):
+        timestep_oracle(np.square, 0.0, 1.0, N_steps=n_steps)
+
+
 def test_over_budget_heat_runs_are_refused_before_the_grid(monkeypatch):
     def no_grid(*args, **kwargs):
         raise AssertionError("the grid was built")

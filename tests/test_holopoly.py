@@ -358,6 +358,27 @@ def test_constructor_refuses_bad_multi_index(alpha, message):
         HoloPoly(2, {(0, 0): 1.0, alpha: 1.0})
 
 
+@pytest.mark.parametrize(
+    "terms",
+    [
+        {(2, 0): math.nan, (1, 0): 1.0},
+        {(2, 0): math.inf, (1, 0): 1.0},
+        {(2, 0): complex(1.0, -math.inf)},
+        {(2, 0): complex(math.nan, 0.0), (0, 1): 0.0},
+    ],
+)
+def test_constructor_refuses_a_non_finite_coefficient(terms):
+    # a NaN or infinite coefficient would make the pruning floor NaN or infinite and drop every finite term
+    with pytest.raises(DomainError, match=r"multi-index \(2, 0\) has the coefficient .* not finite"):
+        HoloPoly(2, terms)
+
+
+def test_json_literal_refuses_a_coefficient_that_sums_past_the_float_range():
+    literal = {"m": 1, "terms": [{"alpha": [1], "re": 1e308}, {"alpha": [1], "re": 1e308}, {"alpha": [0], "re": 1}]}
+    with pytest.raises(DomainError, match=r"multi-index \(1,\) has the coefficient \(inf\+0j\)"):
+        HoloPoly.from_json_dict(literal)
+
+
 def test_constructor_coerces_integer_like_keys():
     u = HoloPoly(2, {(1.0, np.int64(2)): 3, (np.int32(0), False): 0.5})
     assert u.terms == {(1, 2): 3.0, (0, 0): 0.5}

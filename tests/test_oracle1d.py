@@ -68,10 +68,8 @@ def _blocks(diag, off):
     A matrix equal to its reversal is stepped as its two halves, which share
     one block length.
     """
-    halves = [(diag, off)]
-    if diag.size > 1 and np.array_equal(diag, diag[::-1]) and np.array_equal(off, off[::-1]):
-        halves = [half[:2] for half in eigensolve._fold_system(diag, off, np.ones(diag.size))]
-    mults = [eigensolve._eliminate(list(d), list(o))[1] for d, o in halves]
+    halves = eigensolve._fold(diag, off, np.ones(diag.size))
+    mults = [eigensolve._eliminate(list(d), list(o))[1] for d, o, _ in halves]
     return -(-halves[0][0].size // eigensolve._block_length(mults))
 
 
@@ -314,11 +312,13 @@ def test_thomas_order_one_and_zero_pivot():
         _solve(np.array([1.0, 1.0]), np.array([1.0]), [1.0, 1.0])
 
 
-@pytest.mark.parametrize("n", [800, 1600, 3200])
+@pytest.mark.parametrize("n", [17, 800, 801, 1600, 3200])
 def test_oracle_bit_equal_to_element_loop(n):
+    # N = 17 and 801 have an even number of interior nodes, whose blocks fold the centre pair's coupling
+    k = min(6, n // 4)
     for shift in (0.0, 0.5):
-        got = oracle_spectrum_1d(N=n, k_eigs=6, shift=shift)
-        want = ref.oracle_spectrum_1d(N=n, k_eigs=6, shift=shift)
+        got = oracle_spectrum_1d(N=n, k_eigs=k, shift=shift)
+        want = ref.oracle_spectrum_1d(N=n, k_eigs=k, shift=shift)
         assert np.array_equal(got, want)
 
 
@@ -513,6 +513,17 @@ def test_steps_refuse_mismatched_sizes(sizes):
     off, mass, u0 = (np.ones(size) for size in sizes)
     with pytest.raises(NumericError, match="expected 3, 4 and 4"):
         implicit_steps(np.full(4, 4.0), off, mass, u0, 1)
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_steps_refuse_a_step_count_below_1(steps, monkeypatch):
+    def no_elimination(*args):
+        raise AssertionError("the matrix was eliminated")
+
+    monkeypatch.setattr(eigensolve, "_eliminate", no_elimination)
+    op = discretize(20)
+    with pytest.raises(NumericError, match=f"steps must be at least 1, got {steps}"):
+        implicit_steps(op.mass + op.stiff_diag, op.stiff_off, op.mass, np.ones(op.mass.size), steps)
 
 
 @pytest.mark.parametrize("index", [0, 2])
