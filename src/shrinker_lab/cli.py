@@ -372,14 +372,17 @@ def _cmd_heatflow(args: argparse.Namespace) -> int:
     # such a run is refused below, so its overflows are not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         sol = fheat.project_to_eigenbasis(coeffs)
-        x, numeric = fheat.timestep_oracle(
-            lambda xs: np.polyval(coeffs[::-1], xs),
-            0.0,
-            args.s,
-            N_grid=args.n_grid,
-            N_steps=args.n_steps,
-            extrapolate=args.extrapolate,
-        )
+        try:
+            x, numeric = fheat.timestep_oracle(
+                lambda xs: np.polyval(coeffs[::-1], xs),
+                0.0,
+                args.s,
+                N_grid=args.n_grid,
+                N_steps=args.n_steps,
+                extrapolate=args.extrapolate,
+            )
+        except NumericError as exc:  # a step s / n_steps so long that M + ds K is singular or infinite in floats
+            raise ConfigError(f"{_label(args, 's')} is too large for {_label(args, 'n_steps')}: {exc}") from exc
         series = fheat.evolve_series(sol, args.s, x)
         err = fheat.weighted_l2_distance(numeric, series, x=x)
     if not all(map(math.isfinite, [err, *sol.coefficients])):

@@ -1,28 +1,30 @@
 """Symmetric tridiagonal kernels implemented in-repo.
 
-The discretized drift operators are symmetric tridiagonal, so their low
-eigenvalues come from the pivots of T - x: isolate by Sturm counts, refine by
-safeguarded Newton, bit-identical to the element loop.  One pass over the
-pivots counts the eigenvalues below x, and the same pass can also return the
-log-derivative of det(T - x) for a Newton step.  The passes loop over Python
-floats in textbook order, so the spectra are bit-identical to an
-element-by-element loop of the same algorithm.  Isolation interpolates the
-count between the bracket's ends on every other pass and bisects on the
-others, so it leaves the Gershgorin top for the low spectrum in a few passes,
-and two passes always at least halve the bracket: a bracket that never
-isolates its eigenvalue, a multiple one, reaches the width floor in at most
-twice bisection's 52 or so passes, within MAX_BISECTIONS.
+Both kernels take a pencil, a symmetric tridiagonal A = (diag, off) and a
+positive diagonal mass M = diag(mass), as the discretized drift operators
+are.  The low eigenvalues of A v = lambda M v are those of
+T = M^-1/2 A M^-1/2 (Parlett, The Symmetric Eigenvalue Problem, SIAM 1998,
+ch. 15), and come from the pivots of T - x: isolate by Sturm counts, refine
+by safeguarded Newton.  One pass over the pivots counts the eigenvalues
+below x, and the same pass can also return the log-derivative of
+det(T - x) for a Newton step.  The passes loop over Python floats in
+textbook order, so the spectra are bit-identical to an element-by-element
+loop of the same algorithm.  Isolation interpolates the count between the
+bracket's ends on every other pass and bisects on the others, so it leaves
+the Gershgorin top for the low spectrum in a few passes, and two passes
+always at least halve the bracket: a bracket that never isolates its
+eigenvalue, a multiple one, reaches the width floor in at most twice
+bisection's 52 or so passes, within MAX_BISECTIONS.
 
-A tridiagonal A and a diagonal mass M that each equal their own reversal
-(persymmetric), as the flat-line operator and its backward-Euler step do,
-split exactly into an even and an odd half of half the order (Cantoni &
-Butler, Linear Algebra Appl. 13, 1976).  One fold, `_fold`, serves both
-kernels: each half is a pencil whose weights are M's, save that an odd
-order's centre node weighs half its mass.  The spectrum folds A with unit
-mass, so the centre weight is 1/2, and finds each eigenvalue on its own
-half, on half the rows; heat stepping folds A with its mass and steps the
-even and odd parts of its datum on their own halves, skipping a part that
-is zero.  Any other pencil is solved whole.
+Both kernels open with one intake, `_intake`, which checks the pencil and
+folds it.  A pencil whose A and M each equal their own reversal, as the
+flat-line operator and its backward-Euler step do, splits exactly into an
+even and an odd half of half the order (Cantoni & Butler, Linear Algebra
+Appl. 13, 1976), each a pencil whose weights W are M's, save that an odd
+order's centre node weighs half its mass.  The spectrum finds each
+eigenvalue on its own half; heat stepping steps the even and odd parts of
+its datum on their own halves, skipping a part that is zero.  Any other
+pencil is solved whole, with W = M.
 
 Implicit heat stepping solves one constant tridiagonal matrix at every step;
 `implicit_steps` eliminates it once and runs every step of a run on buffers
@@ -109,7 +111,7 @@ class _SturmBlock:
 
     e2[i] is the squared off-diagonal entry coupling rows i-1 and i
     (e2[0] = 0).  [lo, hi] bounds the spectrum and span sets the stop rule;
-    a block of a folded matrix takes the whole matrix's.
+    a block of a folded pencil takes the whole pencil's.
     """
 
     diag: list[float]
@@ -117,7 +119,6 @@ class _SturmBlock:
     lo: float
     hi: float
     span: float
-    name: str = "eigenvalue"
     counts: dict[float, int] = field(default_factory=dict)
 
     def eigenvalue(self, j: int) -> float:
@@ -160,7 +161,7 @@ class _SturmBlock:
                     continue
             x = _split(a, count_a, b, count_b, j, interpolate=passes % 2 == 1)
         raise NumericError(
-            f"{self.name} {j} did not converge in {MAX_BISECTIONS} passes; "
+            f"eigenvalue {j} did not converge in {MAX_BISECTIONS} passes; "
             f"its bracket stalled at width {b - a:.3e}"
         )
 
@@ -185,60 +186,67 @@ def _split(a: float, count_a: int, b: float, count_b: int, j: int, interpolate: 
     return mid
 
 
-def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of a symmetric tridiagonal matrix.
+def tridiagonal_eigenvalues(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of A v = lambda M v, A = (diag, off) symmetric tridiagonal, M = diag(mass).
 
     Isolate by Sturm counts, refine by safeguarded Newton (Barth, Martin &
     Wilkinson, Numer. Math. 9, 1967; Demmel, Applied Numerical Linear
-    Algebra, 5.3); see `_SturmBlock.eigenvalue` and `_split`.  The matrix
-    is folded with unit mass by `_fold`, the fold heat stepping uses.  A
-    matrix equal to its own reversal, diag and off alike, gives an even and
-    an odd half, each a pencil (A, W) with W = 1 save 1/2 at an odd order's
-    centre node; its block is W^-1/2 A W^-1/2, with diagonal d / w and
-    squared couplings o^2 / (w_i w_i+1), exact since w is 1 or 1/2.  Each
-    eigenvalue is found on its own block alone, on half the rows; `_merge`
-    takes the k smallest of the two.  Both blocks take the Gershgorin bounds
-    of the whole matrix, which hold their spectra too.
+    Algebra, 5.3); see `_SturmBlock.eigenvalue` and `_split`.  Each pencil
+    (A, W) of `_intake`'s fold, the whole or an even and an odd half, has
+    the block W^-1/2 A W^-1/2: diagonal d / w and squared couplings
+    o^2 / (w_i w_i+1).  Each eigenvalue is found on its own block, and
+    `_merge` takes the k smallest of the two.  Both blocks take the
+    Gershgorin bounds of the whole pencil, which hold their spectra too.
 
     Eigenvalue j is converged when the Newton step or the bracket is within
     _ULPS ulps of it plus eps times the Gershgorin span.  A bracket that
     reaches that width before it isolates eigenvalue j, as a multiple
     eigenvalue's does, returns its midpoint.  More than MAX_BISECTIONS passes
-    on one eigenvalue raise NumericError, as does a non-finite entry, before
-    any pass.
+    on one eigenvalue raise NumericError, as do k outside 1..n and every
+    input `_intake` refuses, before any pass.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    n = diag.size
-    if off.size != n - 1:
-        raise NumericError(f"off-diagonal has size {off.size}, expected {n - 1}")
+    pencil, halves = _intake(diag, off, mass)
+    n = pencil[0].size
     if not 1 <= k <= n:
         raise NumericError(f"requested {k} eigenvalues from an order-{n} matrix")
-    _require_finite(diag, off)
-    # Gershgorin bounds
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
-    span = max(hi - lo, 1.0)
-    halves = _fold(diag, off, np.ones(n))
-    names = ("even-block eigenvalue", "odd-block eigenvalue") if len(halves) == 2 else ("eigenvalue",)
+    lo, hi, span = _gershgorin(*pencil)
     blocks = [
-        _SturmBlock((d / w).tolist(), [0.0] + (o * o / (w[:-1] * w[1:])).tolist(), lo, hi, span, name)
-        for (d, o, w), name in zip(halves, names)
+        _SturmBlock((d / w).tolist(), [0.0] + (o * o / (w[:-1] * w[1:])).tolist(), lo, hi, span) for d, o, w in halves
     ]
     if len(blocks) == 2:
         return _merge(*blocks, k)
     return np.array([blocks[0].eigenvalue(j) for j in range(k)])
 
 
-def _require_finite(diag: np.ndarray, off: np.ndarray) -> None:
-    """Raise NumericError naming the first non-finite entry of diag, then of off."""
-    for label, entries in (("diagonal", diag), ("off-diagonal", off)):
+def _intake(diag, off, mass) -> tuple[tuple[np.ndarray, ...], list[tuple[np.ndarray, ...]]]:
+    """The pencil as float arrays, and its `_fold`.
+
+    Sizes that do not match, a non-finite entry and a mass entry <= 0 raise NumericError naming the entry's index.
+    """
+    diag, off, mass = (np.asarray(v, dtype=float) for v in (diag, off, mass))
+    n = diag.size
+    if (off.size, mass.size) != (n - 1, n):
+        raise NumericError(f"off-diagonal and mass have sizes {off.size} and {mass.size}; expected {n - 1} and {n}")
+    for label, entries in (("diagonal", diag), ("off-diagonal", off), ("mass", mass)):
         bad = np.flatnonzero(~np.isfinite(entries))
         if bad.size:
             raise NumericError(f"{label} entry {bad[0]} is {entries[bad[0]]}, not finite")
+    bad = np.flatnonzero(mass <= 0.0)
+    if bad.size:
+        raise NumericError(f"mass entry {bad[0]} is {mass[bad[0]]}, not positive")
+    return (diag, off, mass), _fold(diag, off, mass)
+
+
+def _gershgorin(diag: np.ndarray, off: np.ndarray, mass: np.ndarray) -> tuple[float, float, float]:
+    """Gershgorin bounds lo, hi of M^-1/2 A M^-1/2, row i centred at d_i / m_i, and the span max(hi - lo, 1)."""
+    centre = diag / mass
+    coupling = np.abs(off) / np.sqrt(mass[:-1] * mass[1:])
+    radius = np.zeros(diag.size)
+    radius[:-1] += coupling
+    radius[1:] += coupling
+    lo = float(np.min(centre - radius))
+    hi = float(np.max(centre + radius))
+    return lo, hi, max(hi - lo, 1.0)
 
 
 def _merge(even: _SturmBlock, odd: _SturmBlock, k: int) -> np.ndarray:
@@ -268,29 +276,23 @@ def implicit_steps(diag: np.ndarray, off: np.ndarray, mass: np.ndarray, u0: np.n
     When diag, off and mass each equal their own reversal, A and diag(mass)
     map mirror-symmetric vectors to mirror-symmetric ones, and antisymmetric
     ones likewise: u0 splits into its even and odd parts, each is stepped on
-    its half of the rows (`_fold`, the fold the spectrum uses), and the two
+    its half of the rows (`_intake` folds, as for the spectrum), and the two
     are added back.  A part that is exactly zero is not stepped, as an even
     datum's odd part is not.  Any other A is stepped whole, as the one row
-    of the state.  Steps run in `_stacked_steps`.  Sizes that do not match,
-    a step count below 1, a zero pivot or a non-finite entry of diag or off
-    raise NumericError before any step; a zero pivot in either half does,
-    stepped or not, since A is then singular.
+    of the state.  Steps run in `_stacked_steps`.  Every input `_intake`
+    refuses, a u0 whose size is not A's, a step count below 1 and a zero
+    pivot raise NumericError before any step; a zero pivot in either half
+    does, stepped or not, since A is then singular.
     """
-    diag = np.asarray(diag, dtype=float)
-    off = np.asarray(off, dtype=float)
-    mass = np.asarray(mass, dtype=float)
+    pencil, halves = _intake(diag, off, mass)
     u0 = np.asarray(u0, dtype=float)
-    n = diag.size
-    if (off.size, mass.size, u0.size) != (n - 1, n, n):
-        raise NumericError(
-            f"off, mass and u0 have sizes {off.size}, {mass.size} and {u0.size}; expected {n - 1}, {n} and {n}"
-        )
-    _require_finite(diag, off)
+    n = pencil[0].size
+    if u0.size != n:
+        raise NumericError(f"u0 has size {u0.size}, expected {n}")
     if steps < 1:
         raise NumericError(f"steps must be at least 1, got {steps}")
-    halves = _fold(diag, off, mass)
     if len(halves) == 1:
-        return _stacked_steps([(diag, off, mass, u0)], steps)[0]
+        return _stacked_steps([(*pencil, u0)], steps)[0]
     m = n // 2
     half = 0.5 * u0
     even, odd = halves

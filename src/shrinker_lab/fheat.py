@@ -186,7 +186,8 @@ def timestep_oracle(
     N_steps/2 to cancel the leading first-order time error while every
     individual step remains an implicit backward step.  Raises DomainError
     when s1 <= s0 or N_steps < 1, and NumericError when `require_heat_work`
-    refuses the run, each before the grid is built.
+    refuses the run, each before the grid is built; NumericError also when a
+    step is so long that M + ds K is singular or infinite in floats.
     """
     if s1 <= s0:
         raise DomainError(f"need s1 > s0, got [{s0}, {s1}]")

@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .holopoly import HoloPoly, _literal_int, dim_O_d
+from .holopoly import HoloPoly, _integral, _literal_int, dim_O_d
 from .models import ModelShrinker
 from .oracle1d import oracle_spectrum_1d
 from .quadrature import WEIGHTED_RADIUS_MAX, _variable_count_error, weighted_space_quadrature
@@ -61,7 +61,7 @@ class HoloForm:
             raise DomainError(f"form degree p={self.p} outside [0, {self.m}]")
         cleaned = {}
         for index, poly in self.coeffs.items():
-            index = tuple(int(i) for i in index)
+            index = _integral(index)
             if len(index) != self.p or any(b <= a for a, b in zip(index, index[1:])):
                 raise DomainError(f"multi-index {index} is not strictly increasing of length {self.p}")
             if any(i < 0 or i >= self.m for i in index):

@@ -16,7 +16,7 @@ which check its variable count.
 The public constructor ``HoloPoly(m, terms)`` validates every multi-index
 (length m, no negative exponent) and every coefficient (finite: a NaN or an
 infinity would set the pruning floor and drop every other term), and
-coerces keys to integer tuples and coefficients to complex.  Results of
+coerces integral keys to int tuples and coefficients to complex.  Results of
 HoloPoly's own arithmetic have valid keys by construction, so they are only
 pruned: zero coefficients and those below PRUNE_REL times the largest one
 are dropped, by the same rule.  Each result is merged into one dict and
@@ -55,10 +55,22 @@ def _literal_int(value, entry: str) -> int:
     return value
 
 
+def _integral(index: Iterable) -> tuple[int, ...]:
+    """The multi-index as a tuple of ints; DomainError naming it when an entry is not integral, as 1.5 or nan is."""
+    index = tuple(index)
+    try:
+        ints = tuple(map(int, index))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != index:
+        raise DomainError(f"multi-index {index} has an entry that is not an integer")
+    return ints
+
+
 def _normalize_terms(m: int, terms: Mapping[tuple[int, ...], complex]) -> dict[tuple[int, ...], complex]:
     cleaned: dict[tuple[int, ...], complex] = {}
     for alpha, coef in terms.items():
-        alpha = tuple(int(a) for a in alpha)
+        alpha = _integral(alpha)
         if len(alpha) != m:
             raise DomainError(f"multi-index {alpha} has length {len(alpha)}, expected {m}")
         if any(a < 0 for a in alpha):

@@ -61,6 +61,12 @@ def dense(diag, off):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def reduced_dense(diag, off, mass):
+    """M^-1/2 A M^-1/2 of the pencil A = (diag, off), M = diag(mass), as a dense array."""
+    root = 1.0 / np.sqrt(mass)
+    return root[:, None] * dense(diag, off) * root[None, :]
+
+
 def sturm_count(diag, e2, x):
     """Number of eigenvalues strictly below x; e2[i] is the squared coupling of rows i-1 and i."""
     count = 0
@@ -145,44 +151,54 @@ def block_eigenvalue(diag, e2, lo, hi, span, seen, j):
     raise RuntimeError(f"eigenvalue {j} did not converge in {max_passes} passes")
 
 
-def tridiagonal_eigenvalues(diag, off, k):
-    """The k smallest eigenvalues, by `block_eigenvalue` on the matrix or on its two folded blocks.
+def tridiagonal_eigenvalues(diag, off, mass, k):
+    """The k smallest eigenvalues of A v = lambda M v, by `block_eigenvalue` on the pencil or its two folded halves.
 
-    A matrix equal to its reversal has an even block, rows 0 .. ceil(n/2)-1
-    acting on mirror-symmetric vectors, and an odd block, rows
-    0 .. floor(n/2)-1 on antisymmetric ones.  A centre pair coupled by c adds
-    +c and -c to their last diagonal entries; a centre node keeps its row in
-    the even block, coupled with squared weight 2 c^2.  Both blocks take the
-    whole matrix's Gershgorin bounds.  ceil(k/2) eigenvalues come from the
-    even block and floor(k/2) from the odd one; then, while the other block
-    has more eigenvalues below the largest one taken than were taken from
-    it, that one is swapped for the other block's next.
+    Each block is W^-1/2 A W^-1/2 of a pencil (A, W): diagonal d_i / w_i and
+    squared couplings o_i^2 / (w_i w_i+1).  A pencil whose A and M each equal
+    their reversal has an even half, rows 0 .. ceil(n/2)-1 acting on
+    mirror-symmetric vectors, and an odd half, rows 0 .. floor(n/2)-1 on
+    antisymmetric ones, both with W = M on their rows.  A centre pair coupled
+    by c adds +c and -c to their last diagonal entries; a centre node keeps
+    its row in the even half with its diagonal entry and its mass halved.
+    Both blocks take the Gershgorin bounds of the whole M^-1/2 A M^-1/2.
+    ceil(k/2) eigenvalues come from the even block and floor(k/2) from the
+    odd one; then, while the other block has more eigenvalues below the
+    largest one taken than were taken from it, that one is swapped for the
+    other block's next.
     """
     n = diag.size
+    coupling = np.abs(off) / np.sqrt(mass[:-1] * mass[1:])
     radius = np.zeros(n)
-    radius[:-1] += np.abs(off)
-    radius[1:] += np.abs(off)
-    lo = float(np.min(diag - radius))
-    hi = float(np.max(diag + radius))
+    radius[:-1] += coupling
+    radius[1:] += coupling
+    lo = float(np.min(diag / mass - radius))
+    hi = float(np.max(diag / mass + radius))
     span = max(hi - lo, 1.0)
-    mirrored = all(diag[i] == diag[n - 1 - i] for i in range(n)) and all(
-        off[i] == off[n - 2 - i] for i in range(n - 1)
+    mirrored = (
+        all(diag[i] == diag[n - 1 - i] for i in range(n))
+        and all(off[i] == off[n - 2 - i] for i in range(n - 1))
+        and all(mass[i] == mass[n - 1 - i] for i in range(n))
     )
+
+    def block(d, o, w):
+        e2 = [0.0] + [o[i] * o[i] / (w[i] * w[i + 1]) for i in range(len(d) - 1)]
+        return [d[i] / w[i] for i in range(len(d))], e2
+
     if n == 1 or not mirrored:
-        e2 = [0.0] + [off[i] ** 2 for i in range(n - 1)]
+        d, e2 = block(diag, off, mass)
         seen = []
-        return np.array([block_eigenvalue(diag, e2, lo, hi, span, seen, j) for j in range(k)])
+        return np.array([block_eigenvalue(d, e2, lo, hi, span, seen, j) for j in range(k)])
     m = n // 2
     odd_diag = [diag[i] for i in range(m)]
-    odd_e2 = [0.0] + [off[i] ** 2 for i in range(m - 1)]
     if n % 2:
-        even_diag = odd_diag + [diag[m]]
-        even_e2 = odd_e2 + [2.0 * off[m - 1] ** 2]
+        even_diag = odd_diag + [diag[m] * 0.5]
+        even_mass = [mass[i] for i in range(m)] + [mass[m] * 0.5]
     else:
         even_diag = odd_diag[:-1] + [diag[m - 1] + off[m - 1]]
-        even_e2 = odd_e2
+        even_mass = [mass[i] for i in range(m)]
         odd_diag = odd_diag[:-1] + [diag[m - 1] - off[m - 1]]
-    blocks = [(even_diag, even_e2, []), (odd_diag, odd_e2, [])]
+    blocks = [(*block(even_diag, off, even_mass), []), (*block(odd_diag, off, mass), [])]
     taken = [
         [block_eigenvalue(d, e2, lo, hi, span, seen, j) for j in range(count)]
         for (d, e2, seen), count in zip(blocks, ((k + 1) // 2, k // 2))
@@ -197,7 +213,8 @@ def tridiagonal_eigenvalues(diag, off, k):
 
 
 def oracle_spectrum_1d(N=800, k_eigs=5, shift=0.0):
-    return tridiagonal_eigenvalues(*discretize(N).reduced(shift), k_eigs)
+    op = discretize(N)
+    return tridiagonal_eigenvalues(op.stiff_diag + shift * op.mass, op.stiff_off, op.mass, k_eigs)
 
 
 def thomas_solve(diag, off, rhs):

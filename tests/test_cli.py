@@ -499,6 +499,9 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         (_FREQ_CYL + ["--poly", '{"m":1,"terms":[{"alpha":[2],"re":Infinity},{"alpha":[1],"re":1}]}'], None,
          ["--poly", "/poly", "(2,)", "not finite"]),
         (_FREQ_CYL + ["--poly", "9" * 400 + " w"], None, ["--poly", "/poly", "(1,)", "not finite"]),
+        # a step so long that M + ds K is singular, or infinite, in floats
+        (_HEAT + ["--s", "1e16"], None, ["--s", "/s", "--n-steps", "/n_steps", "zero pivot"]),
+        (_HEAT + ["--s", "1e308", "--n-steps", "1"], None, ["--s", "/s", "--n-steps", "/n_steps", "not finite"]),
     ],
     ids=[
         "forms-kernel-guard", "forms-ledger-guard", "poly-truncated-json",
@@ -519,6 +522,7 @@ def _kernel_form(n: int, c: float = 1.0) -> str:
         "initial-degree-3000", "initial-degree-1e9", "form-degree-400", "form-degree-1e8",
         "form-coefficient-overflow", "poly-cancelled-to-zero", "poly-zero-constant", "poly-config-without-terms",
         "initial-nan-coefficient", "form-nan-coefficient", "poly-infinite-coefficient", "poly-overflowing-literal",
+        "heatflow-singular-step", "heatflow-infinite-step",
     ],
 )
 def test_refused_input_exits_2(argv, entries, names, tmp_path, capsys):

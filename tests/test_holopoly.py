@@ -11,6 +11,7 @@ from brute_force import evaluate, evaluate_parts, homogeneous_parts
 
 from shrinker_lab import spectrum
 from shrinker_lab.errors import DomainError
+from shrinker_lab.forms import HoloForm
 from shrinker_lab.holopoly import (
     DECOMPOSE_TOL,
     PRUNE_REL,
@@ -356,6 +357,15 @@ def test_constructor_refuses_bad_multi_index(alpha, message):
         HoloPoly(2, {alpha: 1.0})
     with pytest.raises(DomainError, match=message):
         HoloPoly(2, {(0, 0): 1.0, alpha: 1.0})
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, 0.7, math.nan, math.inf])
+def test_constructors_refuse_a_non_integral_index(bad):
+    # int() would truncate 1.5 to 1 and -0.5 to 0, which passes the negative-exponent check
+    with pytest.raises(DomainError, match=rf"multi-index \({bad}, 0\) has an entry that is not an integer"):
+        HoloPoly(2, {(0, 0): 1.0, (bad, 0): 1.0})
+    with pytest.raises(DomainError, match=rf"multi-index \({bad},\) has an entry that is not an integer"):
+        HoloForm(1, 2, {(bad,): HoloPoly(2, {(1, 0): 1.0})})
 
 
 @pytest.mark.parametrize(

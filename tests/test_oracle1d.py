@@ -32,28 +32,19 @@ def test_oracle_convergence_at_least_quadratic():
 
 
 def test_operator_matrix_symmetric_psd():
-    diag, off = discretize(80).reduced()
-    a = ref.dense(diag, off)
+    op = discretize(80)
+    a = ref.reduced_dense(op.stiff_diag, op.stiff_off, op.mass)
     assert np.abs(a - a.T).max() < 1e-12 * np.abs(a).max()
-    ev = tridiagonal_eigenvalues(diag, off, diag.size)
+    ev = tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, op.mass, op.mass.size)
     assert ev.min() > -1e-8
     assert np.linalg.eigvalsh(a).min() > -1e-8
 
 
-def test_reduction_scales_back_to_the_stiffness():
-    # diag(sqrt(mass)) M^{-1/2} K M^{-1/2} diag(sqrt(mass)) is K again, to rounding
-    op = discretize(80)
-    root = np.sqrt(op.mass)
-    back = root[:, None] * ref.dense(*op.reduced()) * root[None, :]
-    stiffness = ref.dense(op.stiff_diag, op.stiff_off)
-    assert np.abs(back - stiffness).max() <= 1e-14 * np.abs(stiffness).max()
-
-
 def test_jacobi_against_bisection():
     # the dense symmetric eigensolver cross-checks the Sturm-count and Newton path
-    diag, off = discretize(60).reduced()
-    dense = np.linalg.eigvalsh(ref.dense(diag, off))
-    tri = tridiagonal_eigenvalues(diag, off, diag.size)
+    op = discretize(60)
+    dense = np.linalg.eigvalsh(ref.reduced_dense(op.stiff_diag, op.stiff_off, op.mass))
+    tri = tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, op.mass, op.mass.size)
     assert np.abs(np.sort(dense) - np.sort(tri)).max() < 1e-9
 
 
@@ -331,26 +322,44 @@ def test_oracle_ladder_converges_through_3200():
 
 @pytest.mark.parametrize("n", [16, 17, 800, 801])
 def test_operator_is_exactly_persymmetric(n):
-    # the grid is antisymmetric bit for bit and the coupling a commutative pair product
+    # the grid is antisymmetric bit for bit, so the stiffness, the mass and the shifted stiffness are persymmetric
     op = discretize(n)
     assert np.array_equal(op.grid, -op.grid[::-1])
-    for shift in (0.0, 0.5):
-        diag, off = op.reduced(shift)
-        assert np.array_equal(diag, diag[::-1])
-        assert np.array_equal(off, off[::-1])
+    for entries in (op.stiff_diag, op.stiff_off, op.mass, op.stiff_diag + 0.5 * op.mass):
+        assert np.array_equal(entries, entries[::-1])
 
 
 def test_oracle_matches_dense_eigensolver_to_rounding():
     # N = 400 leaves an odd order, folded at a centre node; N = 401 an even one, at a centre pair
     for n in (400, 401):
-        diag, off = discretize(n).reduced()
-        want = np.linalg.eigvalsh(ref.dense(diag, off))[:6]
-        assert np.abs(tridiagonal_eigenvalues(diag, off, 6) - want).max() < 1e-12
+        op = discretize(n)
+        want = np.linalg.eigvalsh(ref.reduced_dense(op.stiff_diag, op.stiff_off, op.mass))[:6]
+        assert np.abs(tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, op.mass, 6) - want).max() < 1e-12
 
 
 def test_folded_eigenvalue_does_not_depend_on_k():
-    diag, off = discretize(800).reduced()
-    assert np.array_equal(tridiagonal_eigenvalues(diag, off, 3), tridiagonal_eigenvalues(diag, off, 6)[:3])
+    op = discretize(800)
+    pencil = (op.stiff_diag, op.stiff_off, op.mass)
+    assert np.array_equal(tridiagonal_eigenvalues(*pencil, 3), tridiagonal_eigenvalues(*pencil, 6)[:3])
+
+
+@pytest.mark.parametrize("n", [15, 16, 801, 800])
+def test_random_persymmetric_pencils_match_the_dense_reduction(n):
+    # a real mass folds with the stiffness: an odd order's centre row halves its diagonal entry and
+    # its mass alike, and both halves take the Gershgorin bounds of the whole pencil
+    rng = np.random.default_rng(n)
+    half_diag = rng.normal(size=(n + 1) // 2)
+    half_off = rng.normal(size=n // 2)
+    half_mass = rng.uniform(0.1, 10.0, size=(n + 1) // 2)
+    diag = np.concatenate((half_diag, half_diag[: n // 2][::-1]))
+    off = np.concatenate((half_off, half_off[: (n - 1) // 2][::-1]))
+    mass = np.concatenate((half_mass, half_mass[: n // 2][::-1]))
+    assert len(eigensolve._fold(diag, off, mass)) == 2
+    reduced = ref.reduced_dense(diag, off, mass)
+    want = np.linalg.eigvalsh(reduced)
+    tol = 1e-12 * _span(np.diag(reduced), np.diag(reduced, 1))
+    for k in range(1, n + 1) if n < 100 else (1, 2, 7, 12):
+        assert np.abs(tridiagonal_eigenvalues(diag, off, mass, k) - want[:k]).max() <= tol
 
 
 def test_passes_per_call(monkeypatch):
@@ -364,7 +373,8 @@ def test_passes_per_call(monkeypatch):
             return inner(diag, e2, x)
 
         monkeypatch.setattr(eigensolve, name, counted)
-    tridiagonal_eigenvalues(*discretize(3200).reduced(), 6)
+    op = discretize(3200)
+    tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, op.mass, 6)
     assert rows["_newton_pass"] > 0
     # interpolating the count leaves the Gershgorin top in a few passes: 17,595 Sturm
     # rows (11 passes on the 1,600-row blocks) and 71,980 rows in all; bisecting down
@@ -375,9 +385,9 @@ def test_passes_per_call(monkeypatch):
 
 def test_stall_guard_raises(monkeypatch):
     monkeypatch.setattr(eigensolve, "MAX_BISECTIONS", 3)
-    diag, off = discretize(400).reduced()
+    op = discretize(400)
     with pytest.raises(NumericError, match="did not converge in 3 passes"):
-        tridiagonal_eigenvalues(diag, off, 1)
+        tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, op.mass, 1)
 
 
 def test_a_multiple_eigenvalue_costs_at_most_twice_the_bisections(monkeypatch):
@@ -392,7 +402,7 @@ def test_a_multiple_eigenvalue_costs_at_most_twice_the_bisections(monkeypatch):
     passes = []
     count = eigensolve._sturm_count
     monkeypatch.setattr(eigensolve, "_sturm_count", lambda *args: passes.append(args[2]) or count(*args))
-    got = tridiagonal_eigenvalues(diag, off, 1)
+    got = tridiagonal_eigenvalues(diag, off, np.ones(999), 1)
     assert abs(got[0] - (1000.0 - 700.0 * np.sqrt(2.0))) <= 1e-12 * _span(diag, off)
     assert len(passes) <= 2 * 53 < eigensolve.MAX_BISECTIONS
 
@@ -407,7 +417,7 @@ def _span(diag, off):
 def test_exact_multiplicities():
     # no bracket isolates a triple eigenvalue: each returns its midpoint at the width floor
     diag = np.array([1.0, 1.0, 1.0, 2.0])
-    got = tridiagonal_eigenvalues(diag, np.zeros(3), 4)
+    got = tridiagonal_eigenvalues(diag, np.zeros(3), np.ones(4), 4)
     assert np.abs(got - [1.0, 1.0, 1.0, 2.0]).max() <= 1e-12
     # three uncoupled copies of one block: every eigenvalue is triple
     rng = np.random.default_rng(11)
@@ -415,7 +425,7 @@ def test_exact_multiplicities():
     diag = np.tile(block_diag, 3)
     off = np.concatenate((block_off, [0.0], block_off, [0.0], block_off))
     want = np.repeat(np.linalg.eigvalsh(ref.dense(block_diag, block_off)), 3)
-    assert np.abs(tridiagonal_eigenvalues(diag, off, 15) - want).max() <= 1e-12 * _span(diag, off)
+    assert np.abs(tridiagonal_eigenvalues(diag, off, np.ones(15), 15) - want).max() <= 1e-12 * _span(diag, off)
 
 
 def test_zero_centre_coupling_returns_each_shared_eigenvalue_twice():
@@ -427,7 +437,7 @@ def test_zero_centre_coupling_returns_each_shared_eigenvalue_twice():
     want = np.repeat(np.linalg.eigvalsh(ref.dense(half_diag, half_off)), 2)
     tol = 1e-12 * _span(diag, off)
     for k in range(1, 13):
-        assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+        assert np.abs(tridiagonal_eigenvalues(diag, off, np.ones(12), k) - want[:k]).max() <= tol
 
 
 def test_random_persymmetric_tridiagonals_every_k():
@@ -444,7 +454,7 @@ def test_random_persymmetric_tridiagonals_every_k():
         want = np.linalg.eigvalsh(ref.dense(diag, off))
         tol = 1e-12 * _span(diag, off)
         for k in range(1, n + 1):
-            assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+            assert np.abs(tridiagonal_eigenvalues(diag, off, np.ones(n), k) - want[:k]).max() <= tol
 
 
 def test_wilkinson_matrix_every_k():
@@ -454,7 +464,7 @@ def test_wilkinson_matrix_every_k():
     want = np.linalg.eigvalsh(ref.dense(diag, off))
     tol = 1e-12 * _span(diag, off)
     for k in range(1, 22):
-        assert np.abs(tridiagonal_eigenvalues(diag, off, k) - want[:k]).max() <= tol
+        assert np.abs(tridiagonal_eigenvalues(diag, off, np.ones(21), k) - want[:k]).max() <= tol
 
 
 def test_random_tridiagonals_every_eigenvalue():
@@ -466,11 +476,11 @@ def test_random_tridiagonals_every_eigenvalue():
         # some off-diagonals vanish, splitting the matrix into blocks with shared eigenvalues
         off[rng.random(n - 1) < 0.2] = 0.0
         want = np.linalg.eigvalsh(ref.dense(diag, off))
-        got = tridiagonal_eigenvalues(diag, off, n)
+        got = tridiagonal_eigenvalues(diag, off, np.ones(n), n)
         assert np.abs(got - want).max() <= 1e-12 * _span(diag, off)
         # eigenvalue j does not depend on how many are asked for
         k = int(rng.integers(1, n + 1))
-        assert np.array_equal(tridiagonal_eigenvalues(diag, off, k), got[:k])
+        assert np.array_equal(tridiagonal_eigenvalues(diag, off, np.ones(n), k), got[:k])
 
 
 def test_shifted_operator():
@@ -504,15 +514,35 @@ def test_tridiagonal_refuses_non_finite_entry(which, index):
     for bad in (np.nan, np.inf):
         entries[index] = bad
         with pytest.raises(NumericError, match=f"^{which} entry {index} is {bad}, not finite"):
-            tridiagonal_eigenvalues(diag, off, 2)
+            tridiagonal_eigenvalues(diag, off, np.ones(5), 2)
 
 
 @pytest.mark.parametrize("sizes", [(4, 5, 5), (3, 4, 5), (3, 5, 4), (3, 5, 6)])
 def test_steps_refuse_mismatched_sizes(sizes):
     # a persymmetric matrix folds u0 by its own length: a longer or shorter one is refused, not folded
     off, mass, u0 = (np.ones(size) for size in sizes)
-    with pytest.raises(NumericError, match="expected 3, 4 and 4"):
+    message = "u0 has size 5, expected 4"
+    if sizes[:2] != (3, 4):
+        message = f"sizes {sizes[0]} and {sizes[1]}; expected 3 and 4"
+    with pytest.raises(NumericError, match=message):
         implicit_steps(np.full(4, 4.0), off, mass, u0, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_kernels_refuse_a_mass_entry_that_is_not_finite_and_positive(bad, monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("the pencil was factored")
+
+    for name in ("_eliminate", "_sturm_count", "_newton_pass"):
+        monkeypatch.setattr(eigensolve, name, no_pass)
+    op = discretize(20)
+    mass = op.mass.copy()
+    mass[2] = mass[-3] = bad
+    message = f"^mass entry 2 is {bad}, not " + ("finite" if np.isnan(bad) or np.isinf(bad) else "positive")
+    with pytest.raises(NumericError, match=message):
+        tridiagonal_eigenvalues(op.stiff_diag, op.stiff_off, mass, 2)
+    with pytest.raises(NumericError, match=message):
+        implicit_steps(op.mass + op.stiff_diag, op.stiff_off, mass, np.ones(mass.size), 1)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
